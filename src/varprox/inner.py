@@ -14,13 +14,18 @@ finite-difference gradient tests upstream:
 
 All solvers work at "desk scale": direct symmetric factorizations by
 default, conjugate gradients on the positive definite reduced forms for
-larger systems or when requested.
+larger systems or when requested.  The two ``A = Id`` routes (TV denoising
+and the robust prox, e.g. TV-L1) instead factor the sparse system
+``diag(d) + lam L diag(s) L^T``, assembled on the fixed pattern memoized on
+``L`` (:class:`~varprox.linops.CogramPattern`).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .groups import GroupStructure, extend
 from .linops import BlockExtractOperator, IdentityOperator
@@ -42,8 +47,12 @@ class InnerConfig:
     """Linear-algebra knobs for the inner solves.
 
     ``method`` is ``auto`` (direct below ``direct_size_limit``, CG above),
-    ``direct`` or ``cg``.  ``epsilon_floor`` regularizes degenerate diagonal
-    blocks (used by the nuclear-norm path when the loss factor vanishes).
+    ``direct`` or ``cg``.  On the ``A = Id`` routes (``solve_analysis_prox``
+    and ``solve_robust`` with an identity ``A``) ``auto`` and ``direct`` both
+    factor the sparse system, ``direct_size_limit`` does not apply, and
+    ``cg`` is rejected with ``ValueError``.  ``epsilon_floor`` regularizes
+    degenerate diagonal blocks (used by the nuclear-norm path when the loss
+    factor vanishes).
     """
 
     method: str = "auto"
@@ -146,6 +155,45 @@ def _psd_solve(M, b, what, jitter=1e-12):
         return scipy.linalg.cho_solve((c, low), b, check_finite=False)
     except scipy.linalg.LinAlgError:
         return _sym_solve(M, b, what)
+
+
+def _spd_factor(M):
+    """SuperLU factorization of a symmetric CSC matrix, or ``None`` where a
+    Cholesky factorization would fail.
+
+    Symmetric mode with diagonal pivots makes SuperLU an ``L D L^T``
+    factorization: it is accepted only when no row was swapped and every
+    pivot (the diagonal of ``U``) is positive.
+    """
+    try:
+        lu = scipy.sparse.linalg.splu(M, permc_spec="MMD_AT_PLUS_A",
+                                      diag_pivot_thresh=0,
+                                      options=dict(SymmetricMode=True))
+    except RuntimeError:            # "Factor is exactly singular"
+        return None
+    if np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0):
+        return lu
+    return None
+
+
+def _sparse_psd_solve(M, b, what, jitter=1e-12):
+    """Sparse counterpart of :func:`_psd_solve` for a symmetric CSC ``M``:
+    the same relative diagonal jitter after a failed factorization, and the
+    dense :func:`_sym_solve` when that fails too."""
+    lu = _spd_factor(M)
+    if lu is None:
+        eps = jitter * max(float(np.abs(M.diagonal()).max(initial=0.0)), 1e-300)
+        lu = _spd_factor(M + eps * scipy.sparse.eye_array(M.shape[0], format="csc"))
+    if lu is None:
+        return _sym_solve(M.toarray(), b, what)
+    return lu.solve(b)
+
+
+def _reject_cg(cfg, route):
+    if cfg.method == "cg":
+        raise ValueError(f"{route}: method 'cg' is not supported on the A = Id "
+                         "route, which factors a sparse system; use 'auto' "
+                         "or 'direct'")
 
 
 def _sym_solve(M, b, what):
@@ -270,20 +318,21 @@ def solve_grouplasso_dual(A, v, gs, lam, y, cfg=DEFAULT, warm_start=None):
 
 
 def solve_analysis_prox(L, v, gs, lam, y, cfg=DEFAULT):
-    """Denoising specialization (``A = Id``): one p-by-p SPD solve."""
+    """Denoising specialization (``A = Id``): one sparse p-by-p SPD solve of
+    ``(diag(vbar^2) + lam L L^T) alpha = L y``."""
     if lam <= 0:
         raise ValueError("lam must be positive")
+    _reject_cg(cfg, "solve_analysis_prox")
     y = np.asarray(y, dtype=float).ravel()
     vbar, gs = _vbar(v, gs)
-    p = L.rows
-    M = lam * L.cogram()
-    M.flat[::p + 1] += vbar ** 2
-    alpha = _psd_solve(M, L.apply(y), "analysis prox system")
-    x = y - lam * L.adjoint(alpha)
+    M = L.cogram_pattern().assemble(np.ones(L.cols), vbar ** 2, lam)
+    alpha = _sparse_psd_solve(M, L.apply(y), "analysis prox system")
     xi = -L.adjoint(alpha)
+    x = y + lam * xi
     ident = IdentityOperator(L.cols)
     res = _quad_kkt(ident, L, vbar, lam, y, x, alpha, xi)
-    return InnerSolution(x, alpha, xi, res, system_size=p, method="direct")
+    return InnerSolution(x, alpha, xi, res, system_size=L.rows,
+                         method="sparse-direct")
 
 
 def solve_overlap_woodbury(A, ogroups, v, lam, y, cfg=DEFAULT):
@@ -341,7 +390,7 @@ def solve_robust(A, L, v, gs_reg, w, gs_loss, lam, y, cfg=DEFAULT):
     """Inner solve with both regularizer and loss in quadratic variational
     form (covers grouped TV with an l1-type loss and square-root lasso).
 
-    Solves the symmetric saddle system; for ``A = Id`` the smaller
+    Solves the symmetric saddle system; for ``A = Id`` the smaller sparse
     p-by-p elimination ``(diag(vbar^2) + lam L diag(wbar^2) L^T) alpha = -L y``
     is used instead.
     """
@@ -353,13 +402,14 @@ def solve_robust(A, L, v, gs_reg, w, gs_loss, lam, y, cfg=DEFAULT):
     m, n, p = A.rows, A.cols, L.rows
 
     if isinstance(A, IdentityOperator):
-        Ld = L.to_dense()
-        M = np.diag(vbar ** 2) + lam * ((Ld * (wbar ** 2)[None, :]) @ Ld.T)
-        alpha = _psd_solve(M, -L.apply(y), "robust prox system")
+        _reject_cg(cfg, "solve_robust")
+        M = L.cogram_pattern().assemble(wbar ** 2, vbar ** 2, lam)
+        alpha = _sparse_psd_solve(M, -L.apply(y), "robust prox system")
         xi = -L.adjoint(alpha)
         x = y - lam * wbar ** 2 * xi
         res = _robust_kkt(A, L, vbar, wbar, lam, y, x, alpha, xi)
-        return InnerSolution(x, alpha, xi, res, system_size=p, method="direct")
+        return InnerSolution(x, alpha, xi, res, system_size=p,
+                             method="sparse-direct")
 
     Ad, Ld = A.to_dense(), L.to_dense()
     size = p + m + n

@@ -4,7 +4,8 @@ Concrete kinds: dense matrices, the identity, coordinate masks, 2-D
 finite-difference gradients (single- and multi-channel, Neumann boundary),
 block extractors for overlapping groups, and real-stacked partial Fourier
 systems.  Operators are immutable after construction; ``apply``/``adjoint``
-are reentrant and densification is memoized.
+are reentrant and densification, the sparse form and the pattern of
+``A diag(s) A^T`` are memoized.
 
 Dense matrices serialize to the SOPM binary format: magic bytes ``SOPM``,
 u32 rows, u32 cols, little-endian float64 row-major payload.
@@ -14,12 +15,13 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .groups import GroupStructure
 
 __all__ = [
     "LinearOperator", "DenseOperator", "IdentityOperator", "MaskOperator",
-    "Grad2DOperator", "BlockExtractOperator", "FourierSystemSpec",
+    "Grad2DOperator", "BlockExtractOperator", "CogramPattern", "FourierSystemSpec",
     "dense", "identity", "mask", "grad2d", "block_extract", "fourier_system",
     "tv_group_structure", "save_sopm", "load_sopm", "operator_norm",
 ]
@@ -69,9 +71,24 @@ class LinearOperator:
             self._cogram.flags.writeable = False
         return self._cogram
 
+    def to_sparse(self):
+        """Memoized CSR form, equal to ``to_dense()`` entry for entry."""
+        if getattr(self, "_sparse", None) is None:
+            self._sparse = self._sparsify()
+        return self._sparse
+
+    def cogram_pattern(self):
+        """Memoized :class:`CogramPattern` of this operator."""
+        if getattr(self, "_cogram_pattern", None) is None:
+            self._cogram_pattern = CogramPattern(self.to_sparse())
+        return self._cogram_pattern
+
     def _densify(self):
         eye = np.eye(self.cols)
         return np.column_stack([self.apply(eye[:, j]) for j in range(self.cols)])
+
+    def _sparsify(self):
+        return scipy.sparse.csr_array(self.to_dense())
 
     def _check_input(self, x, length, name):
         x = np.asarray(x, dtype=float)
@@ -179,6 +196,20 @@ class Grad2DOperator(LinearOperator):
         out[:, :, 1:] -= g[:, 1, :, :-1]
         return out.ravel()
 
+    def _sparsify(self):
+        def diff(k):
+            # row i < k - 1 holds x_i - x_{i+1}; the last row is zero
+            i = np.arange(k - 1)
+            vals = np.r_[np.ones(k - 1), -np.ones(k - 1)]
+            return scipy.sparse.csr_array((vals, (np.r_[i, i], np.r_[i, i + 1])),
+                                          shape=(k, k))
+
+        h, w = self.height, self.width
+        channel = scipy.sparse.vstack([
+            scipy.sparse.kron(diff(h), scipy.sparse.eye_array(w)),
+            scipy.sparse.kron(scipy.sparse.eye_array(h), diff(w))])
+        return scipy.sparse.block_diag([channel] * self.channels, format="csr")
+
 
 class BlockExtractOperator(LinearOperator):
     """Stacks weighted copies of index blocks: ``x -> (w_g * x_{I_g})_g``."""
@@ -218,6 +249,49 @@ class BlockExtractOperator(LinearOperator):
                                 self.offsets[:-1], self.offsets[1:]):
             np.add.at(out, g, w * y[lo:hi])
         return out
+
+
+class CogramPattern:
+    """Fixed sparsity pattern of ``diag(d) + lam * A diag(s) A^T``.
+
+    The pattern depends only on the sparse ``A`` (p-by-n) and always holds
+    the diagonal.  Its values are ``lam * (coef @ s)``, with
+    ``coef[(i, j), k] = A_ik A_jk``, plus ``d`` at the positions ``diag``, so
+    one assembly costs a sparse matvec and a diagonal add.
+    """
+
+    def __init__(self, S):
+        S = scipy.sparse.csc_array(S)
+        S.sum_duplicates()
+        p, n = S.shape
+        # each pair (a, b) of stored entries in one column k, at rows i and
+        # j, adds A_ik A_jk to entry (i, j): entry a pairs with every entry
+        # of its column, b running from the column's first entry on
+        counts = np.diff(S.indptr)
+        col = np.repeat(np.arange(n), counts)
+        reps = counts[col]
+        a = np.repeat(np.arange(S.nnz), reps)
+        within = np.arange(a.size) - np.repeat(np.cumsum(reps) - reps, reps)
+        b = np.repeat(S.indptr[col], reps) + within
+        rows = S.indices[a].astype(np.int64)
+        diag = np.arange(p, dtype=np.int64)
+        keys = np.concatenate([rows * p + S.indices[b], diag * p + diag])
+        uniq, pos = np.unique(keys, return_inverse=True)
+        self.shape = (p, p)
+        self.indptr = np.searchsorted(uniq // p, np.arange(p + 1))
+        self.indices = uniq % p
+        self.diag = pos[rows.size:]
+        self.coef = scipy.sparse.csr_array(
+            (S.data[a] * S.data[b], (pos[:rows.size], col[a])),
+            shape=(uniq.size, n))
+
+    def assemble(self, s, d, lam):
+        """``diag(d) + lam * A diag(s) A^T`` as a CSC matrix."""
+        data = lam * (self.coef @ s)
+        data[self.diag] += d
+        # symmetric, so the CSR arrays of the pattern are also its CSC arrays
+        return scipy.sparse.csc_array((data, self.indices, self.indptr),
+                                      shape=self.shape)
 
 
 @dataclass(frozen=True)

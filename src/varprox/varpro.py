@@ -354,7 +354,9 @@ def solve_varpro(problem, config=None):
                                  _init_vector(config, nw, rng)])
         theta, f, g, trace = _run_minimizer(fun, theta0, config,
                                             "varpro-robust-" + config.algorithm)
-        sol = holder["sol"]
+        sol = holder.get("sol")
+        if sol is None:
+            *_, sol = eval_f_grad_robust(problem, theta[:nv], theta[nv:], icfg)
         return VarProResult(v=theta[:nv], w=theta[nv:], x=sol.x, objective=f,
                             trace=trace, inner=sol)
 
@@ -377,7 +379,10 @@ def solve_varpro(problem, config=None):
                                  np.eye(m).ravel()])
         theta, f, g, trace = _run_minimizer(fun, theta0, config,
                                             "varpro-multitask-" + config.algorithm)
-        sol = holder["sol"]
+        sol = holder.get("sol")
+        if sol is None:
+            *_, sol = eval_multitask(problem, theta[:n],
+                                     theta[n:].reshape(m, m), icfg)
         return VarProResult(v=theta[:n], W=theta[n:].reshape(m, m), x=sol.x,
                             objective=f, trace=trace, inner=sol)
 

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from varprox import inner
 from varprox.groups import GroupStructure, contiguous_groups, extend, trivial_groups
 from varprox.inner import (InnerConfig, InnerSolveError, solve_analysis_prox,
                            solve_basis_pursuit, solve_grouplasso_dual,
                            solve_multitask_nuclear, solve_overlap_woodbury,
                            solve_quadratic_general, solve_robust)
-from varprox.linops import (block_extract, dense, grad2d, identity,
-                            tv_group_structure)
+from varprox.linops import (Grad2DOperator, block_extract, dense, grad2d,
+                            identity, tv_group_structure)
+from varprox.problems import pixel_channel_groups
 
 
 def test_one_dim_lasso_oracle():
@@ -110,6 +112,72 @@ def test_analysis_prox_matches_general_tv(rng):
     b = solve_quadratic_general(identity(64), L, v, gs, 0.3, y)
     assert np.abs(a.x - b.x).max() < 1e-9
     assert a.kkt_residual < 1e-8 and b.kkt_residual < 1e-8
+
+
+def _tv_case(rng, h=5, w=4, c=3):
+    n = h * w * c
+    L = grad2d(h, w, c)
+    gs = tv_group_structure(h, w, c)
+    gl = pixel_channel_groups(h * w, c)
+    v = rng.uniform(0.5, 1.5, gs.n_groups)
+    wl = rng.uniform(0.5, 1.5, gl.n_groups)
+    return n, L, gs, gl, v, wl, rng.uniform(0, 1, n)
+
+
+def test_identity_routes_factor_sparse_without_densifying(monkeypatch, rng):
+    def refuse(self):
+        raise AssertionError("the A = Id routes must not densify L")
+
+    monkeypatch.setattr(Grad2DOperator, "_densify", refuse)
+    n, L, gs, gl, v, wl, y = _tv_case(rng)
+    a = solve_analysis_prox(L, v, gs, 0.3, y)
+    b = solve_robust(identity(n), L, v, gs, wl, gl, 0.9, y)
+    assert a.method == b.method == "sparse-direct"
+    assert a.system_size == b.system_size == L.rows
+    assert a.kkt_residual < 1e-12 and b.kkt_residual < 1e-12
+
+
+def test_identity_routes_reject_cg(rng):
+    n, L, gs, gl, v, wl, y = _tv_case(rng)
+    cfg = InnerConfig(method="cg")
+    with pytest.raises(ValueError, match="solve_analysis_prox"):
+        solve_analysis_prox(L, v, gs, 0.3, y, cfg)
+    with pytest.raises(ValueError, match="solve_robust"):
+        solve_robust(identity(n), L, v, gs, wl, gl, 0.9, y, cfg)
+    for method in ("auto", "direct"):
+        cfg = InnerConfig(method=method, direct_size_limit=1)
+        assert solve_analysis_prox(L, v, gs, 0.3, y, cfg).method == "sparse-direct"
+
+
+@pytest.mark.parametrize("zeros", ["some", "all"])
+def test_identity_routes_zero_v_take_the_jitter_retry(monkeypatch, rng, zeros):
+    factored = []
+
+    def spy(M):
+        lu = spd_factor(M)
+        factored.append(lu is not None)
+        return lu
+
+    spd_factor = inner._spd_factor
+    monkeypatch.setattr(inner, "_spd_factor", spy)
+    h, w = 5, 4
+    n, L, gs, gl, v, wl, y = _tv_case(rng, h, w)
+    if zeros == "all":
+        v[:] = 0.0
+    else:
+        v[[3, 7]] = 0.0
+        v[-w:] = 0.0          # last image row: zero rows of L (Neumann)
+    a = solve_analysis_prox(L, v, gs, 0.3, y)
+    assert factored == [False, True]
+    ref = solve_quadratic_general(identity(n), L, v, gs, 0.3, y)
+    assert np.abs(a.x - ref.x).max() < 1e-9
+    assert a.kkt_residual < 1e-8
+    factored.clear()
+    b = solve_robust(identity(n), L, v, gs, wl, gl, 0.9, y)
+    assert factored == [False, True]
+    ref = solve_robust(dense(np.eye(n)), L, v, gs, wl, gl, 0.9, y)
+    assert np.abs(b.x - ref.x).max() < 1e-9
+    assert b.kkt_residual < 1e-8
 
 
 def test_woodbury_diagonal_formula():

@@ -7,6 +7,20 @@ from varprox.linops import (FourierSystemSpec, block_extract, dense,
                             save_sopm, tv_group_structure)
 
 
+def _all_kinds(rng):
+    ogs = GroupStructure([[0, 1, 2], [2, 3, 4], [4, 5, 6, 7]], p=8,
+                         mode="overlapping")
+    return [
+        dense(rng.standard_normal((7, 5))),
+        identity(6),
+        mask([1, 3, 4], 8),
+        grad2d(4, 5),
+        grad2d(3, 4, channels=3),
+        block_extract(ogs, 8),
+        fourier_system(FourierSystemSpec(dimension=1, cutoff=4, grid=12)),
+    ]
+
+
 def _adjoint_check(op, rng, n_pairs=100, tol=1e-10):
     norm_est = 1.0
     for _ in range(5):
@@ -123,19 +137,31 @@ def test_fourier_2d_shape():
 
 
 def test_adjoint_consistency_all_kinds(rng):
-    ogs = GroupStructure([[0, 1, 2], [2, 3, 4], [4, 5, 6, 7]], p=8,
-                         mode="overlapping")
-    ops = [
-        dense(rng.standard_normal((7, 5))),
-        identity(6),
-        mask([1, 3, 4], 8),
-        grad2d(4, 5),
-        grad2d(3, 4, channels=3),
-        block_extract(ogs, 8),
-        fourier_system(FourierSystemSpec(dimension=1, cutoff=4, grid=12)),
-    ]
-    for op in ops:
+    for op in _all_kinds(rng):
         _adjoint_check(op, rng)
+
+
+def test_to_sparse_equals_to_dense(rng):
+    grads = [grad2d(h, w, channels=c) for h, w in ((1, 1), (1, 4), (4, 1), (3, 5))
+             for c in (1, 3)]
+    for op in _all_kinds(rng) + grads:
+        S = op.to_sparse()
+        assert S.shape == op.shape and S.format == "csr"
+        assert np.array_equal(S.toarray(), op.to_dense()), op
+        assert op.to_sparse() is S                     # memoized
+
+
+def test_cogram_pattern_assembles_weighted_cogram(rng):
+    for op in (grad2d(4, 3, channels=3), grad2d(1, 1), mask([0, 2], 4),
+               dense(rng.standard_normal((5, 3)))):
+        D = op.to_dense()
+        s = rng.uniform(0.5, 1.5, op.cols)
+        d = rng.uniform(0.0, 1.0, op.rows)
+        M = op.cogram_pattern().assemble(s, d, 0.7)
+        assert M.format == "csc"
+        assert np.allclose(M.toarray(), np.diag(d) + 0.7 * (D * s) @ D.T,
+                           rtol=0, atol=1e-14)
+        assert op.cogram_pattern() is op.cogram_pattern()
 
 
 def test_densify_matches_apply(rng):

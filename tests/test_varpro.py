@@ -352,3 +352,25 @@ def test_cg_inner_with_warm_start_matches_direct(rng):
     res_dr = solve_varpro(prob, cfg_dr)
     assert abs(nonsmooth_objective(prob, res_cg.x)
                - nonsmooth_objective(prob, res_dr.x)) < 1e-7
+
+
+@pytest.mark.parametrize("route", ["solve_robust", "solve_multitask_nuclear"])
+def test_inner_failure_at_every_point_raises(monkeypatch, rng, route):
+    # no evaluation succeeds, so no inner solution exists to report
+    from varprox import inner
+    from varprox.inner import InnerSolveError
+
+    def fail(*args, **kwargs):
+        raise InnerSolveError("injected inner failure")
+
+    monkeypatch.setattr(inner, route, fail)
+    m, n = 4, 5
+    if route == "solve_robust":
+        loss = RobustLoss(y=rng.standard_normal(m), lam=0.8,
+                          loss_groups=trivial_groups(m))
+    else:
+        loss = MultitaskLoss(Y=rng.standard_normal((m, 2)), lam=0.8)
+    prob = VarProProblem(dense(rng.standard_normal((m, n))), identity(n),
+                         trivial_groups(n), loss)
+    with pytest.raises(InnerSolveError, match="injected"):
+        solve_varpro(prob, OuterConfig(max_iter=5))
