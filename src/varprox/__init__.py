@@ -26,7 +26,6 @@ from .varpro import (BasisPursuitLoss, MultitaskLoss, OuterConfig,
                      QuadraticLoss, RobustLoss, VarProProblem, VarProResult,
                      eval_f_grad, eval_f_grad_robust, eval_lq_option2,
                      eval_lq_option3, eval_multitask, nonsmooth_objective,
-                     recover_x, solve_lq_option2, solve_lq_option3,
-                     solve_varpro)
+                     solve_lq_option2, solve_varpro)
 
 __version__ = "0.1.0"

@@ -31,22 +31,6 @@ class ConfigError(ValueError):
     pass
 
 
-def limit_blas_threads(n=1):
-    """Cap BLAS pools: the benchmark matrices are small enough that thread
-    fan-out costs far more than it saves; task-level parallelism is handled
-    by ``--threads`` instead.  Returns True when a pool controller was found.
-    """
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(limits=n)
-        return True
-    except Exception:
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(n))
-        return False
-
-
 def _fraction(text):
     text = text.strip()
     if "/" in text:
@@ -427,7 +411,6 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
-    limit_blas_threads(1)
     try:
         config = _parse_config(args.config)
         handler = {"run": cmd_run, "phase": cmd_phase,

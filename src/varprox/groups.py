@@ -66,13 +66,6 @@ class GroupStructure:
             seen[g] = True
         return bool(seen.all())
 
-    def membership_counts(self):
-        """Number of groups containing each index (overlap diagnostics)."""
-        counts = np.zeros(self.p, dtype=int)
-        for g in self.groups:
-            counts[g] += 1
-        return counts
-
     def __len__(self):
         return self.n_groups
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .groups import (GroupStructure, extend, group_dots, group_norm_12,
-                     group_sq_norms, trivial_groups)
+                     trivial_groups)
 from .trace import SolverTrace
 
 __all__ = [
@@ -122,14 +122,11 @@ def _column_block_norm(problem):
     return max(float(np.linalg.norm(Ad[:, g], 2)) for g in gs.groups)
 
 
-def lipschitz_bounds(problem, u0, v0, k_method="certified", k_override=None,
-                     n_samples=100, seed=0):
+def lipschitz_bounds(problem, u0, v0, k_override=None):
     """Stepsize constants from the initial point.
 
-    ``K`` bounds ``sup ||grad F||_{inf,2}`` over the sublevel ball; the
-    certified variant uses the column norms of ``A``, the sampled variant
-    evaluates 100 random ball points plus the initial point and doubles the
-    maximum.  ``k_override`` wins when provided.
+    ``K`` bounds ``sup ||grad F||_{inf,2}`` over the sublevel ball, certified
+    through the column norms of ``A``; ``k_override`` wins when provided.
     """
     if problem.lam <= 0:
         raise ValueError("bounds require lam > 0")
@@ -140,20 +137,8 @@ def lipschitz_bounds(problem, u0, v0, k_method="certified", k_override=None,
     R = B2 / 2.0
     if k_override is not None:
         K = float(k_override)
-    elif k_method == "certified":
-        K = problem.fscale * colmax * (colmax * R + float(np.linalg.norm(problem.y)))
-    elif k_method == "sampled":
-        rng = np.random.default_rng(seed)
-        gs = problem.groups
-        K = np.sqrt(group_sq_norms(problem.grad_F(problem.product(u0, v0)),
-                                   gs).max())
-        for _ in range(n_samples):
-            z = rng.standard_normal(problem.A.cols)
-            z *= rng.uniform(0, R) / max(np.abs(z).sum(), 1e-300)
-            K = max(K, np.sqrt(group_sq_norms(problem.grad_F(z), gs).max()))
-        K = 2.0 * float(K)
     else:
-        raise ValueError(f"unknown k_method {k_method!r}")
+        K = problem.fscale * colmax * (colmax * R + float(np.linalg.norm(problem.y)))
     M_G = 2.0 * (max(problem.lam, K) + M_F * B2)
     kappa = max(1.0, (problem.lam ** 2 + K ** 2) / (problem.lam * M_G))
     rho = 1.0 - problem.lam / (kappa * M_G)

@@ -14,10 +14,12 @@ finite-difference gradient tests upstream:
 
 All solvers work at "desk scale": direct symmetric factorizations by
 default, conjugate gradients on the positive definite reduced forms for
-larger systems or when requested.  The two ``A = Id`` routes (TV denoising
-and the robust prox, e.g. TV-L1) instead factor the sparse system
-``diag(d) + lam L diag(s) L^T``, assembled on the fixed pattern memoized on
-``L`` (:class:`~varprox.linops.CogramPattern`).
+larger systems or when requested.  The three routes that need the full
+symmetric saddle system (degenerate quadratic, general robust, exact
+interpolation) share one dense assembler, ``_saddle_solve``.  The two
+``A = Id`` routes (TV denoising and the robust prox, e.g. TV-L1) instead
+factor the sparse system ``diag(d) + lam L diag(s) L^T``, assembled on the
+fixed pattern memoized on ``L`` (:class:`~varprox.linops.CogramPattern`).
 """
 
 from dataclasses import dataclass
@@ -96,7 +98,8 @@ DEFAULT = InnerConfig()
 
 
 def _cg(matvec, b, x0=None, rtol=1e-10, maxiter=None):
-    """Plain conjugate gradients for SPD systems; returns (x, ok, relres)."""
+    """Plain conjugate gradients for SPD systems; raises
+    :class:`InnerSolveError` when ``maxiter`` steps do not converge."""
     b = np.asarray(b, dtype=float)
     n = b.size
     maxiter = maxiter or 10 * n
@@ -107,7 +110,7 @@ def _cg(matvec, b, x0=None, rtol=1e-10, maxiter=None):
     bnorm = max(np.linalg.norm(b), 1e-300)
     for _ in range(maxiter):
         if np.sqrt(rs) <= rtol * bnorm:
-            return x, True, np.sqrt(rs) / bnorm
+            return x
         ap = matvec(p)
         alpha = rs / np.dot(p, ap)
         x += alpha * p
@@ -115,20 +118,19 @@ def _cg(matvec, b, x0=None, rtol=1e-10, maxiter=None):
         rs_new = np.dot(r, r)
         p = r + (rs_new / rs) * p
         rs = rs_new
-    return x, np.sqrt(rs) <= rtol * bnorm, np.sqrt(rs) / bnorm
+    if np.sqrt(rs) <= rtol * bnorm:
+        return x
+    raise InnerSolveError(f"CG did not converge (relres={np.sqrt(rs) / bnorm:.3e})")
 
 
-def _chol_solve(M, b, what, overwrite=False):
-    """SPD solve; ``overwrite=True`` lets the factorization consume ``M``."""
+def _chol_solve(M, b, what):
+    """SPD solve; the factorization consumes ``M``."""
     try:
-        c, low = scipy.linalg.cho_factor(M, overwrite_a=overwrite,
+        c, low = scipy.linalg.cho_factor(M, overwrite_a=True,
                                          check_finite=False)
         return scipy.linalg.cho_solve((c, low), b, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
-        msg = f"{what}: singular system"
-        if not overwrite:
-            msg += f" (cond~{np.linalg.cond(M):.3e})"
-        raise InnerSolveError(msg) from exc
+        raise InnerSolveError(f"{what}: singular system") from exc
 
 
 def _psd_solve(M, b, what, jitter=1e-12):
@@ -219,6 +221,25 @@ def _sym_solve(M, b, what):
     return sol
 
 
+def _saddle_solve(A, L, d_alpha, d_xi, y, what):
+    """Dense solve of the symmetric saddle system
+    ``[[diag(d_alpha), 0, L], [0, diag(d_xi), A], [L^T, A^T, 0]]
+    (alpha, xi, x) = (0, y, 0)``; ``d_xi`` may be a scalar.  Returns
+    ``(alpha, xi, x)``."""
+    p, m = L.rows, A.rows
+    k = p + m
+    B = np.vstack([L.to_dense(), A.to_dense()])
+    size = k + B.shape[1]
+    M = np.zeros((size, size))
+    M[:k, k:] = B
+    M[k:, :k] = B.T
+    M[np.arange(k), np.arange(k)] = np.concatenate(
+        [d_alpha, np.broadcast_to(d_xi, m)])
+    rhs = np.concatenate([np.zeros(p), y, np.zeros(size - k)])
+    sol = _sym_solve(M, rhs, what)
+    return sol[:p], sol[p:k], sol[k:]
+
+
 def _vbar(v, gs):
     v = np.asarray(v, dtype=float)
     if isinstance(gs, GroupStructure):
@@ -251,20 +272,10 @@ def solve_quadratic_general(A, L, v, gs, lam, y, cfg=DEFAULT, warm_start=None):
     degenerate = vmax == 0.0 or np.abs(vbar).min() < cfg.zero_threshold * vmax
 
     if degenerate:
-        Ad, Ld = A.to_dense(), L.to_dense()
-        size = m + p + n
-        M = np.zeros((size, size))
-        M[:m, :m] = -lam * np.eye(m)
-        M[:m, m + p:] = Ad
-        M[m:m + p, m:m + p] = -np.diag(vbar ** 2)
-        M[m:m + p, m + p:] = Ld
-        M[m + p:, :m] = Ad.T
-        M[m + p:, m:m + p] = Ld.T
-        rhs = np.concatenate([y, np.zeros(p + n)])
-        sol = _sym_solve(M, rhs, "extended saddle system")
-        xi, alpha, x = sol[:m], sol[m:m + p], sol[m + p:]
+        alpha, xi, x = _saddle_solve(A, L, -vbar ** 2, -lam, y,
+                                     "extended saddle system")
         res = _quad_kkt(A, L, vbar, lam, y, x, alpha, xi)
-        return InnerSolution(x, alpha, xi, res, system_size=size,
+        return InnerSolution(x, alpha, xi, res, system_size=p + m + n,
                              method="direct-extended")
 
     inv_v2 = 1.0 / vbar ** 2
@@ -273,10 +284,8 @@ def solve_quadratic_general(A, L, v, gs, lam, y, cfg=DEFAULT, warm_start=None):
         def matvec(z):
             return A.adjoint(A.apply(z)) + lam * L.adjoint(inv_v2 * L.apply(z))
 
-        x, ok, relres = _cg(matvec, aty, x0=warm_start, rtol=cfg.cg_tol,
-                            maxiter=cfg.cg_max_iter)
-        if not ok:
-            raise InnerSolveError(f"CG did not converge (relres={relres:.3e})")
+        x = _cg(matvec, aty, x0=warm_start, rtol=cfg.cg_tol,
+                maxiter=cfg.cg_max_iter)
         method = "cg"
     else:
         Ld = L.to_dense()
@@ -289,7 +298,7 @@ def solve_quadratic_general(A, L, v, gs, lam, y, cfg=DEFAULT, warm_start=None):
     return InnerSolution(x, alpha, xi, res, system_size=n, method=method)
 
 
-def solve_grouplasso_dual(A, v, gs, lam, y, cfg=DEFAULT, warm_start=None):
+def solve_grouplasso_dual(A, v, gs, lam, y, cfg=DEFAULT):
     """Group-lasso specialization (``L = Id``): one m-by-m SPD solve."""
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -301,14 +310,11 @@ def solve_grouplasso_dual(A, v, gs, lam, y, cfg=DEFAULT, warm_start=None):
         def matvec(z):
             return A.apply(vbar ** 2 * A.adjoint(z)) + lam * z
 
-        g, ok, relres = _cg(matvec, -y, x0=warm_start, rtol=cfg.cg_tol,
-                            maxiter=cfg.cg_max_iter)
-        if not ok:
-            raise InnerSolveError(f"CG did not converge (relres={relres:.3e})")
+        g = _cg(matvec, -y, rtol=cfg.cg_tol, maxiter=cfg.cg_max_iter)
         method = "cg"
     else:
         M = (Ad * vbar ** 2) @ Ad.T + lam * np.eye(m)
-        g = _chol_solve(M, -y, "group dual system", overwrite=True)
+        g = _chol_solve(M, -y, "group dual system")
         method = "direct"
     alpha = -A.adjoint(g)
     x = vbar ** 2 * alpha
@@ -351,8 +357,7 @@ def solve_overlap_woodbury(A, ogroups, v, lam, y, cfg=DEFAULT):
     if not ogroups.spans():
         raise InnerSolveError("woodbury path requires groups spanning the index set")
     if np.any(v == 0.0):
-        sol = solve_quadratic_general(A, L, v, lifted, lam, y, cfg)
-        return sol
+        return solve_quadratic_general(A, L, v, lifted, lam, y, cfg)
     y = np.asarray(y, dtype=float).ravel()
     m = A.rows
     wdiag = np.zeros(A.cols)
@@ -364,12 +369,10 @@ def solve_overlap_woodbury(A, ogroups, v, lam, y, cfg=DEFAULT):
     AW = Ad / wdiag[None, :]
     S = lam * np.eye(m) + AW @ Ad.T
     if cfg.use_cg(m):
-        t, ok, relres = _cg(lambda z: S @ z, Ad @ winv_b, rtol=cfg.cg_tol,
-                            maxiter=cfg.cg_max_iter)
-        if not ok:
-            raise InnerSolveError(f"CG did not converge (relres={relres:.3e})")
+        t = _cg(lambda z: S @ z, Ad @ winv_b, rtol=cfg.cg_tol,
+                maxiter=cfg.cg_max_iter)
     else:
-        t = _chol_solve(S, Ad @ winv_b, "woodbury system", overwrite=True)
+        t = _chol_solve(S, Ad @ winv_b, "woodbury system")
     x = (winv_b - A.adjoint(t) / wdiag) / lam
     vbar = extend(v, lifted)
     alpha = L.apply(x) / vbar ** 2
@@ -411,20 +414,11 @@ def solve_robust(A, L, v, gs_reg, w, gs_loss, lam, y, cfg=DEFAULT):
         return InnerSolution(x, alpha, xi, res, system_size=p,
                              method="sparse-direct")
 
-    Ad, Ld = A.to_dense(), L.to_dense()
-    size = p + m + n
-    M = np.zeros((size, size))
-    M[:p, :p] = np.diag(vbar ** 2)
-    M[:p, p + m:] = Ld
-    M[p:p + m, p:p + m] = lam * np.diag(wbar ** 2)
-    M[p:p + m, p + m:] = Ad
-    M[p + m:, :p] = Ld.T
-    M[p + m:, p:p + m] = Ad.T
-    rhs = np.concatenate([np.zeros(p), y, np.zeros(n)])
-    sol = _sym_solve(M, rhs, "robust saddle system")
-    alpha, xi, x = sol[:p], sol[p:p + m], sol[p + m:]
+    alpha, xi, x = _saddle_solve(A, L, vbar ** 2, lam * wbar ** 2, y,
+                                 "robust saddle system")
     res = _robust_kkt(A, L, vbar, wbar, lam, y, x, alpha, xi)
-    return InnerSolution(x, alpha, xi, res, system_size=size, method="direct")
+    return InnerSolution(x, alpha, xi, res, system_size=p + m + n,
+                         method="direct")
 
 
 def solve_basis_pursuit(A, L, v, gs, y, cfg=DEFAULT, feas_tol=1e-8):
@@ -439,25 +433,17 @@ def solve_basis_pursuit(A, L, v, gs, y, cfg=DEFAULT, feas_tol=1e-8):
     vbar, gs = _vbar(v, gs)
     if not np.any(vbar):
         raise InnerSolveError("basis pursuit requires v != 0")
-    Ad, Ld = A.to_dense(), L.to_dense()
-    m, n, p = A.rows, A.cols, L.rows
-    size = p + m + n
-    M = np.zeros((size, size))
-    M[:p, :p] = -np.diag(vbar ** 2)
-    M[:p, p + m:] = Ld
-    M[p:p + m, p + m:] = Ad
-    M[p + m:, :p] = Ld.T
-    M[p + m:, p:p + m] = Ad.T
-    rhs = np.concatenate([np.zeros(p), y, np.zeros(n)])
-    sol = _sym_solve(M, rhs, "basis pursuit KKT system")
-    alpha, xi, x = sol[:p], sol[p:p + m], sol[p + m:]
+    alpha, xi, x = _saddle_solve(A, L, -vbar ** 2, 0.0, y,
+                                 "basis pursuit KKT system")
     feas = np.abs(A.apply(x) - y).max(initial=0)
     if feas > feas_tol * (1.0 + np.abs(y).max(initial=0)):
         raise InnerSolveError(f"infeasible data: ||Ax - y||_inf = {feas:.3e}")
     r1 = L.apply(x) - vbar ** 2 * alpha
     r3 = L.adjoint(alpha) + A.adjoint(xi)
     res = float(max(feas, np.abs(r1).max(initial=0), np.abs(r3).max(initial=0)))
-    return InnerSolution(x, alpha, xi, res, system_size=size, method="direct")
+    return InnerSolution(x, alpha, xi, res,
+                         system_size=alpha.size + xi.size + x.size,
+                         method="direct")
 
 
 def solve_multitask_nuclear(A, v, W, lam, Y, cfg=DEFAULT):

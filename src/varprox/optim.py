@@ -64,7 +64,7 @@ def _backtrack(fun, x, f, g, d, cfg):
     return x, f, g, False
 
 
-def minimize_lbfgs(fun, x0, cfg=None, method_name="lbfgs", callback=None):
+def minimize_lbfgs(fun, x0, cfg=None, method_name="lbfgs"):
     """Limited-memory BFGS with Armijo backtracking.
 
     Returns ``(x, f, g, trace)``.  The trace objective column is
@@ -107,8 +107,6 @@ def minimize_lbfgs(fun, x0, cfg=None, method_name="lbfgs", callback=None):
                 rho_list.pop(0)
         x, f, g = xn, fn, gn
         trace.record(k, f, np.linalg.norm(g), time.perf_counter() - t0)
-        if callback is not None:
-            callback(x, f, g)
         if stalled >= cfg.stall_patience:
             trace.flags["stalled"] = True
             break

@@ -3,7 +3,7 @@
 import math
 from xml.sax.saxutils import escape
 
-__all__ = ["line_plot", "multi_panel"]
+__all__ = ["multi_panel"]
 
 _COLORS = ["#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#17becf", "#7f7f7f"]
@@ -123,9 +123,3 @@ def multi_panel(path, panels):
            + "\n".join(body) + "\n</svg>\n")
     with open(path, "w") as fh:
         fh.write(svg)
-
-
-def line_plot(path, curves, xlabel="", ylabel="", title="", logx=False,
-              logy=False):
-    multi_panel(path, [{"curves": curves, "xlabel": xlabel, "ylabel": ylabel,
-                        "title": title, "logx": logx, "logy": logy}])

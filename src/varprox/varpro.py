@@ -28,8 +28,7 @@ __all__ = [
     "QuadraticLoss", "RobustLoss", "BasisPursuitLoss", "MultitaskLoss",
     "VarProProblem", "OuterConfig", "VarProResult",
     "eval_f_grad", "eval_f_grad_robust", "eval_lq_option2", "eval_lq_option3",
-    "eval_multitask", "solve_varpro", "solve_lq_option2", "solve_lq_option3",
-    "recover_x", "nonsmooth_objective",
+    "eval_multitask", "solve_varpro", "solve_lq_option2", "nonsmooth_objective",
 ]
 
 
@@ -114,12 +113,8 @@ class VarProResult:
 def _dispatch_quadratic(problem, v, lam, y, cfg, warm=None):
     """Pick the cheapest valid inner solver for the quadratic loss."""
     A, L, gs = problem.A, problem.L, problem.reg_groups
-    if cfg.method == "general":
-        return inner_mod.solve_quadratic_general(A, L, v, gs, lam, y, cfg,
-                                                 warm_start=warm)
     if isinstance(L, BlockExtractOperator) and L.source_groups.mode == "overlapping":
-        vv = np.asarray(v, dtype=float)
-        if np.all(vv != 0.0) and L.source_groups.spans():
+        if np.all(v != 0.0) and L.source_groups.spans():
             return inner_mod.solve_overlap_woodbury(A, L.source_groups, v, lam, y, cfg)
         return inner_mod.solve_quadratic_general(A, L, v, gs, lam, y, cfg)
     if isinstance(A, IdentityOperator) and not isinstance(L, IdentityOperator):
@@ -235,7 +230,7 @@ def eval_lq_option2(problem, v, w, cfg=None):
     return f, grad_v, grad_w, {"x": x, "alpha": alpha, "group_sq": s}
 
 
-def eval_lq_option3(problem, v, cfg=None, nested=None):
+def eval_lq_option3(problem, v, cfg=None):
     """Value/gradient with a single outer factor and a nested group-lasso
     inner problem (three-level program).
 
@@ -248,13 +243,13 @@ def eval_lq_option3(problem, v, cfg=None, nested=None):
         raise TypeError("single-factor path needs a quadratic loss")
     v = np.asarray(v, dtype=float)
     gs = problem.reg_groups
-    nested = nested or OuterConfig(max_iter=400, grad_tol=1e-10, init="ones")
     vbar = extend(v, gs)
     Ad = problem.A.to_dense()
     scaled = DenseOperator(Ad * vbar[None, :])
     sub = VarProProblem(A=scaled, L=IdentityOperator(scaled.cols),
                         reg_groups=gs, loss=QuadraticLoss(y=loss.y, lam=loss.lam))
-    res = solve_varpro(sub, nested)
+    res = solve_varpro(sub, OuterConfig(max_iter=400, grad_tol=1e-10,
+                                        init="ones"))
     z = res.x
     alpha = res.inner.xi       # equals grad F0 at the inner optimum
     G = problem.A.adjoint(alpha)
@@ -303,6 +298,35 @@ def _run_minimizer(fun, x0, config, name):
     raise ValueError(f"unknown algorithm {config.algorithm!r}")
 
 
+def _minimize(config, theta0, evaluate, name):
+    """The one outer driver: minimize ``evaluate`` from ``theta0``.
+
+    ``evaluate(theta, prev) -> (f, grad, sol)`` gets ``prev``, the solution
+    of the last finite evaluation (a warm start), or ``None``.  An
+    :class:`InnerSolveError` or a non-finite value scores ``+inf`` and keeps
+    ``prev``.  Returns ``(theta, f, trace, sol)`` with ``sol`` from the last
+    finite evaluation; when none was finite, the final point is evaluated
+    once more, so an inner failure there raises.
+    """
+    prev = None
+
+    def fun(theta):
+        nonlocal prev
+        try:
+            f, grad, sol = evaluate(theta, prev)
+        except InnerSolveError:
+            return np.inf, np.zeros_like(theta)
+        if not np.isfinite(f):
+            return np.inf, np.zeros_like(theta)
+        prev = sol
+        return f, grad
+
+    theta, f, _, trace = _run_minimizer(fun, theta0, config, name)
+    if prev is None:
+        prev = evaluate(theta, None)[2]
+    return theta, f, trace, prev
+
+
 def solve_varpro(problem, config=None):
     """Minimize the projected objective for the configured loss family.
 
@@ -318,75 +342,49 @@ def solve_varpro(problem, config=None):
     icfg = config.inner
 
     if isinstance(loss, (QuadraticLoss, BasisPursuitLoss)):
-        holder = {}
         use_warm = icfg.method == "cg"
+        theta0 = _init_vector(config, gs.n_groups, rng)
+        family = ""
 
-        def fun(vv):
-            warm = holder["sol"].x if (use_warm and "sol" in holder) else None
-            try:
-                f, g, sol = eval_f_grad(problem, vv, icfg, warm=warm)
-            except InnerSolveError:
-                return np.inf, np.zeros_like(vv)
-            holder["sol"] = sol
-            return f, g
+        def evaluate(v, prev):
+            warm = prev.x if use_warm and prev is not None else None
+            return eval_f_grad(problem, v, icfg, warm=warm)
 
-        v0 = _init_vector(config, gs.n_groups, rng)
-        v, f, g, trace = _run_minimizer(fun, v0, config, "varpro-" + config.algorithm)
-        sol = holder.get("sol")
-        if sol is None:
-            _, _, sol = eval_f_grad(problem, v, icfg)
-        return VarProResult(v=v, x=sol.x, objective=f, trace=trace, inner=sol)
-
-    if isinstance(loss, RobustLoss):
+        def split(v):
+            return {"v": v}
+    elif isinstance(loss, RobustLoss):
         nv, nw = gs.n_groups, loss.loss_groups.n_groups
-        holder = {}
-
-        def fun(theta):
-            try:
-                f, gv, gw, sol = eval_f_grad_robust(problem, theta[:nv],
-                                                    theta[nv:], icfg)
-            except InnerSolveError:
-                return np.inf, np.zeros_like(theta)
-            holder["sol"] = sol
-            return f, np.concatenate([gv, gw])
-
         theta0 = np.concatenate([_init_vector(config, nv, rng),
                                  _init_vector(config, nw, rng)])
-        theta, f, g, trace = _run_minimizer(fun, theta0, config,
-                                            "varpro-robust-" + config.algorithm)
-        sol = holder.get("sol")
-        if sol is None:
-            *_, sol = eval_f_grad_robust(problem, theta[:nv], theta[nv:], icfg)
-        return VarProResult(v=theta[:nv], w=theta[nv:], x=sol.x, objective=f,
-                            trace=trace, inner=sol)
+        family = "robust-"
 
-    if isinstance(loss, MultitaskLoss):
-        n = problem.A.cols
-        m = problem.A.rows
-        holder = {}
+        def evaluate(theta, prev):
+            f, gv, gw, sol = eval_f_grad_robust(problem, theta[:nv],
+                                                theta[nv:], icfg)
+            return f, np.concatenate([gv, gw]), sol
 
-        def fun(theta):
-            v = theta[:n]
-            W = theta[n:].reshape(m, m)
-            try:
-                f, gv, gW, sol = eval_multitask(problem, v, W, icfg)
-            except InnerSolveError:
-                return np.inf, np.zeros_like(theta)
-            holder["sol"] = sol
-            return f, np.concatenate([gv, gW.ravel()])
-
+        def split(theta):
+            return {"v": theta[:nv], "w": theta[nv:]}
+    elif isinstance(loss, MultitaskLoss):
+        n, m = problem.A.cols, problem.A.rows
         theta0 = np.concatenate([_init_vector(config, n, rng),
                                  np.eye(m).ravel()])
-        theta, f, g, trace = _run_minimizer(fun, theta0, config,
-                                            "varpro-multitask-" + config.algorithm)
-        sol = holder.get("sol")
-        if sol is None:
-            *_, sol = eval_multitask(problem, theta[:n],
-                                     theta[n:].reshape(m, m), icfg)
-        return VarProResult(v=theta[:n], W=theta[n:].reshape(m, m), x=sol.x,
-                            objective=f, trace=trace, inner=sol)
+        family = "multitask-"
 
-    raise TypeError(f"unsupported loss {type(loss).__name__}")
+        def evaluate(theta, prev):
+            f, gv, gW, sol = eval_multitask(problem, theta[:n],
+                                            theta[n:].reshape(m, m), icfg)
+            return f, np.concatenate([gv, gW.ravel()]), sol
+
+        def split(theta):
+            return {"v": theta[:n], "W": theta[n:].reshape(m, m)}
+    else:
+        raise TypeError(f"unsupported loss {type(loss).__name__}")
+
+    theta, f, trace, sol = _minimize(config, theta0, evaluate,
+                                     "varpro-" + family + config.algorithm)
+    return VarProResult(x=sol.x, objective=f, trace=trace, inner=sol,
+                        **split(theta))
 
 
 def _lq_warm_factors(problem):
@@ -412,73 +410,36 @@ def _lq_warm_factors(problem):
     return np.concatenate([base, base])
 
 
-def solve_lq_option2(problem, config=None, restarts=1, warm_start=True):
+def solve_lq_option2(problem, config=None, restarts=1):
     """Minimize the two-outer-factor objective, best result over restarts.
 
     The first start uses the closed-form factor split of a least-squares
     warm point; the remaining ones are random (the nonconvex landscape has
-    spurious basins, and restarts are the standard remedy).
+    spurious basins, and restarts are the standard remedy).  A start on
+    which no evaluation is finite gives ``x=None`` and an infinite
+    objective.
     """
     config = config or OuterConfig()
-    gs = problem.reg_groups
-    nv = gs.n_groups
-    inits = []
-    if warm_start:
-        inits.append(_lq_warm_factors(problem))
+    nv = problem.reg_groups.n_groups
+    inits = [_lq_warm_factors(problem)]
     rng = np.random.default_rng(config.seed)
     while len(inits) < max(1, restarts):
         inits.append(np.concatenate([_init_vector(config, nv, rng),
                                      _init_vector(config, nv, rng)]))
+
+    def evaluate(theta, prev):
+        f, gv, gw, aux = eval_lq_option2(problem, theta[:nv], theta[nv:],
+                                         config.inner)
+        return f, np.concatenate([gv, gw]), aux
+
     best = None
     for theta0 in inits:
-        holder = {}
-
-        def fun(theta):
-            f, gv, gw, aux = eval_lq_option2(problem, theta[:nv], theta[nv:],
-                                             config.inner)
-            if not np.isfinite(f):
-                return np.inf, np.zeros_like(theta)
-            holder["aux"] = aux
-            return f, np.concatenate([gv, gw])
-
-        theta, f, g, trace = _run_minimizer(fun, theta0, config, "varpro-lq2")
-        aux = holder.get("aux", {})
+        theta, f, trace, aux = _minimize(config, theta0, evaluate, "varpro-lq2")
         result = VarProResult(v=theta[:nv], w=theta[nv:], x=aux.get("x"),
                               objective=f, trace=trace, inner=None)
         if best is None or result.objective < best.objective:
             best = result
     return best
-
-
-def solve_lq_option3(problem, config=None, nested=None):
-    """Minimize the single-outer-factor objective (nested inner runs).
-
-    The nested runs are solved tighter than the outer tolerance
-    (``max(1e-10, 1e-2 * grad_tol)``) so the outer gradients stay
-    finite-difference consistent.
-    """
-    config = config or OuterConfig()
-    if nested is None:
-        nested = OuterConfig(max_iter=400, init="ones",
-                             grad_tol=max(1e-10, 1e-2 * config.grad_tol))
-    rng = np.random.default_rng(config.seed)
-    gs = problem.reg_groups
-    holder = {}
-
-    def fun(vv):
-        f, g, aux = eval_lq_option3(problem, vv, config.inner, nested=nested)
-        holder["aux"] = aux
-        return f, g
-
-    v0 = _init_vector(config, gs.n_groups, rng)
-    v, f, g, trace = _run_minimizer(fun, v0, config, "varpro-lq3")
-    aux = holder["aux"]
-    return VarProResult(v=v, x=aux["x"], objective=f, trace=trace, inner=None)
-
-
-def recover_x(sol):
-    """Primal point carried by an inner solution."""
-    return sol.x
 
 
 def nonsmooth_objective(problem, x):

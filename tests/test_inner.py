@@ -358,3 +358,53 @@ def test_kkt_residuals_below_tolerance(rng):
         v = rng.uniform(0.3, 1.5, gs.n_groups)
         sol = solve_quadratic_general(A, L, v, gs, 0.5, rng.standard_normal(m))
         assert sol.kkt_residual < 1e-8
+
+
+@pytest.mark.parametrize("route", ["quadratic", "robust", "basis-pursuit"])
+def test_saddle_routes_on_a_non_square_gradient_instance(rng, route):
+    # the three routes that assemble the full saddle system, at m != n != p
+    h, w, m = 3, 4, 7
+    L = grad2d(h, w)
+    gs = tv_group_structure(h, w)
+    n, p = L.cols, L.rows
+    assert len({m, n, p}) == 3
+    A = dense(rng.standard_normal((m, n)) / 2)
+    v = rng.uniform(0.5, 1.5, gs.n_groups)
+    if route == "quadratic":
+        v[[1, 5]] = 0.0
+        sol = solve_quadratic_general(A, L, v, gs, 0.6, rng.standard_normal(m))
+        assert sol.method == "direct-extended"
+    elif route == "robust":
+        sol = solve_robust(A, L, v, gs, rng.uniform(0.5, 1.5, m),
+                           trivial_groups(m), 0.6, rng.standard_normal(m))
+    else:
+        y = A.apply(rng.standard_normal(n))
+        sol = solve_basis_pursuit(A, L, v, gs, y)
+        assert np.abs(A.apply(sol.x) - y).max() < 1e-9
+    assert sol.kkt_residual < 1e-9
+    assert sol.system_size == p + m + n
+
+
+@pytest.mark.parametrize("route", ["solve_quadratic_general",
+                                   "solve_grouplasso_dual",
+                                   "solve_overlap_woodbury"])
+def test_cg_non_convergence_raises(rng, route):
+    n, m = 12, 6
+    cfg = InnerConfig(method="cg", cg_max_iter=1)
+    A = dense(rng.standard_normal((m, n)))
+    y = rng.standard_normal(m)
+    with pytest.raises(InnerSolveError, match="CG did not converge"):
+        if route == "solve_quadratic_general":
+            L = dense(rng.standard_normal((n, n)))
+            gs = contiguous_groups(n, 3)
+            solve_quadratic_general(A, L, rng.uniform(0.5, 1.5, gs.n_groups),
+                                    gs, 0.5, y, cfg)
+        elif route == "solve_grouplasso_dual":
+            gs = contiguous_groups(n, 3)
+            solve_grouplasso_dual(A, rng.uniform(0.5, 1.5, gs.n_groups), gs,
+                                  0.5, y, cfg)
+        else:
+            ogs = GroupStructure([list(range(k, k + 4)) for k in range(0, 9, 2)],
+                                 p=n, mode="overlapping")
+            solve_overlap_woodbury(A, ogs, rng.uniform(0.5, 1.5, ogs.n_groups),
+                                   0.5, y, cfg)

@@ -11,7 +11,7 @@ from varprox.varpro import (BasisPursuitLoss, MultitaskLoss, OuterConfig,
                             QuadraticLoss, RobustLoss, VarProProblem,
                             eval_f_grad, eval_f_grad_robust, eval_lq_option2,
                             eval_lq_option3, eval_multitask,
-                            nonsmooth_objective, recover_x, solve_varpro)
+                            nonsmooth_objective, solve_varpro)
 
 
 def _lasso_1d(lam=1.0, y=2.0):
@@ -25,7 +25,7 @@ def test_eval_one_dim_stationary():
     # v = 1 is stationary: the lasso solution is x = 1 with eta = |x| = 1
     assert g[0] == pytest.approx(0.0, abs=1e-12)
     assert f == pytest.approx(1.5, abs=1e-12)      # equals Phi(x*) = 1 + 1/2
-    assert recover_x(sol)[0] == pytest.approx(1.0, abs=1e-12)
+    assert sol.x[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eval_at_zero_v(rng):
@@ -354,7 +354,9 @@ def test_cg_inner_with_warm_start_matches_direct(rng):
                - nonsmooth_objective(prob, res_dr.x)) < 1e-7
 
 
-@pytest.mark.parametrize("route", ["solve_robust", "solve_multitask_nuclear"])
+@pytest.mark.parametrize("route", ["solve_robust", "solve_multitask_nuclear",
+                                   "solve_grouplasso_dual",
+                                   "solve_basis_pursuit"])
 def test_inner_failure_at_every_point_raises(monkeypatch, rng, route):
     # no evaluation succeeds, so no inner solution exists to report
     from varprox import inner
@@ -368,8 +370,12 @@ def test_inner_failure_at_every_point_raises(monkeypatch, rng, route):
     if route == "solve_robust":
         loss = RobustLoss(y=rng.standard_normal(m), lam=0.8,
                           loss_groups=trivial_groups(m))
-    else:
+    elif route == "solve_multitask_nuclear":
         loss = MultitaskLoss(Y=rng.standard_normal((m, 2)), lam=0.8)
+    elif route == "solve_grouplasso_dual":
+        loss = QuadraticLoss(y=rng.standard_normal(m), lam=0.8)
+    else:
+        loss = BasisPursuitLoss(y=rng.standard_normal(m))
     prob = VarProProblem(dense(rng.standard_normal((m, n))), identity(n),
                          trivial_groups(n), loss)
     with pytest.raises(InnerSolveError, match="injected"):
