@@ -299,7 +299,9 @@ def _phase_single(A_full, Y_full, m, n, T, q, method, restarts, seed, threshold,
                              BasisPursuitLoss(y=Y))
         cfg = OuterConfig(max_iter=600, grad_tol=1e-10, seed=seed)
         res = solve_lq_option2(prob, cfg, restarts=restarts)
-        X = res.x if res.x is not None else np.zeros((n, T))
+        if res.x is None:           # no finite evaluation: a failure, not x = 0
+            return False
+        X = res.x
         if X.ndim == 1:
             X = X[:, None]
     elif method == "irls":

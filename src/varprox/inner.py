@@ -14,14 +14,19 @@ finite-difference gradient tests upstream:
 
 All solvers work at "desk scale": direct symmetric factorizations by
 default, conjugate gradients on the positive definite reduced forms for
-larger systems or when requested.  The three routes that need the full
+larger systems or when requested.  Every positive definite system, dense or
+sparse, goes through ``_psd_solve``.  The m-by-m dual system
+``A diag(d) A^T + shift I`` (group lasso, overlapping groups, multitask and
+the two-factor path of :mod:`varprox.varpro`) has one assembler,
+``_dual_matrix``; ``_dual_solve`` adds its matrix-free CG.  The full
 symmetric saddle system (degenerate quadratic, general robust, exact
-interpolation) share one dense assembler, ``_saddle_solve``.  The two
-``A = Id`` routes (TV denoising and the robust prox, e.g. TV-L1) instead
-factor the sparse system ``diag(d) + lam L diag(s) L^T``, assembled on the
-fixed pattern memoized on ``L`` (:class:`~varprox.linops.CogramPattern`).
+interpolation) has one dense assembler, ``_saddle_solve``.  The two
+``A = Id`` routes (TV denoising and the robust prox, e.g. TV-L1) factor the
+sparse system ``diag(d) + lam L diag(s) L^T``, assembled on the fixed
+pattern memoized on ``L`` (:class:`~varprox.linops.CogramPattern`).
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,12 +54,14 @@ class InnerConfig:
     """Linear-algebra knobs for the inner solves.
 
     ``method`` is ``auto`` (direct below ``direct_size_limit``, CG above),
-    ``direct`` or ``cg``.  On the ``A = Id`` routes (``solve_analysis_prox``
-    and ``solve_robust`` with an identity ``A``) ``auto`` and ``direct`` both
-    factor the sparse system, ``direct_size_limit`` does not apply, and
-    ``cg`` is rejected with ``ValueError``.  ``epsilon_floor`` regularizes
-    degenerate diagonal blocks (used by the nuclear-norm path when the loss
-    factor vanishes).
+    ``direct`` or ``cg``.  Only ``solve_quadratic_general``,
+    ``solve_grouplasso_dual`` and ``solve_overlap_woodbury`` have a CG path;
+    the other routes always factor, and reject ``cg`` with ``ValueError``.
+    A degenerate ``vbar`` (an entry below ``zero_threshold * max |vbar|``)
+    sends ``solve_quadratic_general`` to the direct saddle solve whatever
+    the method.  ``cg_max_iter=None`` allows ``10 n`` steps.
+    ``epsilon_floor`` regularizes degenerate diagonal blocks (used by the
+    nuclear-norm path when the loss factor vanishes).
     """
 
     method: str = "auto"
@@ -69,6 +76,12 @@ class InnerConfig:
             raise ValueError("cg_tol > 0 and epsilon_floor >= 0 required")
         if self.method not in ("auto", "direct", "cg"):
             raise ValueError(f"unknown method {self.method!r}")
+        if self.cg_max_iter is not None and self.cg_max_iter < 1:
+            raise ValueError("cg_max_iter must be None or >= 1")
+        if self.direct_size_limit < 0:
+            raise ValueError("direct_size_limit >= 0 required")
+        if not 0 <= self.zero_threshold < 1:
+            raise ValueError("0 <= zero_threshold < 1 required")
 
     def use_cg(self, size):
         if self.method == "cg":
@@ -102,7 +115,7 @@ def _cg(matvec, b, x0=None, rtol=1e-10, maxiter=None):
     :class:`InnerSolveError` when ``maxiter`` steps do not converge."""
     b = np.asarray(b, dtype=float)
     n = b.size
-    maxiter = maxiter or 10 * n
+    maxiter = 10 * n if maxiter is None else maxiter
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
     r = b - matvec(x)
     p = r.copy()
@@ -121,42 +134,6 @@ def _cg(matvec, b, x0=None, rtol=1e-10, maxiter=None):
     if np.sqrt(rs) <= rtol * bnorm:
         return x
     raise InnerSolveError(f"CG did not converge (relres={np.sqrt(rs) / bnorm:.3e})")
-
-
-def _chol_solve(M, b, what):
-    """SPD solve; the factorization consumes ``M``."""
-    try:
-        c, low = scipy.linalg.cho_factor(M, overwrite_a=True,
-                                         check_finite=False)
-        return scipy.linalg.cho_solve((c, low), b, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise InnerSolveError(f"{what}: singular system") from exc
-
-
-def _psd_solve(M, b, what, jitter=1e-12):
-    """Solve a positive semidefinite system that may be (numerically)
-    singular but consistent.
-
-    These systems lose rank exactly on the kernel of the adjoint factor,
-    where the recovered primal is insensitive to the dual component, so a
-    relative diagonal floor after a failed plain factorization returns a
-    valid maximizer.  The stationarity residual is always re-checked by the
-    caller.
-    """
-    try:
-        c, low = scipy.linalg.cho_factor(M, check_finite=False)
-        return scipy.linalg.cho_solve((c, low), b, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        pass
-    p = M.shape[0]
-    eps = jitter * max(float(np.abs(M.flat[:: p + 1]).max()), 1e-300)
-    Mj = M + eps * np.eye(p)
-    try:
-        c, low = scipy.linalg.cho_factor(Mj, overwrite_a=True,
-                                         check_finite=False)
-        return scipy.linalg.cho_solve((c, low), b, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        return _sym_solve(M, b, what)
 
 
 def _spd_factor(M):
@@ -178,24 +155,67 @@ def _spd_factor(M):
     return None
 
 
-def _sparse_psd_solve(M, b, what, jitter=1e-12):
-    """Sparse counterpart of :func:`_psd_solve` for a symmetric CSC ``M``:
-    the same relative diagonal jitter after a failed factorization, and the
-    dense :func:`_sym_solve` when that fails too."""
-    lu = _spd_factor(M)
-    if lu is None:
+def _cho_factor(M, overwrite=False):
+    """Dense Cholesky factors of ``M``, or ``None`` where they fail."""
+    try:
+        return scipy.linalg.cho_factor(M, overwrite_a=overwrite, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        return None
+
+
+def _psd_solve(M, b, what, jitter=1e-12):
+    """The one solve of a positive (semi)definite ``M z = b``, with ``M`` a
+    dense array or a symmetric CSC matrix: Cholesky (:func:`_spd_factor`
+    for sparse ``M``), then the same after a relative diagonal jitter, then
+    the dense :func:`_sym_solve`.
+
+    These systems lose rank exactly on the kernel of the adjoint factor,
+    where the recovered primal is insensitive to the dual component, so the
+    jittered factorization returns a valid maximizer.  The stationarity
+    residual is always re-checked by the caller.
+    """
+    dense = isinstance(M, np.ndarray)   # issparse's ABC check would grow caches
+    fac = _cho_factor(M) if dense else _spd_factor(M)
+    if fac is None:
+        p = M.shape[0]
         eps = jitter * max(float(np.abs(M.diagonal()).max(initial=0.0)), 1e-300)
-        lu = _spd_factor(M + eps * scipy.sparse.eye_array(M.shape[0], format="csc"))
-    if lu is None:
-        return _sym_solve(M.toarray(), b, what)
-    return lu.solve(b)
+        if dense:       # the jittered copy is the factorization's to overwrite
+            fac = _cho_factor(M + eps * np.eye(p), overwrite=True)
+        else:
+            fac = _spd_factor(M + eps * scipy.sparse.eye_array(p, format="csc"))
+    if fac is None:
+        return _sym_solve(M if dense else M.toarray(), b, what)
+    if dense:
+        return scipy.linalg.cho_solve(fac, b, check_finite=False)
+    return fac.solve(b)
+
+
+def _dual_matrix(A, d, shift):
+    """Dense ``A diag(d) A^T + shift I``, the m-by-m system of the dual
+    routes; the shift is added in place on the diagonal."""
+    Ad = A.to_dense()
+    M = (Ad * d) @ Ad.T
+    if shift:
+        M.flat[:: M.shape[0] + 1] += shift
+    return M
+
+
+def _dual_solve(A, d, shift, b, cfg, what):
+    """Solve ``(A diag(d) A^T + shift I) z = b`` for one right-hand side:
+    matrix-free CG when ``cfg`` asks for it at size ``m``, otherwise one
+    :func:`_psd_solve` of :func:`_dual_matrix`.  Returns ``(z, method)``."""
+    if cfg.use_cg(A.rows):
+        def matvec(z):
+            return A.apply(d * A.adjoint(z)) + shift * z
+
+        return _cg(matvec, b, rtol=cfg.cg_tol, maxiter=cfg.cg_max_iter), "cg"
+    return _psd_solve(_dual_matrix(A, d, shift), b, what), "direct"
 
 
 def _reject_cg(cfg, route):
     if cfg.method == "cg":
-        raise ValueError(f"{route}: method 'cg' is not supported on the A = Id "
-                         "route, which factors a sparse system; use 'auto' "
-                         "or 'direct'")
+        raise ValueError(f"{route}: method 'cg' is not supported, this route "
+                         "always factors its system; use 'auto' or 'direct'")
 
 
 def _sym_solve(M, b, what):
@@ -204,8 +224,6 @@ def _sym_solve(M, b, what):
     Ill-conditioning warnings are suppressed: accuracy is certified by the
     stationarity residual the callers attach to every solution.
     """
-    import warnings
-
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
@@ -214,9 +232,8 @@ def _sym_solve(M, b, what):
             return sol
     except (scipy.linalg.LinAlgError, ValueError):
         pass
-    sol, _, rank, _ = scipy.linalg.lstsq(M, b, check_finite=False,
-                                         lapack_driver="gelsd")
-    if sol is None or not np.all(np.isfinite(sol)):
+    sol = scipy.linalg.lstsq(M, b, check_finite=False, lapack_driver="gelsd")[0]
+    if not np.all(np.isfinite(sol)):
         raise InnerSolveError(f"{what}: factorization produced non-finite values")
     return sol
 
@@ -241,10 +258,9 @@ def _saddle_solve(A, L, d_alpha, d_xi, y, what):
 
 
 def _vbar(v, gs):
-    v = np.asarray(v, dtype=float)
-    if isinstance(gs, GroupStructure):
-        return extend(v, gs), gs
-    raise TypeError("group structure required")
+    if not isinstance(gs, GroupStructure):
+        raise TypeError("group structure required")
+    return extend(np.asarray(v, dtype=float), gs)
 
 
 def _quad_kkt(A, L, vbar, lam, y, x, alpha, xi):
@@ -266,7 +282,7 @@ def solve_quadratic_general(A, L, v, gs, lam, y, cfg=DEFAULT, warm_start=None):
     if lam <= 0:
         raise ValueError("lam must be positive")
     y = np.asarray(y, dtype=float).ravel()
-    vbar, gs = _vbar(v, gs)
+    vbar = _vbar(v, gs)
     m, n, p = A.rows, A.cols, L.rows
     vmax = np.abs(vbar).max(initial=0.0)
     degenerate = vmax == 0.0 or np.abs(vbar).min() < cfg.zero_threshold * vmax
@@ -299,28 +315,19 @@ def solve_quadratic_general(A, L, v, gs, lam, y, cfg=DEFAULT, warm_start=None):
 
 
 def solve_grouplasso_dual(A, v, gs, lam, y, cfg=DEFAULT):
-    """Group-lasso specialization (``L = Id``): one m-by-m SPD solve."""
+    """Group-lasso specialization (``L = Id``): one m-by-m SPD solve of
+    ``(A diag(vbar^2) A^T + lam I) xi = -y``."""
     if lam <= 0:
         raise ValueError("lam must be positive")
     y = np.asarray(y, dtype=float).ravel()
-    vbar, gs = _vbar(v, gs)
-    Ad = A.to_dense()
-    m = A.rows
-    if cfg.use_cg(m):
-        def matvec(z):
-            return A.apply(vbar ** 2 * A.adjoint(z)) + lam * z
-
-        g = _cg(matvec, -y, rtol=cfg.cg_tol, maxiter=cfg.cg_max_iter)
-        method = "cg"
-    else:
-        M = (Ad * vbar ** 2) @ Ad.T + lam * np.eye(m)
-        g = _chol_solve(M, -y, "group dual system")
-        method = "direct"
+    vbar = _vbar(v, gs)
+    d = vbar ** 2
+    g, method = _dual_solve(A, d, lam, -y, cfg, "group dual system")
     alpha = -A.adjoint(g)
-    x = vbar ** 2 * alpha
+    x = d * alpha
     ident = IdentityOperator(A.cols)
     res = _quad_kkt(A, ident, vbar, lam, y, x, alpha, g)
-    return InnerSolution(x, alpha, g, res, system_size=m, method=method)
+    return InnerSolution(x, alpha, g, res, system_size=A.rows, method=method)
 
 
 def solve_analysis_prox(L, v, gs, lam, y, cfg=DEFAULT):
@@ -330,9 +337,9 @@ def solve_analysis_prox(L, v, gs, lam, y, cfg=DEFAULT):
         raise ValueError("lam must be positive")
     _reject_cg(cfg, "solve_analysis_prox")
     y = np.asarray(y, dtype=float).ravel()
-    vbar, gs = _vbar(v, gs)
+    vbar = _vbar(v, gs)
     M = L.cogram_pattern().assemble(np.ones(L.cols), vbar ** 2, lam)
-    alpha = _sparse_psd_solve(M, L.apply(y), "analysis prox system")
+    alpha = _psd_solve(M, L.apply(y), "analysis prox system")
     xi = -L.adjoint(alpha)
     x = y + lam * xi
     ident = IdentityOperator(L.cols)
@@ -347,7 +354,8 @@ def solve_overlap_woodbury(A, ogroups, v, lam, y, cfg=DEFAULT):
     Valid when the groups span the index set and every ``v_g`` is nonzero;
     otherwise falls back to the extended saddle system on the lifted
     extractor.  The diagonal ``W_ii = sum_{g contains i} w_g^2 / v_g^2``
-    makes the n-by-n reduced system invertible in closed form.
+    makes the n-by-n reduced system invertible in closed form, leaving the
+    m-by-m solve ``(A W^-1 A^T + lam I) t = A W^-1 A^T y``.
     """
     if ogroups.mode != "overlapping":
         raise ValueError("overlapping group structure required")
@@ -359,26 +367,19 @@ def solve_overlap_woodbury(A, ogroups, v, lam, y, cfg=DEFAULT):
     if np.any(v == 0.0):
         return solve_quadratic_general(A, L, v, lifted, lam, y, cfg)
     y = np.asarray(y, dtype=float).ravel()
-    m = A.rows
     wdiag = np.zeros(A.cols)
     for g, wg, vg in zip(ogroups.groups, L.block_weights, v):
         wdiag[g] += wg ** 2 / vg ** 2
-    Ad = A.to_dense()
-    b = A.adjoint(y)
-    winv_b = b / wdiag
-    AW = Ad / wdiag[None, :]
-    S = lam * np.eye(m) + AW @ Ad.T
-    if cfg.use_cg(m):
-        t = _cg(lambda z: S @ z, Ad @ winv_b, rtol=cfg.cg_tol,
-                maxiter=cfg.cg_max_iter)
-    else:
-        t = _chol_solve(S, Ad @ winv_b, "woodbury system")
+    winv_b = A.adjoint(y) / wdiag
+    t, _ = _dual_solve(A, 1.0 / wdiag, lam, A.apply(winv_b), cfg,
+                       "woodbury system")
     x = (winv_b - A.adjoint(t) / wdiag) / lam
     vbar = extend(v, lifted)
     alpha = L.apply(x) / vbar ** 2
     xi = (A.apply(x) - y) / lam
     res = _quad_kkt(A, L, vbar, lam, y, x, alpha, xi)
-    return InnerSolution(x, alpha, xi, res, system_size=m, method="woodbury")
+    return InnerSolution(x, alpha, xi, res, system_size=A.rows,
+                         method="woodbury")
 
 
 def _robust_kkt(A, L, vbar, wbar, lam, y, x, alpha, xi):
@@ -399,15 +400,15 @@ def solve_robust(A, L, v, gs_reg, w, gs_loss, lam, y, cfg=DEFAULT):
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
+    _reject_cg(cfg, "solve_robust")
     y = np.asarray(y, dtype=float).ravel()
-    vbar, _ = _vbar(v, gs_reg)
-    wbar, _ = _vbar(w, gs_loss)
+    vbar = _vbar(v, gs_reg)
+    wbar = _vbar(w, gs_loss)
     m, n, p = A.rows, A.cols, L.rows
 
     if isinstance(A, IdentityOperator):
-        _reject_cg(cfg, "solve_robust")
         M = L.cogram_pattern().assemble(wbar ** 2, vbar ** 2, lam)
-        alpha = _sparse_psd_solve(M, -L.apply(y), "robust prox system")
+        alpha = _psd_solve(M, -L.apply(y), "robust prox system")
         xi = -L.adjoint(alpha)
         x = y - lam * wbar ** 2 * xi
         res = _robust_kkt(A, L, vbar, wbar, lam, y, x, alpha, xi)
@@ -429,8 +430,9 @@ def solve_basis_pursuit(A, L, v, gs, y, cfg=DEFAULT, feas_tol=1e-8):
     The support condition on ``v`` is the caller's responsibility; an
     infeasible right-hand side is reported as an error.
     """
+    _reject_cg(cfg, "solve_basis_pursuit")
     y = np.asarray(y, dtype=float).ravel()
-    vbar, gs = _vbar(v, gs)
+    vbar = _vbar(v, gs)
     if not np.any(vbar):
         raise InnerSolveError("basis pursuit requires v != 0")
     alpha, xi, x = _saddle_solve(A, L, -vbar ** 2, 0.0, y,
@@ -455,15 +457,16 @@ def solve_multitask_nuclear(A, v, W, lam, Y, cfg=DEFAULT):
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
+    _reject_cg(cfg, "solve_multitask_nuclear")
     v = np.asarray(v, dtype=float)
     W = np.asarray(W, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if Y.ndim == 1:
         Y = Y[:, None]
-    Ad = A.to_dense()
-    m = A.rows
-    M = (Ad * v ** 2) @ Ad.T + (W @ W.T) / lam + cfg.epsilon_floor * np.eye(m)
+    M = _dual_matrix(A, v ** 2, cfg.epsilon_floor)
+    M += (W @ W.T) / lam
     alpha = _psd_solve(M, -Y, "multitask system")
-    X = -(v ** 2)[:, None] * (Ad.T @ alpha)
+    X = -(v ** 2)[:, None] * (A.to_dense().T @ alpha)
     res = float(np.abs(M @ alpha + Y).max(initial=0))
-    return InnerSolution(X, alpha, None, res, system_size=m, method="direct")
+    return InnerSolution(X, alpha, None, res, system_size=A.rows,
+                         method="direct")

@@ -1,13 +1,16 @@
 """Generic smooth minimizers: limited-memory BFGS and safeguarded
 Barzilai-Borwein gradient descent.
 
-Both take a callable ``fun(x) -> (value, gradient)``, run a monotone
-backtracking line search and record every accepted iterate in a
-:class:`~varprox.trace.SolverTrace`.  Non-finite trial values are treated
-as line-search rejections, so objectives with restricted domains work.
+Both take a callable ``fun(x) -> (value, gradient)`` and run the one
+descent loop ``_descend`` (a monotone backtracking line search, a stall
+counter, a :class:`~varprox.trace.SolverTrace` of every accepted iterate);
+they differ only in the search direction and its update.  Non-finite trial
+values are treated as line-search rejections, so objectives with
+restricted domains work.
 """
 
 import time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,17 +38,19 @@ class MinimizeConfig:
             raise ValueError("memory >= 1 and grad_tol > 0 required")
 
 
-def _two_loop(g, s_list, y_list, rho_list):
+def _two_loop(g, memory):
+    """L-BFGS two-loop recursion over ``memory``, pairs ``(s, y, rho)``
+    oldest first."""
     q = g.copy()
     alphas = []
-    for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
+    for s, y, rho in reversed(memory):
         a = rho * np.dot(s, q)
         alphas.append(a)
         q -= a * y
-    if y_list:
-        gamma = np.dot(s_list[-1], y_list[-1]) / np.dot(y_list[-1], y_list[-1])
-        q *= gamma
-    for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
+    if memory:
+        s, y, _ = memory[-1]
+        q *= np.dot(s, y) / np.dot(y, y)
+    for (s, y, rho), a in zip(memory, reversed(alphas)):
         b = rho * np.dot(y, q)
         q += (a - b) * s
     return q
@@ -64,47 +69,26 @@ def _backtrack(fun, x, f, g, d, cfg):
     return x, f, g, False
 
 
-def minimize_lbfgs(fun, x0, cfg=None, method_name="lbfgs"):
-    """Limited-memory BFGS with Armijo backtracking.
-
-    Returns ``(x, f, g, trace)``.  The trace objective column is
-    nonincreasing; a failed line search stops the run with
-    ``trace.flags['line_search_failed'] = True`` and the best iterate kept.
-    """
-    cfg = cfg or MinimizeConfig()
+def _descend(fun, x0, cfg, method_name, direction, update):
+    """The one descent loop: ``direction(g)`` gives the search direction,
+    the line search accepts a step, ``update(s, y)`` sees the step and the
+    gradient change.  Returns ``(x, f, g, trace)``; a failed line search or
+    a stall sets ``trace.flags['line_search_failed']`` or ``['stalled']``."""
     x = np.asarray(x0, dtype=float).copy()
     t0 = time.perf_counter()
     f, g = fun(x)
     trace = SolverTrace(method=method_name)
     trace.record(0, f, np.linalg.norm(g), time.perf_counter() - t0)
-    s_list, y_list, rho_list = [], [], []
     stalled = 0
     for k in range(1, cfg.max_iter + 1):
         if np.linalg.norm(g) <= cfg.grad_tol:
             break
-        d = -_two_loop(g, s_list, y_list, rho_list)
-        if np.dot(d, g) > -1e-14 * np.linalg.norm(d) * np.linalg.norm(g):
-            d = -g
-            s_list, y_list, rho_list = [], [], []
-        xn, fn, gn, ok = _backtrack(fun, x, f, g, d, cfg)
+        xn, fn, gn, ok = _backtrack(fun, x, f, g, direction(g), cfg)
         if not ok:
             trace.flags["line_search_failed"] = True
             break
-        if f - fn <= cfg.stall_rel * max(abs(f), 1.0):
-            stalled += 1
-        else:
-            stalled = 0
-        s = xn - x
-        yv = gn - g
-        sy = np.dot(s, yv)
-        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(yv):
-            s_list.append(s)
-            y_list.append(yv)
-            rho_list.append(1.0 / sy)
-            if len(s_list) > cfg.memory:
-                s_list.pop(0)
-                y_list.pop(0)
-                rho_list.pop(0)
+        stalled = stalled + 1 if f - fn <= cfg.stall_rel * max(abs(f), 1.0) else 0
+        update(xn - x, gn - g)
         x, f, g = xn, fn, gn
         trace.record(k, f, np.linalg.norm(g), time.perf_counter() - t0)
         if stalled >= cfg.stall_patience:
@@ -112,44 +96,48 @@ def minimize_lbfgs(fun, x0, cfg=None, method_name="lbfgs"):
             break
     trace.x = x
     return x, f, g, trace
+
+
+def minimize_lbfgs(fun, x0, cfg=None, method_name="lbfgs"):
+    """Limited-memory BFGS with Armijo backtracking; returns
+    ``(x, f, g, trace)`` with a nonincreasing trace objective column."""
+    cfg = cfg or MinimizeConfig()
+    memory = deque(maxlen=cfg.memory)
+
+    def direction(g):
+        d = -_two_loop(g, memory)
+        if np.dot(d, g) > -1e-14 * np.linalg.norm(d) * np.linalg.norm(g):
+            memory.clear()
+            return -g
+        return d
+
+    def update(s, y):
+        sy = np.dot(s, y)
+        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+            memory.append((s, y, 1.0 / sy))
+
+    return _descend(fun, x0, cfg, method_name, direction, update)
 
 
 def minimize_gd_bb(fun, x0, cfg=None, method_name="gd-bb"):
     """Gradient descent with a safeguarded Barzilai-Borwein stepsize.
 
-    The BB step seeds a backtracking line search so the run stays monotone.
-    Returns ``(x, f, g, trace)``.
+    The BB step seeds a backtracking line search so the run stays monotone;
+    the first step is ``1 / max(||g0||, 1)``.  Returns ``(x, f, g, trace)``.
     """
     cfg = cfg or MinimizeConfig()
-    x = np.asarray(x0, dtype=float).copy()
-    t0 = time.perf_counter()
-    f, g = fun(x)
-    trace = SolverTrace(method=method_name)
-    trace.record(0, f, np.linalg.norm(g), time.perf_counter() - t0)
-    step = 1.0 / max(np.linalg.norm(g), 1.0)
-    x_prev, g_prev = None, None
-    stalled = 0
-    for k in range(1, cfg.max_iter + 1):
-        gnorm = np.linalg.norm(g)
-        if gnorm <= cfg.grad_tol:
-            break
-        if x_prev is not None:
-            s = x - x_prev
-            yv = g - g_prev
-            sy = np.dot(s, yv)
-            if sy > 0 and np.isfinite(sy):
-                step = float(np.clip(np.dot(s, s) / sy, 1e-12, 1e12))
-        d = -step * g
-        xn, fn, gn, ok = _backtrack(fun, x, f, g, d, cfg)
-        if not ok:
-            trace.flags["line_search_failed"] = True
-            break
-        stalled = stalled + 1 if f - fn <= cfg.stall_rel * max(abs(f), 1.0) else 0
-        x_prev, g_prev = x, g
-        x, f, g = xn, fn, gn
-        trace.record(k, f, np.linalg.norm(g), time.perf_counter() - t0)
-        if stalled >= cfg.stall_patience:
-            trace.flags["stalled"] = True
-            break
-    trace.x = x
-    return x, f, g, trace
+    step = None
+
+    def direction(g):
+        nonlocal step
+        if step is None:
+            step = 1.0 / max(np.linalg.norm(g), 1.0)
+        return -step * g
+
+    def update(s, y):
+        nonlocal step
+        sy = np.dot(s, y)
+        if sy > 0 and np.isfinite(sy):
+            step = float(np.clip(np.dot(s, s) / sy, 1e-12, 1e12))
+
+    return _descend(fun, x0, cfg, method_name, direction, update)

@@ -85,7 +85,7 @@ class OuterConfig:
     memory: int = 10
     max_iter: int = 500
     grad_tol: float = 1e-9
-    init: str = "random"            # random | ones
+    init: str = "random"            # random | ones | an ndarray
     init_scale: tuple = (0.5, 1.5)
     seed: int = 0
     inner: InnerConfig = field(default_factory=InnerConfig)
@@ -93,6 +93,12 @@ class OuterConfig:
     def __post_init__(self):
         if self.memory < 1 or self.grad_tol <= 0:
             raise ValueError("memory >= 1 and grad_tol > 0 required")
+        if self.algorithm not in ("lbfgs", "gradient-descent-bb"):
+            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if not (isinstance(self.init, np.ndarray)
+                or self.init in ("random", "ones")):
+            raise ValueError(f"unknown init {self.init!r}: 'random', 'ones' "
+                             "or an ndarray")
 
     def minimizer_config(self):
         return MinimizeConfig(memory=self.memory, max_iter=self.max_iter,
@@ -175,24 +181,25 @@ def eval_f_grad_robust(problem, v, w, cfg=None):
 
 
 def _option2_inner(problem, vw_bar, cfg):
-    """Inner dual for the two-outer-factor path; returns (alpha, G, ok)."""
-    A = problem.A
-    Ad = A.to_dense()
+    """Inner dual for the two-outer-factor path, the solve of
+    ``(A diag(vw_bar^2) A^T + lam I) alpha = -Y`` (``lam = 0`` for the
+    interpolation loss); returns (alpha, G, ok)."""
+    inner_mod._reject_cg(cfg, "_option2_inner")
     loss = problem.loss
-    Y = np.asarray(loss.y if not isinstance(loss, MultitaskLoss) else loss.Y,
-                   dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
     if isinstance(loss, QuadraticLoss):
-        M = (Ad * vw_bar ** 2) @ Ad.T + loss.lam * np.eye(A.rows)
+        shift = loss.lam
     elif isinstance(loss, BasisPursuitLoss):
-        M = (Ad * vw_bar ** 2) @ Ad.T
+        shift = 0.0
     else:
         raise TypeError("two-factor path needs a quadratic or interpolation loss")
+    Y = np.asarray(loss.y, dtype=float)
+    if Y.ndim == 1:
+        Y = Y[:, None]
+    M = inner_mod._dual_matrix(problem.A, vw_bar ** 2, shift)
     alpha = inner_mod._psd_solve(M, -Y, "two-factor inner system")
     if np.abs(M @ alpha + Y).max(initial=0) > 1e-6 * (1 + np.abs(Y).max()):
         return None, None, False
-    return alpha, Ad.T @ alpha, True
+    return alpha, problem.A.to_dense().T @ alpha, True
 
 
 def eval_lq_option2(problem, v, w, cfg=None):
@@ -293,9 +300,7 @@ def _run_minimizer(fun, x0, config, name):
     mcfg = config.minimizer_config()
     if config.algorithm == "lbfgs":
         return minimize_lbfgs(fun, x0, mcfg, method_name=name)
-    if config.algorithm == "gradient-descent-bb":
-        return minimize_gd_bb(fun, x0, mcfg, method_name=name)
-    raise ValueError(f"unknown algorithm {config.algorithm!r}")
+    return minimize_gd_bb(fun, x0, mcfg, method_name=name)
 
 
 def _minimize(config, theta0, evaluate, name):

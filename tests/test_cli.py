@@ -1,5 +1,6 @@
 import csv
 import xml.etree.ElementTree as ET
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -155,6 +156,32 @@ seed = 0
     # no measurements, no recovery
     assert table[("0", "varpro2")] == 0
     assert table[("0", "irls")] == 0
+
+
+def test_phase_scores_a_failed_solve_as_a_failure(tmp_path, monkeypatch):
+    # a failed solve (x=None) used to become a zero estimate, whose relative
+    # error 1 counts as recovered under any threshold above 1
+    calls = []
+
+    def no_answer(prob, cfg, restarts):
+        calls.append(1)
+        return SimpleNamespace(x=None, objective=np.inf)
+
+    monkeypatch.setattr(cli, "solve_lq_option2", no_answer)
+    cfg = _write(tmp_path / "phase.cfg", """
+[phase]
+n = 10
+s = 2
+trials = 2
+m_grid = 6
+methods = varpro2
+threshold = 2
+seed = 0
+""")
+    out = tmp_path / "out"
+    assert cli.main(["phase", "--config", cfg, "--out", str(out)]) == 0
+    assert len(calls) == 2
+    assert _read_csv(out / "phase.csv")[1] == ["6", "varpro2", "0", "2"]
 
 
 def test_phase_threads_agree(tmp_path):

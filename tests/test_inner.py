@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varprox import inner
 from varprox.groups import GroupStructure, contiguous_groups, extend, trivial_groups
@@ -10,6 +12,7 @@ from varprox.inner import (InnerConfig, InnerSolveError, solve_analysis_prox,
 from varprox.linops import (Grad2DOperator, block_extract, dense, grad2d,
                             identity, tv_group_structure)
 from varprox.problems import pixel_channel_groups
+from varprox.varpro import BasisPursuitLoss, VarProProblem, _option2_inner
 
 
 def test_one_dim_lasso_oracle():
@@ -144,6 +147,24 @@ def test_identity_routes_reject_cg(rng):
         solve_analysis_prox(L, v, gs, 0.3, y, cfg)
     with pytest.raises(ValueError, match="solve_robust"):
         solve_robust(identity(n), L, v, gs, wl, gl, 0.9, y, cfg)
+    # the other routes without a CG path reject it the same way
+    m = 5
+    A = dense(rng.standard_normal((m, n)))
+    lq2 = VarProProblem(A, identity(n), trivial_groups(n),
+                        BasisPursuitLoss(y=A.apply(y)))
+    others = {
+        "solve_robust": lambda: solve_robust(A, L, v, gs, np.ones(m),
+                                             trivial_groups(m), 0.9,
+                                             A.apply(y), cfg),
+        "solve_basis_pursuit": lambda: solve_basis_pursuit(A, L, v, gs,
+                                                           A.apply(y), cfg),
+        "solve_multitask_nuclear": lambda: solve_multitask_nuclear(
+            A, np.ones(n), np.eye(m), 0.5, rng.standard_normal((m, 2)), cfg),
+        "_option2_inner": lambda: _option2_inner(lq2, np.ones(n), cfg),
+    }
+    for route, call in others.items():
+        with pytest.raises(ValueError, match=route):
+            call()
     for method in ("auto", "direct"):
         cfg = InnerConfig(method=method, direct_size_limit=1)
         assert solve_analysis_prox(L, v, gs, 0.3, y, cfg).method == "sparse-direct"
@@ -408,3 +429,73 @@ def test_cg_non_convergence_raises(rng, route):
                                  p=n, mode="overlapping")
             solve_overlap_woodbury(A, ogs, rng.uniform(0.5, 1.5, ogs.n_groups),
                                    0.5, y, cfg)
+
+
+@pytest.mark.parametrize("bad", [dict(cg_max_iter=0), dict(direct_size_limit=-1),
+                                 dict(zero_threshold=-1e-3),
+                                 dict(zero_threshold=1.0)])
+def test_inner_config_rejects_bad_knobs(bad):
+    with pytest.raises(ValueError):
+        InnerConfig(**bad)
+
+
+def _overlap_windows(n, size=3, stride=2):
+    starts = list(range(0, n - size + 1, stride))
+    if starts[-1] + size < n:
+        starts.append(n - size)
+    return GroupStructure([list(range(k, k + size)) for k in starts], p=n,
+                          mode="overlapping")
+
+
+ROUTES = ["grouplasso-direct", "grouplasso-cg", "woodbury-direct",
+          "woodbury-cg", "analysis-prox", "general-cg"]
+
+
+@settings(deadline=None, max_examples=60)
+@given(route=st.sampled_from(ROUTES), seed=st.integers(0, 2 ** 32 - 1),
+       lam=st.floats(0.1, 2.0), data=st.data())
+def test_dispatch_routes_match_general_direct(route, seed, lam, data):
+    # every specialized route, and CG on the general one, equals the direct
+    # reduced solve of solve_quadratic_general (criterion 9's bounds)
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 7))
+    n = int(rng.integers(max(m, 4), 13))
+    A = dense(rng.standard_normal((m, n)) / np.sqrt(m))
+    y = rng.standard_normal(m)
+    method = route.rsplit("-", 1)[-1]
+    cfg = InnerConfig(method=method if method in ("direct", "cg") else "auto")
+    if route.startswith("grouplasso"):
+        gs = contiguous_groups(n, 2 - n % 2)
+        L, ref_gs = identity(n), gs
+    elif route.startswith("woodbury"):
+        ogs = _overlap_windows(n)
+        L = block_extract(ogs, n)
+        ref_gs = L.lifted_partition()
+        gs = ogs
+    elif route == "analysis-prox":
+        h, w = int(rng.integers(1, 4)), int(rng.integers(2, 4))
+        n, L = h * w, grad2d(h, w)
+        A, y = identity(n), rng.uniform(0, 1, n)
+        gs = ref_gs = tv_group_structure(h, w)
+    else:
+        p = n + 2 - n % 2
+        L = dense(rng.standard_normal((p, n)) / np.sqrt(n))
+        gs = ref_gs = contiguous_groups(p, 2)
+    v = np.array(data.draw(st.lists(st.floats(0.5, 1.5), min_size=gs.n_groups,
+                                    max_size=gs.n_groups)))
+    if route.startswith("grouplasso"):
+        sol = solve_grouplasso_dual(A, v, gs, lam, y, cfg)
+    elif route.startswith("woodbury"):
+        sol = solve_overlap_woodbury(A, ogs, v, lam, y, cfg)
+    elif route == "analysis-prox":
+        sol = solve_analysis_prox(L, v, gs, lam, y, cfg)
+    else:
+        sol = solve_quadratic_general(A, L, v, gs, lam, y, cfg)
+    ref = solve_quadratic_general(A, L, v, ref_gs, lam, y,
+                                  InnerConfig(method="direct"))
+    assert ref.method == "direct"
+    family = route.split("-")[0]
+    assert sol.method == {"woodbury": "woodbury",
+                          "analysis": "sparse-direct"}.get(family, method)
+    assert np.abs(sol.x - ref.x).max() < 1e-8
+    assert sol.kkt_residual < 1e-8 and ref.kkt_residual < 1e-8

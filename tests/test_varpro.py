@@ -234,6 +234,14 @@ def test_lbfgs_one_dim_lasso_from_two():
     assert res.x[0] == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("bad", [dict(init="zeros"), dict(init=[1.0]),
+                                 dict(algorithm="newton")])
+def test_outer_config_rejects_unknown_values(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        OuterConfig(**bad)
+    OuterConfig(init=np.ones(2), algorithm="gradient-descent-bb")
+
+
 def test_group_lasso_matches_long_fista(rng):
     inst = gen_gaussian_instance(20, 60, s=9, group_size=3, noise_std=0.05, seed=3)
     lam = 0.1 * lambda_max(inst.A, inst.y, "group-lasso", inst.groups)
