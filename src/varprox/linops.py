@@ -11,6 +11,7 @@ Dense matrices serialize to the SOPM binary format: magic bytes ``SOPM``,
 u32 rows, u32 cols, little-endian float64 row-major payload.
 """
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -402,13 +403,18 @@ def save_sopm(path, matrix):
         fh.write(matrix.tobytes(order="C"))
 
 
+def _read_exact(fh, size, what):
+    """``size`` bytes of ``fh``; ``ValueError``, before reading, if fewer remain."""
+    if os.fstat(fh.fileno()).st_size - fh.tell() < size:
+        raise ValueError(f"truncated {what}")
+    return fh.read(size)
+
+
 def load_sopm(path):
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _SOPM_MAGIC:
             raise ValueError(f"bad SOPM magic {magic!r}")
-        rows, cols = struct.unpack("<II", fh.read(8))
-        payload = fh.read(8 * rows * cols)
-    if len(payload) != 8 * rows * cols:
-        raise ValueError("truncated SOPM payload")
+        rows, cols = struct.unpack("<II", _read_exact(fh, 8, "SOPM header"))
+        payload = _read_exact(fh, 8 * rows * cols, "SOPM payload")
     return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()

@@ -14,7 +14,7 @@ import numpy as np
 from .groups import GroupStructure, contiguous_groups, group_sq_norms, trivial_groups
 from .linops import (BlockExtractOperator, DenseOperator, FourierSystemSpec,
                      IdentityOperator, LinearOperator, MaskOperator,
-                     fourier_system)
+                     _read_exact, fourier_system)
 
 __all__ = [
     "ProblemInstance", "gen_gaussian_instance", "gen_overlap_instance",
@@ -190,28 +190,28 @@ def pixel_channel_groups(n_pixels, channels):
 # --- image and tensor formats -------------------------------------------
 
 
-def _read_pnm_header(fh, magic):
-    got = fh.readline().strip()
-    if got != magic:
-        raise ValueError(f"expected {magic.decode()}, got {got!r}")
-    fields = []
-    while len(fields) < 3:
-        line = fh.readline()
-        if not line:
-            raise ValueError("truncated header")
-        text = line.split(b"#", 1)[0]
-        fields.extend(int(tok) for tok in text.split())
-    width, height, maxval = fields
-    if maxval != 255:
-        raise ValueError("only 8-bit images supported")
-    return width, height
+def _read_pnm(path, magic, channels):
+    """8-bit P5/P6 image as floats in [0, 1], shape (height, width, channels)."""
+    with open(path, "rb") as fh:
+        got = fh.readline().strip()
+        if got != magic:
+            raise ValueError(f"expected {magic.decode()}, got {got!r}")
+        fields = []
+        while len(fields) < 3:
+            line = fh.readline()
+            if not line.endswith(b"\n"):    # header lines end before the payload
+                raise ValueError("truncated header")
+            text = line.split(b"#", 1)[0]
+            fields.extend(int(tok) for tok in text.split())
+        width, height, maxval = fields
+        if maxval != 255:
+            raise ValueError("only 8-bit images supported")
+        data = _read_exact(fh, channels * width * height, f"{magic.decode()} payload")
+    return np.frombuffer(data, np.uint8).reshape(height, width, channels) / 255.0
 
 
 def load_pgm(path):
-    with open(path, "rb") as fh:
-        width, height = _read_pnm_header(fh, b"P5")
-        data = np.frombuffer(fh.read(width * height), dtype=np.uint8)
-    return data.reshape(height, width).astype(float) / 255.0
+    return _read_pnm(path, b"P5", 1)[:, :, 0]
 
 
 def save_pgm(path, img):
@@ -223,10 +223,7 @@ def save_pgm(path, img):
 
 
 def load_ppm(path):
-    with open(path, "rb") as fh:
-        width, height = _read_pnm_header(fh, b"P6")
-        data = np.frombuffer(fh.read(3 * width * height), dtype=np.uint8)
-    return data.reshape(height, width, 3).astype(float) / 255.0
+    return _read_pnm(path, b"P6", 3)
 
 
 def save_ppm(path, img):
@@ -257,8 +254,6 @@ def load_sopt(path):
         magic = fh.read(4)
         if magic != _SOPT_MAGIC:
             raise ValueError(f"bad SOPT magic {magic!r}")
-        h, w, c = struct.unpack("<III", fh.read(12))
-        payload = fh.read(8 * h * w * c)
-    if len(payload) != 8 * h * w * c:
-        raise ValueError("truncated SOPT payload")
+        h, w, c = struct.unpack("<III", _read_exact(fh, 12, "SOPT header"))
+        payload = _read_exact(fh, 8 * h * w * c, "SOPT payload")
     return np.frombuffer(payload, dtype="<f8").reshape(h, w, c).copy()

@@ -499,3 +499,68 @@ def test_dispatch_routes_match_general_direct(route, seed, lam, data):
                           "analysis": "sparse-direct"}.get(family, method)
     assert np.abs(sol.x - ref.x).max() < 1e-8
     assert sol.kkt_residual < 1e-8 and ref.kkt_residual < 1e-8
+
+
+def _caller_weights(rng, caller, n):
+    # the d and shift each caller of inner._dual_matrix passes
+    gs = contiguous_groups(n, 2)
+    v = rng.uniform(0.5, 1.5, gs.n_groups)
+    v[1] = 0.0
+    if caller == "group-dual":
+        return extend(v, gs) ** 2, 0.7
+    if caller == "woodbury":
+        L = block_extract(_overlap_windows(n), n)
+        v = rng.uniform(0.5, 1.5, len(L.block_weights))
+        wdiag = np.zeros(n)
+        for g, wg, vg in zip(L.source_groups.groups, L.block_weights, v):
+            wdiag[g] += wg ** 2 / vg ** 2
+        return 1.0 / wdiag, 0.7
+    if caller == "multitask":
+        return rng.uniform(0.5, 1.5, n) ** 2, 0.0
+    w = rng.uniform(0.5, 1.5, gs.n_groups)
+    return extend(v * w, gs) ** 2, 0.0     # two-factor, interpolation loss
+
+
+@pytest.mark.parametrize("caller", ["group-dual", "woodbury", "multitask",
+                                    "two-factor"])
+def test_dual_matrix_is_the_symmetric_weighted_gram(rng, caller):
+    m, n = 7, 12
+    Ad = rng.standard_normal((m, n))
+    d, shift = _caller_weights(rng, caller, n)
+    ref = Ad @ np.diag(d) @ Ad.T + shift * np.eye(m)
+    M = inner._dual_matrix(dense(Ad), d, shift)
+    assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(M, M.T)
+    if caller == "multitask":
+        W = rng.standard_normal((m, m)) / 3
+        Y = rng.standard_normal((m, 2))
+        sol = solve_multitask_nuclear(dense(Ad), np.sqrt(d), W, 0.9, Y)
+        assert np.abs((ref + W @ W.T / 0.9) @ sol.alpha + Y).max() < 1e-10
+
+
+def test_dual_matrix_zero_weights_and_no_shift(rng):
+    Ad = rng.standard_normal((5, 8))
+    d = np.zeros(8)
+    d[[1, 4]] = [2.0, 0.5]
+    M = inner._dual_matrix(dense(Ad), d, 0.0)
+    ref = Ad[:, [1, 4]] @ np.diag([2.0, 0.5]) @ Ad[:, [1, 4]].T
+    assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(M, M.T)
+    assert not inner._dual_matrix(dense(Ad), np.zeros(8), 0.0).any()
+
+
+@pytest.mark.parametrize("method", ["direct", "cg"])
+def test_grouplasso_certificate_equals_the_full_kkt(method):
+    # the group dual reports only lam g - (A x - y); the other two rows of the
+    # full certificate vanish, so both must agree to the last bit
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        m, n = int(rng.integers(2, 9)), 2 * int(rng.integers(2, 9))
+        A = dense(rng.standard_normal((m, n)))
+        gs = contiguous_groups(n, 2)
+        v = rng.uniform(0.0, 2.0, gs.n_groups) * (rng.random(gs.n_groups) > 0.3)
+        y, lam = rng.standard_normal(m), float(rng.uniform(0.1, 2.0))
+        sol = solve_grouplasso_dual(A, v, gs, lam, y, InnerConfig(method=method))
+        full = inner._quad_kkt(A, identity(n), extend(v, gs), lam, y, sol.x,
+                               sol.alpha, sol.xi)
+        assert sol.kkt_residual == full

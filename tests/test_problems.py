@@ -1,8 +1,14 @@
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varprox.baselines import run_ista
-from varprox.linops import MaskOperator
+from varprox.linops import MaskOperator, load_sopm, save_sopm
 from varprox.problems import (add_salt_pepper, gen_fourier_instance,
                               gen_gaussian_instance, gen_overlap_instance,
                               lambda_max, load_pgm, load_ppm, load_sopt,
@@ -147,3 +153,48 @@ def test_sopt_round_trip(tmp_path, rng):
     assert path.read_bytes()[:4] == b"SOPT"
     back = load_sopt(path)
     assert np.array_equal(back, t)
+
+
+# (save, load, shape drawn from (h, w, c)), empty shapes included; PNM images
+# are byte multiples of 1/255 so that they round-trip exactly
+FORMATS = {
+    "sopm": (save_sopm, load_sopm, lambda h, w, c: (h, w)),
+    "sopt": (save_sopt, load_sopt, lambda h, w, c: (h, w, c)),
+    "pgm": (save_pgm, load_pgm, lambda h, w, c: (h, w)),
+    "ppm": (save_ppm, load_ppm, lambda h, w, c: (h, w, 3)),
+}
+
+
+@settings(deadline=None, max_examples=60)
+@given(fmt=st.sampled_from(sorted(FORMATS)), h=st.integers(0, 3),
+       w=st.integers(0, 3), c=st.integers(1, 2), seed=st.integers(0, 2 ** 32 - 1))
+def test_readers_reject_every_proper_prefix(fmt, h, w, c, seed):
+    save, load, shape = FORMATS[fmt]
+    rng = np.random.default_rng(seed)
+    if fmt in ("pgm", "ppm"):
+        data = rng.integers(0, 256, shape(h, w, c)) / 255.0
+    else:
+        data = rng.standard_normal(shape(h, w, c))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"f.{fmt}"
+        save(path, data)
+        raw = path.read_bytes()
+        assert np.array_equal(load(path), data)
+        for k in range(len(raw)):
+            path.write_bytes(raw[:k])
+            with pytest.raises(ValueError):
+                load(path)
+
+
+@pytest.mark.parametrize("fmt, header", [
+    ("sopm", b"SOPM" + struct.pack("<II", 2 ** 31, 2 ** 31)),
+    ("sopt", b"SOPT" + struct.pack("<III", 2 ** 31, 2 ** 31, 2 ** 31)),
+    ("pgm", b"P5\n4000000000 4000000000\n255\n"),
+    ("ppm", b"P6\n4000000000 4000000000\n255\n"),
+])
+def test_readers_reject_a_size_beyond_the_file(tmp_path, fmt, header):
+    # a corrupt header must not make the reader allocate what it claims
+    path = tmp_path / f"f.{fmt}"
+    path.write_bytes(header + bytes(64))
+    with pytest.raises(ValueError, match="truncated"):
+        FORMATS[fmt][1](path)
