@@ -23,9 +23,15 @@ reduced system of ``solve_quadratic_general``); ``_dual_solve`` adds its
 matrix-free CG.  The group-dual certificate keeps its one informative row.
 The full symmetric saddle system (degenerate quadratic, general robust, exact
 interpolation) has one dense assembler, ``_saddle_solve``.  The two
-``A = Id`` routes (TV denoising and the robust prox, e.g. TV-L1) factor the
-sparse system ``diag(d) + lam L diag(s) L^T``, assembled on the fixed
-pattern memoized on ``L`` (:class:`~varprox.linops.CogramPattern`).
+``A = Id`` routes (TV denoising and the robust prox, e.g. TV-L1) share one
+solve, ``_prox_solve``, of the sparse system ``diag(d) + lam L diag(s) L^T``,
+assembled on the fixed pattern memoized on ``L``
+(:class:`~varprox.linops.CogramPattern`).  A multichannel gradient is block
+diagonal over the channels, and the TV groups tie every pixel's channels
+together, so ``d`` and ``s`` repeat per channel and all blocks are equal:
+then one channel's 2hw-by-2hw block is factored and solved for ``C``
+right-hand sides.  Any other ``L``, or weights that differ by channel, factor
+the whole p-by-p system.
 """
 
 import warnings
@@ -95,7 +101,7 @@ class InnerSolution:
     """Primal/dual solution of one inner maximization.
 
     ``kkt_residual`` is the max norm over the stationarity equations;
-    ``system_size`` records the dimension of the linear system factored.
+    ``system_size`` records the dimension of the linear system solved.
     """
 
     x: np.ndarray
@@ -210,6 +216,19 @@ def _dual_solve(A, d, shift, b, cfg, what):
 
         return _cg(matvec, b, rtol=cfg.cg_tol, maxiter=cfg.cg_max_iter), "cg"
     return _psd_solve(_dual_matrix(A, d, shift), b, what), "direct"
+
+
+def _prox_solve(L, d, s, lam, b, what):
+    """Solve ``(diag(d) + lam L diag(s) L^T) z = b`` on the sparse pattern of
+    ``L``.  When ``L`` is ``C`` equal diagonal blocks and ``d``, ``s`` repeat
+    across them, the system is ``C`` copies of one block: factor that block
+    once and solve for the ``C`` slices of ``b`` as right-hand sides."""
+    C, B = L.channel_blocks()
+    dc, sc = d.reshape(C, -1), s.reshape(C, -1)
+    if C > 1 and (dc == dc[0]).all() and (sc == sc[0]).all():
+        M = B.cogram_pattern().assemble(sc[0], dc[0], lam)
+        return _psd_solve(M, b.reshape(C, -1).T, what).T.ravel()
+    return _psd_solve(L.cogram_pattern().assemble(s, d, lam), b, what)
 
 
 def _reject_cg(cfg, route):
@@ -332,14 +351,16 @@ def solve_grouplasso_dual(A, v, gs, lam, y, cfg=DEFAULT):
 
 def solve_analysis_prox(L, v, gs, lam, y, cfg=DEFAULT):
     """Denoising specialization (``A = Id``): one sparse p-by-p SPD solve of
-    ``(diag(vbar^2) + lam L L^T) alpha = L y``."""
+    ``(diag(vbar^2) + lam L L^T) alpha = L y``; for a multichannel gradient
+    with channel-tied groups, one factored 2hw-by-2hw channel block solved
+    for every channel (see ``_prox_solve``)."""
     if lam <= 0:
         raise ValueError("lam must be positive")
     _reject_cg(cfg, "solve_analysis_prox")
     y = np.asarray(y, dtype=float).ravel()
     vbar = _vbar(v, gs)
-    M = L.cogram_pattern().assemble(np.ones(L.cols), vbar ** 2, lam)
-    alpha = _psd_solve(M, L.apply(y), "analysis prox system")
+    alpha = _prox_solve(L, vbar ** 2, np.ones(L.cols), lam, L.apply(y),
+                        "analysis prox system")
     xi = -L.adjoint(alpha)
     x = y + lam * xi
     res = _quad_kkt(IdentityOperator(L.cols), L, vbar, lam, y, x, alpha, xi)
@@ -395,7 +416,9 @@ def solve_robust(A, L, v, gs_reg, w, gs_loss, lam, y, cfg=DEFAULT):
 
     Solves the symmetric saddle system; for ``A = Id`` the smaller sparse
     p-by-p elimination ``(diag(vbar^2) + lam L diag(wbar^2) L^T) alpha = -L y``
-    is used instead.
+    is used instead, factored as one 2hw-by-2hw channel block when ``L`` is a
+    multichannel gradient and both weights repeat per channel (see
+    ``_prox_solve``).
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -406,8 +429,8 @@ def solve_robust(A, L, v, gs_reg, w, gs_loss, lam, y, cfg=DEFAULT):
     m, n, p = A.rows, A.cols, L.rows
 
     if isinstance(A, IdentityOperator):
-        M = L.cogram_pattern().assemble(wbar ** 2, vbar ** 2, lam)
-        alpha = _psd_solve(M, -L.apply(y), "robust prox system")
+        alpha = _prox_solve(L, vbar ** 2, wbar ** 2, lam, -L.apply(y),
+                            "robust prox system")
         xi = -L.adjoint(alpha)
         x = y - lam * wbar ** 2 * xi
         res = _robust_kkt(A, L, vbar, wbar, lam, y, x, alpha, xi)

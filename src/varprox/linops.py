@@ -84,6 +84,11 @@ class LinearOperator:
             self._cogram_pattern = CogramPattern(self.to_sparse())
         return self._cogram_pattern
 
+    def channel_blocks(self):
+        """``(C, B)``: this operator is ``C`` copies of ``B`` on the diagonal,
+        each acting on its own consecutive slice of the input and output."""
+        return 1, self
+
     def _densify(self):
         eye = np.eye(self.cols)
         return np.column_stack([self.apply(eye[:, j]) for j in range(self.cols)])
@@ -169,7 +174,10 @@ class Grad2DOperator(LinearOperator):
 
     Neumann boundary: the difference with an out-of-range neighbor is zero,
     so constant images map exactly to zero.  Output layout is channel-major,
-    horizontal block then vertical block per channel.
+    horizontal block then vertical block per channel, and channels never mix:
+    the operator is block diagonal, ``channels`` copies of the memoized
+    one-channel gradient (:meth:`channel_blocks`), which lets the ``A = Id``
+    inner solves factor one 2hw-by-2hw channel block.
     """
 
     def __init__(self, height, width, channels=1):
@@ -196,6 +204,13 @@ class Grad2DOperator(LinearOperator):
         out[:, :, :-1] += g[:, 1, :, :-1]
         out[:, :, 1:] -= g[:, 1, :, :-1]
         return out.ravel()
+
+    def channel_blocks(self):
+        if self.channels == 1:
+            return 1, self
+        if getattr(self, "_channel", None) is None:
+            self._channel = Grad2DOperator(self.height, self.width)
+        return self.channels, self._channel
 
     def _sparsify(self):
         def diff(k):

@@ -72,8 +72,10 @@ def _backtrack(fun, x, f, g, d, cfg):
 def _descend(fun, x0, cfg, method_name, direction, update):
     """The one descent loop: ``direction(g)`` gives the search direction,
     the line search accepts a step, ``update(s, y)`` sees the step and the
-    gradient change.  Returns ``(x, f, g, trace)``; a failed line search or
-    a stall sets ``trace.flags['line_search_failed']`` or ``['stalled']``."""
+    gradient change.  Returns ``(x, f, g, trace)``; a failed line search, a
+    stall, or ``max_iter`` steps ending above ``grad_tol`` sets
+    ``trace.flags['line_search_failed']``, ``['stalled']`` or
+    ``['max_iter']``."""
     x = np.asarray(x0, dtype=float).copy()
     t0 = time.perf_counter()
     f, g = fun(x)
@@ -94,6 +96,9 @@ def _descend(fun, x0, cfg, method_name, direction, update):
         if stalled >= cfg.stall_patience:
             trace.flags["stalled"] = True
             break
+    else:
+        if np.linalg.norm(g) > cfg.grad_tol:
+            trace.flags["max_iter"] = True
     trace.x = x
     return x, f, g, trace
 

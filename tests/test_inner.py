@@ -201,6 +201,98 @@ def test_identity_routes_zero_v_take_the_jitter_retry(monkeypatch, rng, zeros):
     assert b.kkt_residual < 1e-8
 
 
+def _spy_factor_shapes(monkeypatch):
+    shapes = []
+    spd_factor = inner._spd_factor
+
+    def spy(M):
+        shapes.append(M.shape)
+        return spd_factor(M)
+
+    monkeypatch.setattr(inner, "_spd_factor", spy)
+    return shapes
+
+
+def _identity_routes(L, n, gs, gl, v, wl, y):
+    return (solve_analysis_prox(L, v, gs, 0.3, y),
+            solve_robust(identity(n), L, v, gs, wl, gl, 0.9, y))
+
+
+@pytest.mark.parametrize("zeros", ["none", "some"])
+def test_identity_routes_factor_one_channel_block(monkeypatch, rng, zeros):
+    h, w, c = 5, 4, 3
+    n, L, gs, gl, v, wl, y = _tv_case(rng, h, w, c)
+    if zeros == "some":
+        v[[3, 7]] = 0.0
+    shapes = _spy_factor_shapes(monkeypatch)
+    block = _identity_routes(L, n, gs, gl, v, wl, y)
+    # one 2hw-by-2hw factorization per solve, plus the jittered retry when
+    # zero v_g leave every block singular
+    tries = 1 if zeros == "none" else 2
+    assert shapes == [(2 * h * w, 2 * h * w)] * (2 * tries)
+    shapes.clear()
+    monkeypatch.setattr(L, "channel_blocks", lambda: (1, L))
+    full = _identity_routes(L, n, gs, gl, v, wl, y)
+    assert shapes == [(L.rows, L.rows)] * (2 * tries)
+    for b, f in zip(block, full):
+        assert (b.method, b.system_size) == (f.method, f.system_size)
+        assert np.abs(b.x - f.x).max() < 1e-10
+        assert b.kkt_residual < 1e-10 and f.kkt_residual < 1e-10
+        if zeros == "none":     # otherwise alpha is free in the kernel
+            assert np.abs(b.alpha - f.alpha).max() < 1e-10
+
+
+def test_identity_routes_block_falls_back_to_the_dense_solve(monkeypatch, rng):
+    n, L, gs, gl, v, wl, y = _tv_case(rng)
+    full = (solve_quadratic_general(identity(n), L, v, gs, 0.3, y),
+            solve_robust(dense(np.eye(n)), L, v, gs, wl, gl, 0.9, y))
+    monkeypatch.setattr(inner, "_spd_factor", lambda M: None)
+    for b, f in zip(_identity_routes(L, n, gs, gl, v, wl, y), full):
+        assert np.abs(b.x - f.x).max() < 1e-10
+        assert b.kkt_residual < 1e-10
+
+
+@pytest.mark.parametrize("differ", ["v", "w"])
+def test_identity_routes_per_channel_weights_factor_the_full_system(
+        monkeypatch, rng, differ):
+    n, L, gs, gl, v, wl, y = _tv_case(rng)
+    if differ == "v":       # one group per row of L: vbar differs by channel
+        gs = trivial_groups(L.rows)
+        v = rng.uniform(0.5, 1.5, L.rows)
+    else:
+        gl = trivial_groups(n)
+        wl = rng.uniform(0.5, 1.5, n)
+    shapes = _spy_factor_shapes(monkeypatch)
+    b = solve_robust(identity(n), L, v, gs, wl, gl, 0.9, y)
+    assert shapes == [(L.rows, L.rows)]
+    ref = solve_robust(dense(np.eye(n)), L, v, gs, wl, gl, 0.9, y)
+    assert np.abs(b.x - ref.x).max() < 1e-9
+    assert b.kkt_residual < 1e-10
+    if differ == "v":
+        shapes.clear()
+        a = solve_analysis_prox(L, v, gs, 0.3, y)
+        assert shapes == [(L.rows, L.rows)]
+        ref = solve_quadratic_general(identity(n), L, v, gs, 0.3, y)
+        assert np.abs(a.x - ref.x).max() < 1e-9
+        assert a.kkt_residual < 1e-10
+
+
+def test_identity_routes_single_channel_take_the_full_pattern(monkeypatch, rng):
+    n, L, gs, gl, v, wl, y = _tv_case(rng, c=1)
+    assert L.channel_blocks() == (1, L)
+    rhs = []
+    psd_solve = inner._psd_solve
+
+    def spy(M, b, what):
+        rhs.append(b.shape)
+        return psd_solve(M, b, what)
+
+    monkeypatch.setattr(inner, "_psd_solve", spy)
+    a, b = _identity_routes(L, n, gs, gl, v, wl, y)
+    assert rhs == [(L.rows,)] * 2
+    assert a.kkt_residual < 1e-10 and b.kkt_residual < 1e-10
+
+
 def test_woodbury_diagonal_formula():
     ogs = GroupStructure([[0, 1], [1, 2]], p=3, mode="overlapping")
     L = block_extract(ogs, 3)

@@ -164,6 +164,20 @@ def test_cogram_pattern_assembles_weighted_cogram(rng):
         assert op.cogram_pattern() is op.cogram_pattern()
 
 
+def test_channel_blocks_tile_the_operator(rng):
+    import scipy.sparse
+    for op in _all_kinds(rng) + [grad2d(1, 4, channels=2)]:
+        C, B = op.channel_blocks()
+        if C == 1:
+            assert B is op
+            continue
+        assert (C, B.rows, B.cols) == (op.channels, op.rows // C, op.cols // C)
+        assert B.channel_blocks() == (1, B)
+        assert op.channel_blocks()[1] is B                  # memoized
+        tiled = scipy.sparse.block_diag([B.to_sparse()] * C).toarray()
+        assert np.array_equal(tiled, op.to_dense())
+
+
 def test_densify_matches_apply(rng):
     op = grad2d(3, 4, channels=2)
     D = op.to_dense()

@@ -226,6 +226,34 @@ def test_lbfgs_quadratic_sanity(rng):
     assert trace.n_records <= n + 6
 
 
+@pytest.mark.parametrize("method", ["lbfgs", "gd-bb"])
+def test_descent_flags_max_iter_only_without_convergence(method):
+    from varprox.optim import MinimizeConfig, minimize_gd_bb, minimize_lbfgs
+    minimize = minimize_lbfgs if method == "lbfgs" else minimize_gd_bb
+    h = np.linspace(1.0, 10.0, 8)
+
+    def fun(v):
+        return 0.5 * float(h @ (v - 1.0) ** 2), h * (v - 1.0)
+
+    _, _, g, trace = minimize(fun, np.zeros(8), MinimizeConfig(max_iter=2))
+    assert np.linalg.norm(g) > 1e-3
+    assert trace.flags == {"max_iter": True}
+    _, _, g, trace = minimize(fun, np.zeros(8),
+                              MinimizeConfig(max_iter=500, grad_tol=1e-6))
+    assert np.linalg.norm(g) <= 1e-6
+    assert trace.flags == {}
+
+
+def test_descent_converging_on_the_last_step_sets_no_flag():
+    from varprox.optim import MinimizeConfig, minimize_lbfgs
+
+    def fun(v):     # the first step, -g at t = 1, lands on the minimizer
+        return 0.5 * float((v - 1.0) @ (v - 1.0)), v - 1.0
+
+    _, _, g, trace = minimize_lbfgs(fun, np.zeros(8), MinimizeConfig(max_iter=1))
+    assert not g.any() and trace.flags == {}
+
+
 def test_lbfgs_one_dim_lasso_from_two():
     prob = _lasso_1d()
     cfg = OuterConfig(max_iter=200, grad_tol=1e-10, init=np.array([2.0]))
