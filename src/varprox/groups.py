@@ -2,9 +2,9 @@
 
 A :class:`GroupStructure` is a list of index blocks over ``{0, ..., p-1}``.
 In ``partition`` mode the blocks must be disjoint and cover the index set;
-``overlapping`` mode allows shared indices (weights default to sqrt of the
-block size).  Group files on disk are plain text, one group per line,
-1-based space-separated indices.
+``overlapping`` mode allows shared indices and per-group weights (default
+sqrt of the block size); partition mode rejects weights.  Group files on
+disk are plain text, one group per line, 1-based space-separated indices.
 """
 
 import numpy as np
@@ -18,7 +18,8 @@ __all__ = [
 
 
 class GroupStructure:
-    """Index blocks over ``{0, ..., p-1}`` with optional per-group weights."""
+    """Index blocks over ``{0, ..., p-1}``, with per-group weights in
+    ``overlapping`` mode."""
 
     def __init__(self, groups, p=None, mode="partition", weights=None):
         self.groups = [np.asarray(np.sort(np.asarray(g, dtype=int)), dtype=int)
@@ -36,6 +37,9 @@ class GroupStructure:
         self.mode = mode
         self.sizes = np.array([g.size for g in self.groups])
         self.n_groups = len(self.groups)
+        if weights is not None and mode == "partition":
+            raise ValueError("group weights are used by overlapping groups "
+                             "only; no partition path applies them")
         if weights is None and mode == "overlapping":
             weights = np.sqrt(self.sizes.astype(float))
         self.weights = None if weights is None else np.asarray(weights, dtype=float)

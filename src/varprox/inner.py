@@ -19,8 +19,11 @@ sparse, goes through ``_psd_solve``.  The m-by-m dual system
 ``A diag(d) A^T + shift I`` (group lasso, overlapping groups, multitask and
 the two-factor path of :mod:`varprox.varpro`) has one assembler,
 ``_dual_matrix``, which forms ``B B^T`` by BLAS ``syrk`` (so does the
-reduced system of ``solve_quadratic_general``); ``_dual_solve`` adds its
-matrix-free CG.  The group-dual certificate keeps its one informative row.
+reduced system of ``solve_quadratic_general``) from the columns with
+``d > 0`` only; ``_dual_solve`` adds its matrix-free CG.  In the group
+lasso, :func:`varprox.varpro.solve_varpro` sets ``v_g = 0`` on the groups
+that gap-safe screening certifies as zero at the optimum, so their columns
+leave the assembly.  The group-dual certificate keeps its one informative row.
 The full symmetric saddle system (degenerate quadratic, general robust, exact
 interpolation) has one dense assembler, ``_saddle_solve``.  The two
 ``A = Id`` routes (TV denoising and the robust prox, e.g. TV-L1) share one
@@ -197,9 +200,20 @@ def _psd_solve(M, b, what, jitter=1e-12):
 
 def _dual_matrix(A, d, shift):
     """Dense ``A diag(d) A^T + shift I`` for ``d >= 0``: ``B B^T`` with
-    ``B = A diag(sqrt(d))`` (BLAS ``syrk``, half the flops of a general
-    product), the shift added in place on the diagonal."""
-    B = A.to_dense() * np.sqrt(d)
+    ``B = A_K diag(sqrt(d_K))`` over the columns ``K`` where ``d`` is
+    nonzero (BLAS ``syrk``, half the flops of a general product, and its
+    cost scales with ``|K|``: a screened or vanished group adds nothing),
+    the shift added in place on the diagonal.  ``B`` is the one m-by-|K|
+    temporary: with a zero in ``d`` it is gathered by ``np.compress`` and
+    scaled in place, otherwise formed in one pass (a gather of every
+    column would only add a copy)."""
+    Ad = A.to_dense()
+    if np.count_nonzero(d) == d.size:
+        B = Ad * np.sqrt(d)
+    else:
+        keep = d != 0
+        B = np.compress(keep, Ad, axis=1)
+        B *= np.sqrt(d[keep])
     M = B @ B.T
     if shift:
         M.flat[:: M.shape[0] + 1] += shift

@@ -641,6 +641,22 @@ def test_dual_matrix_zero_weights_and_no_shift(rng):
     assert not inner._dual_matrix(dense(Ad), np.zeros(8), 0.0).any()
 
 
+def test_dual_matrix_drops_zero_columns_without_moving_the_sum(rng):
+    # the zero-weight columns (screened groups) leave the syrk product;
+    # the kept ones give the full assembly that includes them all
+    m, n = 20, 60
+    Ad = rng.standard_normal((m, n))
+    gs = contiguous_groups(n, 3)
+    v = rng.uniform(0.5, 1.5, gs.n_groups) * (rng.random(gs.n_groups) > 0.6)
+    d = extend(v, gs) ** 2
+    assert 0 < np.count_nonzero(d) < n
+    B = Ad * np.sqrt(d)
+    full = B @ B.T + 0.3 * np.eye(m)
+    M = inner._dual_matrix(dense(Ad), d, 0.3)
+    assert np.abs(M - full).max() <= 1e-13 * np.abs(full).max()
+    assert np.array_equal(M, M.T)
+
+
 @pytest.mark.parametrize("method", ["direct", "cg"])
 def test_grouplasso_certificate_equals_the_full_kkt(method):
     # the group dual reports only lam g - (A x - y); the other two rows of the

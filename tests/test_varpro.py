@@ -416,3 +416,125 @@ def test_inner_failure_at_every_point_raises(monkeypatch, rng, route):
                          trivial_groups(n), loss)
     with pytest.raises(InnerSolveError, match="injected"):
         solve_varpro(prob, OuterConfig(max_iter=5))
+
+
+def _screened_group_lasso(seed):
+    inst = gen_gaussian_instance(20, 60, s=9, group_size=3, noise_std=0.05,
+                                 seed=seed)
+    lam = 0.1 * lambda_max(inst.A, inst.y, "group-lasso", inst.groups)
+    return inst, VarProProblem(inst.A, inst.L, inst.groups,
+                               QuadraticLoss(y=inst.y, lam=lam))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_gap_safe_screening_is_safe(monkeypatch, seed):
+    # every group an evaluation saw screened (v_g = 0) is zero in a long
+    # FISTA reference, and the answer keeps criterion 2's concordance
+    from varprox import varpro
+    inst, prob = _screened_group_lasso(seed)
+    seen = np.zeros(inst.groups.n_groups, dtype=bool)
+    original = varpro.eval_f_grad
+
+    def spy(problem, v, *args, **kwargs):
+        seen[np.asarray(v) == 0.0] = True
+        return original(problem, v, *args, **kwargs)
+
+    monkeypatch.setattr(varpro, "eval_f_grad", spy)
+    res = solve_varpro(prob, OuterConfig(max_iter=500, grad_tol=1e-9, seed=seed))
+    oracle = run_ista(inst.A, inst.groups, prob.loss.lam, inst.y,
+                      accel="fista", iters=20000)
+    norms = np.sqrt(group_sq_norms(oracle.x, inst.groups))
+    assert seen.any()
+    assert norms[seen].max() <= 1e-8
+    out = res.v == 0.0
+    assert res.screened == int(out.sum()) and not (seen & ~out).any()
+    assert not res.x[extend(out, inst.groups) > 0].any()
+    f_vp = nonsmooth_objective(prob, res.x)
+    f_or = nonsmooth_objective(prob, oracle.x)
+    assert abs(f_vp - f_or) <= 1e-5 * abs(f_or)
+    assert 0.0 < res.duality_gap < 1e-5
+
+
+def test_gap_safe_screening_keeps_a_group_active_at_rounding_level():
+    # the fourth lq3 draw of criterion 1 (default_rng(11)): at v + h e_0
+    # the nested group lasso converges until P - D rounds to zero, and a
+    # gap floored at 0 rather than at the rounding level screened group 4
+    # (z_4 = 0.13 at the optimum), breaking the finite-difference gradient
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        A = dense(rng.standard_normal((5, 6)) / 2)
+        y = rng.standard_normal(5)
+        v = rng.uniform(0.8, 1.2, 6)
+    prob = VarProProblem(A, identity(6), trivial_groups(6),
+                         QuadraticLoss(y=y, lam=0.7))
+    bumped = v.copy()
+    bumped[0] += 1e-5
+    z = eval_lq_option3(prob, bumped)[2]["z"]
+    assert z[4] == pytest.approx(0.1306, abs=1e-3)
+    _, g, _ = eval_lq_option3(prob, v)
+    gfd = fd_gradient(lambda zz: eval_lq_option3(prob, zz)[0], v)
+    assert np.abs(g - gfd).max() / np.abs(gfd).max() < 1e-5
+
+
+def test_only_the_group_lasso_reports_a_gap(rng):
+    _, prob = _screened_group_lasso(0)
+    res = solve_varpro(prob, OuterConfig(max_iter=50, seed=0))
+    assert isinstance(res.duality_gap, float) and isinstance(res.screened, int)
+    m, n = 4, 8
+    A = dense(rng.standard_normal((m, n)))
+    x_true = np.zeros(n)
+    x_true[[1, 5]] = [1.0, -2.0]
+    others = [
+        VarProProblem(A, identity(n), trivial_groups(n),
+                      BasisPursuitLoss(y=A.apply(x_true))),
+        VarProProblem(A, identity(n), trivial_groups(n),
+                      RobustLoss(y=rng.standard_normal(m), lam=0.8,
+                                 loss_groups=trivial_groups(m))),
+        VarProProblem(A, identity(n), trivial_groups(n),
+                      MultitaskLoss(Y=rng.standard_normal((m, 2)), lam=0.8)),
+        VarProProblem(A, dense(rng.standard_normal((6, n))),
+                      contiguous_groups(6, 2),
+                      QuadraticLoss(y=rng.standard_normal(m), lam=0.8)),
+    ]
+    for prob in others:
+        res = solve_varpro(prob, OuterConfig(max_iter=20, seed=0))
+        assert res.duality_gap is None and res.screened is None
+
+
+def test_every_evaluation_goes_through_the_module_eval_f_grad(monkeypatch):
+    # the benchmark counts evaluations by wrapping varpro.eval_f_grad: each
+    # call of the optimizer's objective, screened or not, must reach it once
+    from varprox import varpro
+    _, prob = _screened_group_lasso(1)
+    calls = {"eval": 0, "fun": 0}
+    original_eval, original_lbfgs = varpro.eval_f_grad, varpro.minimize_lbfgs
+
+    def counted_eval(*args, **kwargs):
+        calls["eval"] += 1
+        return original_eval(*args, **kwargs)
+
+    def counted_lbfgs(fun, *args, **kwargs):
+        def counted_fun(x):
+            calls["fun"] += 1
+            return fun(x)
+        return original_lbfgs(counted_fun, *args, **kwargs)
+
+    monkeypatch.setattr(varpro, "eval_f_grad", counted_eval)
+    monkeypatch.setattr(varpro, "minimize_lbfgs", counted_lbfgs)
+    res = solve_varpro(prob, OuterConfig(max_iter=500, grad_tol=1e-9, seed=1))
+    assert res.screened > 0
+    assert calls["eval"] == calls["fun"] > 0
+
+
+def test_group_spectral_norms_match_the_dense_two_norm(rng):
+    # mixed sizes, shuffled indices and more than one batch of one size
+    from varprox.groups import GroupStructure
+    from varprox.varpro import _group_spectral_norms
+    n = 300
+    perm = rng.permutation(n)
+    cuts = np.cumsum([2] * 70 + [3] * 40 + [5] * 8)
+    groups = np.split(perm, cuts[:-1])
+    gs = GroupStructure(groups, p=n)
+    Ad = rng.standard_normal((9, n))
+    ref = [np.linalg.norm(Ad[:, g], 2) for g in gs.groups]
+    assert np.abs(_group_spectral_norms(dense(Ad), gs) - ref).max() < 1e-12
