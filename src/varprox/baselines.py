@@ -1,7 +1,7 @@
 """Reference solvers for the same objectives: proximal gradient (plain,
 accelerated, spectral-step), ADMM, Chambolle-Pock primal-dual splitting
-(quadratic and l1 losses), iteratively reweighted least squares,
-reweighted l1, and the scaled-lasso alternation for the square-root lasso.
+(quadratic and l1 losses), iteratively reweighted least squares, and the
+scaled-lasso alternation for the square-root lasso.
 
 All solvers share the library's normalization ``Phi(x) = ||L x||_{1,2} +
 F0(A x)`` with ``F0(z) = ||z - y||^2 / (2 lam)`` for quadratic data fits
@@ -15,15 +15,13 @@ import scipy.linalg
 
 from .groups import (group_norm_12, group_soft_threshold, group_sq_norms,
                      trivial_groups)
-from .linops import DenseOperator, IdentityOperator, operator_norm
-from .lq_forms import lq_value
+from .linops import IdentityOperator, operator_norm
 from .trace import SolverTrace
-from .varpro import (BasisPursuitLoss, OuterConfig, QuadraticLoss,
-                     VarProProblem, solve_varpro)
+from .varpro import OuterConfig, QuadraticLoss, VarProProblem, solve_varpro
 
 __all__ = [
-    "run_ista", "run_admm", "run_primal_dual", "run_irls",
-    "run_reweighted_l1", "run_scaled_lasso",
+    "lq_value", "run_ista", "run_admm", "run_primal_dual", "run_irls",
+    "run_scaled_lasso",
 ]
 
 
@@ -225,6 +223,14 @@ def _project_group_ball(xi, gs):
     return xi * scale[gs.group_of]
 
 
+def lq_value(x, gs, q):
+    """``sum_g ||x_g||^q / q``."""
+    if not 0.0 < q < 2.0:
+        raise ValueError("q must lie in (0, 2)")
+    norms = np.sqrt(group_sq_norms(x, gs))
+    return float(np.sum(norms ** q)) / q
+
+
 def run_irls(A, Y, gs, q, mode="equality", lam=None, eps0=1.0, eps_decay=10.0,
              eps_floor=1e-8, iters=200, stall_factor=0.01):
     """Iteratively reweighted least squares for grouped lq recovery.
@@ -278,53 +284,6 @@ def run_irls(A, Y, gs, q, mode="equality", lam=None, eps0=1.0, eps_decay=10.0,
             eps = max(eps / eps_decay, eps_floor)
     trace.x = X[:, 0] if squeeze else X
     trace.aux["eps"] = eps
-    return trace
-
-
-def run_reweighted_l1(A, Y, gs, q, mode="equality", lam=None, outer_iters=10,
-                      eps=1e-4, inner_config=None):
-    """Majorize-minimize reweighted l1: each outer step reweights the group
-    norm by ``(||x_g|| + eps)^(q-1)`` and solves the weighted convex
-    problem with the projected solver (weights fold into column scalings).
-
-    The surrogate ``sum_g (||x_g|| + eps)^q / q`` is nonincreasing across
-    outer steps when the inner problems are solved accurately.
-    """
-    if not 0.0 < q < 1.0:
-        raise ValueError("q in (0, 1) required")
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 1:
-        raise ValueError("reweighted l1 path is vector-valued")
-    Ad = A.to_dense()
-    n = Ad.shape[1]
-    inner_config = inner_config or OuterConfig(max_iter=400, grad_tol=1e-11)
-    x = np.zeros(n)
-    trace = SolverTrace(method="reweighted-l1")
-    t0 = time.perf_counter()
-    for k in range(outer_iters):
-        norms = np.sqrt(group_sq_norms(x, gs))
-        cg = (norms + eps) ** (q - 1.0)
-        cvec = cg[gs.group_of]
-        # min sum_g c_g ||x_g|| + F0(A x)  ==  min ||z||_{1,2} + F0(A D z)
-        # with x = z / c on each group
-        scaled = DenseOperator(Ad / cvec[None, :])
-        if mode == "equality":
-            prob = VarProProblem(scaled, IdentityOperator(n), gs,
-                                 BasisPursuitLoss(y=Y))
-        elif mode == "penalized":
-            if lam is None:
-                raise ValueError("penalized mode needs lam")
-            prob = VarProProblem(scaled, IdentityOperator(n), gs,
-                                 QuadraticLoss(y=Y, lam=lam))
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        res = solve_varpro(prob, inner_config)
-        x = res.x / cvec
-        norms = np.sqrt(group_sq_norms(x, gs))
-        surrogate = float(np.sum((norms + eps) ** q)) / q
-        trace.record(k, surrogate, res.trace.grad_norms[-1],
-                     time.perf_counter() - t0)
-    trace.x = x
     return trace
 
 

@@ -3,8 +3,7 @@
 A :class:`GroupStructure` is a list of index blocks over ``{0, ..., p-1}``.
 In ``partition`` mode the blocks must be disjoint and cover the index set;
 ``overlapping`` mode allows shared indices and per-group weights (default
-sqrt of the block size); partition mode rejects weights.  Group files on
-disk are plain text, one group per line, 1-based space-separated indices.
+sqrt of the block size); partition mode rejects weights.
 """
 
 import numpy as np
@@ -13,7 +12,6 @@ __all__ = [
     "GroupStructure", "trivial_groups", "contiguous_groups",
     "group_norm_12", "group_norm_inf2", "group_sq_norms", "group_dots",
     "hadamard_group", "extend", "soft_threshold", "group_soft_threshold",
-    "load_groups", "save_groups",
 ]
 
 
@@ -160,20 +158,3 @@ def group_soft_threshold(z, tau, gs):
     nz = norms > 0
     scale[nz] = np.maximum(0.0, 1.0 - tau / norms[nz])
     return z * scale[gs.group_of]
-
-
-def load_groups(path, p=None, mode="partition"):
-    groups = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            groups.append([int(tok) - 1 for tok in line.split()])
-    return GroupStructure(groups, p=p, mode=mode)
-
-
-def save_groups(path, gs):
-    with open(path, "w") as fh:
-        for g in gs.groups:
-            fh.write(" ".join(str(i + 1) for i in g) + "\n")

@@ -15,9 +15,8 @@ from .trace import SolverTrace
 
 __all__ = [
     "QuadraticFlowProblem", "FlowState", "LipschitzBounds", "FlowDiagnostics",
-    "flow_objective", "flow_gradient", "gd_step", "lipschitz_bounds",
-    "run_gd", "mirror_equivalence_residual", "flow_init",
-    "gradient_decay_exponent",
+    "flow_objective", "flow_gradient", "lipschitz_bounds", "run_gd",
+    "calibrated_fixed_step", "mirror_equivalence_residual", "flow_init",
 ]
 
 
@@ -86,10 +85,6 @@ class FlowDiagnostics:
     phi: list = field(default_factory=list)            # F + lam ||x||_{1,2}
     phi_surrogate: list = field(default_factory=list)  # F + 2 lam ||x||_H^2
 
-    def arrays(self):
-        return {k: np.asarray(getattr(self, k)) for k in
-                ("objective", "grad_sq", "uv_gap", "phi", "phi_surrogate")}
-
 
 def flow_objective(problem, u, v):
     return (0.5 * problem.lam * (float(u @ u) + float(v @ v))
@@ -102,14 +97,6 @@ def flow_gradient(problem, u, v):
     gu = problem.lam * u + extend(v, problem.groups) * gF
     gv = problem.lam * v + group_dots(u, gF, problem.groups)
     return gu, gv
-
-
-def gd_step(state, problem, tau):
-    if tau <= 0:
-        raise ValueError("stepsize must be positive")
-    gu, gv = flow_gradient(problem, state.u, state.v)
-    return FlowState(state.u - tau * gu, state.v - tau * gv,
-                     state.iteration + 1)
 
 
 def _column_block_norm(problem):
@@ -250,24 +237,6 @@ def run_gd(problem, u0, v0, step, iters, bounds=None, keep_diagnostics=True):
     state = FlowState(u, v, iteration=min(k, iters))
     trace.x = problem.product(u, v)
     return state, diag, trace
-
-
-def gradient_decay_exponent(diag, k_lo=10, k_hi=None):
-    """Empirical log-log slope of ``||grad G(u_k, v_k)||`` over an
-    iteration window.
-
-    The objective rate is controlled by the tail sum of squared gradients,
-    but no a-priori decay bound is available; this measures the observed
-    exponent (values near -1 indicate the inverse-iteration regime) without
-    asserting one.
-    """
-    g = np.sqrt(np.asarray(diag.grad_sq, dtype=float))
-    k_hi = len(g) - 1 if k_hi is None else min(k_hi, len(g) - 1)
-    ks = np.arange(len(g))
-    sel = (ks >= k_lo) & (ks <= k_hi) & (g > 1e-300)
-    if sel.sum() < 2:
-        raise ValueError("window too short for a slope estimate")
-    return float(np.polyfit(np.log10(ks[sel]), np.log10(g[sel]), 1)[0])
 
 
 def calibrated_fixed_step(problem, u0, v0, tau0, probe_iters=300,

@@ -6,9 +6,7 @@ is ``grad_eta(x_next) = shrink(grad_eta(x_k) - tau grad F(x_k))`` with
 threshold ``reg_weight * tau``.  For the quadratic entropy of scale ``n``
 this is algebraically the proximal-gradient step with stepsize ``tau / n``,
 and it is computed in that primal form so the iterates match proximal
-gradient bit for bit.  A ``gradient_scale="inverse-dim"`` flag divides the
-gradient term by the dimension instead, for the alternative scaling of the
-update found in mirror treatments of the n-rescaled geometry.
+gradient bit for bit.
 """
 
 import time
@@ -19,8 +17,8 @@ import numpy as np
 from .groups import soft_threshold
 from .trace import SolverTrace
 
-__all__ = ["Entropy", "entropy_value", "entropy_grad", "entropy_grad_inverse",
-           "bregman_div", "soft_threshold", "run_bpgd"]
+__all__ = ["Entropy", "entropy_grad", "entropy_grad_inverse", "soft_threshold",
+           "run_bpgd"]
 
 _MIRROR_CLAMP = 690.0  # sinh overflows shortly above this
 
@@ -45,14 +43,6 @@ class Entropy:
             raise ValueError("entropy parameter must be positive")
 
 
-def entropy_value(e, x):
-    x = np.asarray(x, dtype=float)
-    if e.kind == "quadratic":
-        return 0.5 * e.param * float(x @ x)
-    c = e.param
-    return float(np.sum(x * np.arcsinh(x / c) - np.sqrt(x * x + c * c) + c))
-
-
 def entropy_grad(e, x):
     x = np.asarray(x, dtype=float)
     if e.kind == "quadratic":
@@ -67,16 +57,7 @@ def entropy_grad_inverse(e, t):
     return e.param * np.sinh(t)
 
 
-def bregman_div(e, a, b):
-    """``eta(a) - eta(b) - <eta'(b), a - b>``; nonnegative by convexity."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return entropy_value(e, a) - entropy_value(e, b) \
-        - float(entropy_grad(e, b) @ (a - b))
-
-
-def run_bpgd(grad_F, F_val, entropy, tau, iters, x0, reg_weight=1.0,
-             gradient_scale="unit"):
+def run_bpgd(grad_F, F_val, entropy, tau, iters, x0, reg_weight=1.0):
     """Mirror-space proximal gradient for ``reg_weight ||x||_1 + F(x)``.
 
     ``grad_F``/``F_val`` are callables on the primal variable.  Hyperbolic
@@ -86,11 +67,7 @@ def run_bpgd(grad_F, F_val, entropy, tau, iters, x0, reg_weight=1.0,
     """
     if tau <= 0:
         raise ValueError("stepsize must be positive")
-    if gradient_scale not in ("unit", "inverse-dim"):
-        raise ValueError(f"unknown gradient_scale {gradient_scale!r}")
     x = np.asarray(x0, dtype=float).copy()
-    n = x.size
-    gscale = tau if gradient_scale == "unit" else tau / n
     trace = SolverTrace(method=f"bpgd-{entropy.kind}")
     t0 = time.perf_counter()
 
@@ -100,7 +77,7 @@ def run_bpgd(grad_F, F_val, entropy, tau, iters, x0, reg_weight=1.0,
     if entropy.kind == "quadratic":
         # primal form of the mirror update; bitwise identical to proximal
         # gradient at stepsize tau/param
-        step = gscale / entropy.param
+        step = tau / entropy.param
         thr = reg_weight * tau / entropy.param
         for k in range(iters + 1):
             g = grad_F(x)
@@ -117,7 +94,7 @@ def run_bpgd(grad_F, F_val, entropy, tau, iters, x0, reg_weight=1.0,
                          time.perf_counter() - t0)
             if k == iters:
                 break
-            m = soft_threshold(m - gscale * g, reg_weight * tau)
+            m = soft_threshold(m - tau * g, reg_weight * tau)
             if np.abs(m).max(initial=0.0) > _MIRROR_CLAMP:
                 m = np.clip(m, -_MIRROR_CLAMP, _MIRROR_CLAMP)
                 trace.flags["mirror_clamped"] = True

@@ -1,12 +1,9 @@
 """Experiment generators, data ingestion and regularization-scale helpers.
 
 All generators are pure functions of their arguments and a seed.  Images
-load from binary PGM (P5) / PPM (P6), 8-bit, mapped into [0, 1]; dense
-tensors use the SOPT format (magic ``SOPT``, u32 height, u32 width,
-u32 channels, little-endian float64 payload).
+load from binary PGM (P5) / PPM (P6), 8-bit, mapped into [0, 1].
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +17,8 @@ __all__ = [
     "ProblemInstance", "gen_gaussian_instance", "gen_overlap_instance",
     "gen_fourier_instance", "lambda_max", "add_salt_pepper",
     "make_inpainting_mask", "pixel_channel_groups",
-    "load_pgm", "save_pgm", "load_ppm", "save_ppm", "load_sopt", "save_sopt",
+    "load_pgm", "save_pgm", "load_ppm", "save_ppm",
 ]
-
-_SOPT_MAGIC = b"SOPT"
 
 
 @dataclass
@@ -234,26 +229,3 @@ def save_ppm(path, img):
     with open(path, "wb") as fh:
         fh.write(b"P6\n%d %d\n255\n" % (img.shape[1], img.shape[0]))
         fh.write(data.tobytes())
-
-
-def save_sopt(path, tensor):
-    tensor = np.ascontiguousarray(tensor, dtype="<f8")
-    if tensor.ndim == 2:
-        tensor = tensor[:, :, None]
-    if tensor.ndim != 3:
-        raise ValueError("SOPT stores height x width x channels tensors")
-    h, w, c = tensor.shape
-    with open(path, "wb") as fh:
-        fh.write(_SOPT_MAGIC)
-        fh.write(struct.pack("<III", h, w, c))
-        fh.write(tensor.tobytes(order="C"))
-
-
-def load_sopt(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _SOPT_MAGIC:
-            raise ValueError(f"bad SOPT magic {magic!r}")
-        h, w, c = struct.unpack("<III", _read_exact(fh, 12, "SOPT header"))
-        payload = _read_exact(fh, 8 * h * w * c, "SOPT payload")
-    return np.frombuffer(payload, dtype="<f8").reshape(h, w, c).copy()

@@ -42,9 +42,6 @@ class SolverTrace:
     def n_records(self):
         return len(self.iters)
 
-    def objective_array(self):
-        return np.asarray(self.objectives)
-
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

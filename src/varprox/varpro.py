@@ -374,26 +374,27 @@ def _minimize(config, theta0, evaluate, name):
     ``evaluate(theta, prev) -> (f, grad, sol)`` gets ``prev``, the solution
     of the last finite evaluation (a warm start), or ``None``.  An
     :class:`InnerSolveError` or a non-finite value scores ``+inf`` and keeps
-    ``prev``.  Returns ``(theta, f, trace, sol)`` with ``sol`` from the last
-    finite evaluation; when none was finite, the final point is evaluated
-    once more, so an inner failure there raises.
+    ``prev``.  Returns ``(theta, f, trace, sol)`` with ``sol`` the solution
+    at the returned ``theta``: when the last finite evaluation was elsewhere
+    (a trial point the line search rejected) or there was none, the final
+    point is evaluated once more, so an inner failure there raises.
     """
-    prev = None
+    prev = at = None
 
     def fun(theta):
-        nonlocal prev
+        nonlocal prev, at
         try:
             f, grad, sol = evaluate(theta, prev)
         except InnerSolveError:
             return np.inf, np.zeros_like(theta)
         if not np.isfinite(f):
             return np.inf, np.zeros_like(theta)
-        prev = sol
+        prev, at = sol, theta
         return f, grad
 
     theta, f, _, trace = _run_minimizer(fun, theta0, config, name)
-    if prev is None:
-        prev = evaluate(theta, None)[2]
+    if at is None or not np.array_equal(at, theta):
+        prev = evaluate(theta, prev)[2]
     return theta, f, trace, prev
 
 

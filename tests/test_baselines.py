@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from varprox.baselines import (run_admm, run_irls, run_ista, run_primal_dual,
-                               run_reweighted_l1, run_scaled_lasso)
+from varprox.baselines import (lq_value, run_admm, run_irls, run_ista,
+                               run_primal_dual, run_scaled_lasso)
 from varprox.groups import GroupStructure, trivial_groups
 from varprox.linops import dense, grad2d, identity, tv_group_structure
 from varprox.problems import (gen_gaussian_instance, lambda_max,
@@ -28,7 +28,7 @@ def test_ista_monotone_at_safe_step(rng):
     inst = gen_gaussian_instance(12, 30, s=4, noise_std=0.1, seed=1)
     lam = 0.2 * lambda_max(inst.A, inst.y, "lasso")
     tr = run_ista(inst.A, inst.groups, lam, inst.y, iters=500)
-    assert np.all(np.diff(tr.objective_array()) <= 1e-12)
+    assert np.all(np.diff(np.asarray(tr.objectives)) <= 1e-12)
 
 
 def test_fista_beats_ista(rng):
@@ -123,6 +123,16 @@ def test_irls_fixed_large_eps_is_ridge(rng):
     assert np.abs(tr.x - ridge).max() < 1e-10
 
 
+def test_lq_value_examples():
+    gs2 = trivial_groups(2)
+    assert lq_value(np.array([1.0, -2.0]), gs2, 1.0) == pytest.approx(3.0)
+    gs1 = trivial_groups(1)
+    assert lq_value(np.array([8.0]), gs1, 2 / 3) == pytest.approx(6.0)
+    gsg = GroupStructure([[0, 1]], p=2)
+    assert lq_value(np.array([3.0, 4.0]), gsg, 2 / 3) == pytest.approx(
+        1.5 * 5.0 ** (2 / 3))
+
+
 def test_irls_weights_constant_for_q2(rng):
     # q = 2: weights (||x||^2 + eps)^0 = 1 regardless of the iterate
     x = rng.standard_normal(12)
@@ -130,30 +140,6 @@ def test_irls_weights_constant_for_q2(rng):
     from varprox.groups import group_sq_norms
     w = (group_sq_norms(x, gs) + 0.3) ** (2.0 / 2.0 - 1.0)
     assert np.allclose(w, 1.0)
-
-
-def test_reweighted_l1_first_step_is_plain_bp(rng):
-    inst = gen_gaussian_instance(12, 24, s=2, noise_std=0.0, seed=5)
-    tr = run_reweighted_l1(inst.A, inst.y, inst.groups, q=0.7,
-                           mode="equality", outer_iters=1)
-    # uniform initial weights: the first outer step solves the plain
-    # interpolation problem
-    from varprox.varpro import BasisPursuitLoss, solve_varpro
-    prob = VarProProblem(inst.A, identity(24), inst.groups,
-                         BasisPursuitLoss(y=inst.y))
-    cfg = OuterConfig(max_iter=400, grad_tol=1e-11)
-    res = solve_varpro(prob, cfg)
-    assert np.abs(tr.x - res.x).max() < 1e-5
-
-
-def test_reweighted_l1_recovery_and_monotone_surrogate(rng):
-    inst = gen_gaussian_instance(10, 32, s=1, noise_std=0.0, seed=6)
-    tr = run_reweighted_l1(inst.A, inst.y, inst.groups, q=0.7,
-                           mode="equality", outer_iters=6)
-    rel = np.linalg.norm(tr.x - inst.x_true) / np.linalg.norm(inst.x_true)
-    assert rel < 0.01
-    obj = tr.objective_array()
-    assert np.all(np.diff(obj) <= 1e-7)
 
 
 def test_scaled_lasso_zero_above_lambda_max(rng):

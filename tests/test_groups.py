@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from varprox.groups import (GroupStructure, contiguous_groups, extend,
                             group_norm_12, group_norm_inf2, group_soft_threshold,
-                            hadamard_group, load_groups, save_groups,
-                            soft_threshold, trivial_groups)
+                            hadamard_group, soft_threshold, trivial_groups)
 
 
 def test_group_norm_12_single_group():
@@ -144,16 +143,6 @@ def test_group_soft_threshold_blocks():
     out = group_soft_threshold(z, 1.0, gs)
     assert np.allclose(out[:2], z[:2] * (1 - 1.0 / 5.0))
     assert np.allclose(out[2:], 0.0)
-
-
-def test_group_file_round_trip(tmp_path):
-    gs = GroupStructure([[0, 1], [2, 4], [3]], p=5, mode="overlapping")
-    path = tmp_path / "groups.txt"
-    save_groups(path, gs)
-    text = path.read_text().strip().splitlines()
-    assert text[0].split() == ["1", "2"]          # 1-based on disk
-    back = load_groups(path, p=5, mode="overlapping")
-    assert all(np.array_equal(a, b) for a, b in zip(back.groups, gs.groups))
 
 
 def test_overlapping_span_check():

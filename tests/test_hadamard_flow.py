@@ -3,9 +3,8 @@ import pytest
 
 from conftest import fd_gradient
 from varprox.groups import contiguous_groups
-from varprox.hadamard_flow import (FlowState, QuadraticFlowProblem,
-                                   calibrated_fixed_step, flow_gradient,
-                                   flow_init, flow_objective, gd_step,
+from varprox.hadamard_flow import (QuadraticFlowProblem, calibrated_fixed_step,
+                                   flow_gradient, flow_init, flow_objective,
                                    lipschitz_bounds,
                                    mirror_equivalence_residual, run_gd)
 from varprox.linops import dense, fourier_system, FourierSystemSpec
@@ -19,8 +18,7 @@ def _scalar_problem():
 
 def test_gd_step_example():
     prob = _scalar_problem()
-    state = FlowState(np.array([1.0]), np.array([0.0]))
-    out = gd_step(state, prob, 0.1)
+    out, _, _ = run_gd(prob, np.array([1.0]), np.array([0.0]), 0.1, 1)
     assert out.u[0] == pytest.approx(0.9)
     assert out.v[0] == pytest.approx(0.1)
     assert out.iteration == 1
@@ -30,9 +28,7 @@ def test_symmetric_initialization_stays_symmetric(rng):
     A = dense(rng.standard_normal((3, 5)))
     prob = QuadraticFlowProblem(A=A, y=rng.standard_normal(3), fscale=1.0)
     u = rng.uniform(0.5, 1.5, 5)
-    state = FlowState(u.copy(), u.copy())
-    for _ in range(10):
-        state = gd_step(state, prob, 0.05)
+    state, _, _ = run_gd(prob, u, u, 0.05, 10)
     assert np.array_equal(state.u, state.v)
 
 
@@ -177,21 +173,3 @@ def test_mirror_rejects_equal_magnitudes():
     with pytest.raises(ValueError):
         mirror_equivalence_residual(prob, np.array([1.0]), np.array([-1.0]),
                                     1e-3, 1.0)
-
-
-def test_gradient_decay_exponent_reported():
-    from varprox.hadamard_flow import gradient_decay_exponent
-    inst = gen_fourier_instance(cutoff=2, grid=60, spikes=1, lam_frac=0.1,
-                                seed=0, amplitude=2.0)
-    prob = QuadraticFlowProblem(A=inst.A, y=inst.y, fscale=1.0 / inst.lam)
-    sc = 1.0 / np.sqrt(60)
-    u0, v0 = flow_init(60, 60, seed=1, u_range=(1.0 * sc, 1.5 * sc),
-                       v_range=(0.25 * sc, 0.75 * sc))
-    tau = calibrated_fixed_step(prob, u0, v0, 0.05)
-    _, diag, _ = run_gd(prob, u0, v0, tau, 3000)
-    expo = gradient_decay_exponent(diag, k_lo=100)
-    # reported, not asserted against a theoretical bound: just a finite,
-    # decaying exponent on this instance
-    assert np.isfinite(expo) and expo < 0
-    with pytest.raises(ValueError):
-        gradient_decay_exponent(diag, k_lo=10 ** 9)

@@ -11,9 +11,9 @@ from varprox.baselines import run_ista
 from varprox.linops import MaskOperator, load_sopm, save_sopm
 from varprox.problems import (add_salt_pepper, gen_fourier_instance,
                               gen_gaussian_instance, gen_overlap_instance,
-                              lambda_max, load_pgm, load_ppm, load_sopt,
+                              lambda_max, load_pgm, load_ppm,
                               make_inpainting_mask, pixel_channel_groups,
-                              save_pgm, save_ppm, save_sopt)
+                              save_pgm, save_ppm)
 from varprox.linops import dense
 
 
@@ -146,20 +146,10 @@ def test_ppm_round_trip(tmp_path, rng):
     assert np.abs(back - img).max() <= 0.5 / 255 + 1e-12
 
 
-def test_sopt_round_trip(tmp_path, rng):
-    t = rng.standard_normal((4, 5, 6))
-    path = tmp_path / "t.sopt"
-    save_sopt(path, t)
-    assert path.read_bytes()[:4] == b"SOPT"
-    back = load_sopt(path)
-    assert np.array_equal(back, t)
-
-
 # (save, load, shape drawn from (h, w, c)), empty shapes included; PNM images
 # are byte multiples of 1/255 so that they round-trip exactly
 FORMATS = {
     "sopm": (save_sopm, load_sopm, lambda h, w, c: (h, w)),
-    "sopt": (save_sopt, load_sopt, lambda h, w, c: (h, w, c)),
     "pgm": (save_pgm, load_pgm, lambda h, w, c: (h, w)),
     "ppm": (save_ppm, load_ppm, lambda h, w, c: (h, w, 3)),
 }
@@ -188,7 +178,6 @@ def test_readers_reject_every_proper_prefix(fmt, h, w, c, seed):
 
 @pytest.mark.parametrize("fmt, header", [
     ("sopm", b"SOPM" + struct.pack("<II", 2 ** 31, 2 ** 31)),
-    ("sopt", b"SOPT" + struct.pack("<III", 2 ** 31, 2 ** 31, 2 ** 31)),
     ("pgm", b"P5\n4000000000 4000000000\n255\n"),
     ("ppm", b"P6\n4000000000 4000000000\n255\n"),
 ])

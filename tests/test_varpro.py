@@ -1,17 +1,21 @@
+import configparser
+
 import numpy as np
 import pytest
 
 from conftest import fd_gradient
+from varprox import cli
 from varprox.groups import (GroupStructure, contiguous_groups, extend,
                             group_sq_norms, trivial_groups)
 from varprox.linops import dense, grad2d, identity, tv_group_structure
 from varprox.problems import gen_gaussian_instance, lambda_max, pixel_channel_groups
-from varprox.baselines import run_ista
+from varprox.baselines import lq_value, run_ista
 from varprox.varpro import (BasisPursuitLoss, MultitaskLoss, OuterConfig,
                             QuadraticLoss, RobustLoss, VarProProblem,
                             eval_f_grad, eval_f_grad_robust, eval_lq_option2,
                             eval_lq_option3, eval_multitask,
-                            nonsmooth_objective, solve_varpro)
+                            nonsmooth_objective, solve_lq_option2,
+                            solve_varpro)
 
 
 def _lasso_1d(lam=1.0, y=2.0):
@@ -125,6 +129,42 @@ def test_option2_fd_and_symmetry(rng):
     # dependence through squares only
     assert eval_lq_option2(prob, -v, w)[0] == pytest.approx(f, abs=1e-12)
     assert eval_lq_option2(prob, v, -w)[0] == pytest.approx(f, abs=1e-12)
+
+
+def _l23_instance(seed):
+    inst = gen_gaussian_instance(12, 30, s=6, group_size=3, noise_std=0.05,
+                                 seed=seed)
+    lam = 0.1 * lambda_max(inst.A, inst.y, "group-lasso", inst.groups)
+    return VarProProblem(inst.A, identity(30), inst.groups,
+                         QuadraticLoss(y=inst.y, lam=lam))
+
+
+def _l23_objective(prob, x):
+    r = prob.A.apply(x) - prob.loss.y
+    return lq_value(x, prob.reg_groups, 2 / 3) + float(r @ r) / (2 * prob.loss.lam)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_option2_value_bounds_the_l23_objective(seed):
+    # sum_g ||x_g||^(2/3) / (2/3) is the least (||u||^2 + ||v||^2 + ||w||^2)/2
+    # over the splits x = u * (v w), so every evaluation lies above the
+    # l_{2/3} objective at its own x
+    prob = _l23_instance(seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        v, w = rng.uniform(0.2, 2.0, (2, prob.reg_groups.n_groups))
+        f, _, _, aux = eval_lq_option2(prob, v, w)
+        assert f >= _l23_objective(prob, aux["x"])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_option2_value_equals_the_l23_objective_at_its_answer(seed):
+    # at a stationary (v, w) the split of x is the balanced one, where the
+    # variational form attains the l_{2/3} penalty
+    prob = _l23_instance(seed)
+    res = solve_lq_option2(prob, OuterConfig(max_iter=600, grad_tol=1e-10))
+    assert res.objective == pytest.approx(_l23_objective(prob, res.x),
+                                          rel=1e-10)
 
 
 def test_option3_zero_v(rng):
@@ -343,7 +383,7 @@ def test_trace_monotone(rng):
     lam = 0.2 * lambda_max(inst.A, inst.y, "lasso")
     prob = VarProProblem(inst.A, inst.L, inst.groups, QuadraticLoss(y=inst.y, lam=lam))
     res = solve_varpro(prob, OuterConfig(max_iter=300, grad_tol=1e-11, seed=0))
-    obj = res.trace.objective_array()
+    obj = np.asarray(res.trace.objectives)
     assert np.all(np.diff(obj) <= 1e-12)
 
 
@@ -370,8 +410,23 @@ def test_gd_bb_driver(rng):
     res_lb = solve_varpro(prob, OuterConfig(max_iter=800, grad_tol=1e-11, seed=0))
     assert abs(nonsmooth_objective(prob, res_bb.x)
                - nonsmooth_objective(prob, res_lb.x)) < 1e-5
-    obj = res_bb.trace.objective_array()
+    obj = np.asarray(res_bb.trace.objectives)
     assert np.all(np.diff(obj) <= 1e-12)     # safeguarded: stays monotone
+
+
+def test_result_is_the_solution_at_the_returned_point():
+    # this run ends on a failed line search, after the last finite
+    # evaluation was a trial point the search rejected
+    section = configparser.ConfigParser()
+    section.read_dict({"problem": {"family": "tv-inpaint", "height": "8",
+                                   "width": "8", "channels": "3", "seed": "0"}})
+    prob = cli.build_problem(section["problem"])[0]
+    cfg = OuterConfig()
+    res = solve_varpro(prob, cfg)
+    assert res.trace.flags.get("line_search_failed")
+    assert nonsmooth_objective(prob, res.x) <= res.objective * (1 + 1e-12)
+    _, _, sol = eval_f_grad(prob, res.v, cfg.inner)
+    assert np.array_equal(res.x, sol.x)
 
 
 def test_cg_inner_with_warm_start_matches_direct(rng):
