@@ -15,7 +15,7 @@ import scipy.linalg
 
 from .groups import (group_norm_12, group_soft_threshold, group_sq_norms,
                      trivial_groups)
-from .linops import IdentityOperator, operator_norm
+from .linops import DenseOperator, IdentityOperator, operator_norm
 from .trace import SolverTrace
 from .varpro import OuterConfig, QuadraticLoss, VarProProblem, solve_varpro
 
@@ -25,9 +25,8 @@ __all__ = [
 ]
 
 
-def run_ista(A, gs, lam, y, step=None, accel="none", iters=1000, x0=None,
-             reg_weight=1.0):
-    """Proximal gradient descent for ``reg_weight ||x||_{1,2} + F0(A x)``.
+def run_ista(A, gs, lam, y, step=None, accel="none", iters=1000, x0=None):
+    """Proximal gradient descent for ``||x||_{1,2} + F0(A x)``.
 
     ``accel`` is ``none`` (plain, monotone at ``step <= lam / ||A||^2``),
     ``fista`` (Nesterov momentum) or ``bb`` (safeguarded spectral step).
@@ -47,7 +46,7 @@ def run_ista(A, gs, lam, y, step=None, accel="none", iters=1000, x0=None,
 
     def objective(xx):
         r = A.apply(xx) - y
-        return group_norm_12(xx, gs) * reg_weight + float(r @ r) / (2 * lam)
+        return group_norm_12(xx, gs) + float(r @ r) / (2 * lam)
 
     for k in range(iters + 1):
         point = z if accel == "fista" else x
@@ -65,20 +64,21 @@ def run_ista(A, gs, lam, y, step=None, accel="none", iters=1000, x0=None,
                                          1e8 * step))
         x_prev, g_prev = x, g
         if accel == "fista":
-            x_new = group_soft_threshold(z - step * g, reg_weight * step, gs)
+            x_new = group_soft_threshold(z - step * g, step, gs)
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom ** 2))
             z = x_new + ((t_mom - 1.0) / t_new) * (x_new - x)
             t_mom = t_new
             x = x_new
         else:
             st = cur_step if accel == "bb" else step
-            x = group_soft_threshold(x - st * g, reg_weight * st, gs)
+            x = group_soft_threshold(x - st * g, st, gs)
     trace.x = x
     return trace
 
 
-def run_admm(A, L, gs, lam, y, tau=1.0, iters=1000, x0=None):
-    """Alternating direction method for ``||L x||_{1,2} + F0(A x)``.
+def run_admm(A, L, gs, lam, y, tau=1.0, iters=1000):
+    """Alternating direction method for ``||L x||_{1,2} + F0(A x)`` from
+    ``x = 0``.
 
     The x-update system ``(A^T A + lam tau L^T L)`` is factored once and
     reused; the z-update is the blockwise shrinkage by ``1/tau``.  The
@@ -91,7 +91,7 @@ def run_admm(A, L, gs, lam, y, tau=1.0, iters=1000, x0=None):
     M = Ad.T @ Ad + lam * tau * (Ld.T @ Ld)
     chol = scipy.linalg.cho_factor(M)
     aty = Ad.T @ y
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.zeros(n)
     z = L.apply(x)
     psi = np.zeros(p)
     trace = SolverTrace(method="admm")
@@ -117,30 +117,15 @@ def run_admm(A, L, gs, lam, y, tau=1.0, iters=1000, x0=None):
     return trace
 
 
-def _power_norm_stacked(mats, n_cols, iters=50, seed=0):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n_cols)
-    x /= np.linalg.norm(x)
-    val = 0.0
-    for _ in range(iters):
-        y = sum(M.T @ (M @ x) for M in mats)
-        nrm = np.linalg.norm(y)
-        if nrm == 0:
-            return 0.0
-        val = nrm
-        x = y / nrm
-    return float(np.sqrt(val))
-
-
-def run_primal_dual(variant, A, L, gs, lam, y, loss_groups=None, sigma=None,
-                    tau=None, theta=1.0, iters=1000, x0=None):
-    """Chambolle-Pock splitting.
+def run_primal_dual(variant, A, L, gs, lam, y, loss_groups=None, iters=1000):
+    """Chambolle-Pock splitting from ``x = 0``.
 
     ``variant="quadratic"`` solves ``||L x||_{1,2} + ||A x - y||^2/(2 lam)``
     with ``K = L``; ``variant="l1"`` solves ``||L x||_{1,2} +
     ||A x - y||_{1,2}/lam`` on the stacked variable ``(x, z)`` with
-    ``K = [L, -I, 0; A, 0, -I]``.  Defaults: ``theta = 1`` and
-    ``sigma = tau = 0.99 / ||K||`` with the norm from 50 power iterations.
+    ``K = [L, -I, 0; A, 0, -I]``.  Steps ``sigma = tau = 0.99 / ||K||``
+    with the norm from :func:`~varprox.linops.operator_norm`, and
+    extrapolation ``theta = 1``.
     """
     y = np.asarray(y, dtype=float).ravel()
     Ad, Ld = A.to_dense(), L.to_dense()
@@ -148,12 +133,8 @@ def run_primal_dual(variant, A, L, gs, lam, y, loss_groups=None, sigma=None,
     t0 = time.perf_counter()
 
     if variant == "quadratic":
-        norm_K = operator_norm(L)
-        if sigma is None or tau is None:
-            sigma = tau = 0.99 / max(norm_K, 1e-12)
-        if sigma * tau > 1.0 / norm_K ** 2 + 1e-12:
-            raise ValueError("need sigma * tau <= 1 / ||K||^2")
-        x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
+        sigma = tau = 0.99 / max(operator_norm(L), 1e-12)
+        x = np.zeros(n)
         xbar = x.copy()
         xi = np.zeros(p)
         M = np.eye(n) + (tau / lam) * (Ad.T @ Ad)
@@ -170,7 +151,7 @@ def run_primal_dual(variant, A, L, gs, lam, y, loss_groups=None, sigma=None,
             xi = _project_group_ball(xi + sigma * L.apply(xbar), gs)
             x_new = scipy.linalg.cho_solve(
                 chol, (x - tau * L.adjoint(xi)) + (tau / lam) * aty)
-            xbar = x_new + theta * (x_new - x)
+            xbar = x_new + (x_new - x)
             x = x_new
         trace.x = x
         return trace
@@ -179,10 +160,9 @@ def run_primal_dual(variant, A, L, gs, lam, y, loss_groups=None, sigma=None,
         raise ValueError(f"unknown variant {variant!r}")
     if loss_groups is None:
         loss_groups = trivial_groups(m)
-    norm_K = np.sqrt(_power_norm_stacked([Ld, Ad], n) ** 2 + 1.0)
-    if sigma is None or tau is None:
-        sigma = tau = 0.99 / norm_K
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    norm_K = np.sqrt(operator_norm(DenseOperator(np.vstack([Ld, Ad]))) ** 2 + 1.0)
+    sigma = tau = 0.99 / norm_K
+    x = np.zeros(n)
     z1 = L.apply(x)
     z2 = A.apply(x) - y
     xb, z1b, z2b = x.copy(), z1.copy(), z2.copy()
@@ -204,9 +184,9 @@ def run_primal_dual(variant, A, L, gs, lam, y, loss_groups=None, sigma=None,
         x_new = x - tau * (L.adjoint(xi1) + A.adjoint(xi2))
         z1_new = group_soft_threshold(z1 + tau * xi1, tau, gs)
         z2_new = group_soft_threshold(z2 + tau * xi2, tau / lam, loss_groups)
-        xb = x_new + theta * (x_new - x)
-        z1b = z1_new + theta * (z1_new - z1)
-        z2b = z2_new + theta * (z2_new - z2)
+        xb = x_new + (x_new - x)
+        z1b = z1_new + (z1_new - z1)
+        z2b = z2_new + (z2_new - z2)
         x, z1, z2 = x_new, z1_new, z2_new
     trace.x = x
     return trace
@@ -231,18 +211,27 @@ def lq_value(x, gs, q):
     return float(np.sum(norms ** q)) / q
 
 
-def run_irls(A, Y, gs, q, mode="equality", lam=None, eps0=1.0, eps_decay=10.0,
-             eps_floor=1e-8, iters=200, stall_factor=0.01):
+# IRLS smoothing: eps starts at IRLS_EPS0 and is divided by IRLS_EPS_DECAY,
+# down to IRLS_EPS_FLOOR, whenever a step moves less than
+# sqrt(eps) * IRLS_STALL_FACTOR
+IRLS_EPS0 = 1.0
+IRLS_EPS_DECAY = 10.0
+IRLS_EPS_FLOOR = 1e-8
+IRLS_STALL_FACTOR = 0.01
+
+
+def run_irls(A, Y, gs, q, mode="equality", iters=200):
     """Iteratively reweighted least squares for grouped lq recovery.
 
-    ``equality`` mode solves ``min sum_g ||x_g||^q  s.t.  A x = Y`` through
-    weighted minimum-norm steps; ``penalized`` adds the quadratic fit with
-    weight ``1/(2 lam)``.  Weights are ``(||x_g||^2 + eps)^(q/2 - 1)`` and
-    ``eps`` decays by ``eps_decay`` once the iterate stalls
-    (``||x+ - x|| < sqrt(eps) * stall_factor``), down to ``eps_floor``.
+    ``mode`` must be ``equality``: the run solves ``min sum_g ||x_g||^q
+    s.t.  A x = Y`` through weighted minimum-norm steps.  Weights are
+    ``(||x_g||^2 + eps)^(q/2 - 1)``, with ``eps`` on the schedule of the
+    ``IRLS_*`` constants.
     """
     if not 0.0 < q <= 2.0:
         raise ValueError("q in (0, 2] required")
+    if mode != "equality":
+        raise ValueError(f"unknown mode {mode!r}")
     Y = np.asarray(Y, dtype=float)
     squeeze = Y.ndim == 1
     if squeeze:
@@ -250,56 +239,48 @@ def run_irls(A, Y, gs, q, mode="equality", lam=None, eps0=1.0, eps_decay=10.0,
     Ad = A.to_dense()
     m, n = Ad.shape
     X = np.zeros((n, Y.shape[1]))
-    eps = eps0
+    eps = IRLS_EPS0
     trace = SolverTrace(method="irls")
     t0 = time.perf_counter()
     for k in range(iters):
         sq = group_sq_norms(X, gs)
         wg = (sq + eps) ** (q / 2.0 - 1.0)
-        wvec = wg[gs.group_of]
-        if mode == "equality":
-            AW = Ad / wvec[None, :]
-            S = AW @ Ad.T
-            try:
-                T = scipy.linalg.cho_solve(scipy.linalg.cho_factor(S), Y)
-            except scipy.linalg.LinAlgError:
-                T = np.linalg.lstsq(S, Y, rcond=None)[0]
-            X_new = AW.T @ T
-            obj = lq_value(X_new, gs, q) * q   # sum ||x_g||^q
-        elif mode == "penalized":
-            if lam is None:
-                raise ValueError("penalized mode needs lam")
-            M = Ad.T @ Ad + lam * np.diag(wvec)
-            X_new = scipy.linalg.solve(M, Ad.T @ Y, assume_a="pos")
-            R = Ad @ X_new - Y
-            obj = lq_value(X_new, gs, q) * q + float(np.sum(R * R)) / (2 * lam)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+        AW = Ad / wg[gs.group_of][None, :]
+        S = AW @ Ad.T
+        try:
+            T = scipy.linalg.cho_solve(scipy.linalg.cho_factor(S), Y)
+        except scipy.linalg.LinAlgError:
+            T = np.linalg.lstsq(S, Y, rcond=None)[0]
+        X_new = AW.T @ T
+        obj = lq_value(X_new, gs, q) * q   # sum ||x_g||^q
         delta = float(np.linalg.norm(X_new - X))
         X = X_new
         trace.record(k, obj, delta, time.perf_counter() - t0)
-        if delta < np.sqrt(eps) * stall_factor:
-            if eps <= eps_floor:
+        if delta < np.sqrt(eps) * IRLS_STALL_FACTOR:
+            if eps <= IRLS_EPS_FLOOR:
                 break
-            eps = max(eps / eps_decay, eps_floor)
+            eps = max(eps / IRLS_EPS_DECAY, IRLS_EPS_FLOOR)
     trace.x = X[:, 0] if squeeze else X
     trace.aux["eps"] = eps
     return trace
 
 
-def run_scaled_lasso(A, y, lam, outer_iters=20, inner_config=None,
-                     eta_tol=1e-12):
+SCALED_LASSO_CONFIG = OuterConfig(max_iter=400, grad_tol=1e-11)
+SCALED_LASSO_ETA_TOL = 1e-12
+
+
+def run_scaled_lasso(A, y, lam, outer_iters=20):
     """Alternating scale/lasso iteration for the square-root lasso
     ``||x||_1 + ||A x - y||_2 / (lam sqrt(m))``.
 
     Each step fixes ``eta_k = ||A x_k - y||`` and solves the lasso with
     data-fit weight ``1 / (2 lam sqrt(m) eta_k)`` using the projected
-    solver.  Exact interpolation (``eta = 0``) terminates with a flag.
+    solver (``SCALED_LASSO_CONFIG``).  Exact interpolation (``eta`` below
+    ``SCALED_LASSO_ETA_TOL``) terminates with a flag.
     """
     y = np.asarray(y, dtype=float).ravel()
     m, n = A.rows, A.cols
     gs = trivial_groups(n)
-    inner_config = inner_config or OuterConfig(max_iter=400, grad_tol=1e-11)
     x = np.zeros(n)
     trace = SolverTrace(method="scaled-lasso")
     scale = lam * np.sqrt(m)
@@ -311,12 +292,12 @@ def run_scaled_lasso(A, y, lam, outer_iters=20, inner_config=None,
         etas.append(eta)
         obj = float(np.abs(x).sum()) + eta / scale
         trace.record(k, obj, eta, time.perf_counter() - t0)
-        if eta < eta_tol:
+        if eta < SCALED_LASSO_ETA_TOL:
             trace.flags["interpolated"] = True
             break
         prob = VarProProblem(A, IdentityOperator(n), gs,
                              QuadraticLoss(y=y, lam=scale * eta))
-        res = solve_varpro(prob, inner_config)
+        res = solve_varpro(prob, SCALED_LASSO_CONFIG)
         x = res.x
     r = A.apply(x) - y
     trace.record(len(etas), float(np.abs(x).sum()) + np.linalg.norm(r) / scale,

@@ -3,8 +3,9 @@ traces and plots; sweep recovery phase transitions; write reconstructions.
 
 Subcommands: ``run`` | ``phase`` | ``reconstruct``, each driven by a
 plain-text config of ``key = value`` sections (one ``[solver:NAME]`` block
-per solver).  Exit codes: 0 on success, 1 on configuration errors, 2 when
-any solver fails.
+per solver).  ``--threads`` runs the cells of ``phase`` in parallel; the
+other commands reject any value but 1.  Exit codes: 0 on success, 1 on
+configuration errors, 2 when any solver fails.
 """
 
 import argparse
@@ -234,7 +235,7 @@ def _run_solver(name, section, prob, extras):
     raise ConfigError(f"unknown solver method {method}")
 
 
-def cmd_run(config, out_dir, seed=None, threads=1):
+def cmd_run(config, out_dir, seed=None):
     import time
 
     parser = config
@@ -331,6 +332,9 @@ def cmd_phase(config, out_dir, seed=None, threads=1):
     base_seed = seed if seed is not None else sec.getint("seed", 0)
     m_grid = [int(tok) for tok in sec.get("m_grid", "8 16 24 32 40 48 56 64").split()]
     methods = sec.get("methods", "varpro2 irls").split()
+    if "varpro2" in methods and q != 2 / 3:
+        raise ConfigError(f"q = {sec.get('q')}: varpro2 solves q = 2/3 only; "
+                          "set q = 2/3 or drop varpro2 from methods")
     os.makedirs(out_dir, exist_ok=True)
 
     tasks = []
@@ -375,7 +379,7 @@ def cmd_phase(config, out_dir, seed=None, threads=1):
     return 0
 
 
-def cmd_reconstruct(config, out_dir, seed=None, threads=1):
+def cmd_reconstruct(config, out_dir, seed=None):
     if "reconstruct" not in config:
         raise ConfigError("missing [reconstruct] section")
     sec = config["reconstruct"]
@@ -414,10 +418,15 @@ def main(argv=None):
     parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
     try:
+        if args.command != "phase" and args.threads != 1:
+            raise ConfigError(f"--threads applies to phase only, not "
+                              f"{args.command}")
         config = _parse_config(args.config)
-        handler = {"run": cmd_run, "phase": cmd_phase,
-                   "reconstruct": cmd_reconstruct}[args.command]
-        return handler(config, args.out, seed=args.seed, threads=args.threads)
+        if args.command == "phase":
+            return cmd_phase(config, args.out, seed=args.seed,
+                             threads=args.threads)
+        handler = cmd_run if args.command == "run" else cmd_reconstruct
+        return handler(config, args.out, seed=args.seed)
     except (ConfigError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -2,8 +2,9 @@
 
 A :class:`GroupStructure` is a list of index blocks over ``{0, ..., p-1}``.
 In ``partition`` mode the blocks must be disjoint and cover the index set;
-``overlapping`` mode allows shared indices and per-group weights (default
-sqrt of the block size); partition mode rejects weights.
+``overlapping`` mode allows shared indices.  Overlapping groups are weighted
+by the square root of their size, in
+:class:`~varprox.linops.BlockExtractOperator`.
 """
 
 import numpy as np
@@ -16,10 +17,9 @@ __all__ = [
 
 
 class GroupStructure:
-    """Index blocks over ``{0, ..., p-1}``, with per-group weights in
-    ``overlapping`` mode."""
+    """Index blocks over ``{0, ..., p-1}``."""
 
-    def __init__(self, groups, p=None, mode="partition", weights=None):
+    def __init__(self, groups, p=None, mode="partition"):
         self.groups = [np.asarray(np.sort(np.asarray(g, dtype=int)), dtype=int)
                        for g in groups]
         if any(g.size == 0 for g in self.groups):
@@ -35,14 +35,6 @@ class GroupStructure:
         self.mode = mode
         self.sizes = np.array([g.size for g in self.groups])
         self.n_groups = len(self.groups)
-        if weights is not None and mode == "partition":
-            raise ValueError("group weights are used by overlapping groups "
-                             "only; no partition path applies them")
-        if weights is None and mode == "overlapping":
-            weights = np.sqrt(self.sizes.astype(float))
-        self.weights = None if weights is None else np.asarray(weights, dtype=float)
-        if self.weights is not None and (self.weights <= 0).any():
-            raise ValueError("group weights must be positive")
 
         if mode == "partition":
             table = np.full(self.p, -1, dtype=int)

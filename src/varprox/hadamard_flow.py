@@ -109,11 +109,11 @@ def _column_block_norm(problem):
     return max(float(np.linalg.norm(Ad[:, g], 2)) for g in gs.groups)
 
 
-def lipschitz_bounds(problem, u0, v0, k_override=None):
+def lipschitz_bounds(problem, u0, v0):
     """Stepsize constants from the initial point.
 
     ``K`` bounds ``sup ||grad F||_{inf,2}`` over the sublevel ball, certified
-    through the column norms of ``A``; ``k_override`` wins when provided.
+    through the column norms of ``A``.
     """
     if problem.lam <= 0:
         raise ValueError("bounds require lam > 0")
@@ -122,10 +122,7 @@ def lipschitz_bounds(problem, u0, v0, k_override=None):
     G0 = flow_objective(problem, u0, v0)
     B2 = 2.0 * G0 / problem.lam
     R = B2 / 2.0
-    if k_override is not None:
-        K = float(k_override)
-    else:
-        K = problem.fscale * colmax * (colmax * R + float(np.linalg.norm(problem.y)))
+    K = problem.fscale * colmax * (colmax * R + float(np.linalg.norm(problem.y)))
     M_G = 2.0 * (max(problem.lam, K) + M_F * B2)
     kappa = max(1.0, (problem.lam ** 2 + K ** 2) / (problem.lam * M_G))
     rho = 1.0 - problem.lam / (kappa * M_G)
@@ -239,16 +236,20 @@ def run_gd(problem, u0, v0, step, iters, bounds=None, keep_diagnostics=True):
     return state, diag, trace
 
 
-def calibrated_fixed_step(problem, u0, v0, tau0, probe_iters=300,
-                          max_halvings=12):
-    """Largest step of the form ``tau0 / 2^j`` whose probe run stays
-    monotone.  The certified constants are loose along realistic
-    trajectories; this picks a practical fixed step while keeping an
-    explicit descent check."""
+# calibrated_fixed_step probes this many steps, halving at most this often
+PROBE_ITERS = 300
+MAX_HALVINGS = 12
+
+
+def calibrated_fixed_step(problem, u0, v0, tau0):
+    """Largest step of the form ``tau0 / 2^j`` (``j < MAX_HALVINGS``) whose
+    ``PROBE_ITERS``-step probe run stays monotone.  The certified constants
+    are loose along realistic trajectories; this picks a practical fixed
+    step while keeping an explicit descent check."""
     tau = float(tau0)
-    for _ in range(max_halvings):
+    for _ in range(MAX_HALVINGS):
         with np.errstate(over="ignore", invalid="ignore"):
-            _, diag, _ = run_gd(problem, u0, v0, tau, probe_iters,
+            _, diag, _ = run_gd(problem, u0, v0, tau, PROBE_ITERS,
                                 keep_diagnostics=True)
         G = np.asarray(diag.objective)
         if np.all(np.isfinite(G)) and np.all(G[1:] <= G[:-1] + 1e-12):
@@ -257,8 +258,7 @@ def calibrated_fixed_step(problem, u0, v0, tau0, probe_iters=300,
     return tau
 
 
-def mirror_equivalence_residual(problem, u0, v0, tau, time_horizon,
-                                check_every=1):
+def mirror_equivalence_residual(problem, u0, v0, tau, time_horizon):
     """Discrete residual of the time-rescaled mirror identity
     ``d/dt arcsinh(x / gamma(t)) = -2 grad F(x)`` along a small-step run.
 
@@ -291,11 +291,10 @@ def mirror_equivalence_residual(problem, u0, v0, tau, time_horizon,
         t_next = (k + 1) * tau
         gamma = c * np.exp(-2.0 * lam * t_next)
         eta_next = np.arcsinh(x / gamma)
-        if (k + 1) % check_every == 0:
-            r = (eta_next - eta) / tau + 2.0 * gF
-            residual = max(residual, float(np.abs(r).max()))
-            decay = diff0 * np.exp(-2.0 * lam * t_next)
-            drift = max(drift, float(np.abs((u * u - v * v) - decay).max()))
+        r = (eta_next - eta) / tau + 2.0 * gF
+        residual = max(residual, float(np.abs(r).max()))
+        decay = diff0 * np.exp(-2.0 * lam * t_next)
+        drift = max(drift, float(np.abs((u * u - v * v) - decay).max()))
         eta = eta_next
     return {"residual": residual,
             "conserved_drift_per_time": drift / max(time_horizon, 1e-300),

@@ -13,9 +13,9 @@ finite-difference gradient tests upstream:
   ``L^T alpha + A^T xi = 0``.
 
 All solvers work at "desk scale": direct symmetric factorizations by
-default, conjugate gradients on the positive definite reduced forms for
-larger systems or when requested.  Every positive definite system, dense or
-sparse, goes through ``_psd_solve``.  The m-by-m dual system
+default, conjugate gradients on the positive definite reduced forms above
+``DIRECT_SIZE_LIMIT`` unknowns or when requested.  Every positive definite
+system, dense or sparse, goes through ``_psd_solve``.  The m-by-m dual system
 ``A diag(d) A^T + shift I`` (group lasso, overlapping groups, multitask and
 the two-factor path of :mod:`varprox.varpro`) has one assembler,
 ``_dual_matrix``, which forms ``B B^T`` by BLAS ``syrk`` (so does the
@@ -60,43 +60,39 @@ class InnerSolveError(RuntimeError):
     """Raised when an inner linear system cannot be solved reliably."""
 
 
+CG_TOL = 1e-10                  # relative residual that ends a CG run
+CG_STEPS_PER_UNKNOWN = 10       # CG step budget: this many per unknown
+DIRECT_SIZE_LIMIT = 2000        # ``auto`` factors up to this many unknowns
+ZERO_THRESHOLD = 1e-8           # a ``vbar`` entry below this * max is zero
+EPSILON_FLOOR = 0.0             # diagonal floor of the multitask system
+JITTER = 1e-12                  # relative diagonal shift of a retried Cholesky
+FEAS_TOL = 1e-8                 # relative ``||A x - y||_inf`` of basis pursuit
+
+
 @dataclass
 class InnerConfig:
-    """Linear-algebra knobs for the inner solves.
+    """The inner solve method: ``auto`` (direct up to ``DIRECT_SIZE_LIMIT``
+    unknowns, CG above), ``direct`` or ``cg``.
 
-    ``method`` is ``auto`` (direct below ``direct_size_limit``, CG above),
-    ``direct`` or ``cg``.  Only ``solve_quadratic_general``,
-    ``solve_grouplasso_dual`` and ``solve_overlap_woodbury`` have a CG path;
-    the other routes always factor, and reject ``cg`` with ``ValueError``.
-    A degenerate ``vbar`` (an entry below ``zero_threshold * max |vbar|``)
-    sends ``solve_quadratic_general`` to the direct saddle solve whatever
-    the method.  ``cg_max_iter=None`` allows ``10 n`` steps.
-    ``epsilon_floor`` regularizes degenerate diagonal blocks (used by the
-    nuclear-norm path when the loss factor vanishes).
+    ``solve_quadratic_general``, ``solve_grouplasso_dual`` and
+    ``solve_overlap_woodbury`` take a config and have a CG path;
+    ``solve_analysis_prox`` takes one and rejects ``cg`` with
+    ``ValueError``; the other routes always factor.  A degenerate ``vbar``
+    (an entry below ``ZERO_THRESHOLD * max |vbar|``) sends
+    ``solve_quadratic_general`` to the direct saddle solve whatever the
+    method.  The ``auto`` switch is what keeps large analysis problems in
+    memory: the direct reduced solve forms the p-by-n ``L.to_dense()``.
     """
 
     method: str = "auto"
-    cg_tol: float = 1e-10
-    cg_max_iter: int | None = None
-    epsilon_floor: float = 0.0
-    direct_size_limit: int = 2000
-    zero_threshold: float = 1e-8
 
     def __post_init__(self):
-        if self.cg_tol <= 0 or self.epsilon_floor < 0:
-            raise ValueError("cg_tol > 0 and epsilon_floor >= 0 required")
         if self.method not in ("auto", "direct", "cg"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.cg_max_iter is not None and self.cg_max_iter < 1:
-            raise ValueError("cg_max_iter must be None or >= 1")
-        if self.direct_size_limit < 0:
-            raise ValueError("direct_size_limit >= 0 required")
-        if not 0 <= self.zero_threshold < 1:
-            raise ValueError("0 <= zero_threshold < 1 required")
 
     def use_cg(self, size):
         return self.method == "cg" or (self.method == "auto"
-                                       and size > self.direct_size_limit)
+                                       and size > DIRECT_SIZE_LIMIT)
 
 
 @dataclass
@@ -118,19 +114,19 @@ class InnerSolution:
 DEFAULT = InnerConfig()
 
 
-def _cg(matvec, b, x0=None, rtol=1e-10, maxiter=None):
-    """Plain conjugate gradients for SPD systems; raises
-    :class:`InnerSolveError` when ``maxiter`` steps do not converge."""
+def _cg(matvec, b):
+    """Plain conjugate gradients for SPD systems from zero, to the relative
+    residual ``CG_TOL``; raises :class:`InnerSolveError` when
+    ``CG_STEPS_PER_UNKNOWN`` steps per unknown do not converge."""
     b = np.asarray(b, dtype=float)
     n = b.size
-    maxiter = 10 * n if maxiter is None else maxiter
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.zeros(n)
     r = b - matvec(x)
     p = r.copy()
     rs = np.dot(r, r)
     bnorm = max(np.linalg.norm(b), 1e-300)
-    for _ in range(maxiter):
-        if np.sqrt(rs) <= rtol * bnorm:
+    for _ in range(CG_STEPS_PER_UNKNOWN * n):
+        if np.sqrt(rs) <= CG_TOL * bnorm:
             return x
         ap = matvec(p)
         alpha = rs / np.dot(p, ap)
@@ -139,7 +135,7 @@ def _cg(matvec, b, x0=None, rtol=1e-10, maxiter=None):
         rs_new = np.dot(r, r)
         p = r + (rs_new / rs) * p
         rs = rs_new
-    if np.sqrt(rs) <= rtol * bnorm:
+    if np.sqrt(rs) <= CG_TOL * bnorm:
         return x
     raise InnerSolveError(f"CG did not converge (relres={np.sqrt(rs) / bnorm:.3e})")
 
@@ -171,11 +167,11 @@ def _cho_factor(M, overwrite=False):
         return None
 
 
-def _psd_solve(M, b, what, jitter=1e-12):
+def _psd_solve(M, b, what):
     """The one solve of a positive (semi)definite ``M z = b``, with ``M`` a
     dense array or a symmetric CSC matrix: Cholesky (:func:`_spd_factor`
-    for sparse ``M``), then the same after a relative diagonal jitter, then
-    the dense :func:`_sym_solve`.
+    for sparse ``M``), then the same after a relative diagonal ``JITTER``,
+    then the dense :func:`_sym_solve`.
 
     These systems lose rank exactly on the kernel of the adjoint factor,
     where the recovered primal is insensitive to the dual component, so the
@@ -186,7 +182,7 @@ def _psd_solve(M, b, what, jitter=1e-12):
     fac = _cho_factor(M) if dense else _spd_factor(M)
     if fac is None:
         p = M.shape[0]
-        eps = jitter * max(float(np.abs(M.diagonal()).max(initial=0.0)), 1e-300)
+        eps = JITTER * max(float(np.abs(M.diagonal()).max(initial=0.0)), 1e-300)
         if dense:       # the jittered copy is the factorization's to overwrite
             fac = _cho_factor(M + eps * np.eye(p), overwrite=True)
         else:
@@ -228,7 +224,7 @@ def _dual_solve(A, d, shift, b, cfg, what):
         def matvec(z):
             return A.apply(d * A.adjoint(z)) + shift * z
 
-        return _cg(matvec, b, rtol=cfg.cg_tol, maxiter=cfg.cg_max_iter), "cg"
+        return _cg(matvec, b), "cg"
     return _psd_solve(_dual_matrix(A, d, shift), b, what), "direct"
 
 
@@ -243,12 +239,6 @@ def _prox_solve(L, d, s, lam, b, what):
         M = B.cogram_pattern().assemble(sc[0], dc[0], lam)
         return _psd_solve(M, b.reshape(C, -1).T, what).T.ravel()
     return _psd_solve(L.cogram_pattern().assemble(s, d, lam), b, what)
-
-
-def _reject_cg(cfg, route):
-    if cfg.method == "cg":
-        raise ValueError(f"{route}: method 'cg' is not supported, this route "
-                         "always factors its system; use 'auto' or 'direct'")
 
 
 def _sym_solve(M, b, what):
@@ -304,7 +294,7 @@ def _quad_kkt(A, L, vbar, lam, y, x, alpha, xi):
                      np.abs(r3).max(initial=0)))
 
 
-def solve_quadratic_general(A, L, v, gs, lam, y, cfg=DEFAULT, warm_start=None):
+def solve_quadratic_general(A, L, v, gs, lam, y, cfg=DEFAULT):
     """Inner solve for the quadratic loss and a general analysis operator.
 
     Away from zeros of the extension ``vbar`` this solves the reduced
@@ -318,7 +308,7 @@ def solve_quadratic_general(A, L, v, gs, lam, y, cfg=DEFAULT, warm_start=None):
     vbar = _vbar(v, gs)
     m, n, p = A.rows, A.cols, L.rows
     vmax = np.abs(vbar).max(initial=0.0)
-    degenerate = vmax == 0.0 or np.abs(vbar).min() < cfg.zero_threshold * vmax
+    degenerate = vmax == 0.0 or np.abs(vbar).min() < ZERO_THRESHOLD * vmax
 
     if degenerate:
         alpha, xi, x = _saddle_solve(A, L, -vbar ** 2, -lam, y,
@@ -333,8 +323,7 @@ def solve_quadratic_general(A, L, v, gs, lam, y, cfg=DEFAULT, warm_start=None):
         def matvec(z):
             return A.adjoint(A.apply(z)) + lam * L.adjoint(inv_v2 * L.apply(z))
 
-        x = _cg(matvec, aty, x0=warm_start, rtol=cfg.cg_tol,
-                maxiter=cfg.cg_max_iter)
+        x = _cg(matvec, aty)
         method = "cg"
     else:
         C = L.to_dense() / np.abs(vbar)[:, None]
@@ -370,7 +359,10 @@ def solve_analysis_prox(L, v, gs, lam, y, cfg=DEFAULT):
     for every channel (see ``_prox_solve``)."""
     if lam <= 0:
         raise ValueError("lam must be positive")
-    _reject_cg(cfg, "solve_analysis_prox")
+    if cfg.method == "cg":
+        raise ValueError("solve_analysis_prox: method 'cg' is not supported, "
+                         "this route always factors its system; use 'auto' "
+                         "or 'direct'")
     y = np.asarray(y, dtype=float).ravel()
     vbar = _vbar(v, gs)
     alpha = _prox_solve(L, vbar ** 2, np.ones(L.cols), lam, L.apply(y),
@@ -424,7 +416,7 @@ def _robust_kkt(A, L, vbar, wbar, lam, y, x, alpha, xi):
                      np.abs(r3).max(initial=0)))
 
 
-def solve_robust(A, L, v, gs_reg, w, gs_loss, lam, y, cfg=DEFAULT):
+def solve_robust(A, L, v, gs_reg, w, gs_loss, lam, y):
     """Inner solve with both regularizer and loss in quadratic variational
     form (covers grouped TV with an l1-type loss and square-root lasso).
 
@@ -436,7 +428,6 @@ def solve_robust(A, L, v, gs_reg, w, gs_loss, lam, y, cfg=DEFAULT):
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    _reject_cg(cfg, "solve_robust")
     y = np.asarray(y, dtype=float).ravel()
     vbar = _vbar(v, gs_reg)
     wbar = _vbar(w, gs_loss)
@@ -458,15 +449,15 @@ def solve_robust(A, L, v, gs_reg, w, gs_loss, lam, y, cfg=DEFAULT):
                          method="direct")
 
 
-def solve_basis_pursuit(A, L, v, gs, y, cfg=DEFAULT, feas_tol=1e-8):
+def solve_basis_pursuit(A, L, v, gs, y):
     """Inner solve for exact interpolation ``A x = y``.
 
     Maximizes ``-||v * alpha||^2 / 2 + <alpha, L x0>`` over the constraint
     ``L^T alpha in range(A^T)`` via the equality-constrained KKT system.
     The support condition on ``v`` is the caller's responsibility; an
-    infeasible right-hand side is reported as an error.
+    infeasible right-hand side (``||A x - y||_inf`` above ``FEAS_TOL``
+    relative to ``1 + ||y||_inf``) is reported as an error.
     """
-    _reject_cg(cfg, "solve_basis_pursuit")
     y = np.asarray(y, dtype=float).ravel()
     vbar = _vbar(v, gs)
     if not np.any(vbar):
@@ -474,7 +465,7 @@ def solve_basis_pursuit(A, L, v, gs, y, cfg=DEFAULT, feas_tol=1e-8):
     alpha, xi, x = _saddle_solve(A, L, -vbar ** 2, 0.0, y,
                                  "basis pursuit KKT system")
     feas = np.abs(A.apply(x) - y).max(initial=0)
-    if feas > feas_tol * (1.0 + np.abs(y).max(initial=0)):
+    if feas > FEAS_TOL * (1.0 + np.abs(y).max(initial=0)):
         raise InnerSolveError(f"infeasible data: ||Ax - y||_inf = {feas:.3e}")
     r1 = L.apply(x) - vbar ** 2 * alpha
     r3 = L.adjoint(alpha) + A.adjoint(xi)
@@ -484,22 +475,21 @@ def solve_basis_pursuit(A, L, v, gs, y, cfg=DEFAULT, feas_tol=1e-8):
                          method="direct")
 
 
-def solve_multitask_nuclear(A, v, W, lam, Y, cfg=DEFAULT):
+def solve_multitask_nuclear(A, v, W, lam, Y):
     """Row-sparse multitask inner solve with a nuclear-norm loss factor.
 
     Solves ``(A diag(v^2) A^T + W W^T / lam) alpha = -Y`` column-wise and
     recovers ``X = -diag(v^2) A^T alpha``.  A vanishing ``W`` makes the
-    system rank-deficient; ``cfg.epsilon_floor`` adds a diagonal floor.
+    system rank-deficient; ``EPSILON_FLOOR`` adds a diagonal floor.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    _reject_cg(cfg, "solve_multitask_nuclear")
     v = np.asarray(v, dtype=float)
     W = np.asarray(W, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if Y.ndim == 1:
         Y = Y[:, None]
-    M = _dual_matrix(A, v ** 2, cfg.epsilon_floor)
+    M = _dual_matrix(A, v ** 2, EPSILON_FLOOR)
     M += (W @ W.T) / lam
     alpha = _psd_solve(M, -Y, "multitask system")
     X = -(v ** 2)[:, None] * (A.to_dense().T @ alpha)

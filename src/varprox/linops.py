@@ -2,10 +2,10 @@
 
 Concrete kinds: dense matrices, the identity, coordinate masks, 2-D
 finite-difference gradients (single- and multi-channel, Neumann boundary),
-block extractors for overlapping groups, and real-stacked partial Fourier
-systems.  Operators are immutable after construction; ``apply``/``adjoint``
-are reentrant and densification, the sparse form and the pattern of
-``A diag(s) A^T`` are memoized.
+block extractors for overlapping groups, and real-stacked 1-D partial
+Fourier systems.  Operators are immutable after construction;
+``apply``/``adjoint`` are reentrant and densification, the sparse form and
+the pattern of ``A diag(s) A^T`` are memoized.
 
 Dense matrices serialize to the SOPM binary format: magic bytes ``SOPM``,
 u32 rows, u32 cols, little-endian float64 row-major payload.
@@ -228,7 +228,8 @@ class Grad2DOperator(LinearOperator):
 
 
 class BlockExtractOperator(LinearOperator):
-    """Stacks weighted copies of index blocks: ``x -> (w_g * x_{I_g})_g``."""
+    """Stacks weighted copies of index blocks: ``x -> (w_g * x_{I_g})_g``
+    with ``w_g = sqrt(|I_g|)``."""
 
     kind = "block-extract"
 
@@ -237,12 +238,9 @@ class BlockExtractOperator(LinearOperator):
             groups = GroupStructure(groups, p=n, mode="overlapping")
         if groups.p > n:
             raise ValueError("group index out of range")
-        weights = groups.weights
-        if weights is None:
-            weights = np.sqrt(groups.sizes.astype(float))
         super().__init__(int(groups.sizes.sum()), n)
         self.source_groups = groups
-        self.block_weights = weights
+        self.block_weights = np.sqrt(groups.sizes.astype(float))
         offs = np.concatenate([[0], np.cumsum(groups.sizes)])
         self.offsets = offs
 
@@ -312,52 +310,41 @@ class CogramPattern:
 
 @dataclass(frozen=True)
 class FourierSystemSpec:
-    """Low-frequency Fourier measurements of amplitudes on a uniform grid.
+    """Low-frequency Fourier measurements of amplitudes on a uniform 1-D grid.
 
-    ``cutoff`` is the frequency band size per axis (band ``-cutoff/2 ..
-    cutoff/2``); ``grid`` the number of sample points per axis.  The two are
-    independent parameters: the operator has ``grid**dimension`` columns and
-    ``2 * (2*floor(cutoff/2)+1)**dimension`` rows once the complex rows are
-    stacked as real parts then imaginary parts.
+    ``cutoff`` is the frequency band size (band ``-cutoff/2 .. cutoff/2``);
+    ``grid`` the number of sample points.  The two are independent
+    parameters: the operator has ``grid`` columns and
+    ``2 * (2*floor(cutoff/2)+1)`` rows once the complex rows are stacked as
+    real parts then imaginary parts.
     """
 
-    dimension: int = 1
     cutoff: int = 2
     grid: int = 300
 
     def __post_init__(self):
-        if self.cutoff < 1 or self.grid < 1 or self.dimension < 1:
-            raise ValueError("cutoff, grid and dimension must be >= 1")
+        if self.cutoff < 1 or self.grid < 1:
+            raise ValueError("cutoff and grid must be >= 1")
 
 
 def fourier_system(spec):
     """Real-stacked partial Fourier operator for the given spec.
 
-    Entries of the complex matrix are ``exp(2i*pi*<theta_k, l>) / m**(d/2)``
+    Entries of the complex matrix are ``exp(2i*pi*theta_k*l) / sqrt(m)``
     for grid point ``theta_k = k/grid`` and frequency ``l``; deterministic
     for a fixed spec.
     """
-    d, m, p = spec.dimension, spec.cutoff, spec.grid
+    m, p = spec.cutoff, spec.grid
     half = m // 2
-    freqs_1d = np.arange(-half, half + 1, dtype=float)
-    theta_1d = np.arange(p, dtype=float) / p
-    if d == 1:
-        freqs = freqs_1d[:, None]
-        thetas = theta_1d[:, None]
-    elif d == 2:
-        fa, fb = np.meshgrid(freqs_1d, freqs_1d, indexing="ij")
-        freqs = np.column_stack([fa.ravel(), fb.ravel()])
-        ta, tb = np.meshgrid(theta_1d, theta_1d, indexing="ij")
-        thetas = np.column_stack([ta.ravel(), tb.ravel()])
-    else:
-        raise ValueError("only dimensions 1 and 2 are supported")
-    phase = 2.0 * np.pi * freqs @ thetas.T
-    z = np.exp(1j * phase) / m ** (d / 2.0)
+    freqs = np.arange(-half, half + 1, dtype=float)
+    thetas = np.arange(p, dtype=float) / p
+    phase = 2.0 * np.pi * freqs[:, None] @ thetas[None, :]
+    z = np.exp(1j * phase) / m ** 0.5
     return DenseOperator(np.vstack([z.real, z.imag]), kind="partial-fourier-real")
 
 
-def dense(matrix, kind="dense"):
-    return DenseOperator(matrix, kind=kind)
+def dense(matrix):
+    return DenseOperator(matrix)
 
 
 def identity(n):
@@ -392,13 +379,20 @@ def tv_group_structure(height, width, channels=1):
     return GroupStructure(list(blocks), p=2 * channels * hw)
 
 
-def operator_norm(op, iters=50, seed=0):
-    """Spectral norm estimate by power iteration on ``A^T A``."""
-    rng = np.random.default_rng(seed)
+# operator_norm runs this many power iterations from a start drawn with
+# this seed
+POWER_ITERS = 50
+POWER_SEED = 0
+
+
+def operator_norm(op):
+    """Spectral norm estimate by ``POWER_ITERS`` power iterations on
+    ``A^T A``."""
+    rng = np.random.default_rng(POWER_SEED)
     x = rng.standard_normal(op.cols)
     x /= np.linalg.norm(x)
     val = 0.0
-    for _ in range(iters):
+    for _ in range(POWER_ITERS):
         y = op.adjoint(op.apply(x))
         nrm = np.linalg.norm(y)
         if nrm == 0:

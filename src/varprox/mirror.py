@@ -1,9 +1,9 @@
 """Bregman proximal gradient descent for l1-regularized smooth problems,
 with quadratic and hyperbolic entropies.
 
-The mirror update for ``min reg_weight ||x||_1 + F(x)`` at stepsize ``tau``
-is ``grad_eta(x_next) = shrink(grad_eta(x_k) - tau grad F(x_k))`` with
-threshold ``reg_weight * tau``.  For the quadratic entropy of scale ``n``
+The mirror update for ``min ||x||_1 + F(x)`` at stepsize ``tau`` is
+``grad_eta(x_next) = shrink(grad_eta(x_k) - tau grad F(x_k))`` with
+threshold ``tau``.  For the quadratic entropy of scale ``n``
 this is algebraically the proximal-gradient step with stepsize ``tau / n``,
 and it is computed in that primal form so the iterates match proximal
 gradient bit for bit.
@@ -57,8 +57,8 @@ def entropy_grad_inverse(e, t):
     return e.param * np.sinh(t)
 
 
-def run_bpgd(grad_F, F_val, entropy, tau, iters, x0, reg_weight=1.0):
-    """Mirror-space proximal gradient for ``reg_weight ||x||_1 + F(x)``.
+def run_bpgd(grad_F, F_val, entropy, tau, iters, x0):
+    """Mirror-space proximal gradient for ``||x||_1 + F(x)``.
 
     ``grad_F``/``F_val`` are callables on the primal variable.  Hyperbolic
     runs clamp mirror coordinates at the sinh overflow boundary and flag the
@@ -72,13 +72,13 @@ def run_bpgd(grad_F, F_val, entropy, tau, iters, x0, reg_weight=1.0):
     t0 = time.perf_counter()
 
     def objective(z):
-        return reg_weight * float(np.abs(z).sum()) + F_val(z)
+        return float(np.abs(z).sum()) + F_val(z)
 
     if entropy.kind == "quadratic":
         # primal form of the mirror update; bitwise identical to proximal
         # gradient at stepsize tau/param
         step = tau / entropy.param
-        thr = reg_weight * tau / entropy.param
+        thr = tau / entropy.param
         for k in range(iters + 1):
             g = grad_F(x)
             trace.record(k, objective(x), float(np.linalg.norm(g)),
@@ -94,7 +94,7 @@ def run_bpgd(grad_F, F_val, entropy, tau, iters, x0, reg_weight=1.0):
                          time.perf_counter() - t0)
             if k == iters:
                 break
-            m = soft_threshold(m - tau * g, reg_weight * tau)
+            m = soft_threshold(m - tau * g, tau)
             if np.abs(m).max(initial=0.0) > _MIRROR_CLAMP:
                 m = np.clip(m, -_MIRROR_CLAMP, _MIRROR_CLAMP)
                 trace.flags["mirror_clamped"] = True

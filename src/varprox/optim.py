@@ -1,41 +1,33 @@
 """Generic smooth minimizers: limited-memory BFGS and safeguarded
 Barzilai-Borwein gradient descent.
 
-Both take a callable ``fun(x) -> (value, gradient)`` and run the one
+Both take a callable ``fun(x) -> (value, gradient)``, a step budget
+``max_iter`` and a gradient-norm tolerance ``grad_tol``, and run the one
 descent loop ``_descend`` (a monotone backtracking line search, a stall
 counter, a :class:`~varprox.trace.SolverTrace` of every accepted iterate);
 they differ only in the search direction and its update.  Non-finite trial
 values are treated as line-search rejections, so objectives with
-restricted domains work.
+restricted domains work.  The line search, the stall rule and the L-BFGS
+memory are fixed by the module constants below.
 """
 
 import time
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
 from .trace import SolverTrace
 
-__all__ = ["MinimizeConfig", "minimize_lbfgs", "minimize_gd_bb"]
+__all__ = ["minimize_lbfgs", "minimize_gd_bb"]
 
-
-@dataclass
-class MinimizeConfig:
-    memory: int = 10
-    max_iter: int = 500
-    grad_tol: float = 1e-8
-    ls_max_halvings: int = 50
-    ls_sufficient_decrease: float = 1e-4
-    ls_backtrack: float = 0.5
-    # stop after this many consecutive steps whose decrease sits at the
-    # floating-point noise floor of the objective
-    stall_rel: float = 1e-14
-    stall_patience: int = 5
-
-    def __post_init__(self):
-        if self.memory < 1 or self.grad_tol <= 0:
-            raise ValueError("memory >= 1 and grad_tol > 0 required")
+MEMORY = 10                     # L-BFGS curvature pairs
+LS_MAX_HALVINGS = 50
+LS_SUFFICIENT_DECREASE = 1e-4   # Armijo constant
+LS_BACKTRACK = 0.5
+# stop after STALL_PATIENCE consecutive steps whose decrease sits at the
+# floating-point noise floor of the objective
+STALL_REL = 1e-14
+STALL_PATIENCE = 5
 
 
 def _two_loop(g, memory):
@@ -56,20 +48,20 @@ def _two_loop(g, memory):
     return q
 
 
-def _backtrack(fun, x, f, g, d, cfg):
+def _backtrack(fun, x, f, g, d):
     """Armijo backtracking; returns (x_new, f_new, g_new, ok)."""
     slope = np.dot(g, d)
     t = 1.0
-    for _ in range(cfg.ls_max_halvings):
+    for _ in range(LS_MAX_HALVINGS):
         xn = x + t * d
         fn, gn = fun(xn)
-        if np.isfinite(fn) and fn <= f + cfg.ls_sufficient_decrease * t * slope:
+        if np.isfinite(fn) and fn <= f + LS_SUFFICIENT_DECREASE * t * slope:
             return xn, fn, gn, True
-        t *= cfg.ls_backtrack
+        t *= LS_BACKTRACK
     return x, f, g, False
 
 
-def _descend(fun, x0, cfg, method_name, direction, update):
+def _descend(fun, x0, max_iter, grad_tol, method_name, direction, update):
     """The one descent loop: ``direction(g)`` gives the search direction,
     the line search accepts a step, ``update(s, y)`` sees the step and the
     gradient change.  Returns ``(x, f, g, trace)``; a failed line search, a
@@ -82,32 +74,31 @@ def _descend(fun, x0, cfg, method_name, direction, update):
     trace = SolverTrace(method=method_name)
     trace.record(0, f, np.linalg.norm(g), time.perf_counter() - t0)
     stalled = 0
-    for k in range(1, cfg.max_iter + 1):
-        if np.linalg.norm(g) <= cfg.grad_tol:
+    for k in range(1, max_iter + 1):
+        if np.linalg.norm(g) <= grad_tol:
             break
-        xn, fn, gn, ok = _backtrack(fun, x, f, g, direction(g), cfg)
+        xn, fn, gn, ok = _backtrack(fun, x, f, g, direction(g))
         if not ok:
             trace.flags["line_search_failed"] = True
             break
-        stalled = stalled + 1 if f - fn <= cfg.stall_rel * max(abs(f), 1.0) else 0
+        stalled = stalled + 1 if f - fn <= STALL_REL * max(abs(f), 1.0) else 0
         update(xn - x, gn - g)
         x, f, g = xn, fn, gn
         trace.record(k, f, np.linalg.norm(g), time.perf_counter() - t0)
-        if stalled >= cfg.stall_patience:
+        if stalled >= STALL_PATIENCE:
             trace.flags["stalled"] = True
             break
     else:
-        if np.linalg.norm(g) > cfg.grad_tol:
+        if np.linalg.norm(g) > grad_tol:
             trace.flags["max_iter"] = True
     trace.x = x
     return x, f, g, trace
 
 
-def minimize_lbfgs(fun, x0, cfg=None, method_name="lbfgs"):
+def minimize_lbfgs(fun, x0, max_iter, grad_tol, method_name="lbfgs"):
     """Limited-memory BFGS with Armijo backtracking; returns
     ``(x, f, g, trace)`` with a nonincreasing trace objective column."""
-    cfg = cfg or MinimizeConfig()
-    memory = deque(maxlen=cfg.memory)
+    memory = deque(maxlen=MEMORY)
 
     def direction(g):
         d = -_two_loop(g, memory)
@@ -121,16 +112,15 @@ def minimize_lbfgs(fun, x0, cfg=None, method_name="lbfgs"):
         if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
             memory.append((s, y, 1.0 / sy))
 
-    return _descend(fun, x0, cfg, method_name, direction, update)
+    return _descend(fun, x0, max_iter, grad_tol, method_name, direction, update)
 
 
-def minimize_gd_bb(fun, x0, cfg=None, method_name="gd-bb"):
+def minimize_gd_bb(fun, x0, max_iter, grad_tol, method_name="gd-bb"):
     """Gradient descent with a safeguarded Barzilai-Borwein stepsize.
 
     The BB step seeds a backtracking line search so the run stays monotone;
     the first step is ``1 / max(||g0||, 1)``.  Returns ``(x, f, g, trace)``.
     """
-    cfg = cfg or MinimizeConfig()
     step = None
 
     def direction(g):
@@ -145,4 +135,4 @@ def minimize_gd_bb(fun, x0, cfg=None, method_name="gd-bb"):
         if sy > 0 and np.isfinite(sy):
             step = float(np.clip(np.dot(s, s) / sy, 1e-12, 1e12))
 
-    return _descend(fun, x0, cfg, method_name, direction, update)
+    return _descend(fun, x0, max_iter, grad_tol, method_name, direction, update)

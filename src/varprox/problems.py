@@ -35,8 +35,7 @@ class ProblemInstance:
     seed: int | None = None
 
 
-def gen_gaussian_instance(m, n, s, T=1, group_size=1, noise_std=0.0, seed=0,
-                          normalize_columns=True):
+def gen_gaussian_instance(m, n, s, T=1, group_size=1, noise_std=0.0, seed=0):
     """Gaussian design with a planted (row-)sparse signal.
 
     Returns ``y = A x* + noise`` with ``x*`` supported on ``s`` random
@@ -47,10 +46,9 @@ def gen_gaussian_instance(m, n, s, T=1, group_size=1, noise_std=0.0, seed=0,
         raise ValueError("sparsity exceeds dimension")
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((m, n))
-    if normalize_columns:
-        norms = np.linalg.norm(M, axis=0)
-        norms[norms == 0] = 1.0
-        M = M / norms[None, :]
+    norms = np.linalg.norm(M, axis=0)
+    norms[norms == 0] = 1.0
+    M = M / norms[None, :]
     A = DenseOperator(M)
     gs = trivial_groups(n) if group_size == 1 else contiguous_groups(n, group_size)
     if s % group_size:
@@ -67,16 +65,22 @@ def gen_gaussian_instance(m, n, s, T=1, group_size=1, noise_std=0.0, seed=0,
                            x_true=X, noise=noise, seed=seed)
 
 
-def gen_overlap_instance(m, n, overlap=5, min_size=1, max_size=20,
-                         active_fraction=0.05, noise_std=0.0, seed=0,
-                         normalize_columns=True):
-    """Overlapping-group design: consecutive index blocks of random sizes
-    sharing ``overlap`` indices with their successor."""
+# gen_overlap_instance draws block sizes from OVERLAP_MIN_SIZE to
+# OVERLAP_MAX_SIZE (at least overlap + 1) and activates this share of them
+OVERLAP_MIN_SIZE = 1
+OVERLAP_MAX_SIZE = 20
+OVERLAP_ACTIVE_FRACTION = 0.05
+
+
+def gen_overlap_instance(m, n, overlap=5, noise_std=0.0, seed=0):
+    """Overlapping-group design with unit-norm columns: consecutive index
+    blocks of random sizes sharing ``overlap`` indices with their
+    successor."""
     rng = np.random.default_rng(seed)
     groups = []
     start = 0
     while True:
-        size = int(rng.integers(min_size, max_size + 1))
+        size = int(rng.integers(OVERLAP_MIN_SIZE, OVERLAP_MAX_SIZE + 1))
         size = max(size, overlap + 1)
         stop = min(start + size, n)
         groups.append(list(range(start, stop)))
@@ -85,11 +89,10 @@ def gen_overlap_instance(m, n, overlap=5, min_size=1, max_size=20,
         start = stop - overlap
     ogs = GroupStructure(groups, p=n, mode="overlapping")
     M = rng.standard_normal((m, n))
-    if normalize_columns:
-        M /= np.linalg.norm(M, axis=0)[None, :]
+    M /= np.linalg.norm(M, axis=0)[None, :]
     A = DenseOperator(M)
     L = BlockExtractOperator(ogs, n)
-    n_active = max(1, int(round(active_fraction * len(groups))))
+    n_active = max(1, int(round(OVERLAP_ACTIVE_FRACTION * len(groups))))
     active = rng.choice(len(groups), size=n_active, replace=False)
     x = np.zeros(n)
     for g in active:
@@ -100,14 +103,14 @@ def gen_overlap_instance(m, n, overlap=5, min_size=1, max_size=20,
                            x_true=x, noise=noise, seed=seed)
 
 
-def gen_fourier_instance(dimension=1, cutoff=2, grid=300, spikes=1,
-                         lam_frac=0.1, seed=0, amplitude=1.0):
+def gen_fourier_instance(cutoff=2, grid=300, spikes=1, lam_frac=0.1, seed=0,
+                         amplitude=1.0):
     """Low-pass measurement instance with a planted spike train.
 
     ``lam`` is set to ``lam_frac`` times the critical value below which the
     zero vector stops being optimal.
     """
-    spec = FourierSystemSpec(dimension=dimension, cutoff=cutoff, grid=grid)
+    spec = FourierSystemSpec(cutoff=cutoff, grid=grid)
     A = fourier_system(spec)
     n = A.cols
     rng = np.random.default_rng(seed)

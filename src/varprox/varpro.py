@@ -13,16 +13,16 @@ from the envelope formulas:
 * nuclear-norm multitask:          ``v - v s``, ``lam W - alpha alpha^T W / lam``
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import inner as inner_mod
 from .groups import (GroupStructure, extend, group_dots, group_norm_12,
                      group_sq_norms)
-from .inner import InnerConfig, InnerSolution, InnerSolveError
+from .inner import InnerSolution, InnerSolveError
 from .linops import BlockExtractOperator, DenseOperator, IdentityOperator, LinearOperator
-from .optim import MinimizeConfig, minimize_gd_bb, minimize_lbfgs
+from .optim import minimize_gd_bb, minimize_lbfgs
 
 __all__ = [
     "QuadraticLoss", "RobustLoss", "BasisPursuitLoss", "MultitaskLoss",
@@ -70,7 +70,6 @@ class VarProProblem:
     L: LinearOperator
     reg_groups: GroupStructure
     loss: object
-    lq_exponent: float | None = None
 
     def __post_init__(self):
         if self.L.cols != self.A.cols:
@@ -79,30 +78,31 @@ class VarProProblem:
             raise ValueError("regularizer groups must partition the range of L")
 
 
+# a random start draws every entry uniformly from this range
+INIT_RANGE = (0.5, 1.5)
+
+
 @dataclass
 class OuterConfig:
+    """The outer minimization: the algorithm, its step budget and
+    gradient-norm tolerance, and the start (``random`` draws from
+    ``INIT_RANGE`` with ``seed``).  The inner solves use the default
+    :class:`~varprox.inner.InnerConfig`."""
     algorithm: str = "lbfgs"        # lbfgs | gradient-descent-bb
-    memory: int = 10
     max_iter: int = 500
     grad_tol: float = 1e-9
     init: str = "random"            # random | ones | an ndarray
-    init_scale: tuple = (0.5, 1.5)
     seed: int = 0
-    inner: InnerConfig = field(default_factory=InnerConfig)
 
     def __post_init__(self):
-        if self.memory < 1 or self.grad_tol <= 0:
-            raise ValueError("memory >= 1 and grad_tol > 0 required")
+        if self.grad_tol <= 0:
+            raise ValueError("grad_tol > 0 required")
         if self.algorithm not in ("lbfgs", "gradient-descent-bb"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if not (isinstance(self.init, np.ndarray)
                 or self.init in ("random", "ones")):
             raise ValueError(f"unknown init {self.init!r}: 'random', 'ones' "
                              "or an ndarray")
-
-    def minimizer_config(self):
-        return MinimizeConfig(memory=self.memory, max_iter=self.max_iter,
-                              grad_tol=self.grad_tol)
 
 
 @dataclass
@@ -121,38 +121,34 @@ class VarProResult:
     screened: int | None = None
 
 
-def _dispatch_quadratic(problem, v, lam, y, cfg, warm=None):
+def _dispatch_quadratic(problem, v, lam, y):
     """Pick the cheapest valid inner solver for the quadratic loss."""
     A, L, gs = problem.A, problem.L, problem.reg_groups
     if isinstance(L, BlockExtractOperator) and L.source_groups.mode == "overlapping":
         if np.all(v != 0.0) and L.source_groups.spans():
-            return inner_mod.solve_overlap_woodbury(A, L.source_groups, v, lam, y, cfg)
-        return inner_mod.solve_quadratic_general(A, L, v, gs, lam, y, cfg)
+            return inner_mod.solve_overlap_woodbury(A, L.source_groups, v, lam, y)
+        return inner_mod.solve_quadratic_general(A, L, v, gs, lam, y)
     if isinstance(A, IdentityOperator) and not isinstance(L, IdentityOperator):
-        return inner_mod.solve_analysis_prox(L, v, gs, lam, y, cfg)
+        return inner_mod.solve_analysis_prox(L, v, gs, lam, y)
     if isinstance(L, IdentityOperator):
-        return inner_mod.solve_grouplasso_dual(A, v, gs, lam, y, cfg)
-    return inner_mod.solve_quadratic_general(A, L, v, gs, lam, y, cfg,
-                                             warm_start=warm)
+        return inner_mod.solve_grouplasso_dual(A, v, gs, lam, y)
+    return inner_mod.solve_quadratic_general(A, L, v, gs, lam, y)
 
 
-def eval_f_grad(problem, v, cfg=None, warm=None):
+def eval_f_grad(problem, v):
     """Outer value and gradient for the quadratic or interpolation loss.
 
     Returns ``(f, grad, inner)``.  ``f`` is reassembled from the primal
     pieces ``||v||^2/2 + ||u||^2/2 + F0(A x)`` with ``u = vbar * alpha``.
-    ``warm`` seeds the conjugate-gradient inner path (the solution moves
-    slowly between consecutive outer iterations).
     """
-    cfg = cfg or InnerConfig()
     v = np.asarray(v, dtype=float)
     gs = problem.reg_groups
     loss = problem.loss
     if isinstance(loss, QuadraticLoss):
-        sol = _dispatch_quadratic(problem, v, loss.lam, loss.y, cfg, warm=warm)
+        sol = _dispatch_quadratic(problem, v, loss.lam, loss.y)
         fit = float(np.sum((problem.A.apply(sol.x) - loss.y) ** 2)) / (2 * loss.lam)
     elif isinstance(loss, BasisPursuitLoss):
-        sol = inner_mod.solve_basis_pursuit(problem.A, problem.L, v, gs, loss.y, cfg)
+        sol = inner_mod.solve_basis_pursuit(problem.A, problem.L, v, gs, loss.y)
         fit = 0.0
     else:
         raise TypeError("eval_f_grad handles quadratic and interpolation losses")
@@ -163,17 +159,15 @@ def eval_f_grad(problem, v, cfg=None, warm=None):
     return f, grad, sol
 
 
-def eval_f_grad_robust(problem, v, w, cfg=None):
+def eval_f_grad_robust(problem, v, w):
     """Outer value and both gradient blocks for the robust loss."""
-    cfg = cfg or InnerConfig()
     loss = problem.loss
     if not isinstance(loss, RobustLoss):
         raise TypeError("robust loss required")
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
     gs, gl, lam = problem.reg_groups, loss.loss_groups, loss.lam
-    sol = inner_mod.solve_robust(problem.A, problem.L, v, gs, w, gl, lam,
-                                 loss.y, cfg)
+    sol = inner_mod.solve_robust(problem.A, problem.L, v, gs, w, gl, lam, loss.y)
     u = extend(v, gs) * sol.alpha
     z = lam * extend(w, gl) * sol.xi
     f = (0.5 * float(v @ v) + 0.5 * float(u @ u)
@@ -185,11 +179,10 @@ def eval_f_grad_robust(problem, v, w, cfg=None):
     return f, grad_v, grad_w, sol
 
 
-def _option2_inner(problem, vw_bar, cfg):
+def _option2_inner(problem, vw_bar):
     """Inner dual for the two-outer-factor path, the solve of
     ``(A diag(vw_bar^2) A^T + lam I) alpha = -Y`` (``lam = 0`` for the
     interpolation loss); returns (alpha, G, ok)."""
-    inner_mod._reject_cg(cfg, "_option2_inner")
     loss = problem.loss
     if isinstance(loss, QuadraticLoss):
         shift = loss.lam
@@ -207,7 +200,7 @@ def _option2_inner(problem, vw_bar, cfg):
     return alpha, problem.A.to_dense().T @ alpha, True
 
 
-def eval_lq_option2(problem, v, w, cfg=None):
+def eval_lq_option2(problem, v, w):
     """Value/gradients with two grouped factors kept on the outer problem.
 
     Represents the grouped l_{2/3} penalty (or its lasso variant) through
@@ -220,7 +213,7 @@ def eval_lq_option2(problem, v, w, cfg=None):
     w = np.asarray(w, dtype=float)
     gs = problem.reg_groups
     vw_bar = extend(v * w, gs)
-    alpha, G, ok = _option2_inner(problem, vw_bar, cfg or InnerConfig())
+    alpha, G, ok = _option2_inner(problem, vw_bar)
     if not ok:
         bad = np.full_like(v, np.nan)
         return np.inf, bad, bad, {}
@@ -242,7 +235,7 @@ def eval_lq_option2(problem, v, w, cfg=None):
     return f, grad_v, grad_w, {"x": x, "alpha": alpha, "group_sq": s}
 
 
-def eval_lq_option3(problem, v, cfg=None):
+def eval_lq_option3(problem, v):
     """Value/gradient with a single outer factor and a nested group-lasso
     inner problem (three-level program).
 
@@ -272,15 +265,14 @@ def eval_lq_option3(problem, v, cfg=None):
                      "nested_grad_norm": res.trace.grad_norms[-1]}
 
 
-def eval_multitask(problem, v, W, cfg=None):
+def eval_multitask(problem, v, W):
     """Value and gradients for the nuclear-norm multitask problem."""
     loss = problem.loss
     if not isinstance(loss, MultitaskLoss):
         raise TypeError("multitask loss required")
-    cfg = cfg or InnerConfig()
     v = np.asarray(v, dtype=float)
     W = np.asarray(W, dtype=float)
-    sol = inner_mod.solve_multitask_nuclear(problem.A, v, W, loss.lam, loss.Y, cfg)
+    sol = inner_mod.solve_multitask_nuclear(problem.A, v, W, loss.lam, loss.Y)
     alpha = sol.alpha
     G = problem.A.to_dense().T @ alpha
     row_sq = (G * G).sum(axis=1)
@@ -357,45 +349,41 @@ def _init_vector(cfg, size, rng):
         return np.asarray(cfg.init, dtype=float).copy()
     if cfg.init == "ones":
         return np.ones(size)
-    lo, hi = cfg.init_scale
-    return rng.uniform(lo, hi, size)
+    return rng.uniform(*INIT_RANGE, size)
 
 
 def _run_minimizer(fun, x0, config, name):
-    mcfg = config.minimizer_config()
-    if config.algorithm == "lbfgs":
-        return minimize_lbfgs(fun, x0, mcfg, method_name=name)
-    return minimize_gd_bb(fun, x0, mcfg, method_name=name)
+    minimize = minimize_lbfgs if config.algorithm == "lbfgs" else minimize_gd_bb
+    return minimize(fun, x0, config.max_iter, config.grad_tol, method_name=name)
 
 
 def _minimize(config, theta0, evaluate, name):
     """The one outer driver: minimize ``evaluate`` from ``theta0``.
 
-    ``evaluate(theta, prev) -> (f, grad, sol)`` gets ``prev``, the solution
-    of the last finite evaluation (a warm start), or ``None``.  An
-    :class:`InnerSolveError` or a non-finite value scores ``+inf`` and keeps
-    ``prev``.  Returns ``(theta, f, trace, sol)`` with ``sol`` the solution
-    at the returned ``theta``: when the last finite evaluation was elsewhere
-    (a trial point the line search rejected) or there was none, the final
-    point is evaluated once more, so an inner failure there raises.
+    ``evaluate(theta) -> (f, grad, sol)``; an :class:`InnerSolveError` or a
+    non-finite value scores ``+inf``.  Returns ``(theta, f, trace, sol)``
+    with ``sol`` the solution at the returned ``theta``: when the last
+    finite evaluation was elsewhere (a trial point the line search
+    rejected) or there was none, the final point is evaluated once more, so
+    an inner failure there raises.
     """
-    prev = at = None
+    last = at = None
 
     def fun(theta):
-        nonlocal prev, at
+        nonlocal last, at
         try:
-            f, grad, sol = evaluate(theta, prev)
+            f, grad, sol = evaluate(theta)
         except InnerSolveError:
             return np.inf, np.zeros_like(theta)
         if not np.isfinite(f):
             return np.inf, np.zeros_like(theta)
-        prev, at = sol, theta
+        last, at = sol, theta
         return f, grad
 
     theta, f, _, trace = _run_minimizer(fun, theta0, config, name)
     if at is None or not np.array_equal(at, theta):
-        prev = evaluate(theta, prev)[2]
-    return theta, f, trace, prev
+        last = evaluate(theta)[2]
+    return theta, f, trace, last
 
 
 def solve_varpro(problem, config=None):
@@ -416,28 +404,27 @@ def solve_varpro(problem, config=None):
     returned ``v`` and ``x`` are zero on the screened groups, and the
     result carries the last relative duality gap and the screened count
     (reported only: no stop rests on the gap).  Every evaluation goes
-    through the module attribute ``eval_f_grad``.
+    through the module attribute ``eval_f_grad``.  The inner solves run
+    with the default :class:`~varprox.inner.InnerConfig`; each starts from
+    scratch, with nothing carried over from the previous evaluation.
     """
     config = config or OuterConfig()
     rng = np.random.default_rng(config.seed)
     gs = problem.reg_groups
     loss = problem.loss
-    icfg = config.inner
     screen = None
 
     if isinstance(loss, (QuadraticLoss, BasisPursuitLoss)):
-        use_warm = icfg.method == "cg"
         theta0 = _init_vector(config, gs.n_groups, rng)
         family = ""
         if isinstance(loss, QuadraticLoss) and isinstance(problem.L, IdentityOperator):
             screen = _GapSafeScreen(problem)
 
-        def evaluate(v, prev):
-            warm = prev.x if use_warm and prev is not None else None
+        def evaluate(v):
             if screen is None:
-                return eval_f_grad(problem, v, icfg, warm=warm)
+                return eval_f_grad(problem, v)
             v = screen.mask(v)
-            f, grad, sol = eval_f_grad(problem, v, icfg, warm=warm)
+            f, grad, sol = eval_f_grad(problem, v)
             if np.isfinite(f):
                 screen.update(v, f, sol)
             return f, grad, sol
@@ -450,9 +437,8 @@ def solve_varpro(problem, config=None):
                                  _init_vector(config, nw, rng)])
         family = "robust-"
 
-        def evaluate(theta, prev):
-            f, gv, gw, sol = eval_f_grad_robust(problem, theta[:nv],
-                                                theta[nv:], icfg)
+        def evaluate(theta):
+            f, gv, gw, sol = eval_f_grad_robust(problem, theta[:nv], theta[nv:])
             return f, np.concatenate([gv, gw]), sol
 
         def split(theta):
@@ -463,9 +449,9 @@ def solve_varpro(problem, config=None):
                                  np.eye(m).ravel()])
         family = "multitask-"
 
-        def evaluate(theta, prev):
+        def evaluate(theta):
             f, gv, gW, sol = eval_multitask(problem, theta[:n],
-                                            theta[n:].reshape(m, m), icfg)
+                                            theta[n:].reshape(m, m))
             return f, np.concatenate([gv, gW.ravel()]), sol
 
         def split(theta):
@@ -526,9 +512,8 @@ def solve_lq_option2(problem, config=None, restarts=1):
         inits.append(np.concatenate([_init_vector(config, nv, rng),
                                      _init_vector(config, nv, rng)]))
 
-    def evaluate(theta, prev):
-        f, gv, gw, aux = eval_lq_option2(problem, theta[:nv], theta[nv:],
-                                         config.inner)
+    def evaluate(theta):
+        f, gv, gw, aux = eval_lq_option2(problem, theta[:nv], theta[nv:])
         return f, np.concatenate([gv, gw]), aux
 
     best = None

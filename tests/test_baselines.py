@@ -76,15 +76,6 @@ def test_admm_z_update_is_shrinkage(rng):
                                                 1.0 / 2.0, gs), atol=1e-12)
 
 
-def test_primal_dual_requires_valid_steps(rng):
-    n = 9
-    L = grad2d(3, 3)
-    gs = tv_group_structure(3, 3)
-    with pytest.raises(ValueError):
-        run_primal_dual("quadratic", identity(n), L, gs, 0.5,
-                        rng.uniform(0, 1, n), sigma=10.0, tau=10.0, iters=5)
-
-
 def test_primal_dual_tvl1_matches_varpro(rng):
     h, w, c = 4, 4, 3
     n = h * w * c
@@ -109,18 +100,6 @@ def test_irls_noiseless_recovery(rng):
                   iters=200)
     rel = np.linalg.norm(tr.x - inst.x_true) / np.linalg.norm(inst.x_true)
     assert rel < 0.01
-
-
-def test_irls_fixed_large_eps_is_ridge(rng):
-    inst = gen_gaussian_instance(10, 20, s=3, noise_std=0.1, seed=4)
-    lam = 0.5
-    eps = 1e8
-    tr = run_irls(inst.A, inst.y, inst.groups, q=1.0, mode="penalized",
-                  lam=lam, eps0=eps, eps_decay=1.0, eps_floor=eps, iters=3)
-    w = eps ** (1.0 / 2.0 - 1.0)
-    Ad = inst.A.to_dense()
-    ridge = np.linalg.solve(Ad.T @ Ad + lam * w * np.eye(20), Ad.T @ inst.y)
-    assert np.abs(tr.x - ridge).max() < 1e-10
 
 
 def test_lq_value_examples():

@@ -202,6 +202,55 @@ seed = 0
     assert _read_csv(out1 / "phase.csv") == _read_csv(out2 / "phase.csv")
 
 
+def test_phase_rejects_a_q_that_varpro2_does_not_solve(tmp_path):
+    # varpro2 always solves q = 2/3; with another q the table would compare
+    # IRLS at that q with varpro2 at 2/3
+    text = """
+[phase]
+n = 10
+s = 2
+trials = 1
+m_grid = 6
+methods = {methods}
+q = {q}
+seed = 0
+"""
+    out = tmp_path / "out"
+    bad = _write(tmp_path / "bad.cfg", text.format(methods="irls varpro2", q="1/2"))
+    assert cli.main(["phase", "--config", bad, "--out", str(out)]) == 1
+    assert not out.exists()
+    irls = _write(tmp_path / "irls.cfg", text.format(methods="irls", q="1/2"))
+    assert cli.main(["phase", "--config", irls, "--out", str(out)]) == 0
+    ok = _write(tmp_path / "ok.cfg", text.format(methods="varpro2", q="2/3"))
+    assert cli.main(["phase", "--config", ok, "--out", str(out)]) == 0
+
+
+def test_threads_applies_to_phase_only(tmp_path, capsys):
+    # run and reconstruct are serial, so a --threads other than 1 is an error
+    cfg = _write(tmp_path / "run.cfg", """
+[problem]
+family = lasso
+m = 10
+n = 20
+
+[solver:fista]
+iters = 5
+
+[reconstruct]
+height = 4
+width = 4
+max_iter = 5
+""")
+    for command in ("run", "reconstruct"):
+        out = tmp_path / command
+        assert cli.main([command, "--config", cfg, "--out", str(out),
+                         "--threads", "2"]) == 1
+        assert "--threads applies to phase only" in capsys.readouterr().err
+        assert not out.exists()
+        assert cli.main([command, "--config", cfg, "--out", str(out),
+                         "--threads", "1"]) == 0
+
+
 def test_reconstruct_small_lambda_returns_input(tmp_path):
     cfg = _write(tmp_path / "rec.cfg", """
 [reconstruct]

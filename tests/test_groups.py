@@ -38,16 +38,6 @@ def test_partition_validation():
         GroupStructure([[0, 5]], p=3)                    # out of range
 
 
-def test_partition_rejects_weights():
-    # no partition path (group norms, envelope gradients, duality gap)
-    # applies a group weight, so passing one is an error, not a no-op
-    with pytest.raises(ValueError, match="overlapping groups only"):
-        GroupStructure([[0, 1], [2]], p=3, weights=[1.0, 2.0])
-    ogs = GroupStructure([[0, 1], [1, 2]], p=3, mode="overlapping",
-                         weights=[1.0, 2.0])
-    assert np.array_equal(ogs.weights, [1.0, 2.0])
-
-
 def test_hadamard_group_trivial():
     gs = trivial_groups(3)
     out = hadamard_group(np.array([1.0, 2.0, 3.0]), np.array([2.0, 2.0, 2.0]), gs)

@@ -47,15 +47,16 @@ def test_flow_gradient_fd(rng):
 
 
 def test_bounds_formula_arithmetic():
-    # K = 1, M_F = 1, B = 1  ->  M_G = 2 (max(lam,K) + M_F B^2) = 4
+    # G(0,0) = F(0) = 1/2 so B^2 = 1; certified K = 1 * (1 * 0.5 + 1) = 1.5
+    # M_F = 1  ->  M_G = 2 (max(lam, K) + M_F B^2) = 5
     prob = _scalar_problem()
     u0 = np.array([0.0])
     v0 = np.array([0.0])
-    # G(0,0) = F(0) = 1/2 so B^2 = 1; certified K = 1 * (1 * 0.5 + 1) = 1.5
-    b = lipschitz_bounds(prob, u0, v0, k_override=1.0)
+    b = lipschitz_bounds(prob, u0, v0)
     assert b.B == pytest.approx(1.0)
     assert b.M_F == pytest.approx(1.0)
-    assert b.M_G == pytest.approx(4.0)
+    assert b.K == pytest.approx(1.5)
+    assert b.M_G == pytest.approx(5.0)
     assert 0.0 < b.rho < 1.0
 
 
@@ -70,7 +71,7 @@ def test_normalized_columns_bound(rng):
 def test_fourier_unit_lipschitz_claim():
     # with F0 = ||. - y||^2 / 2 the composite constant is the squared max
     # column norm, which is (m+1)/m for the low-pass system
-    A = fourier_system(FourierSystemSpec(dimension=1, cutoff=64, grid=300))
+    A = fourier_system(FourierSystemSpec(cutoff=64, grid=300))
     prob = QuadraticFlowProblem(A=A, y=np.zeros(A.rows), fscale=1.0)
     b = lipschitz_bounds(prob, np.ones(300), 0.5 * np.ones(300))
     assert b.M_F == pytest.approx(65.0 / 64.0, rel=1e-12)
@@ -136,11 +137,13 @@ def test_run_gd_bb_decreases(rng):
         assert best_bb <= min(tr_bb.objectives) + 1e-12
 
 
-def test_calibrated_step_monotone(rng):
+def test_calibrated_step_monotone(monkeypatch, rng):
+    from varprox import hadamard_flow
+    monkeypatch.setattr(hadamard_flow, "PROBE_ITERS", 100)
     inst = gen_fourier_instance(cutoff=2, grid=40, spikes=1, lam_frac=0.1, seed=0)
     prob = QuadraticFlowProblem(A=inst.A, y=inst.y, fscale=1.0 / inst.lam)
     u0, v0 = flow_init(40, 40, seed=1)
-    tau = calibrated_fixed_step(prob, u0, v0, 10.0, probe_iters=100)
+    tau = calibrated_fixed_step(prob, u0, v0, 10.0)
     _, diag, _ = run_gd(prob, u0, v0, tau, 300)
     G = np.asarray(diag.objective)
     assert np.all(G[1:] <= G[:-1] + 1e-12)

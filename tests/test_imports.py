@@ -6,6 +6,13 @@
   by name from a root: a name ``__init__.py`` imports, ``cli.main``, an
   identifier of ``perfbench/*.py``, a name ``tests/test_acceptance.py``
   imports, or a dunder method.  Entries of ``__all__`` are not roots.
+* Every parameter of every function, method and closure of
+  ``src/varprox`` is read in its body (a body that only raises
+  ``NotImplementedError`` is exempt): an option no code reads changes
+  nothing when it is set.
+* Every dataclass field of ``src/varprox`` that has a default is read, as
+  an attribute or as a string, somewhere in ``src/``, ``perfbench/`` or
+  ``tests/``.
 * Every library and benchmark file parses as Python 3.10, the floor that
   ``pyproject.toml`` declares.
 """
@@ -19,7 +26,8 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "varprox"
 PERFBENCH = ROOT / "perfbench"
-ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+TESTS = ROOT / "tests"
+ACCEPTANCE = TESTS / "test_acceptance.py"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 PY310_FILES = sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -131,6 +139,86 @@ def unreachable(modules, root_names, root_defs=()):
                   if reported and key not in seen)
 
 
+def _raises_not_implemented(fn):
+    """True when ``fn``'s body, after a docstring, is one
+    ``raise NotImplementedError``."""
+    body = fn.body
+    if (body and isinstance(body[0], ast.Expr)
+            and isinstance(body[0].value, ast.Constant)
+            and isinstance(body[0].value.value, str)):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Raise):
+        return False
+    exc = body[0].exc
+    if isinstance(exc, ast.Call):
+        exc = exc.func
+    return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
+
+
+def unread_parameters(source, module="m"):
+    """``module.qualname(param)`` for every parameter of a function, method
+    or closure that its body never reads, sorted.  A zero-argument
+    ``super()`` reads the first parameter."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{prefix}.{child.name}"
+                a = child.args
+                params = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+                params += [x.arg for x in (a.vararg, a.kwarg) if x is not None]
+                subs = [sub for stmt in child.body for sub in ast.walk(stmt)]
+                read = {sub.id for sub in subs if isinstance(sub, ast.Name)
+                        and isinstance(sub.ctx, ast.Load)}
+                if params and any(isinstance(sub, ast.Call) and not sub.args
+                                  and getattr(sub.func, "id", None) == "super"
+                                  for sub in subs):
+                    read.add(params[0])
+                if not _raises_not_implemented(child):
+                    out.extend(f"{name}({p})" for p in params if p not in read)
+                visit(child, name)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}.{child.name}")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), module)
+    return sorted(out)
+
+
+def defaulted_fields(source, module="m"):
+    """``(module.Class.field, field)`` for every field with a default of a
+    ``@dataclass`` class, in source order."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d
+                      for d in node.decorator_list]
+        if not any(_dotted(d) in ("dataclass", "dataclasses.dataclass")
+                   for d in decorators):
+            continue
+        out += [(f"{module}.{node.name}.{s.target.id}", s.target.id)
+                for s in node.body
+                if isinstance(s, ast.AnnAssign) and s.value is not None]
+    return out
+
+
+def attribute_reads(sources):
+    """Attributes looked up (not assigned) and identifier strings of
+    ``sources``."""
+    out = set()
+    for source in sources:
+        for sub in ast.walk(ast.parse(source)):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                out.add(sub.attr)
+            elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+                  and sub.value.isidentifier()):
+                out.add(sub.value)
+    return out
+
+
 def test_detector_sees_unused_names_and_submodules():
     source = ("import os\nimport scipy.linalg\nimport scipy.sparse\n"
               "from numpy import zeros as z, ones\n__all__ = ['ones']\n"
@@ -171,6 +259,74 @@ def test_every_library_definition_is_reachable():
                           for p in sorted(PERFBENCH.glob("*.py"))],
                          strings=True)
     assert unreachable(modules, roots, {"cli.main"}) == []
+
+
+def test_unread_parameter_detector():
+    source = (
+        "def f(a, b=1, *args, c, **kw):\n"
+        "    b = 2\n"
+        "    return a + c\n"
+        "def outer(x, y):\n"
+        "    def inner(z, w):\n"
+        "        return x + z\n"
+        "    return inner\n"
+        "class K:\n"
+        "    def m(self, p):\n"
+        "        'doc'\n"
+        "        raise NotImplementedError\n"
+        "    def n(self, q):\n"
+        "        raise NotImplementedError(q)\n"
+        "    def o(self, r):\n"
+        "        raise ValueError\n"
+        "class S(K):\n"
+        "    def __init__(self, s):\n"
+        "        super().__init__()\n")
+    assert unread_parameters(source) == [
+        "m.K.o(r)", "m.K.o(self)", "m.S.__init__(s)", "m.f(args)", "m.f(b)",
+        "m.f(kw)", "m.outer(y)", "m.outer.inner(w)"]
+
+
+def test_every_parameter_is_read():
+    found = [name for path in sorted(SRC.glob("*.py"))
+             for name in unread_parameters(path.read_text(), path.stem)]
+    assert found == []
+
+
+def test_unread_field_detector():
+    source = (
+        "from dataclasses import dataclass, field\n"
+        "import dataclasses\n"
+        "@dataclass\n"
+        "class P:\n"
+        "    need: int\n"
+        "    used: int = 0\n"
+        "    named: int = 0\n"
+        "    stored: list = field(default_factory=list)\n"
+        "    orphan: float = 1.0\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class Q:\n"
+        "    lone: int = 0\n"
+        "class R:\n"
+        "    plain: int = 0\n")
+    reader = ("def g(p):\n"
+              "    p.stored = []\n"
+              "    P(orphan=2.0)\n"
+              "    return p.used + getattr(p, 'named')\n")
+    fields = defaulted_fields(source)
+    assert [key for key, _ in fields] == [
+        "m.P.used", "m.P.named", "m.P.stored", "m.P.orphan", "m.Q.lone"]
+    read = attribute_reads([source, reader])
+    assert [key for key, name in fields if name not in read] == [
+        "m.P.stored", "m.P.orphan", "m.Q.lone"]
+
+
+def test_every_defaulted_field_is_read():
+    readers = [p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))
+               + sorted(PERFBENCH.glob("*.py")) + sorted(TESTS.glob("*.py"))]
+    read = attribute_reads(readers)
+    fields = [f for path in MODULES
+              for f in defaulted_fields(path.read_text(), path.stem)]
+    assert [key for key, name in fields if name not in read] == []
 
 
 @pytest.mark.parametrize("path", PY310_FILES,

@@ -12,7 +12,6 @@ from varprox.inner import (InnerConfig, InnerSolveError, solve_analysis_prox,
 from varprox.linops import (Grad2DOperator, block_extract, dense, grad2d,
                             identity, tv_group_structure)
 from varprox.problems import pixel_channel_groups
-from varprox.varpro import BasisPursuitLoss, VarProProblem, _option2_inner
 
 
 def test_one_dim_lasso_oracle():
@@ -140,33 +139,15 @@ def test_identity_routes_factor_sparse_without_densifying(monkeypatch, rng):
     assert a.kkt_residual < 1e-12 and b.kkt_residual < 1e-12
 
 
-def test_identity_routes_reject_cg(rng):
-    n, L, gs, gl, v, wl, y = _tv_case(rng)
-    cfg = InnerConfig(method="cg")
+def test_identity_routes_reject_cg(monkeypatch, rng):
+    # solve_analysis_prox is the one route that takes a config without
+    # having a CG path; the other factoring routes take no config
+    _, L, gs, _, v, _, y = _tv_case(rng)
     with pytest.raises(ValueError, match="solve_analysis_prox"):
-        solve_analysis_prox(L, v, gs, 0.3, y, cfg)
-    with pytest.raises(ValueError, match="solve_robust"):
-        solve_robust(identity(n), L, v, gs, wl, gl, 0.9, y, cfg)
-    # the other routes without a CG path reject it the same way
-    m = 5
-    A = dense(rng.standard_normal((m, n)))
-    lq2 = VarProProblem(A, identity(n), trivial_groups(n),
-                        BasisPursuitLoss(y=A.apply(y)))
-    others = {
-        "solve_robust": lambda: solve_robust(A, L, v, gs, np.ones(m),
-                                             trivial_groups(m), 0.9,
-                                             A.apply(y), cfg),
-        "solve_basis_pursuit": lambda: solve_basis_pursuit(A, L, v, gs,
-                                                           A.apply(y), cfg),
-        "solve_multitask_nuclear": lambda: solve_multitask_nuclear(
-            A, np.ones(n), np.eye(m), 0.5, rng.standard_normal((m, 2)), cfg),
-        "_option2_inner": lambda: _option2_inner(lq2, np.ones(n), cfg),
-    }
-    for route, call in others.items():
-        with pytest.raises(ValueError, match=route):
-            call()
+        solve_analysis_prox(L, v, gs, 0.3, y, InnerConfig(method="cg"))
+    monkeypatch.setattr(inner, "DIRECT_SIZE_LIMIT", 1)
     for method in ("auto", "direct"):
-        cfg = InnerConfig(method=method, direct_size_limit=1)
+        cfg = InnerConfig(method=method)
         assert solve_analysis_prox(L, v, gs, 0.3, y, cfg).method == "sparse-direct"
 
 
@@ -307,13 +288,14 @@ def test_woodbury_diagonal_formula():
 def test_woodbury_non_overlapping_reduces_to_group_dual(rng):
     n, m = 12, 6
     ogs = GroupStructure([[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]],
-                         p=n, mode="overlapping", weights=np.ones(4))
+                         p=n, mode="overlapping")
     A = dense(rng.standard_normal((m, n)) / 2)
     v = rng.uniform(0.5, 1.5, 4)
     y = rng.standard_normal(m)
     w = solve_overlap_woodbury(A, ogs, v, 0.8, y)
+    # every block has weight sqrt(3), which scales v by 1 / sqrt(3)
     gs = GroupStructure([[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]], p=n)
-    g = solve_grouplasso_dual(A, v, gs, 0.8, y)
+    g = solve_grouplasso_dual(A, v / np.sqrt(3.0), gs, 0.8, y)
     assert np.abs(w.x - g.x).max() < 1e-9
 
 
@@ -501,9 +483,10 @@ def test_saddle_routes_on_a_non_square_gradient_instance(rng, route):
 @pytest.mark.parametrize("route", ["solve_quadratic_general",
                                    "solve_grouplasso_dual",
                                    "solve_overlap_woodbury"])
-def test_cg_non_convergence_raises(rng, route):
+def test_cg_non_convergence_raises(monkeypatch, rng, route):
     n, m = 12, 6
-    cfg = InnerConfig(method="cg", cg_max_iter=1)
+    monkeypatch.setattr(inner, "CG_STEPS_PER_UNKNOWN", 0)
+    cfg = InnerConfig(method="cg")
     A = dense(rng.standard_normal((m, n)))
     y = rng.standard_normal(m)
     with pytest.raises(InnerSolveError, match="CG did not converge"):
@@ -523,9 +506,8 @@ def test_cg_non_convergence_raises(rng, route):
                                    0.5, y, cfg)
 
 
-@pytest.mark.parametrize("bad", [dict(cg_max_iter=0), dict(direct_size_limit=-1),
-                                 dict(zero_threshold=-1e-3),
-                                 dict(zero_threshold=1.0)])
+@pytest.mark.parametrize("bad", [dict(method="lu"), dict(method="CG"),
+                                 dict(method=""), dict(method=None)])
 def test_inner_config_rejects_bad_knobs(bad):
     with pytest.raises(ValueError):
         InnerConfig(**bad)

@@ -17,7 +17,7 @@ def _all_kinds(rng):
         grad2d(4, 5),
         grad2d(3, 4, channels=3),
         block_extract(ogs, 8),
-        fourier_system(FourierSystemSpec(dimension=1, cutoff=4, grid=12)),
+        fourier_system(FourierSystemSpec(cutoff=4, grid=12)),
     ]
 
 
@@ -84,8 +84,8 @@ def test_block_extract_example():
 
 
 def test_block_extract_trivial_groups_is_identity():
-    ogs = GroupStructure([[i] for i in range(4)], p=4, mode="overlapping",
-                         weights=np.ones(4))
+    # singleton groups have weight sqrt(1) = 1
+    ogs = GroupStructure([[i] for i in range(4)], p=4, mode="overlapping")
     op = block_extract(ogs, 4)
     x = np.array([1.0, -2.0, 3.0, 0.5])
     assert np.allclose(op.apply(x), x)
@@ -102,14 +102,14 @@ def test_block_extract_adjoint_identity(rng):
 
 
 def test_fourier_theta_zero_column():
-    A = fourier_system(FourierSystemSpec(dimension=1, cutoff=2, grid=4))
+    A = fourier_system(FourierSystemSpec(cutoff=2, grid=4))
     col = A.to_dense()[:, 0]          # grid point theta = 0
     assert np.allclose(col[:3], 1.0 / np.sqrt(2.0))    # real parts
     assert np.allclose(col[3:], 0.0)                   # imaginary parts
 
 
 def test_fourier_entry_modulus():
-    spec = FourierSystemSpec(dimension=1, cutoff=4, grid=17)
+    spec = FourierSystemSpec(cutoff=4, grid=17)
     A = fourier_system(spec).to_dense()
     nfreq = A.shape[0] // 2
     mods = np.sqrt(A[:nfreq] ** 2 + A[nfreq:] ** 2)
@@ -117,7 +117,7 @@ def test_fourier_entry_modulus():
 
 
 def test_fourier_gram_is_toeplitz():
-    A = fourier_system(FourierSystemSpec(dimension=1, cutoff=64, grid=300))
+    A = fourier_system(FourierSystemSpec(cutoff=64, grid=300))
     G = A.gram()
     for off in (0, 1, 5, 50):
         d = np.diagonal(G, offset=off)
@@ -125,15 +125,10 @@ def test_fourier_gram_is_toeplitz():
 
 
 def test_fourier_deterministic():
-    spec = FourierSystemSpec(dimension=1, cutoff=6, grid=50)
+    spec = FourierSystemSpec(cutoff=6, grid=50)
     A1 = fourier_system(spec).to_dense()
     A2 = fourier_system(spec).to_dense()
     assert np.array_equal(A1, A2)
-
-
-def test_fourier_2d_shape():
-    A = fourier_system(FourierSystemSpec(dimension=2, cutoff=2, grid=5))
-    assert A.shape == (2 * 9, 25)
 
 
 def test_adjoint_consistency_all_kinds(rng):
