@@ -15,6 +15,7 @@ import scipy.linalg
 
 from .groups import (group_norm_12, group_soft_threshold, group_sq_norms,
                      trivial_groups)
+from .inner import _cho_factor, _cho_solve
 from .linops import DenseOperator, IdentityOperator, operator_norm
 from .trace import SolverTrace
 from .varpro import OuterConfig, QuadraticLoss, VarProProblem, solve_varpro
@@ -226,13 +227,17 @@ def run_irls(A, Y, gs, q, mode="equality", iters=200):
     ``mode`` must be ``equality``: the run solves ``min sum_g ||x_g||^q
     s.t.  A x = Y`` through weighted minimum-norm steps.  Weights are
     ``(||x_g||^2 + eps)^(q/2 - 1)``, with ``eps`` on the schedule of the
-    ``IRLS_*`` constants.
+    ``IRLS_*`` constants.  Each step factors its m-by-m system by the
+    Cholesky helpers of :mod:`varprox.inner`, with a least-squares solve
+    where that fails; a non-finite ``Y`` or system raises ``ValueError``.
     """
     if not 0.0 < q <= 2.0:
         raise ValueError("q in (0, 2] required")
     if mode != "equality":
         raise ValueError(f"unknown mode {mode!r}")
     Y = np.asarray(Y, dtype=float)
+    if not np.isfinite(Y).all():
+        raise ValueError("Y must not contain infs or NaNs")
     squeeze = Y.ndim == 1
     if squeeze:
         Y = Y[:, None]
@@ -247,10 +252,13 @@ def run_irls(A, Y, gs, q, mode="equality", iters=200):
         wg = (sq + eps) ** (q / 2.0 - 1.0)
         AW = Ad / wg[gs.group_of][None, :]
         S = AW @ Ad.T
-        try:
-            T = scipy.linalg.cho_solve(scipy.linalg.cho_factor(S), Y)
-        except scipy.linalg.LinAlgError:
+        if not np.isfinite(S).all():
+            raise ValueError("IRLS system must not contain infs or NaNs")
+        fac = _cho_factor(S)
+        if fac is None:
             T = np.linalg.lstsq(S, Y, rcond=None)[0]
+        else:
+            T = _cho_solve(fac, Y)
         X_new = AW.T @ T
         obj = lq_value(X_new, gs, q) * q   # sum ||x_g||^q
         delta = float(np.linalg.norm(X_new - X))

@@ -271,6 +271,13 @@ def cmd_run(config, out_dir, seed=None):
             print(f"solver {name} failed: {exc}", file=sys.stderr)
     for name, trace in traces.items():
         trace.to_csv(os.path.join(out_dir, f"{name}.csv"))
+        if trace.stop_reason:
+            print(f"{name}: stopped on {trace.stop_reason} after "
+                  f"{trace.evals} evaluations ({trace.backtracks} rejected "
+                  "line-search trials)")
+        else:
+            print(f"{name}: ran {trace.n_records} records, no stop reason "
+                  "recorded")
     if traces:
         finals = [min(t.objectives) for t in traces.values()]
         best = min(finals)
@@ -421,6 +428,8 @@ def main(argv=None):
         if args.command != "phase" and args.threads != 1:
             raise ConfigError(f"--threads applies to phase only, not "
                               f"{args.command}")
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         config = _parse_config(args.config)
         if args.command == "phase":
             return cmd_phase(config, args.out, seed=args.seed,

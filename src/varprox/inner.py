@@ -15,9 +15,12 @@ finite-difference gradient tests upstream:
 All solvers work at "desk scale": direct symmetric factorizations by
 default, conjugate gradients on the positive definite reduced forms above
 ``DIRECT_SIZE_LIMIT`` unknowns or when requested.  Every positive definite
-system, dense or sparse, goes through ``_psd_solve``.  The m-by-m dual system
-``A diag(d) A^T + shift I`` (group lasso, overlapping groups, multitask and
-the two-factor path of :mod:`varprox.varpro`) has one assembler,
+system, dense or sparse, goes through ``_psd_solve``; a dense one is
+factored and solved by LAPACK ``dpotrf``/``dpotrs`` called directly, the
+calls ``scipy.linalg.cho_factor``/``cho_solve`` make without their per-call
+wrapper, which costs more than the factorization at m <= 32.  The m-by-m
+dual system ``A diag(d) A^T + shift I`` (group lasso, overlapping groups,
+multitask and the two-factor path of :mod:`varprox.varpro`) has one assembler,
 ``_dual_matrix``, which forms ``B B^T`` by BLAS ``syrk`` (so does the
 reduced system of ``solve_quadratic_general``) from the columns with
 ``d > 0`` only; ``_dual_solve`` adds its matrix-free CG.  In the group
@@ -160,11 +163,29 @@ def _spd_factor(M):
 
 
 def _cho_factor(M, overwrite=False):
-    """Dense Cholesky factors of ``M``, or ``None`` where they fail."""
-    try:
-        return scipy.linalg.cho_factor(M, overwrite_a=overwrite, check_finite=False)
-    except scipy.linalg.LinAlgError:
+    """Upper Cholesky factor of a dense ``M`` by LAPACK ``dpotrf``, or
+    ``None`` where it fails (a leading minor is not positive).
+
+    These are the calls ``scipy.linalg.cho_factor`` makes, without its
+    per-call wrapper; the strict lower triangle is left as it was.  The
+    routine is looked up at call time, so it can be wrapped from outside.
+    """
+    c, info = scipy.linalg.lapack.dpotrf(M, lower=False, clean=False,
+                                         overwrite_a=overwrite)
+    if info > 0:
         return None
+    if info < 0:
+        raise ValueError(f"dpotrf: illegal value in argument {-info}")
+    return c
+
+
+def _cho_solve(fac, b):
+    """Solve ``M z = b`` (``b`` 1-D or 2-D) from ``fac = _cho_factor(M)``
+    by LAPACK ``dpotrs``, as ``scipy.linalg.cho_solve`` does."""
+    z, info = scipy.linalg.lapack.dpotrs(fac, b, lower=False)
+    if info != 0:
+        raise ValueError(f"dpotrs: illegal value in argument {-info}")
+    return z
 
 
 def _psd_solve(M, b, what):
@@ -190,7 +211,7 @@ def _psd_solve(M, b, what):
     if fac is None:
         return _sym_solve(M if dense else M.toarray(), b, what)
     if dense:
-        return scipy.linalg.cho_solve(fac, b, check_finite=False)
+        return _cho_solve(fac, b)
     return fac.solve(b)
 
 

@@ -7,8 +7,14 @@ descent loop ``_descend`` (a monotone backtracking line search, a stall
 counter, a :class:`~varprox.trace.SolverTrace` of every accepted iterate);
 they differ only in the search direction and its update.  Non-finite trial
 values are treated as line-search rejections, so objectives with
-restricted domains work.  The line search, the stall rule and the L-BFGS
-memory are fixed by the module constants below.
+restricted domains work.  The line search stops before it evaluates a trial
+whose predicted decrease ``-t * slope`` is below the rounding error of
+``f``, ``NOISE_FLOOR_ULPS * eps * max(|f|, 1)``: no such trial can show a
+decrease that is not noise.  Every run ends with one
+``trace.stop_reason`` (``converged``, ``noise_floor``, ``stalled``,
+``line_search_failed`` or ``max_iter``) and counts its evaluations and
+rejected trials.  The line search, the stall rule and the L-BFGS memory are
+fixed by the module constants below.
 """
 
 import time
@@ -28,6 +34,9 @@ LS_BACKTRACK = 0.5
 # floating-point noise floor of the objective
 STALL_REL = 1e-14
 STALL_PATIENCE = 5
+# the line search stops, unevaluated, at a trial whose predicted decrease
+# -t * slope is below NOISE_FLOOR_ULPS * eps * max(|f|, 1)
+NOISE_FLOOR_ULPS = 8
 
 
 def _two_loop(g, memory):
@@ -49,48 +58,64 @@ def _two_loop(g, memory):
 
 
 def _backtrack(fun, x, f, g, d):
-    """Armijo backtracking; returns (x_new, f_new, g_new, ok)."""
+    """Armijo backtracking from ``t = 1``.  Returns ``(x_new, f_new, g_new,
+    trials, stop)``: ``trials`` evaluations of ``fun``, and ``stop`` None
+    for an accepted step, else ``noise_floor`` (the next trial's predicted
+    decrease is below the rounding error of ``f``, so it is not evaluated)
+    or ``line_search_failed`` (``LS_MAX_HALVINGS`` trials all rejected)."""
     slope = np.dot(g, d)
+    floor = NOISE_FLOOR_ULPS * np.finfo(float).eps * max(abs(f), 1.0)
     t = 1.0
-    for _ in range(LS_MAX_HALVINGS):
+    for trial in range(LS_MAX_HALVINGS):
+        if -t * slope < floor:
+            return x, f, g, trial, "noise_floor"
         xn = x + t * d
         fn, gn = fun(xn)
         if np.isfinite(fn) and fn <= f + LS_SUFFICIENT_DECREASE * t * slope:
-            return xn, fn, gn, True
+            return xn, fn, gn, trial + 1, None
         t *= LS_BACKTRACK
-    return x, f, g, False
+    return x, f, g, LS_MAX_HALVINGS, "line_search_failed"
 
 
 def _descend(fun, x0, max_iter, grad_tol, method_name, direction, update):
     """The one descent loop: ``direction(g)`` gives the search direction,
     the line search accepts a step, ``update(s, y)`` sees the step and the
-    gradient change.  Returns ``(x, f, g, trace)``; a failed line search, a
-    stall, or ``max_iter`` steps ending above ``grad_tol`` sets
-    ``trace.flags['line_search_failed']``, ``['stalled']`` or
-    ``['max_iter']``."""
+    gradient change.  Returns ``(x, f, g, trace)``.
+
+    ``trace.stop_reason`` says why the run ended: ``converged`` (gradient
+    norm at most ``grad_tol``), ``noise_floor`` (the line search reached a
+    trial whose predicted decrease is below the rounding error of ``f``
+    before accepting one), ``line_search_failed`` (every trial above that
+    floor rejected), ``stalled`` (``STALL_PATIENCE`` accepted steps in a row
+    at the noise floor) or ``max_iter`` (the steps ran out above
+    ``grad_tol``).  ``trace.evals`` counts the calls of ``fun`` and
+    ``trace.backtracks`` the rejected trials."""
     x = np.asarray(x0, dtype=float).copy()
     t0 = time.perf_counter()
     f, g = fun(x)
-    trace = SolverTrace(method=method_name)
+    trace = SolverTrace(method=method_name, evals=1)
     trace.record(0, f, np.linalg.norm(g), time.perf_counter() - t0)
     stalled = 0
     for k in range(1, max_iter + 1):
         if np.linalg.norm(g) <= grad_tol:
+            trace.stop_reason = "converged"
             break
-        xn, fn, gn, ok = _backtrack(fun, x, f, g, direction(g))
-        if not ok:
-            trace.flags["line_search_failed"] = True
+        xn, fn, gn, trials, stop = _backtrack(fun, x, f, g, direction(g))
+        trace.evals += trials
+        trace.backtracks += trials if stop else trials - 1
+        if stop:
+            trace.stop_reason = stop
             break
         stalled = stalled + 1 if f - fn <= STALL_REL * max(abs(f), 1.0) else 0
         update(xn - x, gn - g)
         x, f, g = xn, fn, gn
         trace.record(k, f, np.linalg.norm(g), time.perf_counter() - t0)
         if stalled >= STALL_PATIENCE:
-            trace.flags["stalled"] = True
+            trace.stop_reason = "stalled"
             break
     else:
-        if np.linalg.norm(g) > grad_tol:
-            trace.flags["max_iter"] = True
+        trace.stop_reason = ("converged" if np.linalg.norm(g) <= grad_tol
+                             else "max_iter")
     trace.x = x
     return x, f, g, trace
 

@@ -16,7 +16,10 @@ class SolverTrace:
 
     The ``grad_norm`` column stores whatever first-order residual is natural
     for the method (gradient norm for smooth solvers, a fixed-point or
-    primal residual for splitting methods).
+    primal residual for splitting methods).  The descent loop of
+    :mod:`varprox.optim` also sets ``stop_reason``, ``evals`` (objective
+    calls) and ``backtracks`` (rejected line-search trials); the other
+    solvers leave them empty.
     """
 
     method: str = ""
@@ -27,6 +30,9 @@ class SolverTrace:
     x: np.ndarray | None = None
     aux: dict = field(default_factory=dict)
     flags: dict = field(default_factory=dict)
+    stop_reason: str = ""
+    evals: int = 0
+    backtracks: int = 0
 
     def record(self, it, objective, grad_norm, elapsed):
         self.iters.append(int(it))

@@ -362,15 +362,18 @@ def _minimize(config, theta0, evaluate, name):
 
     ``evaluate(theta) -> (f, grad, sol)``; an :class:`InnerSolveError` or a
     non-finite value scores ``+inf``.  Returns ``(theta, f, trace, sol)``
-    with ``sol`` the solution at the returned ``theta``: when the last
-    finite evaluation was elsewhere (a trial point the line search
-    rejected) or there was none, the final point is evaluated once more, so
-    an inner failure there raises.
+    with ``sol`` the solution at the returned ``theta``: that of the last
+    finite evaluation, or, when that was a trial point the line search
+    rejected, of the lowest finite value (the accepted point, unless a
+    rejected trial scored lower).  When neither was at ``theta``, or there
+    was no finite evaluation, the final point is evaluated once more, so an
+    inner failure there raises.
     """
-    last = at = None
+    last = at = low = low_at = None
+    f_low = np.inf
 
     def fun(theta):
-        nonlocal last, at
+        nonlocal last, at, low, low_at, f_low
         try:
             f, grad, sol = evaluate(theta)
         except InnerSolveError:
@@ -378,12 +381,15 @@ def _minimize(config, theta0, evaluate, name):
         if not np.isfinite(f):
             return np.inf, np.zeros_like(theta)
         last, at = sol, theta
+        if f <= f_low:
+            low, low_at, f_low = sol, theta, f
         return f, grad
 
     theta, f, _, trace = _run_minimizer(fun, theta0, config, name)
-    if at is None or not np.array_equal(at, theta):
-        last = evaluate(theta)[2]
-    return theta, f, trace, last
+    for sol, point in ((last, at), (low, low_at)):
+        if point is not None and np.array_equal(point, theta):
+            return theta, f, trace, sol
+    return theta, f, trace, evaluate(theta)[2]
 
 
 def solve_varpro(problem, config=None):

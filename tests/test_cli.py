@@ -251,6 +251,45 @@ max_iter = 5
                          "--threads", "1"]) == 0
 
 
+def test_phase_rejects_threads_below_one(tmp_path, capsys):
+    cfg = _write(tmp_path / "phase.cfg", """
+[phase]
+n = 10
+s = 2
+trials = 1
+m_grid = 6
+methods = irls
+seed = 0
+""")
+    for threads in ("0", "-3"):
+        out = tmp_path / f"t{threads}"
+        assert cli.main(["phase", "--config", cfg, "--out", str(out),
+                         "--threads", threads]) == 1
+        assert "--threads must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_run_prints_each_solver_stop_reason(tmp_path, capsys):
+    cfg = _write(tmp_path / "run.cfg", """
+[problem]
+family = lasso
+m = 10
+n = 20
+
+[solver:varpro]
+method = varpro-lbfgs
+max_iter = 3
+
+[solver:fista]
+iters = 5
+""")
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("varpro: stopped on max_iter after ")
+    assert " evaluations (" in lines[0]
+    assert lines[1] == "fista: ran 6 records, no stop reason recorded"
+
+
 def test_reconstruct_small_lambda_returns_input(tmp_path):
     cfg = _write(tmp_path / "rec.cfg", """
 [reconstruct]

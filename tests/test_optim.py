@@ -1,0 +1,165 @@
+"""The line search's noise-floor stop and the LAPACK Cholesky helpers."""
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from varprox import inner, optim
+from varprox.baselines import run_irls
+from varprox.groups import trivial_groups
+from varprox.linops import dense
+from varprox.optim import minimize_gd_bb, minimize_lbfgs
+
+EPS = np.finfo(float).eps
+
+
+def _floor(f):
+    return optim.NOISE_FLOOR_ULPS * EPS * max(abs(f), 1.0)
+
+
+@pytest.mark.parametrize("minimize", [minimize_lbfgs, minimize_gd_bb])
+def test_no_trial_is_evaluated_under_the_noise_floor(monkeypatch, minimize):
+    # half a squared norm, scaled and shifted so that no step lands on the
+    # minimizer exactly and f stays away from 0; grad_tol = 0 runs the
+    # descent down to the rounding level of f
+    h = np.linspace(1.0, 30.0, 12)
+    a = np.linspace(-1.0, 2.0, 12) / 3.0
+
+    def fun(x):
+        r = x - a
+        return 0.5 * float(h @ r ** 2) + 1.0, h * r
+
+    ratios = []         # predicted decrease of each evaluated trial / floor
+    backtrack = optim._backtrack
+
+    def spy(fun, x, f, g, d):
+        slope = float(g @ d)
+        t = 1.0
+
+        def counted(xn):
+            nonlocal t
+            ratios.append(-t * slope / _floor(f))
+            t *= optim.LS_BACKTRACK
+            return fun(xn)
+
+        return backtrack(counted, x, f, g, d)
+
+    monkeypatch.setattr(optim, "_backtrack", spy)
+    calls = 0
+
+    def counted_fun(x):
+        nonlocal calls
+        calls += 1
+        return fun(x)
+
+    x, f, _, trace = minimize(counted_fun, np.zeros(12), 500, 0.0)
+    # the run ends where no step can show a decrease above rounding
+    assert trace.stop_reason == "noise_floor" and not trace.flags
+    assert f - 1.0 <= _floor(f) and np.abs(x - a).max() < 1e-7
+    assert calls == trace.evals == len(ratios) + 1
+    assert min(ratios) >= 1.0
+    accepted = trace.n_records - 1
+    assert trace.backtracks == len(ratios) - accepted
+
+
+@pytest.mark.parametrize("minimize", [minimize_lbfgs, minimize_gd_bb])
+def test_flat_objective_stops_after_at_most_one_trial(minimize):
+    # f is 1 at the start and one rounding unit above it elsewhere, so no
+    # trial decreases it; the gradient predicts a decrease of 1.5 floors at
+    # t = 1 (gd-bb's first step is 1 / max(|g|, 1) = 1 here too)
+    n = 4
+    g0 = np.full(n, np.sqrt(1.5 * _floor(1.0) / n))
+    calls = 0
+
+    def fun(x):
+        nonlocal calls
+        calls += 1
+        return (1.0 + EPS if x.any() else 1.0), g0.copy()
+
+    _, f, _, trace = minimize(fun, np.zeros(n), 100, 0.0)
+    assert trace.stop_reason == "noise_floor"
+    assert f == 1.0 and trace.n_records == 1
+    assert calls == trace.evals <= 2
+    assert trace.backtracks == trace.evals - 1
+
+
+def test_zero_gradient_below_tolerance_is_converged():
+    def fun(x):
+        return float(x @ x), 2 * x
+
+    _, _, _, trace = minimize_lbfgs(fun, np.zeros(3), 10, 0.0)
+    assert trace.stop_reason == "converged"
+    assert trace.evals == 1 and trace.backtracks == 0
+
+
+def test_infinite_trials_end_on_a_failed_line_search():
+    # a steep direction keeps every halving above the floor, and every
+    # trial is outside the domain
+    def fun(x):
+        if x.any():
+            return np.inf, np.zeros_like(x)
+        return 0.0, np.full(x.shape, 1e3)
+
+    x, _, _, trace = minimize_lbfgs(fun, np.zeros(5), 10, 1e-9)
+    assert trace.stop_reason == "line_search_failed"
+    assert not x.any()
+    assert trace.evals == optim.LS_MAX_HALVINGS + 1
+    assert trace.backtracks == optim.LS_MAX_HALVINGS
+
+
+def _spd(rng, n):
+    B = rng.standard_normal((n, n + 3))
+    return B @ B.T + 0.1 * np.eye(n)
+
+
+@pytest.mark.parametrize("n", [1, 5, 32])
+def test_cholesky_helpers_match_scipy_bitwise(monkeypatch, rng, n):
+    M = _spd(rng, n)
+    calls = []
+    dpotrf = scipy.linalg.lapack.dpotrf
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return dpotrf(*args, **kwargs)
+
+    # called through the module attribute, so a wrapper sees every call
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", counted)
+    fac = inner._cho_factor(M)
+    assert calls == [(n, n)]
+    c, lower = scipy.linalg.cho_factor(M)
+    assert not lower and np.array_equal(fac, c)
+    for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        z = inner._cho_solve(fac, b)
+        assert z.shape == b.shape
+        assert np.array_equal(z, scipy.linalg.cho_solve((c, lower), b))
+    overwritten = M.copy(order="F")
+    assert np.array_equal(inner._cho_factor(overwritten, overwrite=True), c)
+
+
+def test_cholesky_factor_is_none_on_an_indefinite_matrix(rng):
+    M = _spd(rng, 6)
+    M[3, 3] = -1.0
+    assert inner._cho_factor(M) is None
+    assert inner._cho_factor(np.zeros((4, 4))) is None
+
+
+def test_psd_solve_falls_back_on_a_singular_dense_matrix(rng):
+    # rank 3 of 5: the jittered factor solves a consistent right-hand side
+    B = rng.standard_normal((5, 3))
+    M = B @ B.T
+    b = M @ rng.standard_normal(5)
+    z = inner._psd_solve(M, b, "test system")
+    assert np.abs(M @ z - b).max() < 1e-8 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_irls_rejects_a_non_finite_right_hand_side(rng, bad):
+    A = dense(rng.standard_normal((4, 8)))
+    Y = rng.standard_normal(4)
+    Y[2] = bad
+    with pytest.raises(ValueError):
+        run_irls(A, Y, trivial_groups(8), 2 / 3, mode="equality")
+    A_bad = dense(np.where(np.arange(32).reshape(4, 8) == 5, bad, 1.0))
+    with pytest.raises(ValueError):
+        run_irls(A_bad, rng.standard_normal(4), trivial_groups(8), 2 / 3,
+                 mode="equality")

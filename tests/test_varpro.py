@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_gradient
-from varprox import cli
+from varprox import cli, varpro
 from varprox.groups import (GroupStructure, contiguous_groups, extend,
                             group_sq_norms, trivial_groups)
 from varprox.linops import dense, grad2d, identity, tv_group_structure
@@ -276,10 +276,10 @@ def test_descent_flags_max_iter_only_without_convergence(method):
 
     _, _, g, trace = minimize(fun, np.zeros(8), 2, 1e-8)
     assert np.linalg.norm(g) > 1e-3
-    assert trace.flags == {"max_iter": True}
+    assert trace.stop_reason == "max_iter" and trace.flags == {}
     _, _, g, trace = minimize(fun, np.zeros(8), 500, 1e-6)
     assert np.linalg.norm(g) <= 1e-6
-    assert trace.flags == {}
+    assert trace.stop_reason == "converged" and trace.flags == {}
 
 
 def test_descent_converging_on_the_last_step_sets_no_flag():
@@ -412,16 +412,60 @@ def test_gd_bb_driver(rng):
     assert np.all(np.diff(obj) <= 1e-12)     # safeguarded: stays monotone
 
 
-def test_result_is_the_solution_at_the_returned_point():
-    # this run ends on a failed line search, after the last finite
-    # evaluation was a trial point the search rejected
+def _tv_inpaint_8x8x3():
     section = configparser.ConfigParser()
     section.read_dict({"problem": {"family": "tv-inpaint", "height": "8",
                                    "width": "8", "channels": "3", "seed": "0"}})
-    prob = cli.build_problem(section["problem"])[0]
+    return cli.build_problem(section["problem"])[0]
+
+
+def test_result_is_the_solution_at_the_returned_point(monkeypatch):
+    # the first trial step is finite and rejected, every later one is
+    # infinite: the run ends on a failed line search after the last finite
+    # evaluation was a trial point the search rejected
+    prob = _tv_inpaint_8x8x3()
+    calls = 0
+
+    def rejecting(problem, v):
+        nonlocal calls
+        calls += 1
+        f, grad, sol = eval_f_grad(problem, v)
+        if calls == 2:
+            f += 1e3
+        elif calls > 2:
+            f = np.inf
+        return f, grad, sol
+
+    monkeypatch.setattr(varpro, "eval_f_grad", rejecting)
     res = solve_varpro(prob, OuterConfig())
-    assert res.trace.flags.get("line_search_failed")
+    assert res.trace.stop_reason == "line_search_failed"
+    assert res.trace.n_records == 1 and calls == res.trace.evals
+    monkeypatch.undo()
     assert nonsmooth_objective(prob, res.x) <= res.objective * (1 + 1e-12)
+    f, _, sol = eval_f_grad(prob, res.v)
+    assert f == res.objective and np.array_equal(res.x, sol.x)
+
+
+def test_tv_inpaint_ends_on_the_noise_floor_without_a_final_evaluation(
+        monkeypatch):
+    # the last finite evaluations are rejected trials, and the next trial
+    # would sit under the noise floor; the solution of the accepted point
+    # is returned without evaluating it again
+    prob = _tv_inpaint_8x8x3()
+    values = []
+
+    def counted(problem, v):
+        out = eval_f_grad(problem, v)
+        values.append(out[0])
+        return out
+
+    monkeypatch.setattr(varpro, "eval_f_grad", counted)
+    res = solve_varpro(prob, OuterConfig())
+    assert res.trace.stop_reason == "noise_floor"
+    assert len(values) == res.trace.evals
+    assert values[-1] > res.objective
+    assert res.trace.backtracks > 0
+    monkeypatch.undo()
     _, _, sol = eval_f_grad(prob, res.v)
     assert np.array_equal(res.x, sol.x)
 
