@@ -362,33 +362,30 @@ def _minimize(config, theta0, evaluate, name):
 
     ``evaluate(theta) -> (f, grad, sol)``; an :class:`InnerSolveError` or a
     non-finite value scores ``+inf``.  Returns ``(theta, f, trace, sol)``
-    with ``sol`` the solution at the returned ``theta``: that of the last
-    finite evaluation, or, when that was a trial point the line search
-    rejected, of the lowest finite value (the accepted point, unless a
-    rejected trial scored lower).  When neither was at ``theta``, or there
+    with ``sol`` the solution at the returned ``theta``: that of the lowest
+    finite value, which is the accepted point unless a rejected trial of
+    the line search scored lower.  When that is not at ``theta``, or there
     was no finite evaluation, the final point is evaluated once more, so an
     inner failure there raises.
     """
-    last = at = low = low_at = None
+    low = low_at = None
     f_low = np.inf
 
     def fun(theta):
-        nonlocal last, at, low, low_at, f_low
+        nonlocal low, low_at, f_low
         try:
             f, grad, sol = evaluate(theta)
         except InnerSolveError:
             return np.inf, np.zeros_like(theta)
         if not np.isfinite(f):
             return np.inf, np.zeros_like(theta)
-        last, at = sol, theta
-        if f <= f_low:
+        if f < f_low:
             low, low_at, f_low = sol, theta, f
         return f, grad
 
     theta, f, _, trace = _run_minimizer(fun, theta0, config, name)
-    for sol, point in ((last, at), (low, low_at)):
-        if point is not None and np.array_equal(point, theta):
-            return theta, f, trace, sol
+    if low_at is not None and np.array_equal(low_at, theta):
+        return theta, f, trace, low
     return theta, f, trace, evaluate(theta)[2]
 
 

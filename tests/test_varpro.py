@@ -288,8 +288,10 @@ def test_descent_converging_on_the_last_step_sets_no_flag():
     def fun(v):     # the first step, -g at t = 1, lands on the minimizer
         return 0.5 * float((v - 1.0) @ (v - 1.0)), v - 1.0
 
+    # the one allowed step converges: the run is not marked max_iter
     _, _, g, trace = minimize_lbfgs(fun, np.zeros(8), 1, 1e-8)
-    assert not g.any() and trace.flags == {}
+    assert not g.any()
+    assert trace.stop_reason == "converged" and trace.evals == 2
 
 
 def test_lbfgs_one_dim_lasso_from_two():
@@ -444,6 +446,38 @@ def test_result_is_the_solution_at_the_returned_point(monkeypatch):
     assert nonsmooth_objective(prob, res.x) <= res.objective * (1 + 1e-12)
     f, _, sol = eval_f_grad(prob, res.v)
     assert f == res.objective and np.array_equal(res.x, sol.x)
+
+
+@pytest.mark.parametrize("ulps_below, final_evals", [(1, 1), (0, 0)])
+def test_final_evaluation_only_below_a_rejected_trial(monkeypatch, ulps_below,
+                                                      final_evals):
+    # the first trial scores at most one ulp below the start, too little for
+    # the Armijo test, and every later one is infinite.  A trial below the
+    # start holds the lowest finite value, so the returned start is
+    # evaluated once more; a trial that ties the start does not displace it
+    prob = _tv_inpaint_8x8x3()
+    calls, f0 = 0, None
+
+    def rejected_trial(problem, v):
+        nonlocal calls, f0
+        calls += 1
+        f, grad, sol = eval_f_grad(problem, v)
+        if calls == 1:
+            f0 = f
+        elif calls == 2:
+            f = np.nextafter(f0, -np.inf) if ulps_below else f0
+        else:
+            f = np.inf
+        return f, grad, sol
+
+    monkeypatch.setattr(varpro, "eval_f_grad", rejected_trial)
+    res = solve_varpro(prob, OuterConfig())
+    assert res.trace.stop_reason == "line_search_failed"
+    assert res.trace.n_records == 1 and res.trace.backtracks == res.trace.evals - 1
+    assert calls == res.trace.evals + final_evals
+    monkeypatch.undo()
+    f, _, sol = eval_f_grad(prob, res.v)
+    assert f == f0 == res.objective and np.array_equal(res.x, sol.x)
 
 
 def test_tv_inpaint_ends_on_the_noise_floor_without_a_final_evaluation(
