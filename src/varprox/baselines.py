@@ -11,11 +11,10 @@ and ``||z - y||_{1,2} / lam`` for l1-type fits.
 import time
 
 import numpy as np
-import scipy.linalg
 
 from .groups import (group_norm_12, group_soft_threshold, group_sq_norms,
                      trivial_groups)
-from .inner import _cho_factor, _cho_solve
+from .inner import cholesky_factor, cholesky_solve
 from .linops import DenseOperator, IdentityOperator, operator_norm
 from .trace import SolverTrace
 from .varpro import OuterConfig, QuadraticLoss, VarProProblem, solve_varpro
@@ -77,6 +76,15 @@ def run_ista(A, gs, lam, y, step=None, accel="none", iters=1000, x0=None):
     return trace
 
 
+def _cholesky(M):
+    """:func:`~varprox.inner.cholesky_factor` of an ``M`` that must be
+    positive definite; raises ``numpy.linalg.LinAlgError`` otherwise."""
+    fac = cholesky_factor(M)
+    if fac is None:
+        raise np.linalg.LinAlgError("system is not positive definite")
+    return fac
+
+
 def run_admm(A, L, gs, lam, y, tau=1.0, iters=1000):
     """Alternating direction method for ``||L x||_{1,2} + F0(A x)`` from
     ``x = 0``.
@@ -89,8 +97,7 @@ def run_admm(A, L, gs, lam, y, tau=1.0, iters=1000):
     y = np.asarray(y, dtype=float).ravel()
     Ad, Ld = A.to_dense(), L.to_dense()
     n, p = A.cols, L.rows
-    M = Ad.T @ Ad + lam * tau * (Ld.T @ Ld)
-    chol = scipy.linalg.cho_factor(M)
+    chol = _cholesky(A.gram() + lam * tau * (Ld.T @ Ld))
     aty = Ad.T @ y
     x = np.zeros(n)
     z = L.apply(x)
@@ -105,7 +112,7 @@ def run_admm(A, L, gs, lam, y, tau=1.0, iters=1000):
         trace.record(k, obj, primal, time.perf_counter() - t0)
         if k == iters:
             break
-        x = scipy.linalg.cho_solve(
+        x = cholesky_solve(
             chol, aty + lam * L.adjoint(psi) + lam * tau * L.adjoint(z))
         lx = L.apply(x)
         z_new = group_soft_threshold(lx - psi / tau, 1.0 / tau, gs)
@@ -138,8 +145,7 @@ def run_primal_dual(variant, A, L, gs, lam, y, loss_groups=None, iters=1000):
         x = np.zeros(n)
         xbar = x.copy()
         xi = np.zeros(p)
-        M = np.eye(n) + (tau / lam) * (Ad.T @ Ad)
-        chol = scipy.linalg.cho_factor(M)
+        chol = _cholesky(np.eye(n) + (tau / lam) * A.gram())
         aty = Ad.T @ y
         trace = SolverTrace(method="primal-dual")
         for k in range(iters + 1):
@@ -150,7 +156,7 @@ def run_primal_dual(variant, A, L, gs, lam, y, loss_groups=None, iters=1000):
             if k == iters:
                 break
             xi = _project_group_ball(xi + sigma * L.apply(xbar), gs)
-            x_new = scipy.linalg.cho_solve(
+            x_new = cholesky_solve(
                 chol, (x - tau * L.adjoint(xi)) + (tau / lam) * aty)
             xbar = x_new + (x_new - x)
             x = x_new
@@ -254,11 +260,11 @@ def run_irls(A, Y, gs, q, mode="equality", iters=200):
         S = AW @ Ad.T
         if not np.isfinite(S).all():
             raise ValueError("IRLS system must not contain infs or NaNs")
-        fac = _cho_factor(S)
+        fac = cholesky_factor(S)
         if fac is None:
             T = np.linalg.lstsq(S, Y, rcond=None)[0]
         else:
-            T = _cho_solve(fac, Y)
+            T = cholesky_solve(fac, Y)
         X_new = AW.T @ T
         obj = lq_value(X_new, gs, q) * q   # sum ||x_g||^q
         delta = float(np.linalg.norm(X_new - X))

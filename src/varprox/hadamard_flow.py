@@ -155,9 +155,9 @@ def run_gd(problem, u0, v0, step, iters, bounds=None, keep_diagnostics=True):
     """Fixed-step or Barzilai-Borwein descent on the factored objective.
 
     ``step`` is a float, ``"fixed-mg"`` (``1/M_G``), ``"fixed-kappa"``
-    (``1/(kappa M_G)``) or ``"bb"``.  Fixed modes need ``bounds``.  BB steps
-    are clipped to ``[1e-8, 1e8] / M_G`` (absolute clip without bounds) and
-    the run aborts with ``trace.flags['diverged']`` when the objective rises
+    (``1/(kappa M_G)``) or ``"bb"``; the three modes need ``bounds``.  BB
+    steps start at ``1/M_G``, are clipped to ``[1e-8, 1e8] / M_G``, and the
+    run aborts with ``trace.flags['diverged']`` when the objective rises
     above ten times its initial value.
     """
     import time as _time
@@ -165,22 +165,15 @@ def run_gd(problem, u0, v0, step, iters, bounds=None, keep_diagnostics=True):
     u = np.asarray(u0, dtype=float).copy()
     v = np.asarray(v0, dtype=float).copy()
     if isinstance(step, str):
-        if step in ("fixed-mg", "fixed-kappa") and bounds is None:
-            raise ValueError("fixed step modes require bounds")
-        if step == "fixed-mg":
-            tau = 1.0 / bounds.M_G
-        elif step == "fixed-kappa":
-            tau = 1.0 / (bounds.kappa * bounds.M_G)
-        elif step == "bb":
-            tau = 1.0 / bounds.M_G if bounds is not None else None
-        else:
+        if step not in ("fixed-mg", "fixed-kappa", "bb"):
             raise ValueError(f"unknown step mode {step!r}")
+        if bounds is None:
+            raise ValueError(f"step mode {step!r} requires bounds")
+        lip = bounds.kappa * bounds.M_G if step == "fixed-kappa" else bounds.M_G
+        tau = 1.0 / lip
     else:
         tau = float(step)
     bb = step == "bb"
-    if bb and tau is None:
-        gu, gv = flow_gradient(problem, u, v)
-        tau = 1.0 / max(1.0, np.sqrt(float(gu @ gu + gv @ gv)))
 
     trace = SolverTrace(method="hadamard-gd-" + (step if isinstance(step, str)
                                                  else "fixed"))
@@ -222,11 +215,9 @@ def run_gd(problem, u0, v0, step, iters, bounds=None, keep_diagnostics=True):
                 ss = float(su @ su + sv @ sv)
                 if sy > 0 and np.isfinite(sy):
                     t = ss / sy
-                lo, hi = (1e-8 / bounds.M_G, 1e8 / bounds.M_G) \
-                    if bounds is not None else (1e-12, 1e12)
                 if not np.isfinite(t):
                     t = tau
-                t = float(np.clip(t, lo, hi))
+                t = float(np.clip(t, 1e-8 / bounds.M_G, 1e8 / bounds.M_G))
             prev = (u.copy(), v.copy(), gu.copy(), gv.copy())
             u = u - t * gu
             v = v - t * gv

@@ -1,43 +1,56 @@
 """Dual inner solvers.
 
-Each routine maximizes the concave dual of the projected inner problem and
-returns the primal/dual triple ``(x, alpha, xi)`` together with a certified
-stationarity residual.  Conventions, fixed once and validated by the
-finite-difference gradient tests upstream:
+Every inner problem is the concave dual of one symmetric saddle system in
+``(alpha, xi, x)``, validated by the finite-difference gradient tests
+upstream::
 
-* quadratic loss ``F0(z) = ||z - y||^2 / (2 lam)``:
-  ``lam * xi = A x - y``, ``L x = vbar^2 * alpha``, ``L^T alpha + A^T xi = 0``;
-* robust (variational) loss: ``L x = -vbar^2 * alpha``,
-  ``A x = y - lam * wbar^2 * xi``, ``L^T alpha + A^T xi = 0``;
-* exact-interpolation loss: ``A x = y``, ``L x = vbar^2 * alpha``,
-  ``L^T alpha + A^T xi = 0``.
+    d_alpha * alpha  + L x = 0
+    d_xi * xi        + A x = y
+    L^T alpha + A^T xi     = 0
 
-All solvers work at "desk scale": direct symmetric factorizations by
-default, conjugate gradients on the positive definite reduced forms above
-``DIRECT_SIZE_LIMIT`` unknowns or when requested.  Every positive definite
-system, dense or sparse, goes through ``_psd_solve``; a dense one is
-factored and solved by LAPACK ``dpotrf``/``dpotrs`` called directly, the
-calls ``scipy.linalg.cho_factor``/``cho_solve`` make without their per-call
-wrapper, which costs more than the factorization at m <= 32.  The m-by-m
-dual system ``A diag(d) A^T + shift I`` (group lasso, overlapping groups,
-multitask and the two-factor path of :mod:`varprox.varpro`) has one assembler,
-``_dual_matrix``, which forms ``B B^T`` by BLAS ``syrk`` (so does the
-reduced system of ``solve_quadratic_general``) from the columns with
-``d > 0`` only; ``_dual_solve`` adds its matrix-free CG.  In the group
-lasso, :func:`varprox.varpro.solve_varpro` sets ``v_g = 0`` on the groups
-that gap-safe screening certifies as zero at the optimum, so their columns
-leave the assembly.  The group-dual certificate keeps its one informative row.
-The full symmetric saddle system (degenerate quadratic, general robust, exact
-interpolation) has one dense assembler, ``_saddle_solve``.  The two
-``A = Id`` routes (TV denoising and the robust prox, e.g. TV-L1) share one
-solve, ``_prox_solve``, of the sparse system ``diag(d) + lam L diag(s) L^T``,
-assembled on the fixed pattern memoized on ``L``
+Only the diagonal pair ``(d_alpha, d_xi)`` changes with the loss:
+
+===============================  ===========  ================
+loss                             ``d_alpha``  ``d_xi``
+===============================  ===========  ================
+quadratic ``||z-y||^2/(2 lam)``  ``-vbar^2``  ``-lam``
+robust (variational)             ``vbar^2``   ``lam * wbar^2``
+exact interpolation ``A x = y``  ``-vbar^2``  ``0``
+===============================  ===========  ================
+
+Every route returns ``(x, alpha, xi)`` with one certificate, ``_kkt``, the
+max norm of the system's residual, after one of four eliminations:
+
+* none, ``_saddle_route``: the dense full system (degenerate quadratic,
+  general robust, exact interpolation);
+* ``A = Id``, ``_prox_route``: ``xi = -L^T alpha``, ``x = y - d_xi xi`` and
+  a sparse p-by-p system in ``alpha`` (TV denoising, robust prox);
+* ``x`` first, ``_from_x_route``: ``alpha`` and ``xi`` from rows 1 and 2
+  (the reduced general route, direct or CG, and Woodbury);
+* ``L = Id``, the group dual: an m-by-m system in ``xi``; its certificate
+  is row 2, the other two rows vanish by construction.
+
+``_dispatch_quadratic`` picks the quadratic route from the problem's
+structure; each route owns its value-dependent fallbacks.
+
+Direct factorizations by default, conjugate gradients on the positive
+definite reduced forms above ``DIRECT_SIZE_LIMIT`` unknowns or when
+requested.  Every positive definite system goes through ``_psd_solve``; a
+dense one is factored by LAPACK ``dpotrf``/``dpotrs`` called directly
+(``cholesky_factor``/``cholesky_solve``), without the per-call wrapper of
+``scipy.linalg.cho_factor``, which costs more than the factorization at
+m <= 32.  The m-by-m dual system ``A diag(d) A^T + shift I`` (group lasso,
+overlapping groups, multitask and the two-factor path of
+:mod:`varprox.varpro`) has one assembler, ``_dual_matrix``, which forms
+``B B^T`` by BLAS ``syrk`` from the columns with ``d > 0`` only (the group
+lasso's screened groups have ``v_g = 0``); ``_dual_solve`` adds its
+matrix-free CG.  The ``A = Id`` system ``diag(d) + lam L diag(s) L^T`` is
+solved by ``_prox_solve`` on the fixed pattern memoized on ``L``
 (:class:`~varprox.linops.CogramPattern`).  A multichannel gradient is block
-diagonal over the channels, and the TV groups tie every pixel's channels
-together, so ``d`` and ``s`` repeat per channel and all blocks are equal:
-then one channel's 2hw-by-2hw block is factored and solved for ``C``
-right-hand sides.  Any other ``L``, or weights that differ by channel, factor
-the whole p-by-p system.
+diagonal over the channels and the TV groups tie every pixel's channels
+together, so ``d`` and ``s`` repeat per channel: then one channel's
+2hw-by-2hw block is factored and solved for ``C`` right-hand sides.  Any
+other ``L``, or weights that differ by channel, factor the whole system.
 """
 
 import warnings
@@ -55,7 +68,7 @@ __all__ = [
     "InnerConfig", "InnerSolution", "InnerSolveError",
     "solve_quadratic_general", "solve_grouplasso_dual", "solve_analysis_prox",
     "solve_overlap_woodbury", "solve_robust", "solve_basis_pursuit",
-    "solve_multitask_nuclear",
+    "solve_multitask_nuclear", "cholesky_factor", "cholesky_solve",
 ]
 
 
@@ -162,7 +175,7 @@ def _spd_factor(M):
     return None
 
 
-def _cho_factor(M, overwrite=False):
+def cholesky_factor(M, overwrite=False):
     """Upper Cholesky factor of a dense ``M`` by LAPACK ``dpotrf``, or
     ``None`` where it fails (a leading minor is not positive).
 
@@ -179,9 +192,10 @@ def _cho_factor(M, overwrite=False):
     return c
 
 
-def _cho_solve(fac, b):
-    """Solve ``M z = b`` (``b`` 1-D or 2-D) from ``fac = _cho_factor(M)``
-    by LAPACK ``dpotrs``, as ``scipy.linalg.cho_solve`` does."""
+def cholesky_solve(fac, b):
+    """Solve ``M z = b`` (``b`` 1-D or 2-D) from
+    ``fac = cholesky_factor(M)`` by LAPACK ``dpotrs``, as
+    ``scipy.linalg.cho_solve`` does."""
     z, info = scipy.linalg.lapack.dpotrs(fac, b, lower=False)
     if info != 0:
         raise ValueError(f"dpotrs: illegal value in argument {-info}")
@@ -200,18 +214,18 @@ def _psd_solve(M, b, what):
     residual is always re-checked by the caller.
     """
     dense = isinstance(M, np.ndarray)   # issparse's ABC check would grow caches
-    fac = _cho_factor(M) if dense else _spd_factor(M)
+    fac = cholesky_factor(M) if dense else _spd_factor(M)
     if fac is None:
         p = M.shape[0]
         eps = JITTER * max(float(np.abs(M.diagonal()).max(initial=0.0)), 1e-300)
         if dense:       # the jittered copy is the factorization's to overwrite
-            fac = _cho_factor(M + eps * np.eye(p), overwrite=True)
+            fac = cholesky_factor(M + eps * np.eye(p), overwrite=True)
         else:
             fac = _spd_factor(M + eps * scipy.sparse.eye_array(p, format="csc"))
     if fac is None:
         return _sym_solve(M if dense else M.toarray(), b, what)
     if dense:
-        return _cho_solve(fac, b)
+        return cholesky_solve(fac, b)
     return fac.solve(b)
 
 
@@ -282,11 +296,22 @@ def _sym_solve(M, b, what):
     return sol
 
 
-def _saddle_solve(A, L, d_alpha, d_xi, y, what):
-    """Dense solve of the symmetric saddle system
-    ``[[diag(d_alpha), 0, L], [0, diag(d_xi), A], [L^T, A^T, 0]]
-    (alpha, xi, x) = (0, y, 0)``; ``d_xi`` may be a scalar.  Returns
-    ``(alpha, xi, x)``."""
+def _vbar(v, gs):
+    if not isinstance(gs, GroupStructure):
+        raise TypeError("group structure required")
+    return extend(np.asarray(v, dtype=float), gs)
+
+
+def _kkt(A, L, d_alpha, d_xi, y, x, alpha, xi):
+    """Max norm of the saddle system's residual at ``(alpha, xi, x)``;
+    ``d_xi`` may be a scalar."""
+    rows = (d_alpha * alpha + L.apply(x), d_xi * xi + A.apply(x) - y,
+            L.adjoint(alpha) + A.adjoint(xi))
+    return float(max(np.abs(r).max(initial=0) for r in rows))
+
+
+def _saddle_route(A, L, d_alpha, d_xi, y, what, method):
+    """No elimination: one dense solve of the full saddle system."""
     p, m = L.rows, A.rows
     k = p + m
     B = np.vstack([L.to_dense(), A.to_dense()])
@@ -298,21 +323,49 @@ def _saddle_solve(A, L, d_alpha, d_xi, y, what):
         [d_alpha, np.broadcast_to(d_xi, m)])
     rhs = np.concatenate([np.zeros(p), y, np.zeros(size - k)])
     sol = _sym_solve(M, rhs, what)
-    return sol[:p], sol[p:k], sol[k:]
+    alpha, xi, x = sol[:p], sol[p:k], sol[k:]
+    res = _kkt(A, L, d_alpha, d_xi, y, x, alpha, xi)
+    return InnerSolution(x, alpha, xi, res, system_size=size, method=method)
 
 
-def _vbar(v, gs):
-    if not isinstance(gs, GroupStructure):
-        raise TypeError("group structure required")
-    return extend(np.asarray(v, dtype=float), gs)
+def _prox_route(L, vbar, lam, s, y, sign, what):
+    """``A = Id`` with ``(d_alpha, d_xi) = sign * (vbar^2, lam s)``:
+    ``alpha`` solves ``(diag(vbar^2) + lam L diag(s) L^T) alpha = -sign L y``
+    by :func:`_prox_solve`, then ``xi = -L^T alpha`` and
+    ``x = y - d_xi xi``."""
+    d = vbar ** 2
+    alpha = _prox_solve(L, d, s, lam, -sign * L.apply(y), what)
+    xi = -L.adjoint(alpha)
+    d_alpha, d_xi = sign * d, sign * lam * s
+    x = y - d_xi * xi
+    res = _kkt(IdentityOperator(L.cols), L, d_alpha, d_xi, y, x, alpha, xi)
+    return InnerSolution(x, alpha, xi, res, system_size=L.rows,
+                         method="sparse-direct")
 
 
-def _quad_kkt(A, L, vbar, lam, y, x, alpha, xi):
-    r1 = lam * xi - (A.apply(x) - y)
-    r2 = L.apply(x) - vbar ** 2 * alpha
-    r3 = L.adjoint(alpha) + A.adjoint(xi)
-    return float(max(np.abs(r1).max(initial=0), np.abs(r2).max(initial=0),
-                     np.abs(r3).max(initial=0)))
+def _from_x_route(A, L, d_alpha, d_xi, y, x, size, method):
+    """``x`` solved first: ``alpha = -L x / d_alpha`` and
+    ``xi = (y - A x) / d_xi`` from the first two rows."""
+    alpha = -L.apply(x) / d_alpha
+    xi = (y - A.apply(x)) / d_xi
+    res = _kkt(A, L, d_alpha, d_xi, y, x, alpha, xi)
+    return InnerSolution(x, alpha, xi, res, system_size=size, method=method)
+
+
+def _dispatch_quadratic(A, L, v, gs, lam, y):
+    """The quadratic-loss route for the problem's structure: Woodbury when
+    ``L`` extracts overlapping groups and ``gs`` is their lifted partition,
+    the group dual for ``L = Id``, the denoising prox for ``A = Id``, the
+    general route otherwise."""
+    if isinstance(L, BlockExtractOperator) and L.source_groups.mode == "overlapping":
+        sizes = L.source_groups.sizes     # lifted: one block per group, in order
+        if np.array_equal(gs.group_of, np.repeat(np.arange(sizes.size), sizes)):
+            return solve_overlap_woodbury(A, L.source_groups, v, lam, y)
+    if isinstance(L, IdentityOperator):
+        return solve_grouplasso_dual(A, v, gs, lam, y)
+    if isinstance(A, IdentityOperator):
+        return solve_analysis_prox(L, v, gs, lam, y)
+    return solve_quadratic_general(A, L, v, gs, lam, y)
 
 
 def solve_quadratic_general(A, L, v, gs, lam, y, cfg=DEFAULT):
@@ -320,41 +373,29 @@ def solve_quadratic_general(A, L, v, gs, lam, y, cfg=DEFAULT):
 
     Away from zeros of the extension ``vbar`` this solves the reduced
     positive definite system ``(A^T A + lam L^T diag(1/vbar^2) L) x = A^T y``;
-    with (near-)zero entries it falls back to the extended saddle system,
-    which stays well posed.
+    with (near-)zero entries it falls back to the full saddle system, which
+    stays well posed.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     y = np.asarray(y, dtype=float).ravel()
     vbar = _vbar(v, gs)
-    m, n, p = A.rows, A.cols, L.rows
     vmax = np.abs(vbar).max(initial=0.0)
-    degenerate = vmax == 0.0 or np.abs(vbar).min() < ZERO_THRESHOLD * vmax
-
-    if degenerate:
-        alpha, xi, x = _saddle_solve(A, L, -vbar ** 2, -lam, y,
-                                     "extended saddle system")
-        res = _quad_kkt(A, L, vbar, lam, y, x, alpha, xi)
-        return InnerSolution(x, alpha, xi, res, system_size=p + m + n,
-                             method="direct-extended")
-
+    if vmax == 0.0 or np.abs(vbar).min() < ZERO_THRESHOLD * vmax:
+        return _saddle_route(A, L, -vbar ** 2, -lam, y,
+                             "extended saddle system", "direct-extended")
     inv_v2 = 1.0 / vbar ** 2
     aty = A.adjoint(y)
-    if cfg.use_cg(n):
+    if cfg.use_cg(A.cols):
         def matvec(z):
             return A.adjoint(A.apply(z)) + lam * L.adjoint(inv_v2 * L.apply(z))
 
-        x = _cg(matvec, aty)
-        method = "cg"
+        x, method = _cg(matvec, aty), "cg"
     else:
         C = L.to_dense() / np.abs(vbar)[:, None]
         H = A.gram() + lam * (C.T @ C)
-        x = _psd_solve(H, aty, "reduced system")
-        method = "direct"
-    alpha = inv_v2 * L.apply(x)
-    xi = (A.apply(x) - y) / lam
-    res = _quad_kkt(A, L, vbar, lam, y, x, alpha, xi)
-    return InnerSolution(x, alpha, xi, res, system_size=n, method=method)
+        x, method = _psd_solve(H, aty, "reduced system"), "direct"
+    return _from_x_route(A, L, -vbar ** 2, -lam, y, x, A.cols, method)
 
 
 def solve_grouplasso_dual(A, v, gs, lam, y, cfg=DEFAULT):
@@ -368,8 +409,8 @@ def solve_grouplasso_dual(A, v, gs, lam, y, cfg=DEFAULT):
     g, method = _dual_solve(A, d, lam, -y, cfg, "group dual system")
     alpha = -A.adjoint(g)
     x = d * alpha
-    # the other two rows of _quad_kkt are zero by construction of x and alpha
-    res = float(np.abs(lam * g - (A.apply(x) - y)).max(initial=0))
+    # rows 1 and 3 of _kkt are zero by construction of x and alpha; row 2
+    res = float(np.abs(-lam * g + A.apply(x) - y).max(initial=0))
     return InnerSolution(x, alpha, g, res, system_size=A.rows, method=method)
 
 
@@ -385,33 +426,25 @@ def solve_analysis_prox(L, v, gs, lam, y, cfg=DEFAULT):
                          "this route always factors its system; use 'auto' "
                          "or 'direct'")
     y = np.asarray(y, dtype=float).ravel()
-    vbar = _vbar(v, gs)
-    alpha = _prox_solve(L, vbar ** 2, np.ones(L.cols), lam, L.apply(y),
-                        "analysis prox system")
-    xi = -L.adjoint(alpha)
-    x = y + lam * xi
-    res = _quad_kkt(IdentityOperator(L.cols), L, vbar, lam, y, x, alpha, xi)
-    return InnerSolution(x, alpha, xi, res, system_size=L.rows,
-                         method="sparse-direct")
+    return _prox_route(L, _vbar(v, gs), lam, np.ones(L.cols), y, -1.0,
+                       "analysis prox system")
 
 
 def solve_overlap_woodbury(A, ogroups, v, lam, y, cfg=DEFAULT):
     """Overlapping-group solve through the m-by-m inverted system.
 
     Valid when the groups span the index set and every ``v_g`` is nonzero;
-    otherwise falls back to the extended saddle system on the lifted
-    extractor.  The diagonal ``W_ii = sum_{g contains i} w_g^2 / v_g^2``
-    makes the n-by-n reduced system invertible in closed form, leaving the
-    m-by-m solve ``(A W^-1 A^T + lam I) t = A W^-1 A^T y``.
+    otherwise falls back to the general route on the lifted extractor.  The
+    diagonal ``W_ii = sum_{g contains i} w_g^2 / v_g^2`` makes the n-by-n
+    reduced system invertible in closed form, leaving the m-by-m solve
+    ``(A W^-1 A^T + lam I) t = A W^-1 A^T y``.
     """
     if ogroups.mode != "overlapping":
         raise ValueError("overlapping group structure required")
     v = np.asarray(v, dtype=float)
     L = BlockExtractOperator(ogroups, A.cols)
     lifted = L.lifted_partition()
-    if not ogroups.spans():
-        raise InnerSolveError("woodbury path requires groups spanning the index set")
-    if np.any(v == 0.0):
+    if np.any(v == 0.0) or not ogroups.spans():
         return solve_quadratic_general(A, L, v, lifted, lam, y, cfg)
     y = np.asarray(y, dtype=float).ravel()
     wdiag = np.zeros(A.cols)
@@ -421,27 +454,15 @@ def solve_overlap_woodbury(A, ogroups, v, lam, y, cfg=DEFAULT):
     t, _ = _dual_solve(A, 1.0 / wdiag, lam, A.apply(winv_b), cfg,
                        "woodbury system")
     x = (winv_b - A.adjoint(t) / wdiag) / lam
-    vbar = extend(v, lifted)
-    alpha = L.apply(x) / vbar ** 2
-    xi = (A.apply(x) - y) / lam
-    res = _quad_kkt(A, L, vbar, lam, y, x, alpha, xi)
-    return InnerSolution(x, alpha, xi, res, system_size=A.rows,
-                         method="woodbury")
-
-
-def _robust_kkt(A, L, vbar, wbar, lam, y, x, alpha, xi):
-    r1 = vbar ** 2 * alpha + L.apply(x)
-    r2 = lam * wbar ** 2 * xi + A.apply(x) - y
-    r3 = L.adjoint(alpha) + A.adjoint(xi)
-    return float(max(np.abs(r1).max(initial=0), np.abs(r2).max(initial=0),
-                     np.abs(r3).max(initial=0)))
+    return _from_x_route(A, L, -extend(v, lifted) ** 2, -lam, y, x, A.rows,
+                         "woodbury")
 
 
 def solve_robust(A, L, v, gs_reg, w, gs_loss, lam, y):
     """Inner solve with both regularizer and loss in quadratic variational
     form (covers grouped TV with an l1-type loss and square-root lasso).
 
-    Solves the symmetric saddle system; for ``A = Id`` the smaller sparse
+    Solves the full saddle system; for ``A = Id`` the smaller sparse
     p-by-p elimination ``(diag(vbar^2) + lam L diag(wbar^2) L^T) alpha = -L y``
     is used instead, factored as one 2hw-by-2hw channel block when ``L`` is a
     multichannel gradient and both weights repeat per channel (see
@@ -452,22 +473,11 @@ def solve_robust(A, L, v, gs_reg, w, gs_loss, lam, y):
     y = np.asarray(y, dtype=float).ravel()
     vbar = _vbar(v, gs_reg)
     wbar = _vbar(w, gs_loss)
-    m, n, p = A.rows, A.cols, L.rows
-
     if isinstance(A, IdentityOperator):
-        alpha = _prox_solve(L, vbar ** 2, wbar ** 2, lam, -L.apply(y),
-                            "robust prox system")
-        xi = -L.adjoint(alpha)
-        x = y - lam * wbar ** 2 * xi
-        res = _robust_kkt(A, L, vbar, wbar, lam, y, x, alpha, xi)
-        return InnerSolution(x, alpha, xi, res, system_size=p,
-                             method="sparse-direct")
-
-    alpha, xi, x = _saddle_solve(A, L, vbar ** 2, lam * wbar ** 2, y,
-                                 "robust saddle system")
-    res = _robust_kkt(A, L, vbar, wbar, lam, y, x, alpha, xi)
-    return InnerSolution(x, alpha, xi, res, system_size=p + m + n,
-                         method="direct")
+        return _prox_route(L, vbar, lam, wbar ** 2, y, 1.0,
+                           "robust prox system")
+    return _saddle_route(A, L, vbar ** 2, lam * wbar ** 2, y,
+                         "robust saddle system", "direct")
 
 
 def solve_basis_pursuit(A, L, v, gs, y):
@@ -483,17 +493,12 @@ def solve_basis_pursuit(A, L, v, gs, y):
     vbar = _vbar(v, gs)
     if not np.any(vbar):
         raise InnerSolveError("basis pursuit requires v != 0")
-    alpha, xi, x = _saddle_solve(A, L, -vbar ** 2, 0.0, y,
-                                 "basis pursuit KKT system")
-    feas = np.abs(A.apply(x) - y).max(initial=0)
+    sol = _saddle_route(A, L, -vbar ** 2, 0.0, y, "basis pursuit KKT system",
+                        "direct")
+    feas = np.abs(A.apply(sol.x) - y).max(initial=0)
     if feas > FEAS_TOL * (1.0 + np.abs(y).max(initial=0)):
         raise InnerSolveError(f"infeasible data: ||Ax - y||_inf = {feas:.3e}")
-    r1 = L.apply(x) - vbar ** 2 * alpha
-    r3 = L.adjoint(alpha) + A.adjoint(xi)
-    res = float(max(feas, np.abs(r1).max(initial=0), np.abs(r3).max(initial=0)))
-    return InnerSolution(x, alpha, xi, res,
-                         system_size=alpha.size + xi.size + x.size,
-                         method="direct")
+    return sol
 
 
 def solve_multitask_nuclear(A, v, W, lam, Y):

@@ -21,7 +21,7 @@ from . import inner as inner_mod
 from .groups import (GroupStructure, extend, group_dots, group_norm_12,
                      group_sq_norms)
 from .inner import InnerSolution, InnerSolveError
-from .linops import BlockExtractOperator, DenseOperator, IdentityOperator, LinearOperator
+from .linops import DenseOperator, IdentityOperator, LinearOperator
 from .optim import minimize_gd_bb, minimize_lbfgs
 
 __all__ = [
@@ -121,20 +121,6 @@ class VarProResult:
     screened: int | None = None
 
 
-def _dispatch_quadratic(problem, v, lam, y):
-    """Pick the cheapest valid inner solver for the quadratic loss."""
-    A, L, gs = problem.A, problem.L, problem.reg_groups
-    if isinstance(L, BlockExtractOperator) and L.source_groups.mode == "overlapping":
-        if np.all(v != 0.0) and L.source_groups.spans():
-            return inner_mod.solve_overlap_woodbury(A, L.source_groups, v, lam, y)
-        return inner_mod.solve_quadratic_general(A, L, v, gs, lam, y)
-    if isinstance(A, IdentityOperator) and not isinstance(L, IdentityOperator):
-        return inner_mod.solve_analysis_prox(L, v, gs, lam, y)
-    if isinstance(L, IdentityOperator):
-        return inner_mod.solve_grouplasso_dual(A, v, gs, lam, y)
-    return inner_mod.solve_quadratic_general(A, L, v, gs, lam, y)
-
-
 def eval_f_grad(problem, v):
     """Outer value and gradient for the quadratic or interpolation loss.
 
@@ -145,7 +131,8 @@ def eval_f_grad(problem, v):
     gs = problem.reg_groups
     loss = problem.loss
     if isinstance(loss, QuadraticLoss):
-        sol = _dispatch_quadratic(problem, v, loss.lam, loss.y)
+        sol = inner_mod._dispatch_quadratic(problem.A, problem.L, v, gs,
+                                            loss.lam, loss.y)
         fit = float(np.sum((problem.A.apply(sol.x) - loss.y) ** 2)) / (2 * loss.lam)
     elif isinstance(loss, BasisPursuitLoss):
         sol = inner_mod.solve_basis_pursuit(problem.A, problem.L, v, gs, loss.y)

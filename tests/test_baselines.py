@@ -76,6 +76,21 @@ def test_admm_z_update_is_shrinkage(rng):
                                                 1.0 / 2.0, gs), atol=1e-12)
 
 
+@pytest.mark.parametrize("solver", ["admm", "primal-dual"])
+def test_factoring_baselines_reject_a_system_that_is_not_positive_definite(
+        solver):
+    # A = 0 and L = 0 leave the ADMM system zero; a negative lam makes the
+    # primal-dual system I + (tau / lam) A^T A indefinite
+    n = 4
+    L, gs, y = dense(np.zeros((n, n))), trivial_groups(n), np.ones(n)
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        if solver == "admm":
+            run_admm(dense(np.zeros((n, n))), L, gs, 0.5, y, iters=1)
+        else:
+            run_primal_dual("quadratic", dense(4.0 * np.eye(n)), identity(n),
+                            gs, -0.5, y, iters=1)
+
+
 def test_primal_dual_tvl1_matches_varpro(rng):
     h, w, c = 4, 4, 3
     n = h * w * c

@@ -137,6 +137,15 @@ def test_run_gd_bb_decreases(rng):
         assert best_bb <= min(tr_bb.objectives) + 1e-12
 
 
+@pytest.mark.parametrize("step", ["fixed-mg", "fixed-kappa", "bb"])
+def test_run_gd_step_modes_require_bounds(step):
+    prob = _scalar_problem()
+    with pytest.raises(ValueError, match="requires bounds"):
+        run_gd(prob, np.array([1.0]), np.array([0.5]), step, 1)
+    with pytest.raises(ValueError, match="unknown step mode"):
+        run_gd(prob, np.array([1.0]), np.array([0.5]), step.upper(), 1)
+
+
 def test_calibrated_step_monotone(monkeypatch, rng):
     from varprox import hadamard_flow
     monkeypatch.setattr(hadamard_flow, "PROBE_ITERS", 100)

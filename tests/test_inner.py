@@ -330,6 +330,18 @@ def test_woodbury_zero_v_falls_back(rng):
     assert sol.kkt_residual < 1e-8
 
 
+def test_woodbury_groups_that_do_not_span_fall_back(rng):
+    # index 3 is in no group, so W has a zero diagonal entry
+    ogs = GroupStructure([[0, 1], [1, 2]], p=4, mode="overlapping")
+    A = dense(rng.standard_normal((3, 4)))
+    L = block_extract(ogs, 4)
+    v, y = np.array([0.8, 1.3]), rng.standard_normal(3)
+    sol = solve_overlap_woodbury(A, ogs, v, 0.5, y)
+    ref = solve_quadratic_general(A, L, v, L.lifted_partition(), 0.5, y)
+    assert sol.method == ref.method == "direct"
+    assert np.array_equal(sol.x, ref.x)
+
+
 def test_robust_zero_data(rng):
     m = 6
     A = dense(rng.standard_normal((m, 5)))
@@ -641,7 +653,7 @@ def test_dual_matrix_drops_zero_columns_without_moving_the_sum(rng):
 
 @pytest.mark.parametrize("method", ["direct", "cg"])
 def test_grouplasso_certificate_equals_the_full_kkt(method):
-    # the group dual reports only lam g - (A x - y); the other two rows of the
+    # the group dual reports only -lam g + A x - y; the other two rows of the
     # full certificate vanish, so both must agree to the last bit
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -651,6 +663,80 @@ def test_grouplasso_certificate_equals_the_full_kkt(method):
         v = rng.uniform(0.0, 2.0, gs.n_groups) * (rng.random(gs.n_groups) > 0.3)
         y, lam = rng.standard_normal(m), float(rng.uniform(0.1, 2.0))
         sol = solve_grouplasso_dual(A, v, gs, lam, y, InnerConfig(method=method))
-        full = inner._quad_kkt(A, identity(n), extend(v, gs), lam, y, sol.x,
-                               sol.alpha, sol.xi)
+        full = inner._kkt(A, identity(n), -extend(v, gs) ** 2, -lam, y, sol.x,
+                          sol.alpha, sol.xi)
         assert sol.kkt_residual == full
+
+
+# (d_alpha, d_xi) of the one saddle system, per loss, from vbar, wbar, lam
+CONVENTIONS = {
+    "quadratic": lambda vbar, wbar, lam: (-vbar ** 2, -lam),
+    "robust": lambda vbar, wbar, lam: (vbar ** 2, lam * wbar ** 2),
+    "interpolation": lambda vbar, wbar, lam: (-vbar ** 2, 0.0),
+}
+
+
+def _saddle_matrix(A, L, d_alpha, d_xi):
+    """Dense ``[[diag d_alpha, 0, L], [0, diag d_xi, A], [L^T, A^T, 0]]``."""
+    Ld, Ad = L.to_dense(), A.to_dense()
+    (p, n), m = Ld.shape, A.rows
+    return np.block([
+        [np.diag(d_alpha), np.zeros((p, m)), Ld],
+        [np.zeros((m, p)), np.diag(np.broadcast_to(d_xi, m)), Ad],
+        [Ld.T, Ad.T, np.zeros((n, n))]])
+
+
+SADDLE_ROUTES = ["general-direct", "general-cg", "general-degenerate",
+                 "group-dual", "analysis-prox", "woodbury", "robust-identity",
+                 "robust-general", "basis-pursuit"]
+
+
+@pytest.mark.parametrize("route", SADDLE_ROUTES)
+def test_every_route_solves_the_saddle_system_of_its_loss(rng, route):
+    # the table above, checked against each route's (alpha, xi, x) through
+    # the dense matrix, independently of inner._kkt
+    m, n, lam = 5, 8, 0.7
+    A = dense(rng.standard_normal((m, n)) / 2)
+    L, gs = dense(rng.standard_normal((6, n)) / 2), contiguous_groups(6, 2)
+    y = rng.standard_normal(m)
+    gl, wl = trivial_groups(m), rng.uniform(0.5, 1.5, m)
+    if route in ("group-dual", "basis-pursuit"):
+        L, gs = identity(n), contiguous_groups(n, 2)
+    elif route == "woodbury":
+        ogs = _overlap_windows(n)
+        L = block_extract(ogs, n)
+        gs = L.lifted_partition()
+    elif route.startswith("robust") or route == "analysis-prox":
+        L, gs = grad2d(2, 4), tv_group_structure(2, 4)
+        if route != "robust-general":
+            A, y = identity(n), rng.uniform(0, 1, n)
+            gl, wl = trivial_groups(n), rng.uniform(0.5, 1.5, n)
+    v = rng.uniform(0.5, 1.5, gs.n_groups)
+    if route == "general-degenerate":
+        v[1] = 0.0
+    loss = "quadratic"
+    if route.startswith("general"):
+        method = route.split("-")[1]
+        cfg = InnerConfig(method="auto" if method == "degenerate" else method)
+        sol = solve_quadratic_general(A, L, v, gs, lam, y, cfg)
+        assert sol.method == {"degenerate": "direct-extended"}.get(method, method)
+    elif route == "group-dual":
+        sol = solve_grouplasso_dual(A, v, gs, lam, y)
+    elif route == "analysis-prox":
+        sol = solve_analysis_prox(L, v, gs, lam, y)
+    elif route == "woodbury":
+        sol = solve_overlap_woodbury(A, ogs, v, lam, y)
+        assert sol.method == "woodbury"
+    elif route.startswith("robust"):
+        loss = "robust"
+        sol = solve_robust(A, L, v, gs, wl, gl, lam, y)
+    else:
+        loss = "interpolation"
+        sol = solve_basis_pursuit(A, L, v, gs, y)
+    d_alpha, d_xi = CONVENTIONS[loss](extend(v, gs), extend(wl, gl), lam)
+    M = _saddle_matrix(A, L, d_alpha, d_xi)
+    z = np.concatenate([sol.alpha, sol.xi, sol.x])
+    rhs = np.concatenate([np.zeros(L.rows), y, np.zeros(n)])
+    res = np.abs(M @ z - rhs).max()
+    assert res <= 1e-9
+    assert abs(res - sol.kkt_residual) <= 1e-12

@@ -124,23 +124,23 @@ def test_cholesky_helpers_match_scipy_bitwise(monkeypatch, rng, n):
 
     # called through the module attribute, so a wrapper sees every call
     monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", counted)
-    fac = inner._cho_factor(M)
+    fac = inner.cholesky_factor(M)
     assert calls == [(n, n)]
     c, lower = scipy.linalg.cho_factor(M)
     assert not lower and np.array_equal(fac, c)
     for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
-        z = inner._cho_solve(fac, b)
+        z = inner.cholesky_solve(fac, b)
         assert z.shape == b.shape
         assert np.array_equal(z, scipy.linalg.cho_solve((c, lower), b))
     overwritten = M.copy(order="F")
-    assert np.array_equal(inner._cho_factor(overwritten, overwrite=True), c)
+    assert np.array_equal(inner.cholesky_factor(overwritten, overwrite=True), c)
 
 
 def test_cholesky_factor_is_none_on_an_indefinite_matrix(rng):
     M = _spd(rng, 6)
     M[3, 3] = -1.0
-    assert inner._cho_factor(M) is None
-    assert inner._cho_factor(np.zeros((4, 4))) is None
+    assert inner.cholesky_factor(M) is None
+    assert inner.cholesky_factor(np.zeros((4, 4))) is None
 
 
 def test_psd_solve_falls_back_on_a_singular_dense_matrix(rng):

@@ -7,7 +7,9 @@ from conftest import fd_gradient
 from varprox import cli, varpro
 from varprox.groups import (GroupStructure, contiguous_groups, extend,
                             group_sq_norms, trivial_groups)
-from varprox.linops import dense, grad2d, identity, tv_group_structure
+from varprox.inner import solve_quadratic_general
+from varprox.linops import (block_extract, dense, grad2d, identity,
+                            tv_group_structure)
 from varprox.problems import gen_gaussian_instance, lambda_max, pixel_channel_groups
 from varprox.baselines import lq_value, run_ista
 from varprox.varpro import (BasisPursuitLoss, MultitaskLoss, OuterConfig,
@@ -54,6 +56,26 @@ def test_quadratic_gradient_finite_differences(rng):
     f, g, _ = eval_f_grad(prob, v)
     gfd = fd_gradient(lambda vv: eval_f_grad(prob, vv)[0], v)
     assert np.abs(g - gfd).max() / np.abs(gfd).max() < 1e-6
+
+
+@pytest.mark.parametrize("regroup", ["lifted", "other", "trivial"])
+def test_overlapping_extractor_takes_woodbury_only_on_its_lifted_partition(
+        rng, regroup):
+    # Woodbury extends v over the extractor's own blocks, so regularizer
+    # groups of any other shape make a general analysis problem
+    n, m, lam = 6, 4, 0.5
+    ogs = GroupStructure([[0, 1, 2], [2, 3, 4], [4, 5]], p=n, mode="overlapping")
+    L = block_extract(ogs, n)
+    gs = {"lifted": L.lifted_partition(),
+          "other": GroupStructure([[0, 1], [2, 3, 4], [5, 6, 7]], p=L.rows),
+          "trivial": trivial_groups(L.rows)}[regroup]
+    A = dense(rng.standard_normal((m, n)))
+    y = rng.standard_normal(m)
+    v = rng.uniform(0.5, 1.5, gs.n_groups)
+    _, _, sol = eval_f_grad(VarProProblem(A, L, gs, QuadraticLoss(y, lam)), v)
+    ref = solve_quadratic_general(A, L, v, gs, lam, y)
+    assert sol.method == ("woodbury" if regroup == "lifted" else "direct")
+    assert np.abs(sol.x - ref.x).max() < 1e-10
 
 
 def test_robust_zero_data_gradients(rng):
