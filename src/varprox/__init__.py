@@ -15,7 +15,7 @@ from .inner import (InnerConfig, InnerSolution, InnerSolveError,
                     solve_analysis_prox, solve_basis_pursuit,
                     solve_grouplasso_dual, solve_multitask_nuclear,
                     solve_overlap_woodbury, solve_quadratic_general,
-                    solve_robust)
+                    solve_robust, solve_two_factor)
 from .linops import (BlockExtractOperator, DenseOperator, FourierSystemSpec,
                      Grad2DOperator, IdentityOperator, LinearOperator,
                      MaskOperator, block_extract, dense, fourier_system,

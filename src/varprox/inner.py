@@ -27,8 +27,9 @@ max norm of the system's residual, after one of four eliminations:
   a sparse p-by-p system in ``alpha`` (TV denoising, robust prox);
 * ``x`` first, ``_from_x_route``: ``alpha`` and ``xi`` from rows 1 and 2
   (the reduced general route, direct or CG, and Woodbury);
-* ``L = Id``, the group dual: an m-by-m system in ``xi``; its certificate
-  is row 2, the other two rows vanish by construction.
+* ``L = Id``, ``_from_xi_route``: ``alpha`` and ``x`` from ``xi``, which
+  solves ``(A diag(d) A^T - d_xi) xi = -y`` (the group dual, the two-factor
+  path, and multitask with the matrix ``d_xi = -W W^T / lam``).
 
 ``_dispatch_quadratic`` picks the quadratic route from the problem's
 structure; each route owns its value-dependent fallbacks.
@@ -40,8 +41,8 @@ dense one is factored by LAPACK ``dpotrf``/``dpotrs`` called directly
 (``cholesky_factor``/``cholesky_solve``), without the per-call wrapper of
 ``scipy.linalg.cho_factor``, which costs more than the factorization at
 m <= 32.  The m-by-m dual system ``A diag(d) A^T + shift I`` (group lasso,
-overlapping groups, multitask and the two-factor path of
-:mod:`varprox.varpro`) has one assembler, ``_dual_matrix``, which forms
+overlapping groups, multitask and the two-factor path) has one
+assembler, ``_dual_matrix``, which forms
 ``B B^T`` by BLAS ``syrk`` from the columns with ``d > 0`` only (the group
 lasso's screened groups have ``v_g = 0``); ``_dual_solve`` adds its
 matrix-free CG.  The ``A = Id`` system ``diag(d) + lam L diag(s) L^T`` is
@@ -68,7 +69,8 @@ __all__ = [
     "InnerConfig", "InnerSolution", "InnerSolveError",
     "solve_quadratic_general", "solve_grouplasso_dual", "solve_analysis_prox",
     "solve_overlap_woodbury", "solve_robust", "solve_basis_pursuit",
-    "solve_multitask_nuclear", "cholesky_factor", "cholesky_solve",
+    "solve_multitask_nuclear", "solve_two_factor", "cholesky_factor",
+    "cholesky_solve",
 ]
 
 
@@ -80,7 +82,6 @@ CG_TOL = 1e-10                  # relative residual that ends a CG run
 CG_STEPS_PER_UNKNOWN = 10       # CG step budget: this many per unknown
 DIRECT_SIZE_LIMIT = 2000        # ``auto`` factors up to this many unknowns
 ZERO_THRESHOLD = 1e-8           # a ``vbar`` entry below this * max is zero
-EPSILON_FLOOR = 0.0             # diagonal floor of the multitask system
 JITTER = 1e-12                  # relative diagonal shift of a retried Cholesky
 FEAS_TOL = 1e-8                 # relative ``||A x - y||_inf`` of basis pursuit
 
@@ -121,10 +122,10 @@ class InnerSolution:
 
     x: np.ndarray
     alpha: np.ndarray
-    xi: np.ndarray | None
+    xi: np.ndarray
     kkt_residual: float
-    system_size: int = 0
-    method: str = "direct"
+    system_size: int
+    method: str
 
 
 DEFAULT = InnerConfig()
@@ -352,6 +353,16 @@ def _from_x_route(A, L, d_alpha, d_xi, y, x, size, method):
     return InnerSolution(x, alpha, xi, res, system_size=size, method=method)
 
 
+def _from_xi_route(A, d, xi, d_xi_xi, y, method):
+    """``L = Id``, ``d_alpha = -d``, ``xi`` solved first (one or T columns):
+    ``alpha = -A^T xi`` and ``x = d alpha`` zero rows 1 and 3; the
+    certificate is row 2, whose ``d_xi xi`` the caller forms."""
+    alpha = -A.adjoint(xi)
+    x = d * alpha
+    res = float(np.abs(d_xi_xi + A.apply(x) - y).max(initial=0))
+    return InnerSolution(x, alpha, xi, res, system_size=A.rows, method=method)
+
+
 def _dispatch_quadratic(A, L, v, gs, lam, y):
     """The quadratic-loss route for the problem's structure: Woodbury when
     ``L`` extracts overlapping groups and ``gs`` is their lifted partition,
@@ -407,11 +418,19 @@ def solve_grouplasso_dual(A, v, gs, lam, y, cfg=DEFAULT):
     vbar = _vbar(v, gs)
     d = vbar ** 2
     g, method = _dual_solve(A, d, lam, -y, cfg, "group dual system")
-    alpha = -A.adjoint(g)
-    x = d * alpha
-    # rows 1 and 3 of _kkt are zero by construction of x and alpha; row 2
-    res = float(np.abs(-lam * g + A.apply(x) - y).max(initial=0))
-    return InnerSolution(x, alpha, g, res, system_size=A.rows, method=method)
+    return _from_xi_route(A, d, g, -lam * g, y, method)
+
+
+def solve_two_factor(A, vw, gs, lam, Y):
+    """The group dual at ``vbar = extend(v w)`` for every column of ``Y`` (the
+    ``x = u (v w)`` path): one factored solve of ``(A diag(vwbar^2) A^T +
+    lam I) xi = -Y``, ``lam = 0`` for exact interpolation; 2-D results."""
+    if lam < 0:
+        raise ValueError("lam must be nonnegative")
+    Y = np.asarray(Y, dtype=float).reshape(len(Y), -1)
+    d = _vbar(vw, gs) ** 2
+    xi = _psd_solve(_dual_matrix(A, d, lam), -Y, "two-factor inner system")
+    return _from_xi_route(A, d[:, None], xi, -lam * xi, Y, "direct")
 
 
 def solve_analysis_prox(L, v, gs, lam, y, cfg=DEFAULT):
@@ -439,6 +458,8 @@ def solve_overlap_woodbury(A, ogroups, v, lam, y, cfg=DEFAULT):
     reduced system invertible in closed form, leaving the m-by-m solve
     ``(A W^-1 A^T + lam I) t = A W^-1 A^T y``.
     """
+    if lam <= 0:
+        raise ValueError("lam must be positive")
     if ogroups.mode != "overlapping":
         raise ValueError("overlapping group structure required")
     v = np.asarray(v, dtype=float)
@@ -504,21 +525,17 @@ def solve_basis_pursuit(A, L, v, gs, y):
 def solve_multitask_nuclear(A, v, W, lam, Y):
     """Row-sparse multitask inner solve with a nuclear-norm loss factor.
 
-    Solves ``(A diag(v^2) A^T + W W^T / lam) alpha = -Y`` column-wise and
-    recovers ``X = -diag(v^2) A^T alpha``.  A vanishing ``W`` makes the
-    system rank-deficient; ``EPSILON_FLOOR`` adds a diagonal floor.
+    The ``L = Id`` elimination with the matrix ``d_xi = -W W^T / lam``:
+    solves ``(A diag(v^2) A^T + W W^T / lam) xi = -Y`` column-wise, then
+    ``alpha = -A^T xi`` and ``X = diag(v^2) alpha``.  A vanishing ``W``
+    makes the system rank-deficient, which ``_psd_solve`` absorbs.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     v = np.asarray(v, dtype=float)
     W = np.asarray(W, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    M = _dual_matrix(A, v ** 2, EPSILON_FLOOR)
-    M += (W @ W.T) / lam
-    alpha = _psd_solve(M, -Y, "multitask system")
-    X = -(v ** 2)[:, None] * (A.to_dense().T @ alpha)
-    res = float(np.abs(M @ alpha + Y).max(initial=0))
-    return InnerSolution(X, alpha, None, res, system_size=A.rows,
-                         method="direct")
+    Y = np.asarray(Y, dtype=float).reshape(len(Y), -1)
+    d = v ** 2
+    S = (W @ W.T) / lam
+    xi = _psd_solve(_dual_matrix(A, d, 0.0) + S, -Y, "multitask system")
+    return _from_xi_route(A, d[:, None], xi, -S @ xi, Y, "direct")

@@ -10,7 +10,7 @@ from the envelope formulas:
 * quadratic / interpolation loss:  ``grad_g = v_g (1 - ||alpha_g||^2)``
 * robust loss:                     plus ``w / lam - lam w ||xi_g||^2``
 * two outer factors (lq path):     ``v_g (1 - w_g^2 s_g)``, symmetric in w
-* nuclear-norm multitask:          ``v - v s``, ``lam W - alpha alpha^T W / lam``
+* nuclear-norm multitask:          ``v - v s``, ``lam W - xi xi^T W / lam``
 """
 
 from dataclasses import dataclass
@@ -166,60 +166,42 @@ def eval_f_grad_robust(problem, v, w):
     return f, grad_v, grad_w, sol
 
 
-def _option2_inner(problem, vw_bar):
-    """Inner dual for the two-outer-factor path, the solve of
-    ``(A diag(vw_bar^2) A^T + lam I) alpha = -Y`` (``lam = 0`` for the
-    interpolation loss); returns (alpha, G, ok)."""
-    loss = problem.loss
-    if isinstance(loss, QuadraticLoss):
-        shift = loss.lam
-    elif isinstance(loss, BasisPursuitLoss):
-        shift = 0.0
-    else:
-        raise TypeError("two-factor path needs a quadratic or interpolation loss")
-    Y = np.asarray(loss.y, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    M = inner_mod._dual_matrix(problem.A, vw_bar ** 2, shift)
-    alpha = inner_mod._psd_solve(M, -Y, "two-factor inner system")
-    if np.abs(M @ alpha + Y).max(initial=0) > 1e-6 * (1 + np.abs(Y).max()):
-        return None, None, False
-    return alpha, problem.A.to_dense().T @ alpha, True
-
-
 def eval_lq_option2(problem, v, w):
     """Value/gradients with two grouped factors kept on the outer problem.
 
     Represents the grouped l_{2/3} penalty (or its lasso variant) through
     ``x = u * (v w)`` with ``u`` marginalized.  Returns
-    ``(f, grad_v, grad_w, aux)`` where ``aux`` carries the recovered ``x``
-    and the inner dual variable.  Outside the dual domain (interpolation
-    loss with a too-degenerate factor) the value is ``+inf``.
+    ``(f, grad_v, grad_w, aux)`` where ``aux`` carries the recovered ``x``.
+    Outside the dual domain (interpolation loss with a too-degenerate
+    factor: an inner residual above ``1e-6 (1 + max |Y|)``) it is ``+inf``.
     """
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
+    loss = problem.loss
+    if not isinstance(loss, (QuadraticLoss, BasisPursuitLoss)):
+        raise TypeError("two-factor path needs a quadratic or interpolation loss")
+    lam = loss.lam if isinstance(loss, QuadraticLoss) else 0.0
+    Y = np.asarray(loss.y, dtype=float).reshape(len(loss.y), -1)
     gs = problem.reg_groups
-    vw_bar = extend(v * w, gs)
-    alpha, G, ok = _option2_inner(problem, vw_bar)
-    if not ok:
+    vw = v * w
+    sol = inner_mod.solve_two_factor(problem.A, vw, gs, lam, Y)
+    if sol.kkt_residual > 1e-6 * (1 + np.abs(Y).max()):
         bad = np.full_like(v, np.nan)
         return np.inf, bad, bad, {}
-    U = -vw_bar[:, None] * G
+    vw_bar = extend(vw, gs)
+    alpha = sol.alpha
+    U = vw_bar[:, None] * alpha
     X = vw_bar[:, None] * U
-    row_sq = (G * G).sum(axis=1)
+    row_sq = (alpha * alpha).sum(axis=1)
     s = np.bincount(gs.group_of, weights=row_sq, minlength=gs.n_groups)
     f = 0.5 * float(v @ v) + 0.5 * float(w @ w) + 0.5 * float(np.sum(U * U))
-    loss = problem.loss
     if isinstance(loss, QuadraticLoss):
-        Y = np.asarray(loss.y, dtype=float)
-        if Y.ndim == 1:
-            Y = Y[:, None]
         R = problem.A.to_dense() @ X - Y
-        f += float(np.sum(R * R)) / (2 * loss.lam)
+        f += float(np.sum(R * R)) / (2 * lam)
     grad_v = v * (1.0 - w ** 2 * s)
     grad_w = w * (1.0 - v ** 2 * s)
     x = X.ravel() if X.shape[1] == 1 else X
-    return f, grad_v, grad_w, {"x": x, "alpha": alpha, "group_sq": s}
+    return f, grad_v, grad_w, {"x": x}
 
 
 def eval_lq_option3(problem, v):
@@ -260,14 +242,13 @@ def eval_multitask(problem, v, W):
     v = np.asarray(v, dtype=float)
     W = np.asarray(W, dtype=float)
     sol = inner_mod.solve_multitask_nuclear(problem.A, v, W, loss.lam, loss.Y)
-    alpha = sol.alpha
-    G = problem.A.to_dense().T @ alpha
-    row_sq = (G * G).sum(axis=1)
+    xi = sol.xi
+    row_sq = (sol.alpha * sol.alpha).sum(axis=1)
     f = (0.5 * float(v @ v) + 0.5 * float(np.sum((v ** 2) * row_sq))
          + 0.5 * loss.lam * float(np.sum(W * W))
-         + float(np.sum((W.T @ alpha) ** 2)) / (2 * loss.lam))
+         + float(np.sum((W.T @ xi) ** 2)) / (2 * loss.lam))
     grad_v = v * (1.0 - row_sq)
-    grad_W = loss.lam * W - (alpha @ (alpha.T @ W)) / loss.lam
+    grad_W = loss.lam * W - (xi @ (xi.T @ W)) / loss.lam
     return f, grad_v, grad_W, sol
 
 

@@ -18,6 +18,9 @@
   ``@dataclass`` fields) number at most ``SETTABLE_VALUES``.
 * Every library and benchmark file parses as Python 3.10, the floor that
   ``pyproject.toml`` declares.
+* No library module but ``inner.py`` reads one of inner's system helpers
+  (``INNER_HELPERS``): other modules solve an inner system through a
+  ``solve_*`` route.
 """
 
 import ast
@@ -36,7 +39,9 @@ PY310_FILES = sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 # Settable values of src/varprox/*.py as counted by settable_values; lower
 # it when a change removes some, never raise it.
-SETTABLE_VALUES = 93
+SETTABLE_VALUES = 91
+INNER_HELPERS = {"_dual_matrix", "_dual_solve", "_psd_solve", "_sym_solve",
+                 "_prox_solve", "_spd_factor"}
 
 
 def _dotted(node):
@@ -373,3 +378,9 @@ def test_settable_values_do_not_grow():
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_parses_as_python_310(path):
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "inner.py"],
+                         ids=lambda p: p.name)
+def test_inner_system_helpers_stay_in_inner(path):
+    assert identifiers([ast.parse(path.read_text())]) & INNER_HELPERS == set()

@@ -8,7 +8,8 @@ from varprox.groups import GroupStructure, contiguous_groups, extend, trivial_gr
 from varprox.inner import (InnerConfig, InnerSolveError, solve_analysis_prox,
                            solve_basis_pursuit, solve_grouplasso_dual,
                            solve_multitask_nuclear, solve_overlap_woodbury,
-                           solve_quadratic_general, solve_robust)
+                           solve_quadratic_general, solve_robust,
+                           solve_two_factor)
 from varprox.linops import (Grad2DOperator, block_extract, dense, grad2d,
                             identity, tv_group_structure)
 from varprox.problems import pixel_channel_groups
@@ -423,7 +424,7 @@ def test_multitask_reduces_to_group_dual(rng):
     lam = 0.7
     mt = solve_multitask_nuclear(A, v, np.eye(m), lam, y[:, None])
     gd = solve_grouplasso_dual(A, v, trivial_groups(n), 1.0 / lam, y)
-    assert np.abs(mt.alpha[:, 0] - gd.xi).max() < 1e-10
+    assert np.abs(mt.xi[:, 0] - gd.xi).max() < 1e-10
 
 
 def test_multitask_residual(rng):
@@ -621,7 +622,7 @@ def test_dual_matrix_is_the_symmetric_weighted_gram(rng, caller):
         W = rng.standard_normal((m, m)) / 3
         Y = rng.standard_normal((m, 2))
         sol = solve_multitask_nuclear(dense(Ad), np.sqrt(d), W, 0.9, Y)
-        assert np.abs((ref + W @ W.T / 0.9) @ sol.alpha + Y).max() < 1e-10
+        assert np.abs((ref + W @ W.T / 0.9) @ sol.xi + Y).max() < 1e-10
 
 
 def test_dual_matrix_zero_weights_and_no_shift(rng):
@@ -677,18 +678,23 @@ CONVENTIONS = {
 
 
 def _saddle_matrix(A, L, d_alpha, d_xi):
-    """Dense ``[[diag d_alpha, 0, L], [0, diag d_xi, A], [L^T, A^T, 0]]``."""
+    """Dense ``[[diag d_alpha, 0, L], [0, D_xi, A], [L^T, A^T, 0]]``, with
+    ``D_xi = d_xi`` for a matrix ``d_xi`` (multitask), else ``diag d_xi``."""
     Ld, Ad = L.to_dense(), A.to_dense()
     (p, n), m = Ld.shape, A.rows
+    D_xi = d_xi if np.ndim(d_xi) == 2 else np.diag(np.broadcast_to(d_xi, m))
     return np.block([
         [np.diag(d_alpha), np.zeros((p, m)), Ld],
-        [np.zeros((m, p)), np.diag(np.broadcast_to(d_xi, m)), Ad],
+        [np.zeros((m, p)), D_xi, Ad],
         [Ld.T, Ad.T, np.zeros((n, n))]])
 
 
 SADDLE_ROUTES = ["general-direct", "general-cg", "general-degenerate",
                  "group-dual", "analysis-prox", "woodbury", "robust-identity",
-                 "robust-general", "basis-pursuit"]
+                 "robust-general", "basis-pursuit",
+                 "two-factor-quadratic-1", "two-factor-quadratic-3",
+                 "two-factor-interpolation-1", "two-factor-interpolation-3",
+                 "multitask"]
 
 
 @pytest.mark.parametrize("route", SADDLE_ROUTES)
@@ -700,8 +706,10 @@ def test_every_route_solves_the_saddle_system_of_its_loss(rng, route):
     L, gs = dense(rng.standard_normal((6, n)) / 2), contiguous_groups(6, 2)
     y = rng.standard_normal(m)
     gl, wl = trivial_groups(m), rng.uniform(0.5, 1.5, m)
-    if route in ("group-dual", "basis-pursuit"):
+    if route in ("group-dual", "basis-pursuit") or route.startswith("two"):
         L, gs = identity(n), contiguous_groups(n, 2)
+    elif route == "multitask":
+        L, gs = identity(n), trivial_groups(n)
     elif route == "woodbury":
         ogs = _overlap_windows(n)
         L = block_extract(ogs, n)
@@ -714,7 +722,7 @@ def test_every_route_solves_the_saddle_system_of_its_loss(rng, route):
     v = rng.uniform(0.5, 1.5, gs.n_groups)
     if route == "general-degenerate":
         v[1] = 0.0
-    loss = "quadratic"
+    loss, vbar = "quadratic", extend(v, gs)
     if route.startswith("general"):
         method = route.split("-")[1]
         cfg = InnerConfig(method="auto" if method == "degenerate" else method)
@@ -730,13 +738,58 @@ def test_every_route_solves_the_saddle_system_of_its_loss(rng, route):
     elif route.startswith("robust"):
         loss = "robust"
         sol = solve_robust(A, L, v, gs, wl, gl, lam, y)
+    elif route.startswith("two"):
+        loss, T = route.split("-")[2], int(route[-1])
+        y = rng.standard_normal((m, T))
+        vw = v * rng.uniform(0.5, 1.5, gs.n_groups)
+        vbar = extend(vw, gs)
+        shift = lam if loss == "quadratic" else 0.0
+        sol = solve_two_factor(A, vw, gs, shift, y)
+    elif route == "multitask":
+        W = rng.standard_normal((m, m)) / 3
+        y = rng.standard_normal((m, 3))
+        sol = solve_multitask_nuclear(A, v, W, lam, y)
     else:
         loss = "interpolation"
         sol = solve_basis_pursuit(A, L, v, gs, y)
-    d_alpha, d_xi = CONVENTIONS[loss](extend(v, gs), extend(wl, gl), lam)
+    d_alpha, d_xi = CONVENTIONS[loss](vbar, extend(wl, gl), lam)
+    if route == "multitask":
+        d_xi = -W @ W.T / lam
     M = _saddle_matrix(A, L, d_alpha, d_xi)
     z = np.concatenate([sol.alpha, sol.xi, sol.x])
-    rhs = np.concatenate([np.zeros(L.rows), y, np.zeros(n)])
+    cols = y.shape[1:]
+    rhs = np.concatenate([np.zeros((L.rows, *cols)), y, np.zeros((n, *cols))])
     res = np.abs(M @ z - rhs).max()
     assert res <= 1e-9
     assert abs(res - sol.kkt_residual) <= 1e-12
+
+
+LAM_ROUTES = ["solve_quadratic_general", "solve_grouplasso_dual",
+              "solve_analysis_prox", "solve_overlap_woodbury", "solve_robust",
+              "solve_multitask_nuclear", "solve_two_factor"]
+
+
+@pytest.mark.parametrize("route,lam", [
+    (route, lam) for route in LAM_ROUTES for lam in (0.0, -0.5)
+    if (route, lam) != ("solve_two_factor", 0.0)])   # 0 is interpolation
+def test_routes_reject_a_lam_without_a_concave_dual(rng, route, lam):
+    m, n = 4, 6
+    A, y = dense(rng.standard_normal((m, n))), rng.standard_normal(m)
+    gs = contiguous_groups(n, 2)
+    v = rng.uniform(0.5, 1.5, gs.n_groups)
+    calls = {
+        "solve_quadratic_general":
+            lambda: solve_quadratic_general(A, identity(n), v, gs, lam, y),
+        "solve_grouplasso_dual": lambda: solve_grouplasso_dual(A, v, gs, lam, y),
+        "solve_analysis_prox": lambda: solve_analysis_prox(
+            grad2d(2, 3), np.ones(6), tv_group_structure(2, 3), lam, np.ones(n)),
+        "solve_overlap_woodbury": lambda: solve_overlap_woodbury(
+            A, _overlap_windows(n), np.ones(3), lam, y),
+        "solve_robust": lambda: solve_robust(A, identity(n), v, gs, np.ones(m),
+                                             trivial_groups(m), lam, y),
+        "solve_multitask_nuclear":
+            lambda: solve_multitask_nuclear(A, np.ones(n), np.eye(m), lam, y),
+        "solve_two_factor": lambda: solve_two_factor(A, v, gs, lam, y),
+    }
+    with pytest.raises(ValueError, match="lam must be"):
+        calls[route]()

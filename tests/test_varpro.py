@@ -153,6 +153,22 @@ def test_option2_fd_and_symmetry(rng):
     assert eval_lq_option2(prob, v, -w)[0] == pytest.approx(f, abs=1e-12)
 
 
+def test_option2_is_the_group_dual_at_the_product_factor(rng):
+    # with L = Id the two-factor inner problem is the single-factor one at
+    # u = v w, so only the outer penalty terms differ
+    m, n = 6, 12
+    gs = contiguous_groups(n, 3)
+    prob = VarProProblem(dense(rng.standard_normal((m, n)) / 2), identity(n),
+                         gs, QuadraticLoss(y=rng.standard_normal(m), lam=0.4))
+    v, w = rng.uniform(0.5, 1.5, (2, gs.n_groups))
+    u = v * w
+    f2, _, _, aux = eval_lq_option2(prob, v, w)
+    f1, _, sol = eval_f_grad(prob, u)
+    expected = 0.5 * (v @ v + w @ w - u @ u) + f1
+    assert f2 == pytest.approx(expected, rel=1e-12)
+    assert np.abs(aux["x"] - sol.x).max() <= 1e-12
+
+
 def _l23_instance(seed):
     inst = gen_gaussian_instance(12, 30, s=6, group_size=3, noise_std=0.05,
                                  seed=seed)
@@ -260,9 +276,7 @@ def test_multitask_fd(rng):
     assert np.abs(gW - gWfd).max() / np.abs(gWfd).max() < 1e-6
 
 
-def test_multitask_degenerate_W_floor(monkeypatch, rng):
-    from varprox import inner
-    monkeypatch.setattr(inner, "EPSILON_FLOOR", 1e-10)
+def test_multitask_degenerate_W_floor(rng):
     m, n = 4, 5
     A = dense(rng.standard_normal((m, n)))
     prob = VarProProblem(A, identity(n), trivial_groups(n),
