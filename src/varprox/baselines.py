@@ -236,6 +236,11 @@ def run_irls(A, Y, gs, q, mode="equality", iters=200):
     ``IRLS_*`` constants.  Each step factors its m-by-m system by the
     Cholesky helpers of :mod:`varprox.inner`, with a least-squares solve
     where that fails; a non-finite ``Y`` or system raises ``ValueError``.
+    That solve stays inline rather than going through
+    :func:`~varprox.inner.solve_two_factor`: this run is the independent
+    reference that acceptance criterion 7 holds the two-factor path to,
+    and the route's row-2 certificate, which IRLS would discard, measurably
+    slows the phase cell.
     """
     if not 0.0 < q <= 2.0:
         raise ValueError("q in (0, 2] required")

@@ -131,6 +131,23 @@ def extend(v, gs):
     return v[gs.group_of]
 
 
+def _group_spectral_norms(A, gs):
+    """``||A_g||_2`` for every column block of the operator ``A``: the
+    square root of the largest eigenvalue of each small ``A_g^T A_g``,
+    batched over 64 groups of one size at a time so the gathered columns
+    stay small."""
+    Ad = A.to_dense()
+    out = np.empty(gs.n_groups)
+    for k in np.unique(gs.sizes):
+        ids = np.flatnonzero(gs.sizes == k)
+        for part in np.array_split(ids, -(-ids.size // 64)):
+            B = Ad[:, np.concatenate([gs.groups[i] for i in part])]
+            B = B.reshape(Ad.shape[0], part.size, k)
+            top = np.linalg.eigvalsh(np.einsum("mgi,mgj->gij", B, B))[:, -1]
+            out[part] = np.sqrt(np.maximum(top, 0.0))
+    return out
+
+
 def soft_threshold(z, tau):
     """Componentwise shrinkage ``sign(z) * max(|z| - tau, 0)``."""
     z = np.asarray(z, dtype=float)

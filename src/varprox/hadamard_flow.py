@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import (GroupStructure, extend, group_dots, group_norm_12,
-                     trivial_groups)
+from .groups import (GroupStructure, _group_spectral_norms, extend,
+                     group_dots, group_norm_12, trivial_groups)
 from .trace import SolverTrace
 
 __all__ = [
@@ -102,11 +102,7 @@ def flow_gradient(problem, u, v):
 def _column_block_norm(problem):
     """max_g ||A_g||_2 over the column blocks of A (max column norm when
     the groups are trivial)."""
-    Ad = problem.A.to_dense()
-    gs = problem.groups
-    if gs.is_trivial:
-        return float(np.sqrt((Ad * Ad).sum(axis=0).max()))
-    return max(float(np.linalg.norm(Ad[:, g], 2)) for g in gs.groups)
+    return float(_group_spectral_norms(problem.A, problem.groups).max())
 
 
 def lipschitz_bounds(problem, u0, v0):

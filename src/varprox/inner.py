@@ -464,9 +464,9 @@ def solve_overlap_woodbury(A, ogroups, v, lam, y, cfg=DEFAULT):
         raise ValueError("overlapping group structure required")
     v = np.asarray(v, dtype=float)
     L = BlockExtractOperator(ogroups, A.cols)
-    lifted = L.lifted_partition()
     if np.any(v == 0.0) or not ogroups.spans():
-        return solve_quadratic_general(A, L, v, lifted, lam, y, cfg)
+        return solve_quadratic_general(A, L, v, L.lifted_partition(), lam, y,
+                                       cfg)
     y = np.asarray(y, dtype=float).ravel()
     wdiag = np.zeros(A.cols)
     for g, wg, vg in zip(ogroups.groups, L.block_weights, v):
@@ -475,8 +475,9 @@ def solve_overlap_woodbury(A, ogroups, v, lam, y, cfg=DEFAULT):
     t, _ = _dual_solve(A, 1.0 / wdiag, lam, A.apply(winv_b), cfg,
                        "woodbury system")
     x = (winv_b - A.adjoint(t) / wdiag) / lam
-    return _from_x_route(A, L, -extend(v, lifted) ** 2, -lam, y, x, A.rows,
-                         "woodbury")
+    # the lifted partition's blocks are the groups in order: extend is repeat
+    return _from_x_route(A, L, -np.repeat(v, ogroups.sizes) ** 2, -lam, y, x,
+                         A.rows, "woodbury")
 
 
 def solve_robust(A, L, v, gs_reg, w, gs_loss, lam, y):

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inner as inner_mod
-from .groups import (GroupStructure, extend, group_dots, group_norm_12,
-                     group_sq_norms)
+from .groups import (GroupStructure, _group_spectral_norms, extend,
+                     group_dots, group_norm_12, group_sq_norms)
 from .inner import InnerSolution, InnerSolveError
 from .linops import DenseOperator, IdentityOperator, LinearOperator
 from .optim import minimize_gd_bb, minimize_lbfgs
@@ -171,9 +171,12 @@ def eval_lq_option2(problem, v, w):
 
     Represents the grouped l_{2/3} penalty (or its lasso variant) through
     ``x = u * (v w)`` with ``u`` marginalized.  Returns
-    ``(f, grad_v, grad_w, aux)`` where ``aux`` carries the recovered ``x``.
-    Outside the dual domain (interpolation loss with a too-degenerate
-    factor: an inner residual above ``1e-6 (1 + max |Y|)``) it is ``+inf``.
+    ``(f, grad_v, grad_w, sol)`` where ``sol`` is the
+    :class:`~varprox.inner.InnerSolution` of
+    :func:`~varprox.inner.solve_two_factor`, whose n-by-T ``x`` is the
+    recovered point.  Outside the dual domain (interpolation loss with a
+    too-degenerate factor: an inner residual above ``1e-6 (1 + max |Y|)``)
+    it is ``+inf`` with ``sol = None``.
     """
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -181,27 +184,20 @@ def eval_lq_option2(problem, v, w):
     if not isinstance(loss, (QuadraticLoss, BasisPursuitLoss)):
         raise TypeError("two-factor path needs a quadratic or interpolation loss")
     lam = loss.lam if isinstance(loss, QuadraticLoss) else 0.0
-    Y = np.asarray(loss.y, dtype=float).reshape(len(loss.y), -1)
     gs = problem.reg_groups
     vw = v * w
-    sol = inner_mod.solve_two_factor(problem.A, vw, gs, lam, Y)
-    if sol.kkt_residual > 1e-6 * (1 + np.abs(Y).max()):
+    sol = inner_mod.solve_two_factor(problem.A, vw, gs, lam, loss.y)
+    if sol.kkt_residual > 1e-6 * (1 + np.abs(loss.y).max()):
         bad = np.full_like(v, np.nan)
-        return np.inf, bad, bad, {}
-    vw_bar = extend(vw, gs)
-    alpha = sol.alpha
-    U = vw_bar[:, None] * alpha
-    X = vw_bar[:, None] * U
-    row_sq = (alpha * alpha).sum(axis=1)
-    s = np.bincount(gs.group_of, weights=row_sq, minlength=gs.n_groups)
-    f = 0.5 * float(v @ v) + 0.5 * float(w @ w) + 0.5 * float(np.sum(U * U))
+        return np.inf, bad, bad, None
+    s = group_sq_norms(sol.alpha, gs)
+    f = 0.5 * float(v @ v) + 0.5 * float(w @ w) + 0.5 * float(vw ** 2 @ s)
     if isinstance(loss, QuadraticLoss):
-        R = problem.A.to_dense() @ X - Y
-        f += float(np.sum(R * R)) / (2 * lam)
+        r = (problem.A.to_dense() @ sol.x).ravel() - np.ravel(loss.y)
+        f += float(r @ r) / (2 * lam)
     grad_v = v * (1.0 - w ** 2 * s)
     grad_w = w * (1.0 - v ** 2 * s)
-    x = X.ravel() if X.shape[1] == 1 else X
-    return f, grad_v, grad_w, {"x": x}
+    return f, grad_v, grad_w, sol
 
 
 def eval_lq_option3(problem, v):
@@ -250,22 +246,6 @@ def eval_multitask(problem, v, W):
     grad_v = v * (1.0 - row_sq)
     grad_W = loss.lam * W - (xi @ (xi.T @ W)) / loss.lam
     return f, grad_v, grad_W, sol
-
-
-def _group_spectral_norms(A, gs):
-    """``||A_g||_2`` for every group: the square root of the largest
-    eigenvalue of each small ``A_g^T A_g``, batched over 64 groups of one
-    size at a time so the gathered columns stay small."""
-    Ad = A.to_dense()
-    out = np.empty(gs.n_groups)
-    for k in np.unique(gs.sizes):
-        ids = np.flatnonzero(gs.sizes == k)
-        for part in np.array_split(ids, -(-ids.size // 64)):
-            B = Ad[:, np.concatenate([gs.groups[i] for i in part])]
-            B = B.reshape(Ad.shape[0], part.size, k)
-            top = np.linalg.eigvalsh(np.einsum("mgi,mgj->gij", B, B))[:, -1]
-            out[part] = np.sqrt(np.maximum(top, 0.0))
-    return out
 
 
 class _GapSafeScreen:
@@ -445,21 +425,13 @@ def solve_varpro(problem, config=None):
 
 def _lq_warm_factors(problem):
     """Closed-form factor magnitudes from a cheap least-squares warm point
-    (magnitude roots split evenly across the factors)."""
-    A = problem.A
-    Ad = A.to_dense()
+    (magnitude roots split evenly across the factors): the two-factor inner
+    solution at ``v w = 1``, ``X = A^T (A A^T + lam I)^-1 Y``."""
     loss = problem.loss
-    Y = np.asarray(loss.y, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    C = Ad @ Ad.T
-    if isinstance(loss, QuadraticLoss):
-        C = C + loss.lam * np.eye(A.rows)
-    try:
-        X = Ad.T @ np.linalg.solve(C, Y)
-    except np.linalg.LinAlgError:
-        X = Ad.T @ np.linalg.lstsq(C, Y, rcond=None)[0]
+    lam = loss.lam if isinstance(loss, QuadraticLoss) else 0.0
     gs = problem.reg_groups
+    X = inner_mod.solve_two_factor(problem.A, np.ones(gs.n_groups), gs, lam,
+                                   loss.y).x
     norms = np.sqrt(group_sq_norms(X, gs))
     floor = 1e-3 * max(norms.max(initial=0.0), 1e-12)
     base = np.maximum(norms, floor) ** (1.0 / 3.0)
@@ -471,9 +443,11 @@ def solve_lq_option2(problem, config=None, restarts=1):
 
     The first start uses the closed-form factor split of a least-squares
     warm point; the remaining ones are random (the nonconvex landscape has
-    spurious basins, and restarts are the standard remedy).  A start on
-    which no evaluation is finite gives ``x=None`` and an infinite
-    objective.
+    spurious basins, and restarts are the standard remedy).  The result
+    carries the :class:`~varprox.inner.InnerSolution` of its answer as
+    ``inner``, and ``x`` read from it (1-D for a single right-hand side).
+    A start on which no evaluation is finite gives ``x=None``,
+    ``inner=None`` and an infinite objective.
     """
     config = config or OuterConfig()
     nv = problem.reg_groups.n_groups
@@ -484,14 +458,17 @@ def solve_lq_option2(problem, config=None, restarts=1):
                                      _init_vector(config, nv, rng)]))
 
     def evaluate(theta):
-        f, gv, gw, aux = eval_lq_option2(problem, theta[:nv], theta[nv:])
-        return f, np.concatenate([gv, gw]), aux
+        f, gv, gw, sol = eval_lq_option2(problem, theta[:nv], theta[nv:])
+        return f, np.concatenate([gv, gw]), sol
 
     best = None
     for theta0 in inits:
-        theta, f, trace, aux = _minimize(config, theta0, evaluate, "varpro-lq2")
-        result = VarProResult(v=theta[:nv], w=theta[nv:], x=aux.get("x"),
-                              objective=f, trace=trace, inner=None)
+        theta, f, trace, sol = _minimize(config, theta0, evaluate, "varpro-lq2")
+        x = None
+        if sol is not None:
+            x = sol.x.ravel() if sol.x.shape[1] == 1 else sol.x
+        result = VarProResult(v=theta[:nv], w=theta[nv:], x=x, objective=f,
+                              trace=trace, inner=sol)
         if best is None or result.objective < best.objective:
             best = result
     return best

@@ -21,6 +21,10 @@
 * No library module but ``inner.py`` reads one of inner's system helpers
   (``INNER_HELPERS``): other modules solve an inner system through a
   ``solve_*`` route.
+* No library module but ``inner.py`` and ``baselines.py`` (whose reference
+  solvers stay independent of the routes they check) calls a dense solver:
+  ``numpy``/``scipy`` ``linalg.solve``, ``lstsq``, ``inv`` or ``pinv``, any
+  ``scipy.linalg`` attribute, or ``cholesky_factor``/``cholesky_solve``.
 """
 
 import ast
@@ -42,6 +46,8 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 SETTABLE_VALUES = 91
 INNER_HELPERS = {"_dual_matrix", "_dual_solve", "_psd_solve", "_sym_solve",
                  "_prox_solve", "_spd_factor"}
+LINALG_SOLVERS = {"solve", "lstsq", "inv", "pinv"}
+CHOLESKY = {"cholesky_factor", "cholesky_solve"}
 
 
 def _dotted(node):
@@ -54,6 +60,33 @@ def _dotted(node):
         return None
     parts.append(node.id)
     return ".".join(reversed(parts))
+
+
+def dense_solver_lookups(source):
+    """The dense solvers ``source`` looks up, sorted: ``linalg.solve``,
+    ``lstsq``, ``inv`` or ``pinv`` by attribute or import, any
+    ``scipy.linalg`` name, and ``cholesky_factor``/``cholesky_solve``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            name = _dotted(node) or ""
+            parts = name.split(".")
+            if (name.startswith("scipy.linalg.")
+                    or (parts[-2:-1] == ["linalg"]
+                        and parts[-1] in LINALG_SOLVERS)):
+                found.add(name)
+        elif isinstance(node, ast.Name) and node.id in CHOLESKY:
+            found.add(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            for a in node.names:
+                name = f"{node.module}.{a.name}"
+                if a.name in CHOLESKY:
+                    found.add(a.name)
+                elif (node.module == "scipy.linalg" or name == "scipy.linalg"
+                        or (node.module == "numpy.linalg"
+                            and a.name in LINALG_SOLVERS)):
+                    found.add(name)
+    return sorted(found)
 
 
 def unused_imports(source):
@@ -384,3 +417,22 @@ def test_parses_as_python_310(path):
                          ids=lambda p: p.name)
 def test_inner_system_helpers_stay_in_inner(path):
     assert identifiers([ast.parse(path.read_text())]) & INNER_HELPERS == set()
+
+
+def test_dense_solver_detector():
+    source = ("import numpy as np\nimport scipy.linalg\n"
+              "from numpy.linalg import pinv\nfrom scipy import linalg\n"
+              "from .inner import cholesky_solve\n"
+              "np.linalg.solve(a, b)\nnp.linalg.norm(a)\nnp.linalg.eigvalsh(a)\n"
+              "scipy.linalg.lapack.dpotrf(a)\ncholesky_factor(a)\n")
+    assert dense_solver_lookups(source) == [
+        "cholesky_factor", "cholesky_solve", "np.linalg.solve",
+        "numpy.linalg.pinv", "scipy.linalg", "scipy.linalg.lapack",
+        "scipy.linalg.lapack.dpotrf"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in ("inner.py", "baselines.py")],
+    ids=lambda p: p.name)
+def test_dense_solves_stay_in_inner_and_baselines(path):
+    assert dense_solver_lookups(path.read_text()) == []

@@ -10,8 +10,9 @@ from varprox.inner import (InnerConfig, InnerSolveError, solve_analysis_prox,
                            solve_multitask_nuclear, solve_overlap_woodbury,
                            solve_quadratic_general, solve_robust,
                            solve_two_factor)
-from varprox.linops import (Grad2DOperator, block_extract, dense, grad2d,
-                            identity, tv_group_structure)
+from varprox.linops import (BlockExtractOperator, Grad2DOperator,
+                            block_extract, dense, grad2d, identity,
+                            tv_group_structure)
 from varprox.problems import pixel_channel_groups
 
 
@@ -341,6 +342,23 @@ def test_woodbury_groups_that_do_not_span_fall_back(rng):
     ref = solve_quadratic_general(A, L, v, L.lifted_partition(), 0.5, y)
     assert sol.method == ref.method == "direct"
     assert np.array_equal(sol.x, ref.x)
+
+
+def test_woodbury_builds_no_lifted_partition(monkeypatch, rng):
+    ogs = GroupStructure([[0, 1, 2], [2, 3], [3, 4, 5]], p=6, mode="overlapping")
+    A = dense(rng.standard_normal((4, 6)))
+    L = block_extract(ogs, 6)
+    v, y = np.array([0.8, 1.3, 0.6]), rng.standard_normal(4)
+    ref = solve_quadratic_general(A, L, v, L.lifted_partition(), 0.5, y)
+
+    def no_partition(self):
+        raise AssertionError("lifted_partition built on the Woodbury path")
+
+    monkeypatch.setattr(BlockExtractOperator, "lifted_partition", no_partition)
+    sol = solve_overlap_woodbury(A, ogs, v, 0.5, y)
+    assert sol.method == "woodbury"
+    assert sol.kkt_residual < 1e-10
+    assert np.abs(sol.x - ref.x).max() < 1e-10
 
 
 def test_robust_zero_data(rng):

@@ -162,11 +162,11 @@ def test_option2_is_the_group_dual_at_the_product_factor(rng):
                          gs, QuadraticLoss(y=rng.standard_normal(m), lam=0.4))
     v, w = rng.uniform(0.5, 1.5, (2, gs.n_groups))
     u = v * w
-    f2, _, _, aux = eval_lq_option2(prob, v, w)
+    f2, _, _, sol2 = eval_lq_option2(prob, v, w)
     f1, _, sol = eval_f_grad(prob, u)
     expected = 0.5 * (v @ v + w @ w - u @ u) + f1
     assert f2 == pytest.approx(expected, rel=1e-12)
-    assert np.abs(aux["x"] - sol.x).max() <= 1e-12
+    assert np.abs(sol2.x.ravel() - sol.x).max() <= 1e-12
 
 
 def _l23_instance(seed):
@@ -191,8 +191,8 @@ def test_option2_value_bounds_the_l23_objective(seed):
     rng = np.random.default_rng(seed)
     for _ in range(20):
         v, w = rng.uniform(0.2, 2.0, (2, prob.reg_groups.n_groups))
-        f, _, _, aux = eval_lq_option2(prob, v, w)
-        assert f >= _l23_objective(prob, aux["x"])
+        f, _, _, sol = eval_lq_option2(prob, v, w)
+        assert f >= _l23_objective(prob, sol.x.ravel())
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -203,6 +203,36 @@ def test_option2_value_equals_the_l23_objective_at_its_answer(seed):
     res = solve_lq_option2(prob, OuterConfig(max_iter=600, grad_tol=1e-10))
     assert res.objective == pytest.approx(_l23_objective(prob, res.x),
                                           rel=1e-10)
+
+
+@pytest.mark.parametrize("T", [1, 3])
+def test_lq_option2_result_carries_its_inner_solution(T):
+    inst = gen_gaussian_instance(24, 64, 8, T=T, seed=0)
+    prob = VarProProblem(inst.A, identity(64), inst.groups,
+                         BasisPursuitLoss(y=inst.y))
+    res = solve_lq_option2(prob, OuterConfig(max_iter=600, grad_tol=1e-10))
+    assert isinstance(res.inner, varpro.InnerSolution)
+    assert res.x.shape == np.shape(inst.x_true)
+    assert np.array_equal(res.inner.x.reshape(res.x.shape), res.x)
+    assert res.inner.kkt_residual <= 1e-6 * (1 + np.abs(inst.y).max())
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+@pytest.mark.parametrize("T", [1, 3])
+def test_lq_warm_factors_split_the_least_squares_point(rng, lam, T):
+    m, n = 8, 20
+    gs = contiguous_groups(n, 4)
+    Ad = rng.standard_normal((m, n))
+    Ad[:, gs.groups[0]] = 0.0       # a zero group: the floor sets its factor
+    Y = rng.standard_normal((m, T)).squeeze()
+    loss = QuadraticLoss(y=Y, lam=lam) if lam else BasisPursuitLoss(y=Y)
+    prob = VarProProblem(dense(Ad), identity(n), gs, loss)
+    C = Ad @ Ad.T + lam * np.eye(m)
+    X = Ad.T @ np.linalg.lstsq(C, Y.reshape(m, -1), rcond=None)[0]
+    norms = np.sqrt(group_sq_norms(X, gs))
+    base = np.maximum(norms, 1e-3 * norms.max()) ** (1.0 / 3.0)
+    warm = varpro._lq_warm_factors(prob)
+    assert np.abs(warm - np.concatenate([base, base])).max() <= 1e-10
 
 
 def test_option3_zero_v(rng):
@@ -679,7 +709,7 @@ def test_every_evaluation_goes_through_the_module_eval_f_grad(monkeypatch):
 def test_group_spectral_norms_match_the_dense_two_norm(rng):
     # mixed sizes, shuffled indices and more than one batch of one size
     from varprox.groups import GroupStructure
-    from varprox.varpro import _group_spectral_norms
+    from varprox.groups import _group_spectral_norms
     n = 300
     perm = rng.permutation(n)
     cuts = np.cumsum([2] * 70 + [3] * 40 + [5] * 8)
@@ -688,3 +718,6 @@ def test_group_spectral_norms_match_the_dense_two_norm(rng):
     Ad = rng.standard_normal((9, n))
     ref = [np.linalg.norm(Ad[:, g], 2) for g in gs.groups]
     assert np.abs(_group_spectral_norms(dense(Ad), gs) - ref).max() < 1e-12
+    cols = np.sqrt((Ad * Ad).sum(axis=0))
+    assert np.abs(_group_spectral_norms(dense(Ad), trivial_groups(n))
+                  - cols).max() < 1e-12
