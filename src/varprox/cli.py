@@ -18,9 +18,11 @@ import numpy as np
 
 from . import baselines, problems, svgplot
 from .groups import GroupStructure, trivial_groups
-from .hadamard_flow import QuadraticFlowProblem, flow_init, lipschitz_bounds, run_gd
+from .hadamard_flow import (QuadraticFlowProblem, flow_gradient, flow_init,
+                            flow_objective, lipschitz_bounds, run_gd)
 from .linops import IdentityOperator, grad2d, tv_group_structure
 from .mirror import Entropy, run_bpgd
+from .optim import minimize_gd_bb
 from .varpro import (BasisPursuitLoss, OuterConfig, QuadraticLoss, RobustLoss,
                      VarProProblem, nonsmooth_objective, solve_lq_option2,
                      solve_varpro)
@@ -167,10 +169,26 @@ def build_problem(section):
     raise ConfigError(f"unknown problem family {family}")
 
 
-def _run_solver(name, section, prob, extras):
+def _check_solvable(method, family, prob):
+    """Raise ``ConfigError`` when the baseline ``method`` does not solve the
+    ``family`` problem ``prob``."""
+    quadratic = isinstance(prob.loss, QuadraticLoss)
+    identity = quadratic and isinstance(prob.L, IdentityOperator)
+    trivial = identity and prob.reg_groups.is_trivial
+    solvable = {"ista": identity, "fista": identity, "ista-bb": identity,
+                "hadamard-gd": identity, "bpgd-quadratic": trivial,
+                "bpgd-hyperbolic": trivial, "admm": quadratic,
+                "scaled-lasso": family == "sqrt-lasso"}
+    if not solvable.get(method, True):
+        raise ConfigError(f"solver method {method} does not solve the "
+                          f"{family} family")
+
+
+def _run_solver(name, section, prob, extras, family):
     method = section.get("method", name)
     iters = section.getint("iters", 2000)
     loss = prob.loss
+    _check_solvable(method, family, prob)
     if method in ("varpro", "varpro-lbfgs", "varpro-gd-bb"):
         cfg = OuterConfig(
             algorithm="gradient-descent-bb" if method.endswith("gd-bb") else "lbfgs",
@@ -204,7 +222,7 @@ def _run_solver(name, section, prob, extras):
         n = A.cols
         ent = Entropy("quadratic", n) if method.endswith("quadratic") \
             else Entropy("hyperbolic", section.getfloat("entropy_c", 1.0 / n))
-        AtA_max = np.abs(A.to_dense().T @ A.to_dense()).max()
+        AtA_max = np.abs(A.gram()).max()
         tau = section.getfloat("tau", lam / AtA_max)
 
         def grad_F(x):
@@ -224,10 +242,21 @@ def _run_solver(name, section, prob, extras):
                            seed=section.getint("seed", 0),
                            u_range=(1.0 * scale, 1.5 * scale),
                            v_range=(0.25 * scale, 0.75 * scale))
-        bounds = lipschitz_bounds(flow, u0, v0)
         mode = section.get("step", "fixed-mg")
-        _, _, trace = run_gd(flow, u0, v0, mode, iters, bounds=bounds,
-                             keep_diagnostics=False)
+        if mode != "bb":
+            return run_gd(flow, u0, v0, mode, iters,
+                          bounds=lipschitz_bounds(flow, u0, v0),
+                          keep_diagnostics=False)[2]
+        n = u0.size
+
+        def fun(z):
+            u, v = z[:n], z[n:]
+            return (flow_objective(flow, u, v),
+                    np.concatenate(flow_gradient(flow, u, v)))
+
+        z, _, _, trace = minimize_gd_bb(fun, np.concatenate([u0, v0]), iters,
+                                        0.0, method_name="hadamard-gd-bb")
+        trace.x = flow.product(z[:n], z[n:])
         return trace
     if method == "scaled-lasso":
         return baselines.run_scaled_lasso(prob.A, loss.y, extras["sqrt_lam"],
@@ -263,7 +292,8 @@ def cmd_run(config, out_dir, seed=None):
                   file=sys.stderr)
             continue
         try:
-            traces[name] = _run_solver(name, parser[sec], prob, extras)
+            traces[name] = _run_solver(name, parser[sec], prob, extras,
+                                       parser["problem"]["family"])
         except ConfigError:
             raise
         except Exception as exc:   # solver failure: record, continue
@@ -290,8 +320,8 @@ def cmd_run(config, out_dir, seed=None):
                 ys = [max(o - best, floor) for o in t.objectives]
                 curves.append((name, xs, ys))
             panels.append({"curves": curves, "xlabel": xlabel,
-                           "ylabel": "objective error", "logx": True,
-                           "logy": True, "title": f"error vs {xlabel}"})
+                           "ylabel": "objective error",
+                           "title": f"error vs {xlabel}"})
         svgplot.multi_panel(os.path.join(out_dir, "convergence.svg"), panels)
     return 2 if failures else 0
 

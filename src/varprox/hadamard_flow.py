@@ -1,10 +1,12 @@
-"""Direct gradient descent on the factored objective
+"""Fixed-step gradient descent on the factored objective
 ``G(u, v) = lam (||u||^2 + ||v||^2) / 2 + F(u * v)`` for quadratic-composite
 ``F(x) = fscale ||A x - y||^2 / 2``, together with the certified stepsize
 constants, the per-iteration descent/contraction diagnostics, and the
-discrete check of the equivalent mirror-descent flow.
+discrete check of the equivalent mirror-descent flow.  Barzilai-Borwein
+steps on ``G`` run on the line-searched loop of :mod:`varprox.optim`.
 """
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +56,6 @@ class QuadraticFlowProblem:
 class FlowState:
     u: np.ndarray
     v: np.ndarray
-    iteration: int = 0
 
 
 @dataclass
@@ -148,20 +149,17 @@ def _surrogate_pieces(problem, u, v, x):
 
 
 def run_gd(problem, u0, v0, step, iters, bounds=None, keep_diagnostics=True):
-    """Fixed-step or Barzilai-Borwein descent on the factored objective.
+    """Fixed-step descent on the factored objective.
 
-    ``step`` is a float, ``"fixed-mg"`` (``1/M_G``), ``"fixed-kappa"``
-    (``1/(kappa M_G)``) or ``"bb"``; the three modes need ``bounds``.  BB
-    steps start at ``1/M_G``, are clipped to ``[1e-8, 1e8] / M_G``, and the
-    run aborts with ``trace.flags['diverged']`` when the objective rises
-    above ten times its initial value.
+    ``step`` is a float, ``"fixed-mg"`` (``1/M_G``) or ``"fixed-kappa"``
+    (``1/(kappa M_G)``); the two modes need ``bounds``.  Runs ``iters``
+    steps and records ``iters + 1`` rows.  Adaptive steps on ``G`` go
+    through :func:`varprox.optim.minimize_gd_bb` instead.
     """
-    import time as _time
-
     u = np.asarray(u0, dtype=float).copy()
     v = np.asarray(v0, dtype=float).copy()
     if isinstance(step, str):
-        if step not in ("fixed-mg", "fixed-kappa", "bb"):
+        if step not in ("fixed-mg", "fixed-kappa"):
             raise ValueError(f"unknown step mode {step!r}")
         if bounds is None:
             raise ValueError(f"step mode {step!r} requires bounds")
@@ -169,21 +167,17 @@ def run_gd(problem, u0, v0, step, iters, bounds=None, keep_diagnostics=True):
         tau = 1.0 / lip
     else:
         tau = float(step)
-    bb = step == "bb"
 
     trace = SolverTrace(method="hadamard-gd-" + (step if isinstance(step, str)
                                                  else "fixed"))
     diag = FlowDiagnostics() if keep_diagnostics else None
-    t0 = _time.perf_counter()
+    t0 = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
-        G0 = flow_objective(problem, u, v)
         gu, gv = flow_gradient(problem, u, v)
-        prev = None
-        best = (G0, u.copy(), v.copy())
         for k in range(iters + 1):
             Gk = flow_objective(problem, u, v)
             gsq = float(gu @ gu + gv @ gv)
-            trace.record(k, Gk, np.sqrt(gsq), _time.perf_counter() - t0)
+            trace.record(k, Gk, np.sqrt(gsq), time.perf_counter() - t0)
             if keep_diagnostics:
                 x = problem.product(u, v)
                 phi, phi_k = _surrogate_pieces(problem, u, v, x)
@@ -192,35 +186,13 @@ def run_gd(problem, u0, v0, step, iters, bounds=None, keep_diagnostics=True):
                 diag.uv_gap.append(abs(float(u @ u) - float(v @ v)))
                 diag.phi.append(phi)
                 diag.phi_surrogate.append(phi_k)
-            if np.isfinite(Gk) and Gk < best[0]:
-                best = (Gk, u.copy(), v.copy())
             if k == iters:
                 break
-            if bb and not (np.isfinite(Gk) and Gk <= 10.0 * max(G0, 1e-12)):
-                # restore the best visited iterate on a diverging run
-                trace.flags["diverged"] = True
-                u, v = best[1], best[2]
-                break
-            t = tau
-            if bb and prev is not None:
-                su = u - prev[0]
-                sv = v - prev[1]
-                yu = gu - prev[2]
-                yv = gv - prev[3]
-                sy = float(su @ yu + sv @ yv)
-                ss = float(su @ su + sv @ sv)
-                if sy > 0 and np.isfinite(sy):
-                    t = ss / sy
-                if not np.isfinite(t):
-                    t = tau
-                t = float(np.clip(t, 1e-8 / bounds.M_G, 1e8 / bounds.M_G))
-            prev = (u.copy(), v.copy(), gu.copy(), gv.copy())
-            u = u - t * gu
-            v = v - t * gv
+            u = u - tau * gu
+            v = v - tau * gv
             gu, gv = flow_gradient(problem, u, v)
-    state = FlowState(u, v, iteration=min(k, iters))
     trace.x = problem.product(u, v)
-    return state, diag, trace
+    return FlowState(u, v), diag, trace
 
 
 # calibrated_fixed_step probes this many steps, halving at most this often

@@ -1,4 +1,4 @@
-"""Minimal dependency-free SVG line plots (log-log convergence curves)."""
+"""Minimal dependency-free SVG log-log line plots (convergence curves)."""
 
 import math
 from xml.sax.saxutils import escape
@@ -12,42 +12,17 @@ _W, _H = 460, 360
 _ML, _MR, _MT, _MB = 64, 14, 30, 46
 
 
-def _finite_pairs(xs, ys, logx, logy):
-    pts = []
-    for x, y in zip(xs, ys):
-        if logx and x <= 0:
-            continue
-        if logy and y <= 0:
-            continue
-        if not (math.isfinite(x) and math.isfinite(y)):
-            continue
-        pts.append((math.log10(x) if logx else x,
-                    math.log10(y) if logy else y))
-    return pts
+def _log_pairs(xs, ys):
+    return [(math.log10(x), math.log10(y)) for x, y in zip(xs, ys)
+            if x > 0 and y > 0 and math.isfinite(x) and math.isfinite(y)]
 
 
-def _ticks(lo, hi, log):
-    if log:
-        return list(range(math.ceil(lo - 1e-9), math.floor(hi + 1e-9) + 1))
-    if hi <= lo:
-        return [lo]
-    span = hi - lo
-    step = 10 ** math.floor(math.log10(span / 4 if span else 1))
-    for mult in (1, 2, 5, 10):
-        if span / (step * mult) <= 6:
-            step *= mult
-            break
-    first = math.ceil(lo / step) * step
-    out = []
-    t = first
-    while t <= hi + 1e-12:
-        out.append(t)
-        t += step
-    return out
+def _ticks(lo, hi):
+    return list(range(math.ceil(lo - 1e-9), math.floor(hi + 1e-9) + 1))
 
 
-def _panel(curves, xlabel, ylabel, title, logx, logy, x_off):
-    transformed = [(label, _finite_pairs(xs, ys, logx, logy))
+def _panel(curves, xlabel, ylabel, title, x_off):
+    transformed = [(label, _log_pairs(xs, ys))
                    for label, xs, ys in curves]
     all_pts = [p for _, pts in transformed for p in pts]
     if not all_pts:
@@ -73,18 +48,16 @@ def _panel(curves, xlabel, ylabel, title, logx, logy, x_off):
              'fill="white" stroke="#333"/>']
     parts.append(f'<text x="{x_off + _ML + pw / 2:.1f}" y="{_MT - 10}" '
                  f'text-anchor="middle" font-weight="bold">{escape(title)}</text>')
-    for t in _ticks(xlo, xhi, logx):
-        label = f"1e{t}" if logx else f"{t:g}"
+    for t in _ticks(xlo, xhi):
         parts.append(f'<line x1="{sx(t):.1f}" y1="{_MT + ph}" x2="{sx(t):.1f}" '
                      f'y2="{_MT + ph + 5}" stroke="#333"/>')
         parts.append(f'<text x="{sx(t):.1f}" y="{_MT + ph + 18}" '
-                     f'text-anchor="middle" font-size="11">{label}</text>')
-    for t in _ticks(ylo, yhi, logy):
-        label = f"1e{t}" if logy else f"{t:g}"
+                     f'text-anchor="middle" font-size="11">1e{t}</text>')
+    for t in _ticks(ylo, yhi):
         parts.append(f'<line x1="{x_off + _ML - 5}" y1="{sy(t):.1f}" '
                      f'x2="{x_off + _ML}" y2="{sy(t):.1f}" stroke="#333"/>')
         parts.append(f'<text x="{x_off + _ML - 8}" y="{sy(t) + 4:.1f}" '
-                     f'text-anchor="end" font-size="11">{label}</text>')
+                     f'text-anchor="end" font-size="11">1e{t}</text>')
     parts.append(f'<text x="{x_off + _ML + pw / 2:.1f}" y="{_H - 8}" '
                  f'text-anchor="middle" font-size="12">{escape(xlabel)}</text>')
     parts.append(f'<text x="{x_off + 14}" y="{_MT + ph / 2:.1f}" font-size="12" '
@@ -109,14 +82,14 @@ def multi_panel(path, panels):
     """Write one SVG with the given panels side by side.
 
     Each panel is a dict with keys ``curves`` (list of ``(label, xs, ys)``),
-    ``xlabel``, ``ylabel``, ``title`` and optional ``logx``/``logy``.
+    ``xlabel``, ``ylabel`` and ``title``.  Both axes are log10; points with
+    a non-positive or non-finite coordinate are not drawn.
     """
     width = _W * len(panels)
     body = []
     for i, panel in enumerate(panels):
         body.extend(_panel(panel["curves"], panel.get("xlabel", ""),
                            panel.get("ylabel", ""), panel.get("title", ""),
-                           panel.get("logx", False), panel.get("logy", False),
                            i * _W))
     svg = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
            f'height="{_H}" font-family="sans-serif" font-size="12">\n'

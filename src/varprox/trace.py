@@ -19,7 +19,8 @@ class SolverTrace:
     primal residual for splitting methods).  The descent loop of
     :mod:`varprox.optim` also sets ``stop_reason``, ``evals`` (objective
     calls) and ``backtracks`` (rejected line-search trials); the other
-    solvers leave them empty.
+    solvers leave them empty.  ``flags`` marks solver-specific events
+    (``mirror_clamped``, ``interpolated``).
     """
 
     method: str = ""

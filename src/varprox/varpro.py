@@ -475,16 +475,16 @@ def solve_lq_option2(problem, config=None, restarts=1):
 
 
 def nonsmooth_objective(problem, x):
-    """Original non-smooth objective at ``x`` (for cross-solver checks)."""
+    """Original non-smooth objective at ``x``, a float (cross-solver checks)."""
     x = np.asarray(x, dtype=float).ravel()
     loss = problem.loss
     reg = group_norm_12(problem.L.apply(x), problem.reg_groups)
     if isinstance(loss, QuadraticLoss):
         r = problem.A.apply(x) - loss.y
-        return reg + float(r @ r) / (2 * loss.lam)
+        return float(reg + float(r @ r) / (2 * loss.lam))
     if isinstance(loss, RobustLoss):
         r = problem.A.apply(x) - loss.y
-        return reg + group_norm_12(r, loss.loss_groups) / loss.lam
+        return float(reg + group_norm_12(r, loss.loss_groups) / loss.lam)
     if isinstance(loss, BasisPursuitLoss):
-        return reg
+        return float(reg)
     raise TypeError(f"unsupported loss {type(loss).__name__}")

@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from varprox import cli
 from varprox.problems import load_pgm, load_ppm, save_ppm
@@ -428,3 +429,119 @@ method = ista
 iters = 10
 """)
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+
+FIG4_RECIPE = """
+[problem]
+family = fourier
+n = 60
+cutoff = 2
+spikes = 1
+lambda_frac = 1/10
+seed = 0
+
+[solver:ista]
+method = ista
+iters = 300
+
+[solver:hadamard]
+method = hadamard-gd
+step = {step}
+iters = 300
+"""
+
+
+def test_fig4_bb_run_is_monotone_and_says_why_it_stopped(tmp_path, capsys):
+    finals = {}
+    for step in ("fixed-mg", "bb"):
+        cfg = _write(tmp_path / f"{step}.cfg", FIG4_RECIPE.format(step=step))
+        out = tmp_path / step
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        finals[step] = [float(row[1])
+                        for row in _read_csv(out / "hadamard.csv")[1:]]
+    bb = finals["bb"]
+    # the line search keeps every accepted Barzilai-Borwein step a descent
+    assert all(b <= a for a, b in zip(bb, bb[1:]))
+    assert bb[-1] <= finals["fixed-mg"][-1]
+    assert capsys.readouterr().out.splitlines()[-1].startswith(
+        "hadamard: stopped on ")
+
+
+def test_bb_hadamard_reaches_varpro_on_the_group_lasso_example(tmp_path):
+    cfg = _write(tmp_path / "run.cfg", """
+[problem]
+family = group-lasso
+m = 20
+n = 60
+group_size = 3
+lambda_frac = 0.1
+seed = 0
+
+[solver:varpro]
+method = varpro-lbfgs
+max_iter = 500
+
+[solver:hadamard]
+method = hadamard-gd
+step = bb
+iters = 2000
+""")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    f_vp = float(_read_csv(out / "varpro.csv")[-1][1])
+    f_hd = float(_read_csv(out / "hadamard.csv")[-1][1])
+    assert abs(f_hd - f_vp) <= 1e-9 * abs(f_vp)
+
+
+# problem sizes of the rejection test, one per family
+SMALL_SIZES = {"sqrt-lasso": "m = 20\nn = 40", "tv-l1": "height = 4\nwidth = 4",
+               "tv-denoise": "height = 4\nwidth = 4",
+               "group-lasso": "m = 20\nn = 60", "lasso": "m = 20\nn = 60"}
+
+
+@pytest.mark.parametrize("family,method", [
+    ("sqrt-lasso", "fista"), ("sqrt-lasso", "admm"),
+    ("sqrt-lasso", "bpgd-hyperbolic"), ("tv-l1", "admm"),
+    ("tv-denoise", "bpgd-quadratic"), ("tv-denoise", "fista"),
+    ("tv-denoise", "hadamard-gd"), ("group-lasso", "bpgd-quadratic"),
+    ("lasso", "scaled-lasso")])
+def test_run_rejects_a_baseline_on_a_problem_it_does_not_solve(
+        tmp_path, capsys, family, method):
+    cfg = _write(tmp_path / "run.cfg", f"""
+[problem]
+family = {family}
+{SMALL_SIZES[family]}
+seed = 0
+
+[solver:base]
+method = {method}
+iters = 50
+""")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert method in err and family in err
+    assert not (out / "base.csv").exists()
+
+
+def test_run_csv_cells_all_parse_as_floats(tmp_path):
+    cfg = _write(tmp_path / "run.cfg", """
+[problem]
+family = sqrt-lasso
+m = 30
+n = 100
+seed = 0
+
+[solver:varpro]
+method = varpro-lbfgs
+max_iter = 500
+
+[solver:scaled]
+method = scaled-lasso
+""")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    for name in ("varpro", "scaled"):
+        for row in _read_csv(out / f"{name}.csv")[1:]:
+            for cell in row:
+                float(cell)

@@ -43,7 +43,7 @@ PY310_FILES = sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 # Settable values of src/varprox/*.py as counted by settable_values; lower
 # it when a change removes some, never raise it.
-SETTABLE_VALUES = 91
+SETTABLE_VALUES = 90
 INNER_HELPERS = {"_dual_matrix", "_dual_solve", "_psd_solve", "_sym_solve",
                  "_prox_solve", "_spd_factor"}
 LINALG_SOLVERS = {"solve", "lstsq", "inv", "pinv"}
