@@ -29,7 +29,8 @@ def run_ista(A, gs, lam, y, step=None, accel="none", iters=1000, x0=None):
     """Proximal gradient descent for ``||x||_{1,2} + F0(A x)``.
 
     ``accel`` is ``none`` (plain, monotone at ``step <= lam / ||A||^2``),
-    ``fista`` (Nesterov momentum) or ``bb`` (safeguarded spectral step).
+    ``fista`` (Nesterov momentum) or ``bb`` (safeguarded spectral step,
+    halved while it would raise the objective).
     """
     y = np.asarray(y, dtype=float).ravel()
     n = A.cols
@@ -51,8 +52,8 @@ def run_ista(A, gs, lam, y, step=None, accel="none", iters=1000, x0=None):
     for k in range(iters + 1):
         point = z if accel == "fista" else x
         g = A.adjoint(A.apply(point) - y) / lam
-        trace.record(k, objective(x), float(np.linalg.norm(g)),
-                     time.perf_counter() - t0)
+        f = objective(x)
+        trace.record(k, f, float(np.linalg.norm(g)), time.perf_counter() - t0)
         if k == iters:
             break
         if accel == "bb" and x_prev is not None:
@@ -71,7 +72,13 @@ def run_ista(A, gs, lam, y, step=None, accel="none", iters=1000, x0=None):
             x = x_new
         else:
             st = cur_step if accel == "bb" else step
-            x = group_soft_threshold(x - st * g, st, gs)
+            x_new = group_soft_threshold(x - st * g, st, gs)
+            # halve a spectral step that would raise the objective, down to
+            # the plain step, which never does
+            while st > step and objective(x_new) > f:
+                st = max(st / 2, step)
+                x_new = group_soft_threshold(x - st * g, st, gs)
+            x = x_new
     trace.x = x
     return trace
 

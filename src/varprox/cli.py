@@ -3,16 +3,14 @@ traces and plots; sweep recovery phase transitions; write reconstructions.
 
 Subcommands: ``run`` | ``phase`` | ``reconstruct``, each driven by a
 plain-text config of ``key = value`` sections (one ``[solver:NAME]`` block
-per solver).  ``--threads`` runs the cells of ``phase`` in parallel; the
-other commands reject any value but 1.  Exit codes: 0 on success, 1 on
-configuration errors, 2 when any solver fails.
+per solver).  Exit codes: 0 on success, 1 on usage and configuration
+errors, 2 when any solver fails.
 """
 
 import argparse
 import configparser
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -169,26 +167,34 @@ def build_problem(section):
     raise ConfigError(f"unknown problem family {family}")
 
 
-def _check_solvable(method, family, prob):
-    """Raise ``ConfigError`` when the baseline ``method`` does not solve the
-    ``family`` problem ``prob``."""
+def _check_solvable(name, section, family, prob):
+    """Raise ``ConfigError`` unless the ``[solver:NAME]`` ``section`` names a
+    ``run`` method that solves the ``family`` problem ``prob``, with a known
+    ``hadamard-gd`` step."""
+    method = section.get("method", name)
     quadratic = isinstance(prob.loss, QuadraticLoss)
     identity = quadratic and isinstance(prob.L, IdentityOperator)
     trivial = identity and prob.reg_groups.is_trivial
-    solvable = {"ista": identity, "fista": identity, "ista-bb": identity,
-                "hadamard-gd": identity, "bpgd-quadratic": trivial,
-                "bpgd-hyperbolic": trivial, "admm": quadratic,
-                "scaled-lasso": family == "sqrt-lasso"}
-    if not solvable.get(method, True):
+    solvable = {"varpro": True, "varpro-lbfgs": True, "varpro-gd-bb": True,
+                "primal-dual": True, "ista": identity, "fista": identity,
+                "ista-bb": identity, "hadamard-gd": identity,
+                "bpgd-quadratic": trivial, "bpgd-hyperbolic": trivial,
+                "admm": quadratic, "scaled-lasso": family == "sqrt-lasso"}
+    if method not in solvable:
+        raise ConfigError(f"unknown solver method {method}")
+    if not solvable[method]:
         raise ConfigError(f"solver method {method} does not solve the "
                           f"{family} family")
+    if (method == "hadamard-gd"
+            and section.get("step", "fixed-mg") not in ("fixed-mg", "fixed-kappa", "bb")):
+        raise ConfigError(f"hadamard-gd step {section['step']!r} is not "
+                          "fixed-mg, fixed-kappa or bb")
 
 
-def _run_solver(name, section, prob, extras, family):
+def _run_solver(name, section, prob, extras):
     method = section.get("method", name)
     iters = section.getint("iters", 2000)
     loss = prob.loss
-    _check_solvable(method, family, prob)
     if method in ("varpro", "varpro-lbfgs", "varpro-gd-bb"):
         cfg = OuterConfig(
             algorithm="gradient-descent-bb" if method.endswith("gd-bb") else "lbfgs",
@@ -258,10 +264,9 @@ def _run_solver(name, section, prob, extras, family):
                                         0.0, method_name="hadamard-gd-bb")
         trace.x = flow.product(z[:n], z[n:])
         return trace
-    if method == "scaled-lasso":
-        return baselines.run_scaled_lasso(prob.A, loss.y, extras["sqrt_lam"],
-                                          outer_iters=section.getint("outer_iters", 20))
-    raise ConfigError(f"unknown solver method {method}")
+    # scaled-lasso, the last method _check_solvable lets through
+    return baselines.run_scaled_lasso(prob.A, loss.y, extras["sqrt_lam"],
+                                      outer_iters=section.getint("outer_iters", 20))
 
 
 def cmd_run(config, out_dir, seed=None):
@@ -281,6 +286,9 @@ def cmd_run(config, out_dir, seed=None):
         max_seconds = parser["budget"].getfloat("max_seconds", fallback=None)
         if max_seconds is not None and max_seconds <= 0:
             raise ConfigError("budget must be positive")
+    for sec in solver_sections:
+        _check_solvable(sec.split(":", 1)[1], parser[sec],
+                        parser["problem"]["family"], prob)
     os.makedirs(out_dir, exist_ok=True)
     traces = {}
     failures = []
@@ -292,10 +300,7 @@ def cmd_run(config, out_dir, seed=None):
                   file=sys.stderr)
             continue
         try:
-            traces[name] = _run_solver(name, parser[sec], prob, extras,
-                                       parser["problem"]["family"])
-        except ConfigError:
-            raise
+            traces[name] = _run_solver(name, parser[sec], prob, extras)
         except Exception as exc:   # solver failure: record, continue
             failures.append((name, str(exc)))
             print(f"solver {name} failed: {exc}", file=sys.stderr)
@@ -342,20 +347,20 @@ def _phase_single(A_full, Y_full, m, n, T, q, method, restarts, seed, threshold,
         X = res.x
         if X.ndim == 1:
             X = X[:, None]
-    elif method == "irls":
+    else:                           # irls
         trace = baselines.run_irls(A, Y, trivial_groups(n), q, mode="equality",
                                    iters=300)
         X = trace.x
         if X.ndim == 1:
             X = X[:, None]
-    else:
-        raise ConfigError(f"unknown phase method {method}")
     num = float(np.linalg.norm(X - x_true))
     den = max(float(np.linalg.norm(x_true)), 1e-300)
     return num / den < threshold
 
 
 def cmd_phase(config, out_dir, seed=None, threads=1):
+    if threads != 1:
+        raise ConfigError(f"phase runs its trials serially, got threads={threads}")
     if "phase" not in config:
         raise ConfigError("missing [phase] section")
     sec = config["phase"]
@@ -369,12 +374,15 @@ def cmd_phase(config, out_dir, seed=None, threads=1):
     base_seed = seed if seed is not None else sec.getint("seed", 0)
     m_grid = [int(tok) for tok in sec.get("m_grid", "8 16 24 32 40 48 56 64").split()]
     methods = sec.get("methods", "varpro2 irls").split()
+    for method in methods:
+        if method not in ("varpro2", "irls"):
+            raise ConfigError(f"unknown phase method {method}")
     if "varpro2" in methods and q != 2 / 3:
         raise ConfigError(f"q = {sec.get('q')}: varpro2 solves q = 2/3 only; "
                           "set q = 2/3 or drop varpro2 from methods")
     os.makedirs(out_dir, exist_ok=True)
 
-    tasks = []
+    counts = {(m, method): 0 for m in m_grid for method in methods}
     for trial in range(trials):
         inst = problems.gen_gaussian_instance(max(m_grid), n, s, T=T,
                                               noise_std=0.0,
@@ -383,24 +391,10 @@ def cmd_phase(config, out_dir, seed=None, threads=1):
         Xt = inst.x_true if inst.x_true.ndim == 2 else inst.x_true[:, None]
         for m in m_grid:
             for method in methods:
-                tasks.append((m, method, trial, inst.A, Y, Xt))
-
-    def work(task):
-        m, method, trial, A_full, Y_full, Xt = task
-        ok = _phase_single(A_full, Y_full, m, n, T, q, method, restarts,
-                           base_seed + trial, threshold, Xt)
-        return (m, method, ok)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(work, tasks))
-    else:
-        outcomes = [work(t) for t in tasks]
-
-    counts = {}
-    for m, method, ok in outcomes:
-        counts[(m, method)] = counts.get((m, method), 0) + int(ok)
-    rows = sorted((m, method, counts.get((m, method), 0))
+                counts[(m, method)] += _phase_single(
+                    inst.A, Y, m, n, T, q, method, restarts, base_seed + trial,
+                    threshold, Xt)
+    rows = sorted((m, method, counts[(m, method)])
                   for m in m_grid for method in methods)
     path = os.path.join(out_dir, "phase.csv")
     with open(path, "w") as fh:
@@ -408,7 +402,7 @@ def cmd_phase(config, out_dir, seed=None, threads=1):
         for m, method, cnt in rows:
             fh.write(f"{m},{method},{cnt},{trials}\n")
     for method in methods:
-        series = [counts.get((m, method), 0) for m in m_grid]
+        series = [counts[(m, method)] for m in m_grid]
         drops = sum(max(series[i] - series[i + 1], 0) for i in range(len(series) - 1))
         if drops > 0:
             print(f"warning: success counts for {method} not monotone in m "
@@ -452,20 +446,14 @@ def main(argv=None):
     parser.add_argument("--config", required=True, help="config file path")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=1)
-    args = parser.parse_args(argv)
     try:
-        if args.command != "phase" and args.threads != 1:
-            raise ConfigError(f"--threads applies to phase only, not "
-                              f"{args.command}")
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
-        config = _parse_config(args.config)
-        if args.command == "phase":
-            return cmd_phase(config, args.out, seed=args.seed,
-                             threads=args.threads)
-        handler = cmd_run if args.command == "run" else cmd_reconstruct
-        return handler(config, args.out, seed=args.seed)
+        args = parser.parse_args(argv)
+    except SystemExit as exc:       # argparse exits 2 on a usage error, 0 on --help
+        return 1 if exc.code else 0
+    handler = {"run": cmd_run, "phase": cmd_phase,
+               "reconstruct": cmd_reconstruct}[args.command]
+    try:
+        return handler(_parse_config(args.config), args.out, seed=args.seed)
     except (ConfigError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

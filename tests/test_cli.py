@@ -185,24 +185,6 @@ seed = 0
     assert _read_csv(out / "phase.csv")[1] == ["6", "varpro2", "0", "2"]
 
 
-def test_phase_threads_agree(tmp_path):
-    cfg = _write(tmp_path / "phase.cfg", """
-[phase]
-n = 10
-s = 2
-t = 2
-trials = 3
-m_grid = 4 10
-methods = irls
-seed = 0
-""")
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert cli.main(["phase", "--config", cfg, "--out", str(out1)]) == 0
-    assert cli.main(["phase", "--config", cfg, "--out", str(out2),
-                     "--threads", "3"]) == 0
-    assert _read_csv(out1 / "phase.csv") == _read_csv(out2 / "phase.csv")
-
-
 def test_phase_rejects_a_q_that_varpro2_does_not_solve(tmp_path):
     # varpro2 always solves q = 2/3; with another q the table would compare
     # IRLS at that q with varpro2 at 2/3
@@ -226,48 +208,52 @@ seed = 0
     assert cli.main(["phase", "--config", ok, "--out", str(out)]) == 0
 
 
-def test_threads_applies_to_phase_only(tmp_path, capsys):
-    # run and reconstruct are serial, so a --threads other than 1 is an error
-    cfg = _write(tmp_path / "run.cfg", """
-[problem]
-family = lasso
-m = 10
-n = 20
-
-[solver:fista]
-iters = 5
-
-[reconstruct]
-height = 4
-width = 4
-max_iter = 5
-""")
-    for command in ("run", "reconstruct"):
-        out = tmp_path / command
-        assert cli.main([command, "--config", cfg, "--out", str(out),
-                         "--threads", "2"]) == 1
-        assert "--threads applies to phase only" in capsys.readouterr().err
-        assert not out.exists()
-        assert cli.main([command, "--config", cfg, "--out", str(out),
-                         "--threads", "1"]) == 0
-
-
-def test_phase_rejects_threads_below_one(tmp_path, capsys):
+def test_phase_rejects_an_unknown_method_before_any_cell(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.baselines, "run_irls",
+                        lambda *args, **kwargs: calls.append(1))
     cfg = _write(tmp_path / "phase.cfg", """
 [phase]
 n = 10
 s = 2
 trials = 1
 m_grid = 6
-methods = irls
+methods = irls foo
 seed = 0
 """)
-    for threads in ("0", "-3"):
-        out = tmp_path / f"t{threads}"
-        assert cli.main(["phase", "--config", cfg, "--out", str(out),
-                         "--threads", threads]) == 1
-        assert "--threads must be at least 1" in capsys.readouterr().err
-        assert not out.exists()
+    out = tmp_path / "out"
+    assert cli.main(["phase", "--config", cfg, "--out", str(out)]) == 1
+    assert calls == []
+    assert not out.exists()
+
+
+def test_cmd_phase_accepts_threads_1_only(tmp_path):
+    config = cli._parse_config(_write(tmp_path / "phase.cfg", """
+[phase]
+n = 10
+s = 2
+trials = 1
+m_grid = 6
+methods = irls
+"""))
+    out = tmp_path / "out"
+    with pytest.raises(cli.ConfigError):
+        cli.cmd_phase(config, str(out), threads=2)
+    assert not out.exists()
+    assert cli.cmd_phase(config, str(out), threads=1) == 0
+
+
+def test_usage_errors_exit_1_and_help_exits_0(tmp_path, capsys):
+    # exit status 2 means a solver failed, so argparse's own 2 is not kept
+    cfg = _write(tmp_path / "phase.cfg", "[phase]\nn = 10\nm_grid = 6\n")
+    out = tmp_path / "out"
+    assert cli.main(["run"]) == 1
+    assert cli.main(["phase", "--config", cfg, "--out", str(out),
+                     "--threads", "2"]) == 1
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(["--help"]) == 0
+    assert "usage: varprox" in capsys.readouterr().out
 
 
 def test_run_prints_each_solver_stop_reason(tmp_path, capsys):
@@ -545,3 +531,112 @@ method = scaled-lasso
         for row in _read_csv(out / f"{name}.csv")[1:]:
             for cell in row:
                 float(cell)
+
+
+def test_run_checks_every_solver_section_before_the_first_solve(
+        tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "solve_varpro",
+                        lambda *args, **kwargs: calls.append(1))
+    cfg = _write(tmp_path / "run.cfg", """
+[problem]
+family = tv-denoise
+height = 12
+width = 12
+channels = 3
+
+[solver:varpro]
+method = varpro-lbfgs
+
+[solver:fista]
+method = fista
+""")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert "fista does not solve the tv-denoise family" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method,step", [("nope", "bb"),
+                                         ("hadamard-gd", "0.01")])
+def test_run_rejects_an_unknown_method_or_step(tmp_path, capsys, method, step):
+    cfg = _write(tmp_path / "run.cfg", f"""
+[problem]
+family = lasso
+m = 20
+n = 60
+
+[solver:h]
+method = {method}
+step = {step}
+iters = 50
+""")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ista_bb_never_raises_its_objective_on_the_fig4_recipe(tmp_path):
+    cfg = _write(tmp_path / "run.cfg", """
+[problem]
+family = fourier
+n = 60
+cutoff = 2
+spikes = 1
+lambda_frac = 1/10
+seed = 0
+
+[solver:ista]
+method = ista
+iters = 300
+
+[solver:bb]
+method = ista-bb
+iters = 300
+""")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    objs = {name: [float(row[1]) for row in _read_csv(out / f"{name}.csv")[1:]]
+            for name in ("ista", "bb")}
+    bb = objs["bb"]
+    assert len(bb) == 301
+    assert all(b <= a + 1e-12 * abs(a) for a, b in zip(bb, bb[1:]))
+    assert bb[-1] <= objs["ista"][-1]
+
+
+# one config per family; each method's best objective against varpro's
+COMPARED = {"lasso": "m = 20\nn = 60",
+            "overlap-group-lasso": "m = 20\nn = 60",
+            "tv-l1": "height = 4\nwidth = 4\nchannels = 3"}
+
+
+@pytest.mark.parametrize("family,method,rtol", [
+    ("lasso", "admm", 1e-9), ("lasso", "primal-dual", 1e-9),
+    ("lasso", "ista-bb", 1e-9), ("lasso", "bpgd-hyperbolic", 5e-7),
+    ("lasso", "bpgd-quadratic", 4e-4),
+    ("overlap-group-lasso", "admm", 1e-9),
+    ("overlap-group-lasso", "primal-dual", 1e-9),
+    ("tv-l1", "primal-dual", 1e-9)])
+def test_run_method_reaches_varpro_objective(tmp_path, family, method, rtol):
+    cfg = _write(tmp_path / "run.cfg", f"""
+[problem]
+family = {family}
+{COMPARED[family]}
+seed = 0
+
+[solver:varpro]
+method = varpro-lbfgs
+max_iter = 500
+
+[solver:base]
+method = {method}
+iters = 3000
+""")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    best = {name: min(float(row[1]) for row in _read_csv(out / f"{name}.csv")[1:])
+            for name in ("varpro", "base")}
+    gap = (best["base"] - best["varpro"]) / abs(best["varpro"])
+    assert -1e-9 <= gap <= rtol

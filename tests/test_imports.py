@@ -25,6 +25,8 @@
   solvers stay independent of the routes they check) calls a dense solver:
   ``numpy``/``scipy`` ``linalg.solve``, ``lstsq``, ``inv`` or ``pinv``, any
   ``scipy.linalg`` attribute, or ``cholesky_factor``/``cholesky_solve``.
+* No library module imports a thread, process or event-loop module
+  (``CONCURRENCY``): varprox runs in one thread of one process.
 """
 
 import ast
@@ -48,6 +50,7 @@ INNER_HELPERS = {"_dual_matrix", "_dual_solve", "_psd_solve", "_sym_solve",
                  "_prox_solve", "_spd_factor"}
 LINALG_SOLVERS = {"solve", "lstsq", "inv", "pinv"}
 CHOLESKY = {"cholesky_factor", "cholesky_solve"}
+CONCURRENCY = {"threading", "concurrent", "multiprocessing", "asyncio"}
 
 
 def _dotted(node):
@@ -109,6 +112,18 @@ def unused_imports(source):
     return [(name, line) for name, line in imported
             if not any(u == name or u.startswith(name + ".")
                        for u in used if u)]
+
+
+def imported_modules(source):
+    """The top-level packages of the absolute imports of ``source``,
+    sorted (``from concurrent.futures import X`` gives ``concurrent``)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return sorted(found)
 
 
 def identifiers(nodes, strings=False):
@@ -436,3 +451,17 @@ def test_dense_solver_detector():
     ids=lambda p: p.name)
 def test_dense_solves_stay_in_inner_and_baselines(path):
     assert dense_solver_lookups(path.read_text()) == []
+
+
+def test_imported_module_detector():
+    source = ("import os.path\nimport numpy as np\n"
+              "from concurrent.futures import ThreadPoolExecutor\n"
+              "from . import linops\nfrom .trace import SolverTrace\n"
+              "def f():\n    import threading\n")
+    assert imported_modules(source) == ["concurrent", "numpy", "os",
+                                        "threading"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_thread_or_process_pools(path):
+    assert set(imported_modules(path.read_text())) & CONCURRENCY == set()
