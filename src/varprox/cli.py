@@ -9,6 +9,7 @@ errors, 2 when any solver fails.
 
 import argparse
 import configparser
+import contextlib
 import os
 import sys
 
@@ -30,6 +31,18 @@ __all__ = ["main", "cmd_run", "cmd_phase", "cmd_reconstruct"]
 
 class ConfigError(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def _config_values(where):
+    """Report a value read under ``where`` that does not parse, or that an
+    instance generator rejects, as a :class:`ConfigError`."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"[{where}] {exc}") from exc
 
 
 def _fraction(text):
@@ -110,8 +123,11 @@ def _image_problem(section, family):
     return prob, extras
 
 
+@_config_values("problem")
 def build_problem(section):
-    """Build a benchmark problem from a ``[problem]`` config section."""
+    """Build a benchmark problem from a ``[problem]`` config section; a
+    value that does not parse, or that a generator rejects, is a
+    :class:`ConfigError`."""
     family = section.get("family", fallback=None)
     if family is None:
         raise ConfigError("problem section needs a family")
@@ -170,7 +186,12 @@ def build_problem(section):
 def _check_solvable(name, section, family, prob):
     """Raise ``ConfigError`` unless the ``[solver:NAME]`` ``section`` names a
     ``run`` method that solves the ``family`` problem ``prob``, with a known
-    ``hadamard-gd`` step."""
+    ``hadamard-gd`` step and numeric values that parse."""
+    with _config_values(f"solver:{name}"):
+        for key in ("iters", "max_iter", "seed", "outer_iters"):
+            section.getint(key)
+        for key in ("grad_tol", "tau", "entropy_c", "init_scale"):
+            section.getfloat(key)
     method = section.get("method", name)
     quadratic = isinstance(prob.loss, QuadraticLoss)
     identity = quadratic and isinstance(prob.L, IdentityOperator)
@@ -283,7 +304,8 @@ def cmd_run(config, out_dir, seed=None):
         raise ConfigError("at least one [solver:NAME] section required")
     max_seconds = None
     if "budget" in parser:
-        max_seconds = parser["budget"].getfloat("max_seconds", fallback=None)
+        with _config_values("budget"):
+            max_seconds = parser["budget"].getfloat("max_seconds", fallback=None)
         if max_seconds is not None and max_seconds <= 0:
             raise ConfigError("budget must be positive")
     for sec in solver_sections:
@@ -364,15 +386,17 @@ def cmd_phase(config, out_dir, seed=None, threads=1):
     if "phase" not in config:
         raise ConfigError("missing [phase] section")
     sec = config["phase"]
-    n = sec.getint("n", 64)
-    s = sec.getint("s", 8)
-    T = sec.getint("t", 1)
-    q = _fraction(sec.get("q", "2/3"))
-    trials = sec.getint("trials", 20)
-    threshold = sec.getfloat("threshold", 0.01)
-    restarts = sec.getint("restarts", 3)
-    base_seed = seed if seed is not None else sec.getint("seed", 0)
-    m_grid = [int(tok) for tok in sec.get("m_grid", "8 16 24 32 40 48 56 64").split()]
+    with _config_values("phase"):
+        n = sec.getint("n", 64)
+        s = sec.getint("s", 8)
+        T = sec.getint("t", 1)
+        q = _fraction(sec.get("q", "2/3"))
+        trials = sec.getint("trials", 20)
+        threshold = sec.getfloat("threshold", 0.01)
+        restarts = sec.getint("restarts", 3)
+        base_seed = seed if seed is not None else sec.getint("seed", 0)
+        m_grid = [int(tok) for tok in
+                  sec.get("m_grid", "8 16 24 32 40 48 56 64").split()]
     methods = sec.get("methods", "varpro2 irls").split()
     for method in methods:
         if method not in ("varpro2", "irls"):
@@ -380,6 +404,8 @@ def cmd_phase(config, out_dir, seed=None, threads=1):
     if "varpro2" in methods and q != 2 / 3:
         raise ConfigError(f"q = {sec.get('q')}: varpro2 solves q = 2/3 only; "
                           "set q = 2/3 or drop varpro2 from methods")
+    if s > n:           # the instance generator's rule, checked before any cell
+        raise ConfigError(f"s = {s} exceeds n = {n}")
     os.makedirs(out_dir, exist_ok=True)
 
     counts = {(m, method): 0 for m in m_grid for method in methods}
@@ -417,10 +443,11 @@ def cmd_reconstruct(config, out_dir, seed=None):
     family = sec.get("task", "tv-denoise")
     if seed is not None:
         sec["seed"] = str(seed)
-    prob, extras = _image_problem(sec, family)
-    cfg = OuterConfig(max_iter=sec.getint("max_iter", 300),
-                      grad_tol=sec.getfloat("grad_tol", 1e-8),
-                      seed=sec.getint("seed", 0))
+    with _config_values("reconstruct"):
+        prob, extras = _image_problem(sec, family)
+        cfg = OuterConfig(max_iter=sec.getint("max_iter", 300),
+                          grad_tol=sec.getfloat("grad_tol", 1e-8),
+                          seed=sec.getint("seed", 0))
     res = solve_varpro(prob, cfg)
     h, w, c = extras["shape"]
     os.makedirs(out_dir, exist_ok=True)

@@ -1,5 +1,5 @@
-"""Projected outer objectives and their gradients, plus the quasi-Newton
-driver that minimizes them.
+"""Projected outer objectives and their gradients, plus the one layout of
+the outer blocks and the one quasi-Newton driver that serve every family.
 
 For every problem family the outer function is evaluated by solving the
 concave inner dual and reassembling the value from the primal pieces at
@@ -14,6 +14,7 @@ from the envelope formulas:
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -86,8 +87,10 @@ INIT_RANGE = (0.5, 1.5)
 class OuterConfig:
     """The outer minimization: the algorithm, its step budget and
     gradient-norm tolerance, and the start (``random`` draws from
-    ``INIT_RANGE`` with ``seed``).  The inner solves use the default
-    :class:`~varprox.inner.InnerConfig`."""
+    ``INIT_RANGE`` with ``seed``; an array is the whole stacked outer
+    variable, ``v`` then ``w`` or row-major ``W``, in place of every start,
+    and another length raises ``ValueError`` before any evaluation).  The
+    inner solves use the default :class:`~varprox.inner.InnerConfig`."""
     algorithm: str = "lbfgs"        # lbfgs | gradient-descent-bb
     max_iter: int = 500
     grad_tol: float = 1e-9
@@ -292,17 +295,37 @@ class _GapSafeScreen:
         self.out |= a / s + self.norms * np.sqrt(2 * gap / self.lam) < 1.0
 
 
-def _init_vector(cfg, size, rng):
-    if isinstance(cfg.init, np.ndarray):
-        return np.asarray(cfg.init, dtype=float).copy()
-    if cfg.init == "ones":
-        return np.ones(size)
-    return rng.uniform(*INIT_RANGE, size)
+def _outer(config, rng, starts, envelope):
+    """The one outer layout: the blocks of ``starts`` (an ordered ``{name:
+    start}`` of one or two) stacked in one vector.  A start is an array, or
+    the size of a block drawn as ``config.init`` says (``rng`` draws in
+    block order).  Returns ``(theta0, evaluate, split)``: one block's
+    ``evaluate`` is ``envelope``; two blocks' hands ``envelope`` the flat
+    slices and stacks the gradients of its ``(f, grad_a, grad_b, sol)``.
+    ``split(theta)`` gives ``{name: block}`` in the start shapes.
+    """
+    array = isinstance(config.init, np.ndarray)
+    blocks = {name: start if isinstance(start, np.ndarray)
+              else np.ones(start) if array or config.init == "ones"
+              else rng.uniform(*INIT_RANGE, start) for name, start in starts.items()}
+    theta0 = np.concatenate([b.ravel() for b in blocks.values()])
+    if array:
+        if config.init.shape != theta0.shape:
+            raise ValueError(f"init has shape {config.init.shape}; the stacked "
+                             f"start of {', '.join(blocks)} has length {theta0.size}")
+        theta0 = config.init.astype(float)
+    (a, first), *rest = blocks.items()
+    if not rest:
+        return theta0, envelope, lambda theta: {a: theta}
+    [(b, second)] = rest
+    cut, shape = first.size, second.shape
 
+    def evaluate(theta):
+        f, grad_a, grad_b, sol = envelope(theta[:cut], theta[cut:])
+        return f, np.concatenate([grad_a, grad_b]), sol
 
-def _run_minimizer(fun, x0, config, name):
-    minimize = minimize_lbfgs if config.algorithm == "lbfgs" else minimize_gd_bb
-    return minimize(fun, x0, config.max_iter, config.grad_tol, method_name=name)
+    return theta0, evaluate, lambda theta: {
+        a: theta[:cut], b: theta[cut:].reshape(shape)}
 
 
 def _minimize(config, theta0, evaluate, name):
@@ -331,7 +354,9 @@ def _minimize(config, theta0, evaluate, name):
             low, low_at, f_low = sol, theta, f
         return f, grad
 
-    theta, f, _, trace = _run_minimizer(fun, theta0, config, name)
+    minimize = minimize_lbfgs if config.algorithm == "lbfgs" else minimize_gd_bb
+    theta, f, _, trace = minimize(fun, theta0, config.max_iter, config.grad_tol,
+                                  method_name=name)
     if low_at is not None and np.array_equal(low_at, theta):
         return theta, f, trace, low
     return theta, f, trace, evaluate(theta)[2]
@@ -364,14 +389,12 @@ def solve_varpro(problem, config=None):
     gs = problem.reg_groups
     loss = problem.loss
     screen = None
-
     if isinstance(loss, (QuadraticLoss, BasisPursuitLoss)):
-        theta0 = _init_vector(config, gs.n_groups, rng)
-        family = ""
+        family, starts = "", {"v": gs.n_groups}
         if isinstance(loss, QuadraticLoss) and isinstance(problem.L, IdentityOperator):
             screen = _GapSafeScreen(problem)
 
-        def evaluate(v):
+        def envelope(v):
             if screen is None:
                 return eval_f_grad(problem, v)
             v = screen.mask(v)
@@ -379,37 +402,21 @@ def solve_varpro(problem, config=None):
             if np.isfinite(f):
                 screen.update(v, f, sol)
             return f, grad, sol
-
-        def split(v):
-            return {"v": v}
     elif isinstance(loss, RobustLoss):
-        nv, nw = gs.n_groups, loss.loss_groups.n_groups
-        theta0 = np.concatenate([_init_vector(config, nv, rng),
-                                 _init_vector(config, nw, rng)])
         family = "robust-"
-
-        def evaluate(theta):
-            f, gv, gw, sol = eval_f_grad_robust(problem, theta[:nv], theta[nv:])
-            return f, np.concatenate([gv, gw]), sol
-
-        def split(theta):
-            return {"v": theta[:nv], "w": theta[nv:]}
+        starts = {"v": gs.n_groups, "w": loss.loss_groups.n_groups}
+        envelope = partial(eval_f_grad_robust, problem)
     elif isinstance(loss, MultitaskLoss):
-        n, m = problem.A.cols, problem.A.rows
-        theta0 = np.concatenate([_init_vector(config, n, rng),
-                                 np.eye(m).ravel()])
-        family = "multitask-"
+        m = problem.A.rows
+        family, starts = "multitask-", {"v": problem.A.cols, "W": np.eye(m)}
 
-        def evaluate(theta):
-            f, gv, gW, sol = eval_multitask(problem, theta[:n],
-                                            theta[n:].reshape(m, m))
-            return f, np.concatenate([gv, gW.ravel()]), sol
-
-        def split(theta):
-            return {"v": theta[:n], "W": theta[n:].reshape(m, m)}
+        def envelope(v, W):
+            f, grad_v, grad_W, sol = eval_multitask(problem, v, W.reshape(m, m))
+            return f, grad_v, grad_W.ravel(), sol
     else:
         raise TypeError(f"unsupported loss {type(loss).__name__}")
 
+    theta0, evaluate, split = _outer(config, rng, starts, envelope)
     theta, f, trace, sol = _minimize(config, theta0, evaluate,
                                      "varpro-" + family + config.algorithm)
     if screen is None:
@@ -441,34 +448,27 @@ def _lq_warm_factors(problem):
 def solve_lq_option2(problem, config=None, restarts=1):
     """Minimize the two-outer-factor objective, best result over restarts.
 
-    The first start uses the closed-form factor split of a least-squares
-    warm point; the remaining ones are random (the nonconvex landscape has
-    spurious basins, and restarts are the standard remedy).  The result
-    carries the :class:`~varprox.inner.InnerSolution` of its answer as
-    ``inner``, and ``x`` read from it (1-D for a single right-hand side).
-    A start on which no evaluation is finite gives ``x=None``,
-    ``inner=None`` and an infinite objective.
+    The first start is the closed-form factor split of a least-squares
+    warm point, the others are drawn as ``config.init`` says (restarts are
+    the standard remedy for the spurious basins of the nonconvex landscape);
+    an array ``init`` replaces every start.  The result carries the
+    :class:`~varprox.inner.InnerSolution` of its answer as ``inner`` and
+    ``x`` read from it (1-D for one right-hand side); a start with no
+    finite evaluation gives ``x=None``, ``inner=None``, objective ``inf``.
     """
     config = config or OuterConfig()
     nv = problem.reg_groups.n_groups
-    inits = [_lq_warm_factors(problem)]
     rng = np.random.default_rng(config.seed)
-    while len(inits) < max(1, restarts):
-        inits.append(np.concatenate([_init_vector(config, nv, rng),
-                                     _init_vector(config, nv, rng)]))
-
-    def evaluate(theta):
-        f, gv, gw, sol = eval_lq_option2(problem, theta[:nv], theta[nv:])
-        return f, np.concatenate([gv, gw]), sol
-
+    warm = _lq_warm_factors(problem)
+    envelope = partial(eval_lq_option2, problem)
     best = None
-    for theta0 in inits:
+    for k in range(max(1, restarts)):
+        starts = {"v": warm[:nv], "w": warm[nv:]} if k == 0 else {"v": nv, "w": nv}
+        theta0, evaluate, split = _outer(config, rng, starts, envelope)
         theta, f, trace, sol = _minimize(config, theta0, evaluate, "varpro-lq2")
-        x = None
-        if sol is not None:
-            x = sol.x.ravel() if sol.x.shape[1] == 1 else sol.x
-        result = VarProResult(v=theta[:nv], w=theta[nv:], x=x, objective=f,
-                              trace=trace, inner=sol)
+        x = None if sol is None else sol.x.ravel() if sol.x.shape[1] == 1 else sol.x
+        result = VarProResult(x=x, objective=f, trace=trace, inner=sol,
+                              **split(theta))
         if best is None or result.objective < best.objective:
             best = result
     return best

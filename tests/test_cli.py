@@ -558,6 +558,31 @@ method = fista
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("run", "[problem]\nfamily = lasso\n[solver:a]\nmethod = ista\n"
+     "iters = ten\n[solver:b]\nmethod = fista\n", "[solver:a] invalid literal"),
+    ("run", "[problem]\nfamily = lasso\nm = ten\n[solver:a]\nmethod = fista\n",
+     "[problem] invalid literal"),
+    ("run", "[problem]\nfamily = lasso\nn = 16\ns = 40\n"
+     "[solver:a]\nmethod = fista\n", "[problem] sparsity exceeds dimension"),
+    ("phase", "[phase]\nn = ten\n", "[phase] invalid literal"),
+    ("phase", "[phase]\nn = 16\ns = 40\n", "s = 40 exceeds n = 16"),
+    ("reconstruct", "[reconstruct]\nheight = x\n", "[reconstruct] invalid literal"),
+], ids=["solver-iters", "problem-m", "problem-s", "phase-n", "phase-s",
+        "reconstruct-height"])
+def test_a_value_that_does_not_parse_is_a_config_error_before_any_work(
+        tmp_path, monkeypatch, capsys, command, text, message):
+    calls = []
+    for owner, name in ((cli.baselines, "run_ista"), (cli, "solve_lq_option2"),
+                        (cli.baselines, "run_irls"), (cli, "solve_varpro")):
+        monkeypatch.setattr(owner, name, lambda *args, **kwargs: calls.append(1))
+    cfg = _write(tmp_path / "bad.cfg", text)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert calls == [] and not out.exists()
+
+
 @pytest.mark.parametrize("method,step", [("nope", "bb"),
                                          ("hadamard-gd", "0.01")])
 def test_run_rejects_an_unknown_method_or_step(tmp_path, capsys, method, step):

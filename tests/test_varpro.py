@@ -681,29 +681,111 @@ def test_only_the_group_lasso_reports_a_gap(rng):
         assert res.duality_gap is None and res.screened is None
 
 
+def _family_problems():
+    """``{envelope name: (problem, solver)}``, one small problem per family;
+    the solver takes ``(problem, config)``."""
+    rng = np.random.default_rng(3)
+    m, n = 6, 10
+    A = dense(rng.standard_normal((m, n)))
+    inst = gen_gaussian_instance(8, 20, 3, seed=0)
+    return {
+        "eval_f_grad": (_screened_group_lasso(1)[1], solve_varpro),
+        "eval_f_grad_robust": (
+            VarProProblem(A, identity(n), trivial_groups(n),
+                          RobustLoss(y=rng.standard_normal(m), lam=0.8,
+                                     loss_groups=trivial_groups(m))),
+            solve_varpro),
+        "eval_multitask": (
+            VarProProblem(A, identity(n), trivial_groups(n),
+                          MultitaskLoss(Y=rng.standard_normal((m, 2)), lam=0.8)),
+            solve_varpro),
+        "eval_lq_option2": (
+            VarProProblem(inst.A, identity(20), inst.groups,
+                          BasisPursuitLoss(y=inst.y)),
+            solve_lq_option2),
+    }
+
+
+def _recorded_starts(monkeypatch):
+    """Make ``varpro.minimize_lbfgs`` record a copy of each start it gets."""
+    starts, original = [], varpro.minimize_lbfgs
+
+    def recording(fun, x0, *args, **kwargs):
+        starts.append(np.array(x0))
+        return original(fun, x0, *args, **kwargs)
+
+    monkeypatch.setattr(varpro, "minimize_lbfgs", recording)
+    return starts
+
+
 def test_every_evaluation_goes_through_the_module_eval_f_grad(monkeypatch):
-    # the benchmark counts evaluations by wrapping varpro.eval_f_grad: each
-    # call of the optimizer's objective, screened or not, must reach it once
-    from varprox import varpro
-    _, prob = _screened_group_lasso(1)
-    calls = {"eval": 0, "fun": 0}
-    original_eval, original_lbfgs = varpro.eval_f_grad, varpro.minimize_lbfgs
+    # the benchmark counts evaluations by wrapping the module's envelope of
+    # each family (varpro.eval_f_grad, eval_f_grad_robust, eval_multitask,
+    # eval_lq_option2): each call of the optimizer's objective, screened or
+    # not, must reach it once
+    original_lbfgs = varpro.minimize_lbfgs
+    for name, (prob, solve) in _family_problems().items():
+        calls = {"eval": 0, "fun": 0}
+        original_eval = getattr(varpro, name)
 
-    def counted_eval(*args, **kwargs):
-        calls["eval"] += 1
-        return original_eval(*args, **kwargs)
+        def counted_eval(*args, **kwargs):
+            calls["eval"] += 1
+            return original_eval(*args, **kwargs)
 
-    def counted_lbfgs(fun, *args, **kwargs):
-        def counted_fun(x):
-            calls["fun"] += 1
-            return fun(x)
-        return original_lbfgs(counted_fun, *args, **kwargs)
+        def counted_lbfgs(fun, *args, **kwargs):
+            def counted_fun(x):
+                calls["fun"] += 1
+                return fun(x)
+            return original_lbfgs(counted_fun, *args, **kwargs)
 
-    monkeypatch.setattr(varpro, "eval_f_grad", counted_eval)
-    monkeypatch.setattr(varpro, "minimize_lbfgs", counted_lbfgs)
-    res = solve_varpro(prob, OuterConfig(max_iter=500, grad_tol=1e-9, seed=1))
-    assert res.screened > 0
-    assert calls["eval"] == calls["fun"] > 0
+        monkeypatch.setattr(varpro, name, counted_eval)
+        monkeypatch.setattr(varpro, "minimize_lbfgs", counted_lbfgs)
+        res = solve(prob, OuterConfig(max_iter=500, grad_tol=1e-9, seed=1))
+        if name == "eval_f_grad":
+            assert res.screened > 0
+        assert calls["eval"] == calls["fun"] > 0, name
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("name", ["eval_f_grad", "eval_f_grad_robust",
+                                  "eval_multitask", "eval_lq_option2"])
+def test_an_array_init_is_the_whole_stacked_start(monkeypatch, name):
+    # v, then w or the row-major W: the one start of every family, in place
+    # of the two-factor warm split too; another length is refused before
+    # the first evaluation, naming both lengths
+    prob, solve = _family_problems()[name]
+    size = {"eval_f_grad": prob.reg_groups.n_groups,
+            "eval_f_grad_robust": 10 + 6, "eval_multitask": 10 + 6 * 6,
+            "eval_lq_option2": 2 * 20}[name]
+    init = np.random.default_rng(5).uniform(0.5, 1.5, size)
+    if name == "eval_multitask":
+        init[10:] = np.eye(6).ravel() + 0.1
+    starts = _recorded_starts(monkeypatch)
+    res = solve(prob, OuterConfig(max_iter=20, init=init))
+    assert np.isfinite(res.objective)
+    assert len(starts) == 1 and np.array_equal(starts[0], init)
+    calls = []
+    monkeypatch.setattr(varpro, name, lambda *args: calls.append(1))
+    for bad in (init[:7], np.concatenate([init, init])):
+        with pytest.raises(ValueError, match=rf"\({bad.size},\).*length {size}"):
+            solve(prob, OuterConfig(init=bad))
+    assert calls == [] and len(starts) == 1
+
+
+def test_lq_restarts_start_at_the_warm_split_then_at_seeded_draws(monkeypatch):
+    prob, _ = _family_problems()["eval_lq_option2"]
+    nv = prob.reg_groups.n_groups
+    starts = _recorded_starts(monkeypatch)
+    config = OuterConfig(max_iter=20, seed=4)
+    solve_lq_option2(prob, config, restarts=3)
+    rng = np.random.default_rng(config.seed)
+    draws = [np.concatenate([rng.uniform(*varpro.INIT_RANGE, nv),
+                             rng.uniform(*varpro.INIT_RANGE, nv)])
+             for _ in range(2)]
+    assert len(starts) == 3
+    assert np.array_equal(starts[0], varpro._lq_warm_factors(prob))
+    assert np.array_equal(starts[1], draws[0])
+    assert np.array_equal(starts[2], draws[1])
 
 
 def test_group_spectral_norms_match_the_dense_two_norm(rng):
