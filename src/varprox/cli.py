@@ -34,15 +34,36 @@ class ConfigError(ValueError):
 
 
 @contextlib.contextmanager
-def _config_values(where):
-    """Report a value read under ``where`` that does not parse, or that an
-    instance generator rejects, as a :class:`ConfigError`."""
+def _config_values(section):
+    """Read the config ``section`` through the ``get(key, fallback, parse)``
+    this yields: ``parse`` of the value of ``key``, or ``fallback`` without
+    one.  A value that does not parse, an image file that does not load, or
+    a value that a generator or config rejects is a :class:`ConfigError`
+    naming the section; so is, once the block is done, a key of the
+    section that no ``get`` read."""
+    read = set()
+
+    def get(key, fallback, parse):
+        read.add(key)
+        text = section.get(key)
+        return fallback if text is None else parse(text)
+
     try:
-        yield
-    except ConfigError:
-        raise
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"[{where}] {exc}") from exc
+        yield get
+    except (ValueError, ZeroDivisionError, OSError) as exc:
+        raise ConfigError(f"[{section.name}] {exc}") from exc
+    unknown = sorted(set(section) - read)
+    if unknown:
+        raise ConfigError(f"[{section.name}] unknown key {unknown[0]} (known "
+                          f"here: {', '.join(sorted(read))})")
+
+
+def _steps(text):
+    """A step budget: a count, so not negative."""
+    steps = int(text)
+    if steps < 0:
+        raise ValueError(f"a step budget is >= 0, got {steps}")
+    return steps
 
 
 def _fraction(text):
@@ -77,12 +98,9 @@ def _synthetic_image(height, width, channels, seed):
     return img
 
 
-def _image_problem(section, family):
-    height = section.getint("height", 8)
-    width = section.getint("width", 8)
-    channels = section.getint("channels", 3)
-    seed = section.getint("seed", 0)
-    path = section.get("image", fallback=None)
+def _image_problem(get, family):
+    seed = get("seed", 0, int)
+    path = get("image", None, str)
     if path:
         img = problems.load_ppm(path) if path.endswith(".ppm") \
             else problems.load_pgm(path)
@@ -91,25 +109,27 @@ def _image_problem(section, family):
         img = np.moveaxis(img, 2, 0)
         channels, height, width = img.shape
     else:
+        height, width = get("height", 8, int), get("width", 8, int)
+        channels = get("channels", 3, int)
         img = _synthetic_image(height, width, channels, seed)
     clean = img.reshape(-1)
     n = clean.size
     L = grad2d(height, width, channels)
     gs = tv_group_structure(height, width, channels)
-    lam = section.getfloat("lambda", 0.2)
+    lam = get("lambda", 0.2, float)
     rng = np.random.default_rng(seed + 1)
     if family == "tv-denoise":
-        y = clean + section.getfloat("noise_std", 0.1) * rng.standard_normal(n)
+        y = clean + get("noise_std", 0.1, float) * rng.standard_normal(n)
         prob = VarProProblem(IdentityOperator(n), L, gs, QuadraticLoss(y=y, lam=lam))
     elif family == "tv-inpaint":
-        keep = section.getfloat("keep_fraction", 0.3)
+        keep = get("keep_fraction", 0.3, float)
         A = problems.make_inpainting_mask(height, width, keep, seed=seed + 2,
                                           channels=channels)
         y = A.apply(clean)
         prob = VarProProblem(A, L, gs, QuadraticLoss(y=y, lam=lam))
     elif family == "tv-l1":
         hwc = np.moveaxis(img, 0, 2)
-        noisy = problems.add_salt_pepper(hwc, section.getfloat("noise_fraction", 0.25),
+        noisy = problems.add_salt_pepper(hwc, get("noise_fraction", 0.25, float),
                                          seed=seed + 3)
         if noisy.ndim == 2:
             noisy = noisy[:, :, None]
@@ -123,157 +143,143 @@ def _image_problem(section, family):
     return prob, extras
 
 
-@_config_values("problem")
 def build_problem(section):
     """Build a benchmark problem from a ``[problem]`` config section; a
-    value that does not parse, or that a generator rejects, is a
-    :class:`ConfigError`."""
-    family = section.get("family", fallback=None)
-    if family is None:
-        raise ConfigError("problem section needs a family")
-    seed = section.getint("seed", 0)
-    if family in ("lasso", "group-lasso"):
-        m = section.getint("m", 20)
-        n = section.getint("n", 60)
-        gsize = section.getint("group_size", 1 if family == "lasso" else 3)
-        inst = problems.gen_gaussian_instance(
-            m, n, s=section.getint("s", max(gsize, n // 8 // gsize * gsize)),
-            group_size=gsize, noise_std=section.getfloat("noise_std", 0.05),
-            seed=seed)
-        lam_max = problems.lambda_max(inst.A, inst.y, "group-lasso", inst.groups)
-        lam = section.getfloat("lambda", _fraction(section.get("lambda_frac", "0.1")) * lam_max)
-        prob = VarProProblem(inst.A, inst.L, inst.groups,
-                             QuadraticLoss(y=inst.y, lam=lam))
-        return prob, {"instance": inst}
-    if family == "overlap-group-lasso":
-        m = section.getint("m", 30)
-        n = section.getint("n", 300)
-        inst = problems.gen_overlap_instance(m, n,
-                                             overlap=section.getint("overlap", 5),
-                                             noise_std=section.getfloat("noise_std", 0.05),
-                                             seed=seed)
-        lam_max = problems.lambda_max(inst.A, inst.y, "lasso")
-        lam = section.getfloat("lambda", 0.1 * lam_max)
-        prob = VarProProblem(inst.A, inst.L, inst.groups,
-                             QuadraticLoss(y=inst.y, lam=lam))
-        return prob, {"instance": inst}
-    if family == "fourier":
-        inst = problems.gen_fourier_instance(
-            cutoff=section.getint("cutoff", 2), grid=section.getint("n", 300),
-            spikes=section.getint("spikes", 1),
-            lam_frac=_fraction(section.get("lambda_frac", "1/10")), seed=seed)
-        prob = VarProProblem(inst.A, inst.L, inst.groups,
-                             QuadraticLoss(y=inst.y, lam=inst.lam))
-        return prob, {"instance": inst}
-    if family == "sqrt-lasso":
-        m = section.getint("m", 30)
-        n = section.getint("n", 100)
-        inst = problems.gen_gaussian_instance(m, n, s=section.getint("s", 5),
-                                              noise_std=section.getfloat("noise_std", 0.1),
-                                              seed=seed)
-        lam_max = problems.lambda_max(inst.A, inst.y, "sqrt-lasso")
-        lam = section.getfloat("lambda", 0.25 * lam_max)
-        loss_groups = GroupStructure([range(m)], p=m)
-        prob = VarProProblem(inst.A, inst.L, trivial_groups(n),
-                             RobustLoss(y=inst.y, lam=lam * np.sqrt(m),
-                                        loss_groups=loss_groups))
-        return prob, {"instance": inst, "sqrt_lam": lam}
-    if family in ("tv-denoise", "tv-inpaint", "tv-l1"):
-        return _image_problem(section, family)
-    raise ConfigError(f"unknown problem family {family}")
+    value that does not parse or that a generator rejects, and a key that
+    the family does not read, are :class:`ConfigError`\\ s."""
+    with _config_values(section) as get:
+        family = get("family", None, str)
+        if family is None:
+            raise ConfigError("a family is required")
+        seed = get("seed", 0, int)
+        if family in ("lasso", "group-lasso"):
+            m, n = get("m", 20, int), get("n", 60, int)
+            gsize = get("group_size", 1 if family == "lasso" else 3, int)
+            inst = problems.gen_gaussian_instance(
+                m, n, s=get("s", max(gsize, n // 8 // gsize * gsize), int),
+                group_size=gsize, noise_std=get("noise_std", 0.05, float),
+                seed=seed)
+            lam_max = problems.lambda_max(inst.A, inst.y, "group-lasso", inst.groups)
+            lam = get("lambda", get("lambda_frac", 0.1, _fraction) * lam_max, float)
+        elif family == "overlap-group-lasso":
+            m, n = get("m", 30, int), get("n", 300, int)
+            inst = problems.gen_overlap_instance(
+                m, n, overlap=get("overlap", 5, int),
+                noise_std=get("noise_std", 0.05, float), seed=seed)
+            lam_max = problems.lambda_max(inst.A, inst.y, "lasso")
+            lam = get("lambda", 0.1 * lam_max, float)
+        elif family == "fourier":
+            inst = problems.gen_fourier_instance(
+                cutoff=get("cutoff", 2, int), grid=get("n", 300, int),
+                spikes=get("spikes", 1, int),
+                lam_frac=get("lambda_frac", 0.1, _fraction), seed=seed)
+            lam = inst.lam
+        elif family == "sqrt-lasso":
+            m, n = get("m", 30, int), get("n", 100, int)
+            inst = problems.gen_gaussian_instance(
+                m, n, s=get("s", 5, int),
+                noise_std=get("noise_std", 0.1, float), seed=seed)
+            lam_max = problems.lambda_max(inst.A, inst.y, "sqrt-lasso")
+            lam = get("lambda", 0.25 * lam_max, float)
+            loss_groups = GroupStructure([range(m)], p=m)
+            prob = VarProProblem(inst.A, inst.L, trivial_groups(n),
+                                 RobustLoss(y=inst.y, lam=lam * np.sqrt(m),
+                                            loss_groups=loss_groups))
+            return prob, {"sqrt_lam": lam}
+        elif family in ("tv-denoise", "tv-inpaint", "tv-l1"):
+            return _image_problem(get, family)
+        else:
+            raise ConfigError(f"unknown problem family {family}")
+        return VarProProblem(inst.A, inst.L, inst.groups,
+                             QuadraticLoss(y=inst.y, lam=lam)), {}
 
 
-def _check_solvable(name, section, family, prob):
-    """Raise ``ConfigError`` unless the ``[solver:NAME]`` ``section`` names a
-    ``run`` method that solves the ``family`` problem ``prob``, with a known
-    ``hadamard-gd`` step and numeric values that parse."""
-    with _config_values(f"solver:{name}"):
-        for key in ("iters", "max_iter", "seed", "outer_iters"):
-            section.getint(key)
-        for key in ("grad_tol", "tau", "entropy_c", "init_scale"):
-            section.getfloat(key)
-    method = section.get("method", name)
-    quadratic = isinstance(prob.loss, QuadraticLoss)
-    identity = quadratic and isinstance(prob.L, IdentityOperator)
-    trivial = identity and prob.reg_groups.is_trivial
-    solvable = {"varpro": True, "varpro-lbfgs": True, "varpro-gd-bb": True,
-                "primal-dual": True, "ista": identity, "fista": identity,
-                "ista-bb": identity, "hadamard-gd": identity,
-                "bpgd-quadratic": trivial, "bpgd-hyperbolic": trivial,
-                "admm": quadratic, "scaled-lasso": family == "sqrt-lasso"}
-    if method not in solvable:
-        raise ConfigError(f"unknown solver method {method}")
-    if not solvable[method]:
-        raise ConfigError(f"solver method {method} does not solve the "
-                          f"{family} family")
-    if (method == "hadamard-gd"
-            and section.get("step", "fixed-mg") not in ("fixed-mg", "fixed-kappa", "bb")):
-        raise ConfigError(f"hadamard-gd step {section['step']!r} is not "
-                          "fixed-mg, fixed-kappa or bb")
+def _solver_run(section, family, prob, extras):
+    """The zero-argument run of the ``[solver:NAME]`` ``section`` on the
+    ``family`` problem ``prob``, with every value read and every config
+    built.  A method that does not solve the problem and an unknown
+    ``hadamard-gd`` step are :class:`ConfigError`\\ s, as are the errors
+    :func:`_config_values` reports."""
+    with _config_values(section) as get:
+        method = get("method", section.name.split(":", 1)[1], str)
+        loss = prob.loss
+        quadratic = isinstance(loss, QuadraticLoss)
+        identity = quadratic and isinstance(prob.L, IdentityOperator)
+        trivial = identity and prob.reg_groups.is_trivial
+        solves = {"varpro": True, "varpro-lbfgs": True, "varpro-gd-bb": True,
+                  "primal-dual": True, "ista": identity, "fista": identity,
+                  "ista-bb": identity, "hadamard-gd": identity,
+                  "bpgd-quadratic": trivial, "bpgd-hyperbolic": trivial,
+                  "admm": quadratic, "scaled-lasso": family == "sqrt-lasso"}
+        if method not in solves:
+            raise ConfigError(f"unknown solver method {method}")
+        if not solves[method]:
+            raise ConfigError(f"solver method {method} does not solve the "
+                              f"{family} family")
+        if method.startswith("varpro"):
+            cfg = OuterConfig(
+                algorithm="gradient-descent-bb" if method.endswith("gd-bb") else "lbfgs",
+                max_iter=get("max_iter", 500, int),
+                grad_tol=get("grad_tol", 1e-9, float), seed=get("seed", 0, int))
 
+            def run():
+                res = solve_varpro(prob, cfg)
+                # report the original non-smooth objective at the recovered point
+                res.trace.objectives[-1] = nonsmooth_objective(prob, res.x)
+                res.trace.x = res.x
+                return res.trace
+            return run
+        if method == "scaled-lasso":
+            outer_iters = get("outer_iters", 20, _steps)
+            return lambda: baselines.run_scaled_lasso(
+                prob.A, loss.y, extras["sqrt_lam"], outer_iters=outer_iters)
+        iters = get("iters", 2000, _steps)
+        if method in ("ista", "fista", "ista-bb"):
+            accel = {"ista": "none", "fista": "fista", "ista-bb": "bb"}[method]
+            return lambda: baselines.run_ista(prob.A, prob.reg_groups, loss.lam,
+                                              loss.y, accel=accel, iters=iters)
+        if method == "admm":
+            tau = get("tau", 1.0, float)
+            return lambda: baselines.run_admm(prob.A, prob.L, prob.reg_groups,
+                                              loss.lam, loss.y, tau=tau, iters=iters)
+        if method == "primal-dual":
+            robust = isinstance(loss, RobustLoss)
+            kwargs = {"loss_groups": loss.loss_groups} if robust else {}
+            return lambda: baselines.run_primal_dual(
+                "l1" if robust else "quadratic", prob.A, prob.L, prob.reg_groups,
+                loss.lam, loss.y, iters=iters, **kwargs)
+        if method.startswith("bpgd"):
+            A, lam, y = prob.A, loss.lam, loss.y
+            n = A.cols
+            ent = Entropy("quadratic", n) if method.endswith("quadratic") \
+                else Entropy("hyperbolic", get("entropy_c", 1.0 / n, float))
+            tau = get("tau", lam / np.abs(A.gram()).max(), float)
 
-def _run_solver(name, section, prob, extras):
-    method = section.get("method", name)
-    iters = section.getint("iters", 2000)
-    loss = prob.loss
-    if method in ("varpro", "varpro-lbfgs", "varpro-gd-bb"):
-        cfg = OuterConfig(
-            algorithm="gradient-descent-bb" if method.endswith("gd-bb") else "lbfgs",
-            max_iter=section.getint("max_iter", 500),
-            grad_tol=section.getfloat("grad_tol", 1e-9),
-            seed=section.getint("seed", 0))
-        res = solve_varpro(prob, cfg)
-        trace = res.trace
-        # report the original non-smooth objective at the recovered point
-        trace.objectives[-1] = nonsmooth_objective(prob, res.x)
-        trace.x = res.x
-        return trace
-    if method in ("ista", "fista", "ista-bb"):
-        accel = {"ista": "none", "fista": "fista", "ista-bb": "bb"}[method]
-        return baselines.run_ista(prob.A, prob.reg_groups, loss.lam, loss.y,
-                                  accel=accel, iters=iters)
-    if method == "admm":
-        return baselines.run_admm(prob.A, prob.L, prob.reg_groups, loss.lam,
-                                  loss.y, tau=section.getfloat("tau", 1.0),
-                                  iters=iters)
-    if method == "primal-dual":
-        variant = "l1" if isinstance(loss, RobustLoss) else "quadratic"
-        kwargs = {}
-        if variant == "l1":
-            kwargs["loss_groups"] = loss.loss_groups
-        return baselines.run_primal_dual(variant, prob.A, prob.L,
-                                         prob.reg_groups, loss.lam, loss.y,
-                                         iters=iters, **kwargs)
-    if method in ("bpgd-quadratic", "bpgd-hyperbolic"):
-        A, lam, y = prob.A, loss.lam, loss.y
-        n = A.cols
-        ent = Entropy("quadratic", n) if method.endswith("quadratic") \
-            else Entropy("hyperbolic", section.getfloat("entropy_c", 1.0 / n))
-        AtA_max = np.abs(A.gram()).max()
-        tau = section.getfloat("tau", lam / AtA_max)
+            def grad_F(x):
+                return A.adjoint(A.apply(x) - y) / lam
 
-        def grad_F(x):
-            return A.adjoint(A.apply(x) - y) / lam
+            def F_val(x):
+                r = A.apply(x) - y
+                return float(r @ r) / (2 * lam)
 
-        def F_val(x):
-            r = A.apply(x) - y
-            return float(r @ r) / (2 * lam)
-
-        x0 = np.full(n, 1.0 / n)
-        return run_bpgd(grad_F, F_val, ent, tau, iters, x0)
-    if method == "hadamard-gd":
+            x0 = np.full(n, 1.0 / n)
+            return lambda: run_bpgd(grad_F, F_val, ent, tau, iters, x0)
+        # hadamard-gd, the one method left
+        mode = get("step", "fixed-mg", str)
+        if mode not in ("fixed-mg", "fixed-kappa", "bb"):
+            raise ConfigError(f"hadamard-gd step {mode!r} is not fixed-mg, "
+                              "fixed-kappa or bb")
         flow = QuadraticFlowProblem(A=prob.A, y=loss.y, fscale=1.0 / loss.lam,
                                     groups=prob.reg_groups, lam=1.0)
-        scale = section.getfloat("init_scale", 1.0 / np.sqrt(prob.A.cols))
+        scale = get("init_scale", 1.0 / np.sqrt(prob.A.cols), float)
         u0, v0 = flow_init(prob.A.cols, prob.reg_groups.n_groups,
-                           seed=section.getint("seed", 0),
+                           seed=get("seed", 0, int),
                            u_range=(1.0 * scale, 1.5 * scale),
                            v_range=(0.25 * scale, 0.75 * scale))
-        mode = section.get("step", "fixed-mg")
         if mode != "bb":
-            return run_gd(flow, u0, v0, mode, iters,
-                          bounds=lipschitz_bounds(flow, u0, v0),
-                          keep_diagnostics=False)[2]
+            return lambda: run_gd(flow, u0, v0, mode, iters,
+                                  bounds=lipschitz_bounds(flow, u0, v0),
+                                  keep_diagnostics=False)[2]
         n = u0.size
 
         def fun(z):
@@ -281,48 +287,45 @@ def _run_solver(name, section, prob, extras):
             return (flow_objective(flow, u, v),
                     np.concatenate(flow_gradient(flow, u, v)))
 
-        z, _, _, trace = minimize_gd_bb(fun, np.concatenate([u0, v0]), iters,
-                                        0.0, method_name="hadamard-gd-bb")
-        trace.x = flow.product(z[:n], z[n:])
-        return trace
-    # scaled-lasso, the last method _check_solvable lets through
-    return baselines.run_scaled_lasso(prob.A, loss.y, extras["sqrt_lam"],
-                                      outer_iters=section.getint("outer_iters", 20))
+        def run():
+            z, _, _, trace = minimize_gd_bb(fun, np.concatenate([u0, v0]), iters,
+                                            0.0, method_name="hadamard-gd-bb")
+            trace.x = flow.product(z[:n], z[n:])
+            return trace
+        return run
 
 
 def cmd_run(config, out_dir, seed=None):
     import time
 
-    parser = config
-    if "problem" not in parser:
+    if "problem" not in config:
         raise ConfigError("missing [problem] section")
     if seed is not None:
-        parser["problem"]["seed"] = str(seed)
-    prob, extras = build_problem(parser["problem"])
-    solver_sections = [s for s in parser.sections() if s.startswith("solver:")]
+        config["problem"]["seed"] = str(seed)
+    prob, extras = build_problem(config["problem"])
+    solver_sections = [s for s in config.sections() if s.startswith("solver:")]
     if not solver_sections:
         raise ConfigError("at least one [solver:NAME] section required")
     max_seconds = None
-    if "budget" in parser:
-        with _config_values("budget"):
-            max_seconds = parser["budget"].getfloat("max_seconds", fallback=None)
-        if max_seconds is not None and max_seconds <= 0:
-            raise ConfigError("budget must be positive")
-    for sec in solver_sections:
-        _check_solvable(sec.split(":", 1)[1], parser[sec],
-                        parser["problem"]["family"], prob)
+    if "budget" in config:
+        with _config_values(config["budget"]) as get:
+            max_seconds = get("max_seconds", None, float)
+            if max_seconds is not None and max_seconds <= 0:
+                raise ValueError("max_seconds > 0 required")
+    runs = {sec.split(":", 1)[1]: _solver_run(config[sec], config["problem"]["family"],
+                                              prob, extras)
+            for sec in solver_sections}
     os.makedirs(out_dir, exist_ok=True)
     traces = {}
     failures = []
     t_start = time.perf_counter()
-    for sec in solver_sections:
-        name = sec.split(":", 1)[1]
+    for name, run in runs.items():
         if max_seconds is not None and time.perf_counter() - t_start > max_seconds:
             print(f"wall-clock budget exhausted, skipping {name}",
                   file=sys.stderr)
             continue
         try:
-            traces[name] = _run_solver(name, parser[sec], prob, extras)
+            traces[name] = run()
         except Exception as exc:   # solver failure: record, continue
             failures.append((name, str(exc)))
             print(f"solver {name} failed: {exc}", file=sys.stderr)
@@ -385,24 +388,24 @@ def cmd_phase(config, out_dir, seed=None, threads=1):
         raise ConfigError(f"phase runs its trials serially, got threads={threads}")
     if "phase" not in config:
         raise ConfigError("missing [phase] section")
-    sec = config["phase"]
-    with _config_values("phase"):
-        n = sec.getint("n", 64)
-        s = sec.getint("s", 8)
-        T = sec.getint("t", 1)
-        q = _fraction(sec.get("q", "2/3"))
-        trials = sec.getint("trials", 20)
-        threshold = sec.getfloat("threshold", 0.01)
-        restarts = sec.getint("restarts", 3)
-        base_seed = seed if seed is not None else sec.getint("seed", 0)
+    with _config_values(config["phase"]) as get:
+        n = get("n", 64, int)
+        s = get("s", 8, int)
+        T = get("t", 1, int)
+        q = get("q", 2 / 3, _fraction)
+        trials = get("trials", 20, int)
+        threshold = get("threshold", 0.01, float)
+        restarts = get("restarts", 3, int)
+        base_seed = get("seed", 0, int)     # read even when seed overrides it
+        base_seed = base_seed if seed is None else seed
         m_grid = [int(tok) for tok in
-                  sec.get("m_grid", "8 16 24 32 40 48 56 64").split()]
-    methods = sec.get("methods", "varpro2 irls").split()
+                  get("m_grid", "8 16 24 32 40 48 56 64", str).split()]
+        methods = get("methods", "varpro2 irls", str).split()
     for method in methods:
         if method not in ("varpro2", "irls"):
             raise ConfigError(f"unknown phase method {method}")
     if "varpro2" in methods and q != 2 / 3:
-        raise ConfigError(f"q = {sec.get('q')}: varpro2 solves q = 2/3 only; "
+        raise ConfigError(f"q = {q:g}: varpro2 solves q = 2/3 only; "
                           "set q = 2/3 or drop varpro2 from methods")
     if s > n:           # the instance generator's rule, checked before any cell
         raise ConfigError(f"s = {s} exceeds n = {n}")
@@ -439,15 +442,13 @@ def cmd_phase(config, out_dir, seed=None, threads=1):
 def cmd_reconstruct(config, out_dir, seed=None):
     if "reconstruct" not in config:
         raise ConfigError("missing [reconstruct] section")
-    sec = config["reconstruct"]
-    family = sec.get("task", "tv-denoise")
     if seed is not None:
-        sec["seed"] = str(seed)
-    with _config_values("reconstruct"):
-        prob, extras = _image_problem(sec, family)
-        cfg = OuterConfig(max_iter=sec.getint("max_iter", 300),
-                          grad_tol=sec.getfloat("grad_tol", 1e-8),
-                          seed=sec.getint("seed", 0))
+        config["reconstruct"]["seed"] = str(seed)
+    with _config_values(config["reconstruct"]) as get:
+        prob, extras = _image_problem(get, get("task", "tv-denoise", str))
+        cfg = OuterConfig(max_iter=get("max_iter", 300, int),
+                          grad_tol=get("grad_tol", 1e-8, float),
+                          seed=get("seed", 0, int))
     res = solve_varpro(prob, cfg)
     h, w, c = extras["shape"]
     os.makedirs(out_dir, exist_ok=True)

@@ -100,21 +100,15 @@ def flow_gradient(problem, u, v):
     return gu, gv
 
 
-def _column_block_norm(problem):
-    """max_g ||A_g||_2 over the column blocks of A (max column norm when
-    the groups are trivial)."""
-    return float(_group_spectral_norms(problem.A, problem.groups).max())
-
-
 def lipschitz_bounds(problem, u0, v0):
     """Stepsize constants from the initial point.
 
     ``K`` bounds ``sup ||grad F||_{inf,2}`` over the sublevel ball, certified
-    through the column norms of ``A``.
+    through ``max_g ||A_g||_2`` over the column blocks of ``A``.
     """
     if problem.lam <= 0:
         raise ValueError("bounds require lam > 0")
-    colmax = _column_block_norm(problem)
+    colmax = float(_group_spectral_norms(problem.A, problem.groups).max())
     M_F = problem.fscale * colmax ** 2
     G0 = flow_objective(problem, u0, v0)
     B2 = 2.0 * G0 / problem.lam

@@ -100,6 +100,8 @@ class OuterConfig:
     def __post_init__(self):
         if self.grad_tol <= 0:
             raise ValueError("grad_tol > 0 required")
+        if self.max_iter < 0:
+            raise ValueError("max_iter >= 0 required")
         if self.algorithm not in ("lbfgs", "gradient-descent-bb"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if not (isinstance(self.init, np.ndarray)
@@ -449,9 +451,10 @@ def solve_lq_option2(problem, config=None, restarts=1):
     """Minimize the two-outer-factor objective, best result over restarts.
 
     The first start is the closed-form factor split of a least-squares
-    warm point, the others are drawn as ``config.init`` says (restarts are
-    the standard remedy for the spurious basins of the nonconvex landscape);
-    an array ``init`` replaces every start.  The result carries the
+    warm point; with ``init = "random"`` the others are seeded draws
+    (restarts are the standard remedy for the spurious basins of the
+    nonconvex landscape).  A fixed ``init`` takes one start: ``"ones"`` the
+    warm split, an array itself.  The result carries the
     :class:`~varprox.inner.InnerSolution` of its answer as ``inner`` and
     ``x`` read from it (1-D for one right-hand side); a start with no
     finite evaluation gives ``x=None``, ``inner=None``, objective ``inf``.
@@ -462,7 +465,8 @@ def solve_lq_option2(problem, config=None, restarts=1):
     warm = _lq_warm_factors(problem)
     envelope = partial(eval_lq_option2, problem)
     best = None
-    for k in range(max(1, restarts)):
+    draws = isinstance(config.init, str) and config.init == "random"
+    for k in range(max(1, restarts) if draws else 1):
         starts = {"v": warm[:nv], "w": warm[nv:]} if k == 0 else {"v": nv, "w": nv}
         theta0, evaluate, split = _outer(config, rng, starts, envelope)
         theta, f, trace, sol = _minimize(config, theta0, evaluate, "varpro-lq2")

@@ -558,6 +558,25 @@ method = fista
     assert not out.exists()
 
 
+def _stub_solves(monkeypatch):
+    """Replace every solve ``varprox run``, ``phase`` and ``reconstruct``
+    can start by a recorder; returns the list of recorded calls."""
+    calls = []
+    for owner, name in (
+            (cli, "solve_varpro"), (cli, "solve_lq_option2"), (cli, "run_bpgd"),
+            (cli, "run_gd"), (cli, "minimize_gd_bb"),
+            (cli.baselines, "run_ista"), (cli.baselines, "run_admm"),
+            (cli.baselines, "run_primal_dual"), (cli.baselines, "run_scaled_lasso"),
+            (cli.baselines, "run_irls")):
+        monkeypatch.setattr(owner, name, lambda *args, **kwargs: calls.append(1))
+    return calls
+
+
+LASSO_RUN = "[problem]\nfamily = lasso\n[solver:a]\nmethod = fista\n"
+
+
+# values that do not parse, that a generator, file reader or solver config
+# rejects, and keys that nothing reads
 @pytest.mark.parametrize("command, text, message", [
     ("run", "[problem]\nfamily = lasso\n[solver:a]\nmethod = ista\n"
      "iters = ten\n[solver:b]\nmethod = fista\n", "[solver:a] invalid literal"),
@@ -568,14 +587,36 @@ method = fista
     ("phase", "[phase]\nn = ten\n", "[phase] invalid literal"),
     ("phase", "[phase]\nn = 16\ns = 40\n", "s = 40 exceeds n = 16"),
     ("reconstruct", "[reconstruct]\nheight = x\n", "[reconstruct] invalid literal"),
+    ("run", "[problem]\nfamily = lasso\n[solver:a]\nmethod = varpro\n"
+     "grad_tol = 0\n[solver:b]\nmethod = fista\n", "[solver:a] grad_tol > 0 required"),
+    ("run", LASSO_RUN.replace("fista", "varpro\nmax_iter = -1"),
+     "[solver:a] max_iter >= 0 required"),
+    ("run", LASSO_RUN + "iters = -1\n", "[solver:a] a step budget is >= 0, got -1"),
+    ("run", LASSO_RUN.replace("lasso", "lasso\nlambda_fraq = 0.2"),
+     "[problem] unknown key lambda_fraq (known here: "),
+    ("run", LASSO_RUN.replace("lasso", "fourier\nm = 20"), "[problem] unknown key m"),
+    ("run", "[problem]\nfamily = tv-l1\nheight = 4\nwidth = 4\nnoise_std = 0.1\n"
+     "[solver:a]\nmethod = varpro\n", "[problem] unknown key noise_std"),
+    ("run", LASSO_RUN.replace("lasso", "tv-denoise\nimage = {image}\nheight = 4"),
+     "[problem] unknown key height"),
+    ("run", LASSO_RUN.replace("lasso", "tv-denoise\nimage = {image}.missing"),
+     "[problem] [Errno 2] No such file"),
+    ("run", LASSO_RUN + "[budget]\nmax_second = 1\n", "[budget] unknown key max_second"),
+    ("phase", "[phase]\nn = 10\ns = 2\nm_grid = 6\nrestart = 2\n",
+     "[phase] unknown key restart"),
+    ("reconstruct", "[reconstruct]\nheight = 4\nwidth = 4\niters = 5\n",
+     "[reconstruct] unknown key iters"),
 ], ids=["solver-iters", "problem-m", "problem-s", "phase-n", "phase-s",
-        "reconstruct-height"])
+        "reconstruct-height", "solver-grad_tol", "solver-max_iter",
+        "solver-negative-iters", "problem-key", "fourier-key", "tv-l1-key",
+        "image-and-height", "image-missing", "budget-key", "phase-key",
+        "reconstruct-key"])
 def test_a_value_that_does_not_parse_is_a_config_error_before_any_work(
         tmp_path, monkeypatch, capsys, command, text, message):
-    calls = []
-    for owner, name in ((cli.baselines, "run_ista"), (cli, "solve_lq_option2"),
-                        (cli.baselines, "run_irls"), (cli, "solve_varpro")):
-        monkeypatch.setattr(owner, name, lambda *args, **kwargs: calls.append(1))
+    calls = _stub_solves(monkeypatch)
+    image = tmp_path / "img.ppm"
+    save_ppm(image, np.full((4, 4, 3), 0.5))
+    text = text.format(image=image)
     cfg = _write(tmp_path / "bad.cfg", text)
     out = tmp_path / "out"
     assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
@@ -665,3 +706,36 @@ iters = 3000
             for name in ("varpro", "base")}
     gap = (best["base"] - best["varpro"]) / abs(best["varpro"])
     assert -1e-9 <= gap <= rtol
+
+
+@pytest.mark.parametrize("family,method,stray", [
+    ("lasso", "varpro", "iters = 100"), ("lasso", "varpro-lbfgs", "iter = 5"),
+    ("lasso", "varpro-gd-bb", "tau = 1"), ("lasso", "primal-dual", "tau = 1"),
+    ("lasso", "ista", "iter = 5"), ("lasso", "fista", "iter = 5"),
+    ("lasso", "ista-bb", "max_iter = 5"), ("lasso", "hadamard-gd", "grad_tol = 1e-6"),
+    ("lasso", "bpgd-quadratic", "entropy_c = 0.1"),
+    ("lasso", "bpgd-hyperbolic", "entropy = 0.1"), ("lasso", "admm", "rho = 1"),
+    ("sqrt-lasso", "scaled-lasso", "iters = 5")])
+def test_run_rejects_a_key_the_method_does_not_read(
+        tmp_path, monkeypatch, capsys, family, method, stray):
+    calls = _stub_solves(monkeypatch)
+    text = f"""
+[problem]
+family = {family}
+m = 20
+n = 60
+
+[solver:a]
+method = {method}
+"""
+    config = cli._parse_config(_write(tmp_path / "good.cfg", text))
+    prob, extras = cli.build_problem(config["problem"])
+    assert callable(cli._solver_run(config["solver:a"], family, prob, extras))
+    cfg = _write(tmp_path / "run.cfg", text + stray + "\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
+    key = stray.split(" =")[0]
+    assert capsys.readouterr().err.startswith(
+        f"config error: [solver:a] unknown key {key} (known here: ")
+    assert calls == [] and not out.exists()
+

@@ -369,7 +369,7 @@ def test_lbfgs_one_dim_lasso_from_two():
 
 
 @pytest.mark.parametrize("bad", [dict(init="zeros"), dict(init=[1.0]),
-                                 dict(algorithm="newton")])
+                                 dict(algorithm="newton"), dict(max_iter=-1)])
 def test_outer_config_rejects_unknown_values(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):
         OuterConfig(**bad)
@@ -786,6 +786,31 @@ def test_lq_restarts_start_at_the_warm_split_then_at_seeded_draws(monkeypatch):
     assert np.array_equal(starts[0], varpro._lq_warm_factors(prob))
     assert np.array_equal(starts[1], draws[0])
     assert np.array_equal(starts[2], draws[1])
+
+
+@pytest.mark.parametrize("init", ["ones", "array"])
+def test_a_fixed_lq_init_takes_one_start_whatever_the_restarts(monkeypatch, init):
+    # only "random" redraws, so further starts at a fixed init would repeat
+    # the first solve
+    prob, _ = _family_problems()["eval_lq_option2"]
+    if init == "array":
+        init = np.full(2 * prob.reg_groups.n_groups, 0.9)
+    starts = _recorded_starts(monkeypatch)
+    calls, original = [], varpro.eval_lq_option2
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(varpro, "eval_lq_option2", counted)
+    evals = []
+    for restarts in (1, 3):
+        calls.clear()
+        solve_lq_option2(prob, OuterConfig(max_iter=20, init=init),
+                         restarts=restarts)
+        evals.append(len(calls))
+    assert evals[0] == evals[1] > 0
+    assert len(starts) == 2 and np.array_equal(starts[0], starts[1])
 
 
 def test_group_spectral_norms_match_the_dense_two_norm(rng):
