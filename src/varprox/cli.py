@@ -10,6 +10,7 @@ errors, 2 when any solver fails.
 import argparse
 import configparser
 import contextlib
+import fnmatch
 import os
 import sys
 
@@ -58,8 +59,18 @@ def _config_values(section):
                           f"here: {', '.join(sorted(read))})")
 
 
+def _check_sections(config, *known):
+    """A section of ``config`` that matches none of the ``known`` patterns
+    (``solver:*`` matches every ``[solver:NAME]``) is a
+    :class:`ConfigError`."""
+    for name in config.sections():
+        if not any(fnmatch.fnmatchcase(name, k) for k in known):
+            raise ConfigError(f"unknown section [{name}] (known here: "
+                              f"{', '.join(known)})")
+
+
 def _steps(text):
-    """A step budget: a count, so not negative."""
+    """A step budget or another count, so not negative."""
     steps = int(text)
     if steps < 0:
         raise ValueError(f"a step budget is >= 0, got {steps}")
@@ -298,6 +309,7 @@ def _solver_run(section, family, prob, extras):
 def cmd_run(config, out_dir, seed=None):
     import time
 
+    _check_sections(config, "problem", "budget", "solver:*")
     if "problem" not in config:
         raise ConfigError("missing [problem] section")
     if seed is not None:
@@ -369,15 +381,10 @@ def _phase_single(A_full, Y_full, m, n, T, q, method, restarts, seed, threshold,
         res = solve_lq_option2(prob, cfg, restarts=restarts)
         if res.x is None:           # no finite evaluation: a failure, not x = 0
             return False
-        X = res.x
-        if X.ndim == 1:
-            X = X[:, None]
+        X = res.inner.x             # n-by-T, as Y is m-by-T
     else:                           # irls
-        trace = baselines.run_irls(A, Y, trivial_groups(n), q, mode="equality",
-                                   iters=300)
-        X = trace.x
-        if X.ndim == 1:
-            X = X[:, None]
+        X = baselines.run_irls(A, Y, trivial_groups(n), q, mode="equality",
+                               iters=300).x
     num = float(np.linalg.norm(X - x_true))
     den = max(float(np.linalg.norm(x_true)), 1e-300)
     return num / den < threshold
@@ -386,21 +393,28 @@ def _phase_single(A_full, Y_full, m, n, T, q, method, restarts, seed, threshold,
 def cmd_phase(config, out_dir, seed=None, threads=1):
     if threads != 1:
         raise ConfigError(f"phase runs its trials serially, got threads={threads}")
+    _check_sections(config, "phase")
     if "phase" not in config:
         raise ConfigError("missing [phase] section")
     with _config_values(config["phase"]) as get:
         n = get("n", 64, int)
         s = get("s", 8, int)
         T = get("t", 1, int)
+        if T < 1:
+            raise ValueError(f"t >= 1 required, got {T}")
         q = get("q", 2 / 3, _fraction)
-        trials = get("trials", 20, int)
+        trials = get("trials", 20, _steps)
         threshold = get("threshold", 0.01, float)
         restarts = get("restarts", 3, int)
+        if restarts < 1:
+            raise ValueError(f"restarts >= 1 required, got {restarts}")
         base_seed = get("seed", 0, int)     # read even when seed overrides it
         base_seed = base_seed if seed is None else seed
-        m_grid = [int(tok) for tok in
+        m_grid = [_steps(tok) for tok in
                   get("m_grid", "8 16 24 32 40 48 56 64", str).split()]
         methods = get("methods", "varpro2 irls", str).split()
+        if not m_grid or not methods:
+            raise ValueError("m_grid and methods name at least one entry each")
     for method in methods:
         if method not in ("varpro2", "irls"):
             raise ConfigError(f"unknown phase method {method}")
@@ -440,6 +454,7 @@ def cmd_phase(config, out_dir, seed=None, threads=1):
 
 
 def cmd_reconstruct(config, out_dir, seed=None):
+    _check_sections(config, "reconstruct")
     if "reconstruct" not in config:
         raise ConfigError("missing [reconstruct] section")
     if seed is not None:

@@ -1,4 +1,4 @@
-"""Group structures, group norms and the grouped Hadamard product.
+"""Group structures, group norms, extension and shrinkage.
 
 A :class:`GroupStructure` is a list of index blocks over ``{0, ..., p-1}``.
 In ``partition`` mode the blocks must be disjoint and cover the index set;
@@ -11,8 +11,8 @@ import numpy as np
 
 __all__ = [
     "GroupStructure", "trivial_groups", "contiguous_groups",
-    "group_norm_12", "group_norm_inf2", "group_sq_norms", "group_dots",
-    "hadamard_group", "extend", "soft_threshold", "group_soft_threshold",
+    "group_norm_12", "group_sq_norms", "group_dots", "extend",
+    "soft_threshold", "group_soft_threshold",
 ]
 
 
@@ -104,22 +104,6 @@ def group_dots(a, b, gs):
 def group_norm_12(z, gs):
     """Sum of per-group Euclidean norms; the l1 norm for trivial groups."""
     return float(np.sqrt(group_sq_norms(z, gs)).sum())
-
-
-def group_norm_inf2(z, gs):
-    """Max of per-group Euclidean norms; the sup norm for trivial groups."""
-    sq = group_sq_norms(z, gs)
-    return float(np.sqrt(sq.max())) if sq.size else 0.0
-
-
-def hadamard_group(u, v, gs):
-    """Grouped Hadamard product: entry i of group g maps to ``u_i * v_g``."""
-    _require_partition(gs)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.size != gs.p or v.size != gs.n_groups:
-        raise ValueError("dimension mismatch in grouped product")
-    return u * v[gs.group_of]
 
 
 def extend(v, gs):

@@ -6,14 +6,7 @@ block extractors for overlapping groups, and real-stacked 1-D partial
 Fourier systems.  Operators are immutable after construction;
 ``apply``/``adjoint`` are reentrant and densification, the sparse form and
 the pattern of ``A diag(s) A^T`` are memoized.
-
-Dense matrices serialize to the SOPM binary format: magic bytes ``SOPM``,
-u32 rows, u32 cols, little-endian float64 row-major payload.
 """
-
-import os
-import struct
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -22,12 +15,10 @@ from .groups import GroupStructure
 
 __all__ = [
     "LinearOperator", "DenseOperator", "IdentityOperator", "MaskOperator",
-    "Grad2DOperator", "BlockExtractOperator", "CogramPattern", "FourierSystemSpec",
-    "dense", "identity", "mask", "grad2d", "block_extract", "fourier_system",
-    "tv_group_structure", "save_sopm", "load_sopm", "operator_norm",
+    "Grad2DOperator", "BlockExtractOperator", "CogramPattern", "dense",
+    "identity", "grad2d", "block_extract", "fourier_system",
+    "tv_group_structure", "operator_norm",
 ]
-
-_SOPM_MAGIC = b"SOPM"
 
 
 class LinearOperator:
@@ -308,38 +299,24 @@ class CogramPattern:
                                       shape=self.shape)
 
 
-@dataclass(frozen=True)
-class FourierSystemSpec:
-    """Low-frequency Fourier measurements of amplitudes on a uniform 1-D grid.
+def fourier_system(cutoff, grid):
+    """Real-stacked partial Fourier operator: low-frequency measurements of
+    amplitudes on a uniform 1-D grid.
 
     ``cutoff`` is the frequency band size (band ``-cutoff/2 .. cutoff/2``);
-    ``grid`` the number of sample points.  The two are independent
-    parameters: the operator has ``grid`` columns and
-    ``2 * (2*floor(cutoff/2)+1)`` rows once the complex rows are stacked as
-    real parts then imaginary parts.
+    ``grid`` the number of sample points.  The operator has ``grid`` columns
+    and ``2 * (2*floor(cutoff/2)+1)`` rows once the complex rows are stacked
+    as real parts then imaginary parts.  Entries of the complex matrix are
+    ``exp(2i*pi*theta_k*l) / sqrt(cutoff)`` for grid point
+    ``theta_k = k/grid`` and frequency ``l``; deterministic for fixed sizes.
     """
-
-    cutoff: int = 2
-    grid: int = 300
-
-    def __post_init__(self):
-        if self.cutoff < 1 or self.grid < 1:
-            raise ValueError("cutoff and grid must be >= 1")
-
-
-def fourier_system(spec):
-    """Real-stacked partial Fourier operator for the given spec.
-
-    Entries of the complex matrix are ``exp(2i*pi*theta_k*l) / sqrt(m)``
-    for grid point ``theta_k = k/grid`` and frequency ``l``; deterministic
-    for a fixed spec.
-    """
-    m, p = spec.cutoff, spec.grid
-    half = m // 2
+    if cutoff < 1 or grid < 1:
+        raise ValueError("cutoff and grid must be >= 1")
+    half = cutoff // 2
     freqs = np.arange(-half, half + 1, dtype=float)
-    thetas = np.arange(p, dtype=float) / p
+    thetas = np.arange(grid, dtype=float) / grid
     phase = 2.0 * np.pi * freqs[:, None] @ thetas[None, :]
-    z = np.exp(1j * phase) / m ** 0.5
+    z = np.exp(1j * phase) / cutoff ** 0.5
     return DenseOperator(np.vstack([z.real, z.imag]), kind="partial-fourier-real")
 
 
@@ -349,10 +326,6 @@ def dense(matrix):
 
 def identity(n):
     return IdentityOperator(n)
-
-
-def mask(keep, n):
-    return MaskOperator(keep, n)
 
 
 def grad2d(height, width, channels=1):
@@ -400,30 +373,3 @@ def operator_norm(op):
         val = nrm
         x = y / nrm
     return float(np.sqrt(val))
-
-
-def save_sopm(path, matrix):
-    matrix = np.ascontiguousarray(matrix, dtype="<f8")
-    if matrix.ndim != 2:
-        raise ValueError("SOPM stores 2-D matrices")
-    with open(path, "wb") as fh:
-        fh.write(_SOPM_MAGIC)
-        fh.write(struct.pack("<II", matrix.shape[0], matrix.shape[1]))
-        fh.write(matrix.tobytes(order="C"))
-
-
-def _read_exact(fh, size, what):
-    """``size`` bytes of ``fh``; ``ValueError``, before reading, if fewer remain."""
-    if os.fstat(fh.fileno()).st_size - fh.tell() < size:
-        raise ValueError(f"truncated {what}")
-    return fh.read(size)
-
-
-def load_sopm(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _SOPM_MAGIC:
-            raise ValueError(f"bad SOPM magic {magic!r}")
-        rows, cols = struct.unpack("<II", _read_exact(fh, 8, "SOPM header"))
-        payload = _read_exact(fh, 8 * rows * cols, "SOPM payload")
-    return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()

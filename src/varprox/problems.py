@@ -4,14 +4,14 @@ All generators are pure functions of their arguments and a seed.  Images
 load from binary PGM (P5) / PPM (P6), 8-bit, mapped into [0, 1].
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .groups import GroupStructure, contiguous_groups, group_sq_norms, trivial_groups
-from .linops import (BlockExtractOperator, DenseOperator, FourierSystemSpec,
-                     IdentityOperator, LinearOperator, MaskOperator,
-                     _read_exact, fourier_system)
+from .linops import (BlockExtractOperator, DenseOperator, IdentityOperator,
+                     LinearOperator, MaskOperator, fourier_system)
 
 __all__ = [
     "ProblemInstance", "gen_gaussian_instance", "gen_overlap_instance",
@@ -110,8 +110,7 @@ def gen_fourier_instance(cutoff=2, grid=300, spikes=1, lam_frac=0.1, seed=0,
     ``lam`` is set to ``lam_frac`` times the critical value below which the
     zero vector stops being optimal.
     """
-    spec = FourierSystemSpec(cutoff=cutoff, grid=grid)
-    A = fourier_system(spec)
+    A = fourier_system(cutoff, grid)
     n = A.cols
     rng = np.random.default_rng(seed)
     support = rng.choice(n, size=spikes, replace=False)
@@ -186,6 +185,13 @@ def pixel_channel_groups(n_pixels, channels):
 
 
 # --- image and tensor formats -------------------------------------------
+
+
+def _read_exact(fh, size, what):
+    """``size`` bytes of ``fh``; ``ValueError``, before reading, if fewer remain."""
+    if os.fstat(fh.fileno()).st_size - fh.tell() < size:
+        raise ValueError(f"truncated {what}")
+    return fh.read(size)
 
 
 def _read_pnm(path, magic, channels):

@@ -302,9 +302,10 @@ def _outer(config, rng, starts, envelope):
     start}`` of one or two) stacked in one vector.  A start is an array, or
     the size of a block drawn as ``config.init`` says (``rng`` draws in
     block order).  Returns ``(theta0, evaluate, split)``: one block's
-    ``evaluate`` is ``envelope``; two blocks' hands ``envelope`` the flat
-    slices and stacks the gradients of its ``(f, grad_a, grad_b, sol)``.
-    ``split(theta)`` gives ``{name: block}`` in the start shapes.
+    ``evaluate`` is ``envelope``; two blocks' hands ``envelope`` the blocks
+    in their start shapes and stacks the raveled gradients of its
+    ``(f, grad_a, grad_b, sol)``.  ``split(theta)`` gives ``{name: block}``
+    in the start shapes.
     """
     array = isinstance(config.init, np.ndarray)
     blocks = {name: start if isinstance(start, np.ndarray)
@@ -323,8 +324,8 @@ def _outer(config, rng, starts, envelope):
     cut, shape = first.size, second.shape
 
     def evaluate(theta):
-        f, grad_a, grad_b, sol = envelope(theta[:cut], theta[cut:])
-        return f, np.concatenate([grad_a, grad_b]), sol
+        f, grad_a, grad_b, sol = envelope(theta[:cut], theta[cut:].reshape(shape))
+        return f, np.concatenate([grad_a, grad_b.ravel()]), sol
 
     return theta0, evaluate, lambda theta: {
         a: theta[:cut], b: theta[cut:].reshape(shape)}
@@ -409,12 +410,9 @@ def solve_varpro(problem, config=None):
         starts = {"v": gs.n_groups, "w": loss.loss_groups.n_groups}
         envelope = partial(eval_f_grad_robust, problem)
     elif isinstance(loss, MultitaskLoss):
-        m = problem.A.rows
-        family, starts = "multitask-", {"v": problem.A.cols, "W": np.eye(m)}
-
-        def envelope(v, W):
-            f, grad_v, grad_W, sol = eval_multitask(problem, v, W.reshape(m, m))
-            return f, grad_v, grad_W.ravel(), sol
+        family, starts = "multitask-", {"v": problem.A.cols,
+                                        "W": np.eye(problem.A.rows)}
+        envelope = partial(eval_multitask, problem)
     else:
         raise TypeError(f"unsupported loss {type(loss).__name__}")
 

@@ -576,7 +576,7 @@ LASSO_RUN = "[problem]\nfamily = lasso\n[solver:a]\nmethod = fista\n"
 
 
 # values that do not parse, that a generator, file reader or solver config
-# rejects, and keys that nothing reads
+# rejects, keys that nothing reads and sections that no command reads
 @pytest.mark.parametrize("command, text, message", [
     ("run", "[problem]\nfamily = lasso\n[solver:a]\nmethod = ista\n"
      "iters = ten\n[solver:b]\nmethod = fista\n", "[solver:a] invalid literal"),
@@ -606,11 +606,31 @@ LASSO_RUN = "[problem]\nfamily = lasso\n[solver:a]\nmethod = fista\n"
      "[phase] unknown key restart"),
     ("reconstruct", "[reconstruct]\nheight = 4\nwidth = 4\niters = 5\n",
      "[reconstruct] unknown key iters"),
+    ("run", LASSO_RUN + "[solvers:b]\nmethod = ista\n",
+     "unknown section [solvers:b] (known here: problem, budget, solver:*)"),
+    ("phase", "[phase]\nn = 10\ns = 2\nm_grid = 6\n[phases]\ntrials = 2\n",
+     "unknown section [phases]"),
+    ("reconstruct", "[reconstruct]\nheight = 4\nwidth = 4\n[solver:a]\n"
+     "method = varpro\n", "unknown section [solver:a]"),
+    ("phase", "[phase]\nn = 10\ns = 2\nm_grid = 6\ntrials = -1\n",
+     "[phase] a step budget is >= 0, got -1"),
+    ("phase", "[phase]\nn = 10\ns = 2\nm_grid = -3 8\n",
+     "[phase] a step budget is >= 0, got -3"),
+    ("phase", "[phase]\nn = 10\ns = 2\nm_grid = 6\nrestarts = 0\n",
+     "[phase] restarts >= 1 required, got 0"),
+    ("phase", "[phase]\nn = 10\ns = 2\nm_grid =\n",
+     "[phase] m_grid and methods name at least one entry each"),
+    ("phase", "[phase]\nn = 10\ns = 2\nm_grid = 6\nmethods =\n",
+     "[phase] m_grid and methods name at least one entry each"),
+    ("phase", "[phase]\nn = 10\ns = 2\nm_grid = 6\nt = 0\n",
+     "[phase] t >= 1 required, got 0"),
 ], ids=["solver-iters", "problem-m", "problem-s", "phase-n", "phase-s",
         "reconstruct-height", "solver-grad_tol", "solver-max_iter",
         "solver-negative-iters", "problem-key", "fourier-key", "tv-l1-key",
         "image-and-height", "image-missing", "budget-key", "phase-key",
-        "reconstruct-key"])
+        "reconstruct-key", "run-section", "phase-section", "reconstruct-section",
+        "phase-trials", "phase-m_grid", "phase-restarts", "phase-empty-m_grid",
+        "phase-empty-methods", "phase-t"])
 def test_a_value_that_does_not_parse_is_a_config_error_before_any_work(
         tmp_path, monkeypatch, capsys, command, text, message):
     calls = _stub_solves(monkeypatch)

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varprox.groups import (GroupStructure, contiguous_groups, extend,
-                            group_norm_12, group_norm_inf2, group_soft_threshold,
-                            hadamard_group, soft_threshold, trivial_groups)
+                            group_norm_12, group_soft_threshold, soft_threshold,
+                            trivial_groups)
 
 
 def test_group_norm_12_single_group():
@@ -38,18 +38,6 @@ def test_partition_validation():
         GroupStructure([[0, 5]], p=3)                    # out of range
 
 
-def test_hadamard_group_trivial():
-    gs = trivial_groups(3)
-    out = hadamard_group(np.array([1.0, 2.0, 3.0]), np.array([2.0, 2.0, 2.0]), gs)
-    assert np.allclose(out, [2.0, 4.0, 6.0])
-
-
-def test_hadamard_group_single_group():
-    gs = GroupStructure([[0, 1]], p=2)
-    out = hadamard_group(np.array([1.0, 2.0]), np.array([3.0]), gs)
-    assert np.allclose(out, [3.0, 6.0])
-
-
 def test_hadamard_factorization_identity(rng):
     # the closed-form split u = z_g / sqrt(||z_g||), v = sqrt(||z_g||)
     # reproduces z and attains the variational value
@@ -58,7 +46,7 @@ def test_hadamard_factorization_identity(rng):
     norms = np.sqrt(np.array([np.sum(z[g] ** 2) for g in gs.groups]))
     v = np.sqrt(norms)
     u = z / extend(v, gs)
-    assert np.allclose(hadamard_group(u, v, gs), z, atol=1e-12)
+    assert np.allclose(u * extend(v, gs), z, atol=1e-12)
     value = 0.5 * u @ u + 0.5 * v @ v
     assert value == pytest.approx(group_norm_12(z, gs), abs=1e-12)
 
@@ -68,7 +56,7 @@ def test_variational_upper_bound(rng):
     for _ in range(100):
         u = rng.standard_normal(12)
         v = rng.standard_normal(3)
-        z = hadamard_group(u, v, gs)
+        z = u * extend(v, gs)
         assert group_norm_12(z, gs) <= 0.5 * u @ u + 0.5 * v @ v + 1e-12
 
 
@@ -78,21 +66,6 @@ def test_extend_examples():
     gs3 = trivial_groups(3)
     v = np.array([1.0, 2.0, 3.0])
     assert np.array_equal(extend(v, gs3), v)
-
-
-def test_extend_diag_identity(rng):
-    gs = contiguous_groups(10, 2)
-    v = rng.standard_normal(5)
-    alpha = rng.standard_normal(10)
-    assert np.array_equal(extend(v, gs) * alpha, hadamard_group(alpha, v, gs))
-
-
-def test_group_norm_inf2():
-    gs = contiguous_groups(4, 2)
-    assert group_norm_inf2(np.array([3.0, 4.0, 0.0, 1.0]), gs) == pytest.approx(5.0)
-    gs3 = trivial_groups(3)
-    assert group_norm_inf2(np.array([1.0, -7.0, 3.0]), gs3) == pytest.approx(7.0)
-    assert group_norm_inf2(np.zeros(4), gs) == 0.0
 
 
 def test_trivial_group_norm_equals_l1_many(rng):
@@ -109,7 +82,7 @@ def test_hadamard_bound_property(gsize, seed):
     gs = contiguous_groups(3 * gsize, gsize)
     u = r.standard_normal(3 * gsize)
     v = r.standard_normal(3)
-    z = hadamard_group(u, v, gs)
+    z = u * extend(v, gs)
     assert group_norm_12(z, gs) <= 0.5 * u @ u + 0.5 * v @ v + 1e-10
 
 

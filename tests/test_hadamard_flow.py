@@ -7,7 +7,7 @@ from varprox.hadamard_flow import (QuadraticFlowProblem, calibrated_fixed_step,
                                    flow_gradient, flow_init, flow_objective,
                                    lipschitz_bounds,
                                    mirror_equivalence_residual, run_gd)
-from varprox.linops import dense, fourier_system, FourierSystemSpec
+from varprox.linops import dense, fourier_system
 from varprox.problems import gen_fourier_instance
 
 
@@ -70,7 +70,7 @@ def test_normalized_columns_bound(rng):
 def test_fourier_unit_lipschitz_claim():
     # with F0 = ||. - y||^2 / 2 the composite constant is the squared max
     # column norm, which is (m+1)/m for the low-pass system
-    A = fourier_system(FourierSystemSpec(cutoff=64, grid=300))
+    A = fourier_system(64, 300)
     prob = QuadraticFlowProblem(A=A, y=np.zeros(A.rows), fscale=1.0)
     b = lipschitz_bounds(prob, np.ones(300), 0.5 * np.ones(300))
     assert b.M_F == pytest.approx(65.0 / 64.0, rel=1e-12)

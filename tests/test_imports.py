@@ -3,9 +3,10 @@
 * No module imports a name it never uses (``__init__.py`` re-exports and is
   skipped).
 * Every top-level function, class and method of ``src/varprox`` is reached
-  by name from a root: a name ``__init__.py`` imports, ``cli.main``, an
-  identifier of ``perfbench/*.py``, a name ``tests/test_acceptance.py``
-  imports, or a dunder method.  Entries of ``__all__`` are not roots.
+  by name from a root: ``cli.main``, an identifier of ``perfbench/*.py``, a
+  name ``tests/test_acceptance.py`` imports, or a dunder method.  Neither
+  the re-exports of ``__init__.py`` nor entries of ``__all__`` are roots: a
+  definition only a unit test calls is not in use.
 * Every parameter of every function, method and closure of
   ``src/varprox`` is read in its body (a body that only raises
   ``NotImplementedError`` is exempt): an option no code reads changes
@@ -45,7 +46,7 @@ PY310_FILES = sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 # Settable values of src/varprox/*.py as counted by settable_values; lower
 # it when a change removes some, never raise it.
-SETTABLE_VALUES = 90
+SETTABLE_VALUES = 88
 INNER_HELPERS = {"_dual_matrix", "_dual_solve", "_psd_solve", "_sym_solve",
                  "_prox_solve", "_spd_factor"}
 LINALG_SOLVERS = {"solve", "lstsq", "inv", "pinv"}
@@ -321,9 +322,8 @@ def test_reachability_walk_follows_names_not_exports():
 
 
 def test_every_library_definition_is_reachable():
-    modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    roots = imported_names(ast.parse(modules["__init__"]))
-    roots |= imported_names(ast.parse(ACCEPTANCE.read_text()))
+    modules = {p.stem: p.read_text() for p in MODULES}
+    roots = imported_names(ast.parse(ACCEPTANCE.read_text()))
     roots |= identifiers([ast.parse(p.read_text())
                           for p in sorted(PERFBENCH.glob("*.py"))],
                          strings=True)

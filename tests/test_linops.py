@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from varprox.groups import GroupStructure
-from varprox.linops import (FourierSystemSpec, block_extract, dense,
-                            fourier_system, grad2d, identity, load_sopm, mask,
-                            save_sopm, tv_group_structure)
+from varprox.linops import (MaskOperator, block_extract, dense,
+                            fourier_system, grad2d, identity,
+                            tv_group_structure)
 
 
 def _all_kinds(rng):
@@ -13,11 +13,11 @@ def _all_kinds(rng):
     return [
         dense(rng.standard_normal((7, 5))),
         identity(6),
-        mask([1, 3, 4], 8),
+        MaskOperator([1, 3, 4], 8),
         grad2d(4, 5),
         grad2d(3, 4, channels=3),
         block_extract(ogs, 8),
-        fourier_system(FourierSystemSpec(cutoff=4, grid=12)),
+        fourier_system(4, 12),
     ]
 
 
@@ -57,7 +57,7 @@ def test_grad2d_constant_image_is_zero():
 
 
 def test_mask_examples():
-    op = mask([0, 2], 4)
+    op = MaskOperator([0, 2], 4)
     assert np.array_equal(op.apply(np.array([5.0, 6.0, 7.0, 8.0])), [5.0, 7.0])
     assert np.array_equal(op.adjoint(np.array([5.0, 7.0])), [5.0, 0.0, 7.0, 0.0])
 
@@ -102,22 +102,21 @@ def test_block_extract_adjoint_identity(rng):
 
 
 def test_fourier_theta_zero_column():
-    A = fourier_system(FourierSystemSpec(cutoff=2, grid=4))
+    A = fourier_system(2, 4)
     col = A.to_dense()[:, 0]          # grid point theta = 0
     assert np.allclose(col[:3], 1.0 / np.sqrt(2.0))    # real parts
     assert np.allclose(col[3:], 0.0)                   # imaginary parts
 
 
 def test_fourier_entry_modulus():
-    spec = FourierSystemSpec(cutoff=4, grid=17)
-    A = fourier_system(spec).to_dense()
+    A = fourier_system(4, 17).to_dense()
     nfreq = A.shape[0] // 2
     mods = np.sqrt(A[:nfreq] ** 2 + A[nfreq:] ** 2)
-    assert np.allclose(mods, spec.cutoff ** -0.5, atol=1e-14)
+    assert np.allclose(mods, 4 ** -0.5, atol=1e-14)
 
 
 def test_fourier_gram_is_toeplitz():
-    A = fourier_system(FourierSystemSpec(cutoff=64, grid=300))
+    A = fourier_system(64, 300)
     G = A.gram()
     for off in (0, 1, 5, 50):
         d = np.diagonal(G, offset=off)
@@ -125,10 +124,15 @@ def test_fourier_gram_is_toeplitz():
 
 
 def test_fourier_deterministic():
-    spec = FourierSystemSpec(cutoff=6, grid=50)
-    A1 = fourier_system(spec).to_dense()
-    A2 = fourier_system(spec).to_dense()
+    A1 = fourier_system(6, 50).to_dense()
+    A2 = fourier_system(6, 50).to_dense()
     assert np.array_equal(A1, A2)
+
+
+@pytest.mark.parametrize("cutoff, grid", [(0, 3), (3, 0)])
+def test_fourier_rejects_an_empty_band_or_grid(cutoff, grid):
+    with pytest.raises(ValueError, match="cutoff and grid must be >= 1"):
+        fourier_system(cutoff, grid)
 
 
 def test_adjoint_consistency_all_kinds(rng):
@@ -147,7 +151,7 @@ def test_to_sparse_equals_to_dense(rng):
 
 
 def test_cogram_pattern_assembles_weighted_cogram(rng):
-    for op in (grad2d(4, 3, channels=3), grad2d(1, 1), mask([0, 2], 4),
+    for op in (grad2d(4, 3, channels=3), grad2d(1, 1), MaskOperator([0, 2], 4),
                dense(rng.standard_normal((5, 3)))):
         D = op.to_dense()
         s = rng.uniform(0.5, 1.5, op.cols)
@@ -186,25 +190,6 @@ def test_tv_group_structure_layout():
     assert all(s == 4 for s in gs.sizes)
     # pixel 0 of a 2x2 image: horizontal/vertical rows of both channels
     assert set(gs.groups[0].tolist()) == {0, 4, 8, 12}
-
-
-def test_sopm_round_trip(tmp_path, rng):
-    M = rng.standard_normal((5, 3))
-    path = tmp_path / "m.sopm"
-    save_sopm(path, M)
-    raw = path.read_bytes()
-    assert raw[:4] == b"SOPM"
-    assert int.from_bytes(raw[4:8], "little") == 5
-    assert int.from_bytes(raw[8:12], "little") == 3
-    back = load_sopm(path)
-    assert np.array_equal(back, M)
-
-
-def test_sopm_bad_magic(tmp_path):
-    path = tmp_path / "bad.sopm"
-    path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(ValueError):
-        load_sopm(path)
 
 
 def test_grad2d_adjoint_of_constant_field_telescopes():

@@ -1,4 +1,3 @@
-import struct
 import tempfile
 from pathlib import Path
 
@@ -8,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varprox.baselines import run_ista
-from varprox.linops import MaskOperator, load_sopm, save_sopm
+from varprox.linops import MaskOperator
 from varprox.problems import (add_salt_pepper, gen_fourier_instance,
                               gen_gaussian_instance, gen_overlap_instance,
                               lambda_max, load_pgm, load_ppm,
@@ -146,10 +145,9 @@ def test_ppm_round_trip(tmp_path, rng):
     assert np.abs(back - img).max() <= 0.5 / 255 + 1e-12
 
 
-# (save, load, shape drawn from (h, w, c)), empty shapes included; PNM images
+# (save, load, shape drawn from (h, w, c)), empty shapes included; the images
 # are byte multiples of 1/255 so that they round-trip exactly
 FORMATS = {
-    "sopm": (save_sopm, load_sopm, lambda h, w, c: (h, w)),
     "pgm": (save_pgm, load_pgm, lambda h, w, c: (h, w)),
     "ppm": (save_ppm, load_ppm, lambda h, w, c: (h, w, 3)),
 }
@@ -161,10 +159,7 @@ FORMATS = {
 def test_readers_reject_every_proper_prefix(fmt, h, w, c, seed):
     save, load, shape = FORMATS[fmt]
     rng = np.random.default_rng(seed)
-    if fmt in ("pgm", "ppm"):
-        data = rng.integers(0, 256, shape(h, w, c)) / 255.0
-    else:
-        data = rng.standard_normal(shape(h, w, c))
+    data = rng.integers(0, 256, shape(h, w, c)) / 255.0
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"f.{fmt}"
         save(path, data)
@@ -177,7 +172,6 @@ def test_readers_reject_every_proper_prefix(fmt, h, w, c, seed):
 
 
 @pytest.mark.parametrize("fmt, header", [
-    ("sopm", b"SOPM" + struct.pack("<II", 2 ** 31, 2 ** 31)),
     ("pgm", b"P5\n4000000000 4000000000\n255\n"),
     ("ppm", b"P6\n4000000000 4000000000\n255\n"),
 ])
