@@ -5,11 +5,12 @@ finite-difference gradients (single- and multi-channel, Neumann boundary),
 block extractors for overlapping groups, and real-stacked 1-D partial
 Fourier systems.  Operators are immutable after construction;
 ``apply``/``adjoint`` are reentrant and densification, the sparse form and
-the pattern of ``A diag(s) A^T`` are memoized.
+the band layout of ``diag(d) + lam A diag(s) A^T`` are memoized.
 """
 
 import numpy as np
 import scipy.sparse
+from scipy.sparse import csgraph
 
 from .groups import GroupStructure
 
@@ -257,46 +258,106 @@ class BlockExtractOperator(LinearOperator):
 
 
 class CogramPattern:
-    """Fixed sparsity pattern of ``diag(d) + lam * A diag(s) A^T``.
+    """Band layout of ``diag(d) + lam * A diag(s) A^T`` for LAPACK ``dpbtrf``.
 
-    The pattern depends only on the sparse ``A`` (p-by-n) and always holds
-    the diagonal.  Its values are ``lam * (coef @ s)``, with
-    ``coef[(i, j), k] = A_ik A_jk``, plus ``d`` at the positions ``diag``, so
-    one assembly costs a sparse matvec and a diagonal add.
+    The layout depends only on the sparse ``A`` (p-by-n).  The rows are
+    renumbered in reverse Cuthill-McKee order ``perm`` (:func:`_rcm`), which
+    keeps every nonzero within ``kd`` of the diagonal: on a 2-D gradient,
+    ``kd`` is about twice the shorter image side.  ``band`` writes
+    ``lam * (coef @ s)`` into the upper band positions ``pos``, with
+    ``coef[q, k] = A_ik A_jk`` for the pair ``(i, j)`` that lands at ``q``,
+    and adds ``d`` at the diagonal positions ``diag``: one assembly costs a
+    sparse matvec and two scatters.
     """
 
     def __init__(self, S):
         S = scipy.sparse.csc_array(S)
         S.sum_duplicates()
         p, n = S.shape
+        absS = abs(S)
+        graph = (absS @ absS.T).tocoo()
+        perm = _rcm(graph)
+        order = np.empty(p, dtype=np.int64)
+        order[perm] = np.arange(p)
+        kd = int(np.abs(order[graph.row] - order[graph.col]).max(initial=0))
+        del absS, graph     # freed before the pair arrays, to lower the peak
         # each pair (a, b) of stored entries in one column k, at rows i and
         # j, adds A_ik A_jk to entry (i, j): entry a pairs with every entry
-        # of its column, b running from the column's first entry on
+        # of its column, b running from the column's first entry on; only
+        # the pairs on or above the diagonal in the order ``perm`` are kept
         counts = np.diff(S.indptr)
         col = np.repeat(np.arange(n), counts)
         reps = counts[col]
         a = np.repeat(np.arange(S.nnz), reps)
         within = np.arange(a.size) - np.repeat(np.cumsum(reps) - reps, reps)
         b = np.repeat(S.indptr[col], reps) + within
-        rows = S.indices[a].astype(np.int64)
-        diag = np.arange(p, dtype=np.int64)
-        keys = np.concatenate([rows * p + S.indices[b], diag * p + diag])
-        uniq, pos = np.unique(keys, return_inverse=True)
-        self.shape = (p, p)
-        self.indptr = np.searchsorted(uniq // p, np.arange(p + 1))
-        self.indices = uniq % p
-        self.diag = pos[rows.size:]
+        del reps, within
+        ra, rb = order[S.indices[a]], order[S.indices[b]]
+        upper = ra <= rb
+        a, b, ra, rb = a[upper], b[upper], ra[upper], rb[upper]
+        # band entry (ra, rb) is element (kd + ra - rb, rb) of the
+        # Fortran-ordered (kd + 1)-by-p array
+        flat = kd + ra - rb + (kd + 1) * rb
+        uniq, row = np.unique(flat, return_inverse=True)
         self.coef = scipy.sparse.csr_array(
-            (S.data[a] * S.data[b], (pos[:rows.size], col[a])),
-            shape=(uniq.size, n))
+            (S.data[a] * S.data[b], (row, col[a])), shape=(uniq.size, n))
+        self.pos = uniq
+        self.diag = kd + (kd + 1) * order
+        self.perm = perm
+        self.kd = kd
 
-    def assemble(self, s, d, lam):
-        """``diag(d) + lam * A diag(s) A^T`` as a CSC matrix."""
-        data = lam * (self.coef @ s)
-        data[self.diag] += d
-        # symmetric, so the CSR arrays of the pattern are also its CSC arrays
-        return scipy.sparse.csc_array((data, self.indices, self.indptr),
-                                      shape=self.shape)
+    def band(self, s, d, lam):
+        """``diag(d) + lam * A diag(s) A^T`` permuted by ``perm``: the
+        Fortran-ordered ``(kd + 1)``-by-p upper band of LAPACK, freshly
+        allocated so that a factorization may overwrite it."""
+        p = self.perm.size
+        ab = np.zeros((p, self.kd + 1))     # row q is band column q
+        flat = ab.reshape(-1)
+        flat[self.pos] = lam * (self.coef @ s)
+        flat[self.diag] += d
+        return ab.T
+
+
+def _rcm(graph):
+    """Reverse Cuthill-McKee order of the nodes of the symmetric COO ``graph``
+    (George & Liu, *Computer Solution of Large Sparse Positive Definite
+    Systems*, 1981): each connected component is numbered breadth first
+    from a pseudo-peripheral node, neighbours by increasing degree, and the
+    whole order is reversed.  Nodes with no neighbour end the order.
+
+    ``scipy.sparse.csgraph.reverse_cuthill_mckee`` starts each component at
+    a node of least degree instead; on a 5-by-9 gradient that widens the
+    band from 10 to 12, and at 12-by-12 three channels get a wider band
+    than one (24 against 23).
+    """
+    p = graph.shape[0]
+    links = graph.row != graph.col
+    rows, cols = graph.row[links], graph.col[links]
+    deg = np.bincount(rows, minlength=p)
+    # each row's neighbours by increasing degree, the order in which
+    # breadth-first search visits them (built from CSR arrays, which are
+    # taken as given, not sorted)
+    srt = np.lexsort((deg[cols], rows))
+    adj = scipy.sparse.csr_array(
+        (np.ones(srt.size), cols[srt], np.r_[0, np.cumsum(deg)]), shape=(p, p))
+    order = [np.flatnonzero(deg == 0)]
+    free = deg > 0
+    while free.any():
+        left = np.flatnonzero(free)
+        root = left[np.argmin(deg[left])]
+        reach = -1
+        while True:     # George-Liu: restart from the far end while it grows
+            dist = csgraph.dijkstra(adj, indices=root, unweighted=True)
+            far = dist[np.isfinite(dist)].max()
+            if far <= reach:
+                break
+            reach = far
+            last = np.flatnonzero(dist == far)
+            root = last[np.argmin(deg[last])]
+        comp = csgraph.breadth_first_order(adj, root, return_predecessors=False)
+        order.append(comp)
+        free[comp] = False
+    return np.concatenate(order)[::-1]
 
 
 def fourier_system(cutoff, grid):

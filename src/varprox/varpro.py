@@ -456,7 +456,10 @@ def solve_lq_option2(problem, config=None, restarts=1):
     :class:`~varprox.inner.InnerSolution` of its answer as ``inner`` and
     ``x`` read from it (1-D for one right-hand side); a start with no
     finite evaluation gives ``x=None``, ``inner=None``, objective ``inf``.
+    ``restarts`` below 1 is a ``ValueError``, raised before any solve.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     config = config or OuterConfig()
     nv = problem.reg_groups.n_groups
     rng = np.random.default_rng(config.seed)
@@ -464,7 +467,7 @@ def solve_lq_option2(problem, config=None, restarts=1):
     envelope = partial(eval_lq_option2, problem)
     best = None
     draws = isinstance(config.init, str) and config.init == "random"
-    for k in range(max(1, restarts) if draws else 1):
+    for k in range(restarts if draws else 1):
         starts = {"v": warm[:nv], "w": warm[nv:]} if k == 0 else {"v": nv, "w": nv}
         theta0, evaluate, split = _outer(config, rng, starts, envelope)
         theta, f, trace, sol = _minimize(config, theta0, evaluate, "varpro-lq2")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -153,17 +154,23 @@ def test_identity_routes_reject_cg(monkeypatch, rng):
         assert solve_analysis_prox(L, v, gs, 0.3, y, cfg).method == "sparse-direct"
 
 
+def _spy_band_factor(monkeypatch):
+    """Records ``(order, factored)`` for every band Cholesky ``dpbtrf``."""
+    calls = []
+    dpbtrf = scipy.linalg.lapack.dpbtrf
+
+    def spy(ab, **kwargs):
+        c, info = dpbtrf(ab, **kwargs)
+        calls.append((ab.shape[1], info == 0))
+        return c, info
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", spy)
+    return calls
+
+
 @pytest.mark.parametrize("zeros", ["some", "all"])
 def test_identity_routes_zero_v_take_the_jitter_retry(monkeypatch, rng, zeros):
-    factored = []
-
-    def spy(M):
-        lu = spd_factor(M)
-        factored.append(lu is not None)
-        return lu
-
-    spd_factor = inner._spd_factor
-    monkeypatch.setattr(inner, "_spd_factor", spy)
+    calls = _spy_band_factor(monkeypatch)
     h, w = 5, 4
     n, L, gs, gl, v, wl, y = _tv_case(rng, h, w)
     if zeros == "all":
@@ -172,28 +179,16 @@ def test_identity_routes_zero_v_take_the_jitter_retry(monkeypatch, rng, zeros):
         v[[3, 7]] = 0.0
         v[-w:] = 0.0          # last image row: zero rows of L (Neumann)
     a = solve_analysis_prox(L, v, gs, 0.3, y)
-    assert factored == [False, True]
+    assert [ok for _, ok in calls] == [False, True]
     ref = solve_quadratic_general(identity(n), L, v, gs, 0.3, y)
     assert np.abs(a.x - ref.x).max() < 1e-9
     assert a.kkt_residual < 1e-8
-    factored.clear()
+    calls.clear()
     b = solve_robust(identity(n), L, v, gs, wl, gl, 0.9, y)
-    assert factored == [False, True]
+    assert [ok for _, ok in calls] == [False, True]
     ref = solve_robust(dense(np.eye(n)), L, v, gs, wl, gl, 0.9, y)
     assert np.abs(b.x - ref.x).max() < 1e-9
     assert b.kkt_residual < 1e-8
-
-
-def _spy_factor_shapes(monkeypatch):
-    shapes = []
-    spd_factor = inner._spd_factor
-
-    def spy(M):
-        shapes.append(M.shape)
-        return spd_factor(M)
-
-    monkeypatch.setattr(inner, "_spd_factor", spy)
-    return shapes
 
 
 def _identity_routes(L, n, gs, gl, v, wl, y):
@@ -207,16 +202,16 @@ def test_identity_routes_factor_one_channel_block(monkeypatch, rng, zeros):
     n, L, gs, gl, v, wl, y = _tv_case(rng, h, w, c)
     if zeros == "some":
         v[[3, 7]] = 0.0
-    shapes = _spy_factor_shapes(monkeypatch)
+    calls = _spy_band_factor(monkeypatch)
     block = _identity_routes(L, n, gs, gl, v, wl, y)
     # one 2hw-by-2hw factorization per solve, plus the jittered retry when
     # zero v_g leave every block singular
     tries = 1 if zeros == "none" else 2
-    assert shapes == [(2 * h * w, 2 * h * w)] * (2 * tries)
-    shapes.clear()
+    assert [size for size, _ in calls] == [2 * h * w] * (2 * tries)
+    calls.clear()
     monkeypatch.setattr(L, "channel_blocks", lambda: (1, L))
     full = _identity_routes(L, n, gs, gl, v, wl, y)
-    assert shapes == [(L.rows, L.rows)] * (2 * tries)
+    assert [size for size, _ in calls] == [L.rows] * (2 * tries)
     for b, f in zip(block, full):
         assert (b.method, b.system_size) == (f.method, f.system_size)
         assert np.abs(b.x - f.x).max() < 1e-10
@@ -229,10 +224,21 @@ def test_identity_routes_block_falls_back_to_the_dense_solve(monkeypatch, rng):
     n, L, gs, gl, v, wl, y = _tv_case(rng)
     full = (solve_quadratic_general(identity(n), L, v, gs, 0.3, y),
             solve_robust(dense(np.eye(n)), L, v, gs, wl, gl, 0.9, y))
-    monkeypatch.setattr(inner, "_spd_factor", lambda M: None)
+    sizes = []
+    sym_solve = inner._sym_solve
+
+    def spy(M, b, what):
+        sizes.append(M.shape)
+        return sym_solve(M, b, what)
+
+    # every band Cholesky reports a leading minor that is not positive
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", lambda ab, **kw: (ab, 1))
+    monkeypatch.setattr(inner, "_sym_solve", spy)
     for b, f in zip(_identity_routes(L, n, gs, gl, v, wl, y), full):
         assert np.abs(b.x - f.x).max() < 1e-10
         assert b.kkt_residual < 1e-10
+    block = L.rows // L.channels
+    assert sizes == [(block, block)] * 2
 
 
 @pytest.mark.parametrize("differ", ["v", "w"])
@@ -245,16 +251,16 @@ def test_identity_routes_per_channel_weights_factor_the_full_system(
     else:
         gl = trivial_groups(n)
         wl = rng.uniform(0.5, 1.5, n)
-    shapes = _spy_factor_shapes(monkeypatch)
+    calls = _spy_band_factor(monkeypatch)
     b = solve_robust(identity(n), L, v, gs, wl, gl, 0.9, y)
-    assert shapes == [(L.rows, L.rows)]
+    assert calls == [(L.rows, True)]
     ref = solve_robust(dense(np.eye(n)), L, v, gs, wl, gl, 0.9, y)
     assert np.abs(b.x - ref.x).max() < 1e-9
     assert b.kkt_residual < 1e-10
     if differ == "v":
-        shapes.clear()
+        calls.clear()
         a = solve_analysis_prox(L, v, gs, 0.3, y)
-        assert shapes == [(L.rows, L.rows)]
+        assert calls == [(L.rows, True)]
         ref = solve_quadratic_general(identity(n), L, v, gs, 0.3, y)
         assert np.abs(a.x - ref.x).max() < 1e-9
         assert a.kkt_residual < 1e-10
@@ -264,13 +270,13 @@ def test_identity_routes_single_channel_take_the_full_pattern(monkeypatch, rng):
     n, L, gs, gl, v, wl, y = _tv_case(rng, c=1)
     assert L.channel_blocks() == (1, L)
     rhs = []
-    psd_solve = inner._psd_solve
+    band_solve = inner._band_solve
 
-    def spy(M, b, what):
+    def spy(pattern, s, d, lam, b, what):
         rhs.append(b.shape)
-        return psd_solve(M, b, what)
+        return band_solve(pattern, s, d, lam, b, what)
 
-    monkeypatch.setattr(inner, "_psd_solve", spy)
+    monkeypatch.setattr(inner, "_band_solve", spy)
     a, b = _identity_routes(L, n, gs, gl, v, wl, y)
     assert rhs == [(L.rows,)] * 2
     assert a.kkt_residual < 1e-10 and b.kkt_residual < 1e-10

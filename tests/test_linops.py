@@ -150,17 +150,51 @@ def test_to_sparse_equals_to_dense(rng):
         assert op.to_sparse() is S                     # memoized
 
 
+def _unband(pattern, ab):
+    """The p-by-p matrix whose upper band in the order ``pattern.perm`` is
+    the LAPACK band ``ab``, scattered back to the original order."""
+    kd, p = pattern.kd, pattern.perm.size
+    M = np.zeros((p, p))
+    for j in range(p):
+        for i in range(max(0, j - kd), j + 1):
+            M[i, j] = M[j, i] = ab[kd + i - j, j]
+    out = np.empty_like(M)
+    out[np.ix_(pattern.perm, pattern.perm)] = M
+    return out
+
+
 def test_cogram_pattern_assembles_weighted_cogram(rng):
     for op in (grad2d(4, 3, channels=3), grad2d(1, 1), MaskOperator([0, 2], 4),
                dense(rng.standard_normal((5, 3)))):
         D = op.to_dense()
         s = rng.uniform(0.5, 1.5, op.cols)
         d = rng.uniform(0.0, 1.0, op.rows)
-        M = op.cogram_pattern().assemble(s, d, 0.7)
-        assert M.format == "csc"
-        assert np.allclose(M.toarray(), np.diag(d) + 0.7 * (D * s) @ D.T,
+        P = op.cogram_pattern()
+        ab = P.band(s, d, 0.7)
+        assert ab.shape == (P.kd + 1, op.rows) and ab.flags.f_contiguous
+        assert np.allclose(_unband(P, ab), np.diag(d) + 0.7 * (D * s) @ D.T,
                            rtol=0, atol=1e-14)
-        assert op.cogram_pattern() is op.cogram_pattern()
+        assert op.cogram_pattern() is P
+
+
+@pytest.mark.parametrize("h, w", [(5, 9), (9, 5), (1, 1), (12, 12)])
+def test_cogram_band_of_a_gradient_spans_twice_the_shorter_side(h, w):
+    one = grad2d(h, w).cogram_pattern()
+    assert one.kd <= 2 * min(h, w) + 1
+    # the order keeps the channels apart: C channels have the band width of
+    # one, so the band grows only C-fold in length
+    three = grad2d(h, w, channels=3).cogram_pattern()
+    assert three.kd == one.kd
+    ab = three.band(np.ones(3 * h * w), np.ones(6 * h * w), 1.0)
+    assert ab.shape == (one.kd + 1, 6 * h * w)
+
+
+def test_cogram_band_of_a_mask_is_its_diagonal():
+    P = MaskOperator([0, 2, 3], 5).cogram_pattern()
+    assert P.kd == 0
+    diagonal = np.array([1.0, 5.0, 7.0])    # 1 + 2 * s[keep]
+    assert np.array_equal(P.band(np.arange(5.0), np.ones(3), 2.0),
+                          [diagonal[P.perm]])
 
 
 def test_channel_blocks_tile_the_operator(rng):

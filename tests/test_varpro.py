@@ -788,6 +788,21 @@ def test_lq_restarts_start_at_the_warm_split_then_at_seeded_draws(monkeypatch):
     assert np.array_equal(starts[2], draws[1])
 
 
+@pytest.mark.parametrize("restarts", [0, -2])
+def test_lq_rejects_fewer_than_one_restart_before_any_work(monkeypatch,
+                                                           restarts):
+    prob, _ = _family_problems()["eval_lq_option2"]
+    calls = []
+    monkeypatch.setattr(varpro, "_lq_warm_factors",
+                        lambda *a: calls.append("warm"))
+    monkeypatch.setattr(varpro, "eval_lq_option2",
+                        lambda *a: calls.append("eval"))
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        solve_lq_option2(prob, OuterConfig(max_iter=20, init="random"),
+                         restarts=restarts)
+    assert calls == []
+
+
 @pytest.mark.parametrize("init", ["ones", "array"])
 def test_a_fixed_lq_init_takes_one_start_whatever_the_restarts(monkeypatch, init):
     # only "random" redraws, so further starts at a fixed init would repeat
