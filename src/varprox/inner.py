@@ -24,7 +24,7 @@ max norm of the system's residual, after one of four eliminations:
 * none, ``_saddle_route``: the dense full system (degenerate quadratic,
   general robust, exact interpolation);
 * ``A = Id``, ``_prox_route``: ``xi = -L^T alpha``, ``x = y - d_xi xi`` and
-  a banded p-by-p system in ``alpha`` (TV denoising, robust prox);
+  a sparse p-by-p system in ``alpha`` (TV denoising, robust prox);
 * ``x`` first, ``_from_x_route``: ``alpha`` and ``xi`` from rows 1 and 2
   (the reduced general route, direct or CG, and Woodbury);
 * ``L = Id``, ``_from_xi_route``: ``alpha`` and ``x`` from ``xi``, which
@@ -36,29 +36,34 @@ structure; each route owns its value-dependent fallbacks.
 
 Direct factorizations by default, conjugate gradients on the positive
 definite reduced forms above ``DIRECT_SIZE_LIMIT`` unknowns or when
-requested.  Every dense positive definite system goes through
-``_psd_solve``, factored by LAPACK ``dpotrf``/``dpotrs`` called directly
-(``cholesky_factor``/``cholesky_solve``), without the per-call wrapper of
-``scipy.linalg.cho_factor``, which costs more than the factorization at
-m <= 32.  The m-by-m dual system ``A diag(d) A^T + shift I`` (group lasso,
-overlapping groups, multitask and the two-factor path) has one
-assembler, ``_dual_matrix``, which forms
+requested.  Every positive definite system but a band goes through
+``_psd_solve``; a dense one is factored by LAPACK ``dpotrf``/``dpotrs``
+called directly (``cholesky_factor``/``cholesky_solve``), without the
+per-call wrapper of ``scipy.linalg.cho_factor``, which costs more than the
+factorization at m <= 32.  The m-by-m dual system
+``A diag(d) A^T + shift I`` (group lasso, overlapping groups, multitask
+and the two-factor path) has one assembler, ``_dual_matrix``, which forms
 ``B B^T`` by BLAS ``syrk`` from the columns with ``d > 0`` only (the group
 lasso's screened groups have ``v_g = 0``); ``_dual_solve`` adds its
 matrix-free CG.
 
 The ``A = Id`` system ``diag(d) + lam L diag(s) L^T`` is a band matrix
-once its rows are renumbered in reverse Cuthill-McKee order: ``_prox_solve``
-assembles it straight into the LAPACK band layout memoized on ``L``
-(:class:`~varprox.linops.CogramPattern`), and ``_band_solve`` factors it by
-LAPACK ``dpbtrf``/``dpbtrs``, whose per-call cost at these sizes is a small
-fraction of a general sparse factorization's ordering and symbolic
-analysis.  The order is generic, so every ``L`` takes this route.  A
-multichannel gradient is block diagonal over the channels and the TV groups
-tie every pixel's channels together, so ``d`` and ``s`` repeat per channel:
-then one channel's 2hw-by-2hw block is factored and solved for ``C``
-right-hand sides.  Any other ``L``, or weights that differ by channel,
-factor the whole system, whose band is as narrow as one block's.
+once its rows are renumbered in reverse Cuthill-McKee order.
+``_prox_solve`` assembles it on the layout memoized on ``L``
+(:class:`~varprox.linops.CogramPattern`).  While the band holds at most
+``linops.BAND_ENTRIES`` entries, that layout is LAPACK's band and
+``_band_solve`` factors it by ``dpbtrf``/``dpbtrs``, whose per-call cost
+at these sizes is a small fraction of a general sparse factorization's
+ordering and symbolic analysis.  A wider band (a square image block from
+128 by 128) grows faster in time and memory than SuperLU's fill, so it is
+assembled as a CSC matrix and ``_psd_solve`` factors it by SuperLU
+(``_spd_factor``).  The order is generic, so every ``L`` takes one of
+these two.  A multichannel gradient is block diagonal over the channels
+and the TV groups tie every pixel's channels together, so ``d`` and ``s``
+repeat per channel: then one channel's 2hw-by-2hw block is factored and
+solved for ``C`` right-hand sides.  Any other ``L``, or weights that
+differ by channel, factor the whole system, whose band is as narrow as
+one block's.
 """
 
 import warnings
@@ -66,6 +71,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .groups import GroupStructure, extend
 from .linops import BlockExtractOperator, IdentityOperator
@@ -162,6 +169,25 @@ def _cg(matvec, b):
     raise InnerSolveError(f"CG did not converge (relres={np.sqrt(rs) / bnorm:.3e})")
 
 
+def _spd_factor(M):
+    """SuperLU factorization of a symmetric CSC matrix, or ``None`` where a
+    Cholesky factorization would fail.
+
+    Symmetric mode with diagonal pivots makes SuperLU an ``L D L^T``
+    factorization: it is accepted only when no row was swapped and every
+    pivot (the diagonal of ``U``) is positive.
+    """
+    try:
+        lu = scipy.sparse.linalg.splu(M, permc_spec="MMD_AT_PLUS_A",
+                                      diag_pivot_thresh=0,
+                                      options=dict(SymmetricMode=True))
+    except RuntimeError:            # "Factor is exactly singular"
+        return None
+    if np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0):
+        return lu
+    return None
+
+
 def cholesky_factor(M, overwrite=False):
     """Upper Cholesky factor of a dense ``M`` by LAPACK ``dpotrf``, or
     ``None`` where it fails (a leading minor is not positive).
@@ -190,9 +216,10 @@ def cholesky_solve(fac, b):
 
 
 def _psd_solve(M, b, what):
-    """The one solve of a dense positive (semi)definite ``M z = b``:
-    Cholesky, then the same after a relative diagonal ``JITTER``, then
-    :func:`_sym_solve`.
+    """The one solve of a positive (semi)definite ``M z = b``, with ``M`` a
+    dense array or a symmetric CSC matrix: Cholesky (:func:`_spd_factor`
+    for sparse ``M``), then the same after a relative diagonal ``JITTER``,
+    then the dense :func:`_sym_solve`.
 
     These systems lose rank exactly on the kernel of the adjoint factor,
     where the recovered primal is insensitive to the dual component, so the
@@ -200,13 +227,20 @@ def _psd_solve(M, b, what):
     residual is always re-checked by the caller.  :func:`_band_solve` keeps
     the same three steps for the band systems of the ``A = Id`` routes.
     """
-    fac = cholesky_factor(M)
-    if fac is None:     # the jittered copy is the factorization's to overwrite
-        fac = cholesky_factor(M + _jitter(M.diagonal()) * np.eye(M.shape[0]),
-                              overwrite=True)
+    dense = isinstance(M, np.ndarray)   # issparse's ABC check would grow caches
+    fac = cholesky_factor(M) if dense else _spd_factor(M)
     if fac is None:
-        return _sym_solve(M, b, what)
-    return cholesky_solve(fac, b)
+        p = M.shape[0]
+        eps = _jitter(M.diagonal())
+        if dense:       # the jittered copy is the factorization's to overwrite
+            fac = cholesky_factor(M + eps * np.eye(p), overwrite=True)
+        else:
+            fac = _spd_factor(M + eps * scipy.sparse.eye_array(p, format="csc"))
+    if fac is None:
+        return _sym_solve(M if dense else M.toarray(), b, what)
+    if dense:
+        return cholesky_solve(fac, b)
+    return fac.solve(b)
 
 
 def _jitter(diagonal):
@@ -289,16 +323,23 @@ def _dual_solve(A, d, shift, b, cfg, what):
 
 
 def _prox_solve(L, d, s, lam, b, what):
-    """Solve ``(diag(d) + lam L diag(s) L^T) z = b`` on the band layout of
-    ``L``.  When ``L`` is ``C`` equal diagonal blocks and ``d``, ``s`` repeat
-    across them, the system is ``C`` copies of one block: factor that block
-    once and solve for the ``C`` slices of ``b`` as right-hand sides."""
+    """Solve ``(diag(d) + lam L diag(s) L^T) z = b`` on the memoized layout
+    of ``L``: :func:`_band_solve` when it is ``banded``, otherwise
+    :func:`_psd_solve` of the assembled CSC matrix.  When ``L`` is ``C``
+    equal diagonal blocks and ``d``, ``s`` repeat across them, the system is
+    ``C`` copies of one block: factor that block once and solve for the
+    ``C`` slices of ``b`` as right-hand sides."""
     C, B = L.channel_blocks()
     dc, sc = d.reshape(C, -1), s.reshape(C, -1)
-    if C > 1 and (dc == dc[0]).all() and (sc == sc[0]).all():
-        return _band_solve(B.cogram_pattern(), sc[0], dc[0], lam,
-                           b.reshape(C, -1).T, what).T.ravel()
-    return _band_solve(L.cogram_pattern(), s, d, lam, b, what)
+    block = C > 1 and (dc == dc[0]).all() and (sc == sc[0]).all()
+    if block:
+        L, d, s, b = B, dc[0], sc[0], b.reshape(C, -1).T
+    pattern = L.cogram_pattern()
+    if pattern.banded:
+        z = _band_solve(pattern, s, d, lam, b, what)
+    else:
+        z = _psd_solve(pattern.assemble(s, d, lam), b, what)
+    return z.T.ravel() if block else z
 
 
 def _sym_solve(M, b, what):
@@ -458,7 +499,7 @@ def solve_two_factor(A, vw, gs, lam, Y):
 
 
 def solve_analysis_prox(L, v, gs, lam, y, cfg=DEFAULT):
-    """Denoising specialization (``A = Id``): one banded p-by-p SPD solve of
+    """Denoising specialization (``A = Id``): one sparse p-by-p SPD solve of
     ``(diag(vbar^2) + lam L L^T) alpha = L y``; for a multichannel gradient
     with channel-tied groups, one factored 2hw-by-2hw channel block solved
     for every channel (see ``_prox_solve``)."""
@@ -508,7 +549,7 @@ def solve_robust(A, L, v, gs_reg, w, gs_loss, lam, y):
     """Inner solve with both regularizer and loss in quadratic variational
     form (covers grouped TV with an l1-type loss and square-root lasso).
 
-    Solves the full saddle system; for ``A = Id`` the smaller banded
+    Solves the full saddle system; for ``A = Id`` the smaller sparse
     p-by-p elimination ``(diag(vbar^2) + lam L diag(wbar^2) L^T) alpha = -L y``
     is used instead, factored as one 2hw-by-2hw channel block when ``L`` is a
     multichannel gradient and both weights repeat per channel (see

@@ -257,34 +257,41 @@ class BlockExtractOperator(LinearOperator):
         return out
 
 
-class CogramPattern:
-    """Band layout of ``diag(d) + lam * A diag(s) A^T`` for LAPACK ``dpbtrf``.
+# Largest band, in entries (kd + 1) * p, that CogramPattern lays out for
+# LAPACK's banded Cholesky (2**23 entries, a 64 MB band); a wider system
+# gets the CSC layout and SuperLU.  On an h-by-w gradient kd is about
+# 2 min(h, w), so the band's memory grows as p kd and its factorization as
+# p kd^2, faster than SuperLU's fill-reducing order: on one square channel
+# block the band is the faster of the two up to 128 by 128 and the slower
+# from 160 by 160, and it holds more memory from 64 by 64 on.  The limit
+# keeps square blocks up to 127 by 127 on the band.
+BAND_ENTRIES = 2 ** 23
 
-    The layout depends only on the sparse ``A`` (p-by-n).  The rows are
-    renumbered in reverse Cuthill-McKee order ``perm`` (:func:`_rcm`), which
-    keeps every nonzero within ``kd`` of the diagonal: on a 2-D gradient,
-    ``kd`` is about twice the shorter image side.  ``band`` writes
-    ``lam * (coef @ s)`` into the upper band positions ``pos``, with
-    ``coef[q, k] = A_ik A_jk`` for the pair ``(i, j)`` that lands at ``q``,
-    and adds ``d`` at the diagonal positions ``diag``: one assembly costs a
-    sparse matvec and two scatters.
+
+class CogramPattern:
+    """Fixed layout of ``diag(d) + lam * A diag(s) A^T`` for a direct
+    Cholesky factorization.
+
+    The layout depends only on the sparse ``A`` (p-by-n).  Its values are
+    ``lam * (coef @ s)``, with ``coef[q, k] = A_ik A_jk`` for the entry
+    ``(i, j)`` stored at ``q``, plus ``d`` at the positions ``diag``, so one
+    assembly costs a sparse matvec and two scatters.  The rows are first
+    renumbered in reverse Cuthill-McKee order ``perm``
+    (``scipy.sparse.csgraph.reverse_cuthill_mckee``), which keeps every
+    entry within ``kd`` of the diagonal: on a 2-D gradient ``kd`` is about
+    twice the shorter image side.  When the band holds at most
+    ``BAND_ENTRIES`` entries (``banded``), ``band`` lays the permuted
+    system out for LAPACK ``dpbtrf``; otherwise ``assemble`` returns it as
+    a CSC matrix in the original order.
     """
 
     def __init__(self, S):
         S = scipy.sparse.csc_array(S)
         S.sum_duplicates()
         p, n = S.shape
-        absS = abs(S)
-        graph = (absS @ absS.T).tocoo()
-        perm = _rcm(graph)
-        order = np.empty(p, dtype=np.int64)
-        order[perm] = np.arange(p)
-        kd = int(np.abs(order[graph.row] - order[graph.col]).max(initial=0))
-        del absS, graph     # freed before the pair arrays, to lower the peak
         # each pair (a, b) of stored entries in one column k, at rows i and
         # j, adds A_ik A_jk to entry (i, j): entry a pairs with every entry
-        # of its column, b running from the column's first entry on; only
-        # the pairs on or above the diagonal in the order ``perm`` are kept
+        # of its column, b running from the column's first entry on
         counts = np.diff(S.indptr)
         col = np.repeat(np.arange(n), counts)
         reps = counts[col]
@@ -292,19 +299,42 @@ class CogramPattern:
         within = np.arange(a.size) - np.repeat(np.cumsum(reps) - reps, reps)
         b = np.repeat(S.indptr[col], reps) + within
         del reps, within
-        ra, rb = order[S.indices[a]], order[S.indices[b]]
-        upper = ra <= rb
-        a, b, ra, rb = a[upper], b[upper], ra[upper], rb[upper]
-        # band entry (ra, rb) is element (kd + ra - rb, rb) of the
-        # Fortran-ordered (kd + 1)-by-p array
-        flat = kd + ra - rb + (kd + 1) * rb
-        uniq, row = np.unique(flat, return_inverse=True)
-        self.coef = scipy.sparse.csr_array(
-            (S.data[a] * S.data[b], (row, col[a])), shape=(uniq.size, n))
-        self.pos = uniq
-        self.diag = kd + (kd + 1) * order
-        self.perm = perm
-        self.kd = kd
+        keys = S.indices[a].astype(np.int64) * p + S.indices[b]
+        diag = np.arange(p, dtype=np.int64) * (p + 1)
+        uniq, entry = np.unique(np.concatenate([keys, diag]),
+                                return_inverse=True)
+        values, col, pair = S.data[a] * S.data[b], col[a], entry[:keys.size]
+        del a, b, keys
+        # the entries in row order; symmetric, so these CSR arrays of the
+        # pattern are also its CSC arrays
+        i, j = uniq // p, uniq % p
+        indptr = np.searchsorted(i, np.arange(p + 1))
+        graph = scipy.sparse.csr_array(
+            (np.ones(uniq.size, dtype=np.int8), j, indptr), shape=(p, p))
+        perm = csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)
+        del graph
+        order = np.empty(p, dtype=np.int64)
+        order[perm] = np.arange(p)
+        oi, oj = order[i], order[j]
+        self.kd = kd = int(np.abs(oi - oj).max(initial=0))
+        self.banded = (kd + 1) * p <= BAND_ENTRIES
+        if self.banded:
+            # band entry (oi, oj), oi <= oj, is element (kd + oi - oj, oj)
+            # of the Fortran-ordered (kd + 1)-by-p array
+            upper = oi <= oj
+            keep = upper[pair]
+            row = np.cumsum(upper) - 1
+            self.coef = scipy.sparse.csr_array(
+                (values[keep], (row[pair[keep]], col[keep])),
+                shape=(row[-1] + 1, n))
+            self.pos = (kd + oi - oj + (kd + 1) * oj)[upper]
+            self.diag = kd + (kd + 1) * order
+            self.perm = perm
+        else:
+            self.coef = scipy.sparse.csr_array((values, (pair, col)),
+                                               shape=(uniq.size, n))
+            self.indptr, self.indices = indptr, j
+            self.diag = entry[pair.size:]
 
     def band(self, s, d, lam):
         """``diag(d) + lam * A diag(s) A^T`` permuted by ``perm``: the
@@ -317,47 +347,14 @@ class CogramPattern:
         flat[self.diag] += d
         return ab.T
 
-
-def _rcm(graph):
-    """Reverse Cuthill-McKee order of the nodes of the symmetric COO ``graph``
-    (George & Liu, *Computer Solution of Large Sparse Positive Definite
-    Systems*, 1981): each connected component is numbered breadth first
-    from a pseudo-peripheral node, neighbours by increasing degree, and the
-    whole order is reversed.  Nodes with no neighbour end the order.
-
-    ``scipy.sparse.csgraph.reverse_cuthill_mckee`` starts each component at
-    a node of least degree instead; on a 5-by-9 gradient that widens the
-    band from 10 to 12, and at 12-by-12 three channels get a wider band
-    than one (24 against 23).
-    """
-    p = graph.shape[0]
-    links = graph.row != graph.col
-    rows, cols = graph.row[links], graph.col[links]
-    deg = np.bincount(rows, minlength=p)
-    # each row's neighbours by increasing degree, the order in which
-    # breadth-first search visits them (built from CSR arrays, which are
-    # taken as given, not sorted)
-    srt = np.lexsort((deg[cols], rows))
-    adj = scipy.sparse.csr_array(
-        (np.ones(srt.size), cols[srt], np.r_[0, np.cumsum(deg)]), shape=(p, p))
-    order = [np.flatnonzero(deg == 0)]
-    free = deg > 0
-    while free.any():
-        left = np.flatnonzero(free)
-        root = left[np.argmin(deg[left])]
-        reach = -1
-        while True:     # George-Liu: restart from the far end while it grows
-            dist = csgraph.dijkstra(adj, indices=root, unweighted=True)
-            far = dist[np.isfinite(dist)].max()
-            if far <= reach:
-                break
-            reach = far
-            last = np.flatnonzero(dist == far)
-            root = last[np.argmin(deg[last])]
-        comp = csgraph.breadth_first_order(adj, root, return_predecessors=False)
-        order.append(comp)
-        free[comp] = False
-    return np.concatenate(order)[::-1]
+    def assemble(self, s, d, lam):
+        """``diag(d) + lam * A diag(s) A^T`` as a CSC matrix, for a pattern
+        that is not ``banded``."""
+        data = lam * (self.coef @ s)
+        data[self.diag] += d
+        p = self.indptr.size - 1
+        return scipy.sparse.csc_array((data, self.indices, self.indptr),
+                                      shape=(p, p))
 
 
 def fourier_system(cutoff, grid):

@@ -48,7 +48,7 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 # it when a change removes some, never raise it.
 SETTABLE_VALUES = 88
 INNER_HELPERS = {"_dual_matrix", "_dual_solve", "_psd_solve", "_sym_solve",
-                 "_prox_solve", "_band_solve"}
+                 "_prox_solve", "_band_solve", "_spd_factor"}
 LINALG_SOLVERS = {"solve", "lstsq", "inv", "pinv"}
 CHOLESKY = {"cholesky_factor", "cholesky_solve"}
 CONCURRENCY = {"threading", "concurrent", "multiprocessing", "asyncio"}

@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varprox import inner
+from varprox import inner, linops
 from varprox.groups import GroupStructure, contiguous_groups, extend, trivial_groups
 from varprox.inner import (InnerConfig, InnerSolveError, solve_analysis_prox,
                            solve_basis_pursuit, solve_grouplasso_dual,
@@ -280,6 +280,50 @@ def test_identity_routes_single_channel_take_the_full_pattern(monkeypatch, rng):
     a, b = _identity_routes(L, n, gs, gl, v, wl, y)
     assert rhs == [(L.rows,)] * 2
     assert a.kkt_residual < 1e-10 and b.kkt_residual < 1e-10
+
+
+def test_identity_routes_past_the_band_limit_factor_by_superlu(monkeypatch, rng):
+    # no band is small enough, so every pattern takes the CSC layout and
+    # SuperLU, with the band route's ladder and channel blocks
+    monkeypatch.setattr(linops, "BAND_ENTRIES", 0)
+    calls = []
+    spd_factor = inner._spd_factor
+
+    def spy(M):
+        lu = spd_factor(M)
+        calls.append((M.shape[0], lu is not None))
+        return lu
+
+    monkeypatch.setattr(inner, "_spd_factor", spy)
+    h, w, c = 5, 4, 3
+    block = 2 * h * w
+    n, L, gs, gl, v, wl, y = _tv_case(rng, h, w, c)
+    for zeros in ("none", "some"):
+        if zeros == "some":
+            v[[3, 7]] = 0.0
+        ref = (solve_quadratic_general(dense(np.eye(n)), L, v, gs, 0.3, y),
+               solve_robust(dense(np.eye(n)), L, v, gs, wl, gl, 0.9, y))
+        calls.clear()
+        for b, f in zip(_identity_routes(L, n, gs, gl, v, wl, y), ref):
+            assert b.method == "sparse-direct"
+            assert np.abs(b.x - f.x).max() < 1e-9
+            assert b.kkt_residual < 1e-8
+        tries = [True] if zeros == "none" else [False, True]
+        assert calls == [(block, ok) for ok in tries] * 2
+    assert not L.channel_blocks()[1].cogram_pattern().banded
+    # a factorization that always fails ends in the dense solve
+    sizes = []
+    sym_solve = inner._sym_solve
+
+    def sym_spy(M, b, what):
+        sizes.append(M.shape)
+        return sym_solve(M, b, what)
+
+    monkeypatch.setattr(inner, "_spd_factor", lambda M: None)
+    monkeypatch.setattr(inner, "_sym_solve", sym_spy)
+    for b, f in zip(_identity_routes(L, n, gs, gl, v, wl, y), ref):
+        assert np.abs(b.x - f.x).max() < 1e-9
+    assert sizes == [(block, block)] * 2
 
 
 def test_woodbury_diagonal_formula():

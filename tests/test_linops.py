@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from varprox import linops
 from varprox.groups import GroupStructure
 from varprox.linops import (MaskOperator, block_extract, dense,
                             fourier_system, grad2d, identity,
@@ -177,16 +178,35 @@ def test_cogram_pattern_assembles_weighted_cogram(rng):
         assert op.cogram_pattern() is P
 
 
+def test_cogram_pattern_past_the_band_limit_assembles_csc(monkeypatch, rng):
+    for op in (grad2d(4, 3, channels=3), grad2d(1, 1), MaskOperator([0, 2], 4),
+               dense(rng.standard_normal((5, 3)))):
+        D = op.to_dense()
+        s = rng.uniform(0.5, 1.5, op.cols)
+        d = rng.uniform(0.0, 1.0, op.rows)
+        entries = (op.cogram_pattern().kd + 1) * op.rows
+        # the limit is inclusive: a band of exactly BAND_ENTRIES stays
+        monkeypatch.setattr(linops, "BAND_ENTRIES", entries)
+        assert linops.CogramPattern(op.to_sparse()).banded
+        monkeypatch.setattr(linops, "BAND_ENTRIES", entries - 1)
+        P = linops.CogramPattern(op.to_sparse())
+        assert not P.banded
+        M = P.assemble(s, d, 0.7)
+        assert M.format == "csc" and M.shape == (op.rows, op.rows)
+        assert np.allclose(M.toarray(), np.diag(d) + 0.7 * (D * s) @ D.T,
+                           rtol=0, atol=1e-14)
+
+
 @pytest.mark.parametrize("h, w", [(5, 9), (9, 5), (1, 1), (12, 12)])
 def test_cogram_band_of_a_gradient_spans_twice_the_shorter_side(h, w):
     one = grad2d(h, w).cogram_pattern()
-    assert one.kd <= 2 * min(h, w) + 1
-    # the order keeps the channels apart: C channels have the band width of
-    # one, so the band grows only C-fold in length
+    assert one.kd <= 2 * min(h, w) + 2
+    # the order keeps the channels apart: C channels stay within one
+    # channel's bound, so the band grows only C-fold in length
     three = grad2d(h, w, channels=3).cogram_pattern()
-    assert three.kd == one.kd
+    assert three.kd <= 2 * min(h, w) + 2
     ab = three.band(np.ones(3 * h * w), np.ones(6 * h * w), 1.0)
-    assert ab.shape == (one.kd + 1, 6 * h * w)
+    assert ab.shape == (three.kd + 1, 6 * h * w)
 
 
 def test_cogram_band_of_a_mask_is_its_diagonal():
