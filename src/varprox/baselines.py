@@ -12,8 +12,8 @@ import time
 
 import numpy as np
 
-from .groups import (group_norm_12, group_soft_threshold, group_sq_norms,
-                     trivial_groups)
+from .groups import (_project_group_ball, group_norm_12, group_soft_threshold,
+                     group_sq_norms, trivial_groups)
 from .inner import cholesky_factor, cholesky_solve
 from .linops import DenseOperator, IdentityOperator, operator_norm
 from .trace import SolverTrace
@@ -204,17 +204,6 @@ def run_primal_dual(variant, A, L, gs, lam, y, loss_groups=None, iters=1000):
         x, z1, z2 = x_new, z1_new, z2_new
     trace.x = x
     return trace
-
-
-def _project_group_ball(xi, gs):
-    """Projection onto the unit ball of the dual (max-of-group-norms) norm."""
-    if gs.is_trivial:
-        return np.clip(xi, -1.0, 1.0)
-    norms = np.sqrt(group_sq_norms(xi, gs))
-    scale = np.ones(gs.n_groups)
-    over = norms > 1.0
-    scale[over] = 1.0 / norms[over]
-    return xi * scale[gs.group_of]
 
 
 def lq_value(x, gs, q):

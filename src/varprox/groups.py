@@ -132,6 +132,14 @@ def _group_spectral_norms(A, gs):
     return out
 
 
+def _project_group_ball(xi, gs):
+    """Projection onto the unit ball of the dual (max-of-group-norms) norm."""
+    if gs.is_trivial:
+        return np.clip(xi, -1.0, 1.0)
+    scale = 1.0 / np.maximum(np.sqrt(group_sq_norms(xi, gs)), 1.0)
+    return xi * scale[gs.group_of]
+
+
 def soft_threshold(z, tau):
     """Componentwise shrinkage ``sign(z) * max(|z| - tau, 0)``."""
     z = np.asarray(z, dtype=float)

@@ -19,7 +19,9 @@ exact interpolation ``A x = y``  ``-vbar^2``  ``0``
 ===============================  ===========  ================
 
 Every route returns ``(x, alpha, xi)`` with one certificate, ``_kkt``, the
-max norm of the system's residual, after one of four eliminations:
+max norm of the system's residual (the ``A = Id`` and ``L = Id`` routes form
+only the rows their recovery does not zero exactly), after one of four
+eliminations:
 
 * none, ``_saddle_route``: the dense full system (degenerate quadratic,
   general robust, exact interpolation);
@@ -371,8 +373,12 @@ def _vbar(v, gs):
 def _kkt(A, L, d_alpha, d_xi, y, x, alpha, xi):
     """Max norm of the saddle system's residual at ``(alpha, xi, x)``;
     ``d_xi`` may be a scalar."""
-    rows = (d_alpha * alpha + L.apply(x), d_xi * xi + A.apply(x) - y,
-            L.adjoint(alpha) + A.adjoint(xi))
+    return _max_norm(d_alpha * alpha + L.apply(x), d_xi * xi + A.apply(x) - y,
+                     L.adjoint(alpha) + A.adjoint(xi))
+
+
+def _max_norm(*rows):
+    """The largest magnitude over the residual ``rows``."""
     return float(max(np.abs(r).max(initial=0) for r in rows))
 
 
@@ -398,13 +404,15 @@ def _prox_route(L, vbar, lam, s, y, sign, what):
     """``A = Id`` with ``(d_alpha, d_xi) = sign * (vbar^2, lam s)``:
     ``alpha`` solves ``(diag(vbar^2) + lam L diag(s) L^T) alpha = -sign L y``
     by :func:`_prox_solve`, then ``xi = -L^T alpha`` and
-    ``x = y - d_xi xi``."""
+    ``x = y - d_xi xi``.  Row 3 of the certificate, ``L^T alpha + xi``, is
+    exactly zero by that choice of ``xi``, so only rows 1 and 2 are
+    formed: the same value as :func:`_kkt` without its adjoint product."""
     d = vbar ** 2
     alpha = _prox_solve(L, d, s, lam, -sign * L.apply(y), what)
     xi = -L.adjoint(alpha)
     d_alpha, d_xi = sign * d, sign * lam * s
     x = y - d_xi * xi
-    res = _kkt(IdentityOperator(L.cols), L, d_alpha, d_xi, y, x, alpha, xi)
+    res = _max_norm(d_alpha * alpha + L.apply(x), d_xi * xi + x - y)
     return InnerSolution(x, alpha, xi, res, system_size=L.rows,
                          method="sparse-direct")
 

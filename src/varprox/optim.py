@@ -10,11 +10,17 @@ values are treated as line-search rejections, so objectives with
 restricted domains work.  The line search stops before it evaluates a trial
 whose predicted decrease ``-t * slope`` is below the rounding error of
 ``f``, ``NOISE_FLOOR_ULPS * eps * max(|f|, 1)``: no such trial can show a
-decrease that is not noise.  Every run ends with one
-``trace.stop_reason`` (``converged``, ``noise_floor``, ``stalled``,
-``line_search_failed`` or ``max_iter``) and counts its evaluations and
-rejected trials.  The line search, the stall rule and the L-BFGS memory are
-fixed by the module constants below.
+decrease that is not noise.  An objective that carries a ``certify``
+attribute can also end the run on a certificate: ``fun.certify()`` returns
+the relative duality gap at the point of the last call of ``fun``, and the
+loop asks for it only after an accepted step that lowered ``f`` by at most
+``CHECK_REL`` relative, at least ``CHECK_EVALS`` evaluations after the
+previous check; a gap at or below ``GAP_TOL`` ends the run.  Every run ends
+with one ``trace.stop_reason`` (``converged``, ``certified``,
+``noise_floor``, ``stalled``, ``line_search_failed`` or ``max_iter``) and
+counts its evaluations and rejected trials.  The line search, the stall
+rule, the certificate checks and the L-BFGS memory are fixed by the module
+constants below.
 """
 
 import time
@@ -37,6 +43,12 @@ STALL_PATIENCE = 5
 # the line search stops, unevaluated, at a trial whose predicted decrease
 # -t * slope is below NOISE_FLOOR_ULPS * eps * max(|f|, 1)
 NOISE_FLOOR_ULPS = 8
+# a run ends on ``certified`` at a relative duality gap of at most GAP_TOL;
+# the gap is asked for after an accepted step that lowered f by at most
+# CHECK_REL relative, CHECK_EVALS or more evaluations after the last check
+GAP_TOL = 1e-6
+CHECK_REL = 1e-6
+CHECK_EVALS = 3
 
 
 def _two_loop(g, memory):
@@ -83,19 +95,22 @@ def _descend(fun, x0, max_iter, grad_tol, method_name, direction, update):
     gradient change.  Returns ``(x, f, g, trace)``.
 
     ``trace.stop_reason`` says why the run ended: ``converged`` (gradient
-    norm at most ``grad_tol``), ``noise_floor`` (the line search reached a
-    trial whose predicted decrease is below the rounding error of ``f``
-    before accepting one), ``line_search_failed`` (every trial above that
-    floor rejected), ``stalled`` (``STALL_PATIENCE`` accepted steps in a row
-    at the noise floor) or ``max_iter`` (the steps ran out above
-    ``grad_tol``).  ``trace.evals`` counts the calls of ``fun`` and
-    ``trace.backtracks`` the rejected trials."""
+    norm at most ``grad_tol``), ``certified`` (``fun.certify()``, asked
+    after an accepted step as the module docstring says, returned a
+    relative duality gap at most ``GAP_TOL``), ``noise_floor`` (the line
+    search reached a trial whose predicted decrease is below the rounding
+    error of ``f`` before accepting one), ``line_search_failed`` (every
+    trial above that floor rejected), ``stalled`` (``STALL_PATIENCE``
+    accepted steps in a row at the noise floor) or ``max_iter`` (the steps
+    ran out above ``grad_tol``).  ``trace.evals`` counts the calls of
+    ``fun`` and ``trace.backtracks`` the rejected trials."""
     x = np.asarray(x0, dtype=float).copy()
     t0 = time.perf_counter()
     f, g = fun(x)
     trace = SolverTrace(method=method_name, evals=1)
     trace.record(0, f, np.linalg.norm(g), time.perf_counter() - t0)
-    stalled = 0
+    certify = getattr(fun, "certify", None)
+    stalled = checked = 0
     for k in range(1, max_iter + 1):
         if np.linalg.norm(g) <= grad_tol:
             trace.stop_reason = "converged"
@@ -107,9 +122,16 @@ def _descend(fun, x0, max_iter, grad_tol, method_name, direction, update):
             trace.stop_reason = stop
             break
         stalled = stalled + 1 if f - fn <= STALL_REL * max(abs(f), 1.0) else 0
+        check = (certify is not None and trace.evals - checked >= CHECK_EVALS
+                 and f - fn <= CHECK_REL * max(abs(f), 1.0))
         update(xn - x, gn - g)
         x, f, g = xn, fn, gn
         trace.record(k, f, np.linalg.norm(g), time.perf_counter() - t0)
+        if check:
+            checked = trace.evals
+            if certify() <= GAP_TOL:
+                trace.stop_reason = "certified"
+                break
         if stalled >= STALL_PATIENCE:
             trace.stop_reason = "stalled"
             break

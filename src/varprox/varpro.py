@@ -11,6 +11,9 @@ from the envelope formulas:
 * robust loss:                     plus ``w / lam - lam w ||xi_g||^2``
 * two outer factors (lq path):     ``v_g (1 - w_g^2 s_g)``, symmetric in w
 * nuclear-norm multitask:          ``v - v s``, ``lam W - xi xi^T W / lam``
+
+Two families carry a duality gap: the group lasso, whose Gap Safe screening
+reports it, and TV denoising, whose run stops on it (``certified``).
 """
 
 from dataclasses import dataclass
@@ -19,8 +22,9 @@ from functools import partial
 import numpy as np
 
 from . import inner as inner_mod
-from .groups import (GroupStructure, _group_spectral_norms, extend,
-                     group_dots, group_norm_12, group_sq_norms)
+from .groups import (GroupStructure, _group_spectral_norms,
+                     _project_group_ball, extend, group_dots, group_norm_12,
+                     group_sq_norms)
 from .inner import InnerSolution, InnerSolveError
 from .linops import DenseOperator, IdentityOperator, LinearOperator
 from .optim import minimize_gd_bb, minimize_lbfgs
@@ -112,9 +116,11 @@ class OuterConfig:
 
 @dataclass
 class VarProResult:
-    """``duality_gap`` and ``screened`` are set for the group lasso only
-    (see :func:`solve_varpro`): the relative duality gap of the last finite
-    evaluation and the number of groups screened out."""
+    """``duality_gap`` is set for the group lasso, the relative duality gap
+    of the last finite evaluation, and for TV denoising (quadratic loss,
+    ``A = Id``), that of the returned ``x``; ``screened``, the number of
+    groups screened out, for the group lasso only (see
+    :func:`solve_varpro`).  Only TV denoising stops on its gap."""
     v: np.ndarray
     x: np.ndarray
     objective: float
@@ -297,6 +303,68 @@ class _GapSafeScreen:
         self.out |= a / s + self.norms * np.sqrt(2 * gap / self.lam) < 1.0
 
 
+# accelerated projected-gradient steps of each TV duality-gap check: with
+# 30, the gap of some 12x12x3 runs stays above optim.GAP_TOL long after the
+# primal has converged, and their checks cost more than the saved steps
+DUAL_STEPS = 80
+
+
+class _ProxDual:
+    """Duality gap of TV denoising, the quadratic loss with ``A = Id``:
+    ``P(x) = ||L x||_{1,2} + ||x - y||^2 / (2 lam)`` against the dual
+    ``D(alpha) = <L^T alpha, y> - lam ||L^T alpha||^2 / 2`` over the unit
+    group balls, whose maximizer gives ``x = y - lam L^T alpha``.
+
+    The inner ``alpha`` is a poor dual point: it is defined only up to
+    ``ker L^T``, and a group with ``v_g`` near zero can hold
+    ``||alpha_g|| > 1``.  So :meth:`gap` projects it group-wise onto the
+    unit balls and runs ``DUAL_STEPS`` FISTA steps on ``D`` (projected
+    gradient on the dual, Chambolle, JMIV 2004; accelerated as in Beck and
+    Teboulle, IEEE TIP 2009).  ``grad D = L (y - lam L^T alpha)`` is
+    ``lam ||L||^2``-Lipschitz, and ``||L||^2 <= ||L||_1 ||L||_inf`` (8 for
+    a 2-D gradient) sets the step.  Both norms of a block-diagonal ``L``
+    are those of one block, so they are read off the memoized sparse form
+    of the channel block, which the inner solves build anyway.
+    ``rel_gap`` is the last ``(P - D) / max(|P|, |D|, 1)``, with ``P`` at
+    the inner solution's ``x``.
+    """
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.y = np.asarray(problem.loss.y, dtype=float).ravel()
+        S = abs(problem.L.channel_blocks()[1].to_sparse())
+        bound = S.sum(axis=0).max(initial=0.0) * S.sum(axis=1).max(initial=0.0)
+        self.step = 1.0 / (problem.loss.lam * max(float(bound), 1e-300))
+        self.rel_gap = self.at = None
+
+    def dual(self, alpha):
+        """``D(alpha)``; a lower bound on every ``P(x)`` when each
+        ``||alpha_g|| <= 1``."""
+        u = self.problem.L.adjoint(alpha)
+        return float(u @ self.y) - 0.5 * self.problem.loss.lam * float(u @ u)
+
+    def gap(self, sol):
+        """The relative gap at the inner solution ``sol``; kept for the last
+        ``sol`` asked about, so asking again costs nothing."""
+        if sol is self.at:
+            return self.rel_gap
+        prob, y = self.problem, self.y
+        L, gs, lam = prob.L, prob.reg_groups, prob.loss.lam
+        alpha = z = _project_group_ball(sol.alpha, gs)
+        t = 1.0
+        for _ in range(DUAL_STEPS):
+            grad = L.apply(y - lam * L.adjoint(z))
+            nxt = _project_group_ball(z + self.step * grad, gs)
+            t_nxt = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            z = nxt + ((t - 1.0) / t_nxt) * (nxt - alpha)
+            alpha, t = nxt, t_nxt
+        primal = nonsmooth_objective(prob, sol.x)
+        dual = self.dual(alpha)
+        self.rel_gap = (primal - dual) / max(abs(primal), abs(dual), 1.0)
+        self.at = sol
+        return self.rel_gap
+
+
 def _outer(config, rng, starts, envelope):
     """The one outer layout: the blocks of ``starts`` (an ordered ``{name:
     start}`` of one or two) stacked in one vector.  A start is an array, or
@@ -331,31 +399,39 @@ def _outer(config, rng, starts, envelope):
         a: theta[:cut], b: theta[cut:].reshape(shape)}
 
 
-def _minimize(config, theta0, evaluate, name):
+def _minimize(config, theta0, evaluate, name, dual):
     """The one outer driver: minimize ``evaluate`` from ``theta0``.
 
     ``evaluate(theta) -> (f, grad, sol)``; an :class:`InnerSolveError` or a
-    non-finite value scores ``+inf``.  Returns ``(theta, f, trace, sol)``
-    with ``sol`` the solution at the returned ``theta``: that of the lowest
-    finite value, which is the accepted point unless a rejected trial of
-    the line search scored lower.  When that is not at ``theta``, or there
-    was no finite evaluation, the final point is evaluated once more, so an
-    inner failure there raises.
+    non-finite value scores ``+inf``.  With a ``dual`` (a :class:`_ProxDual`,
+    else None) the objective's ``certify`` is ``dual.gap`` at the last
+    finite evaluation, which is the accepted point when the descent loop
+    asks, so the run can end on ``certified``.  Returns ``(theta, f, trace,
+    sol)`` with ``sol`` the solution at the returned ``theta``: that of the
+    lowest finite value, which is the accepted point unless a rejected trial
+    of the line search scored lower.  When that is not at ``theta``, or
+    there was no finite evaluation, the final point is evaluated once more,
+    so an inner failure there raises.
     """
-    low = low_at = None
+    low = low_at = last = None
     f_low = np.inf
 
     def fun(theta):
-        nonlocal low, low_at, f_low
+        nonlocal low, low_at, f_low, last
         try:
             f, grad, sol = evaluate(theta)
         except InnerSolveError:
             return np.inf, np.zeros_like(theta)
         if not np.isfinite(f):
             return np.inf, np.zeros_like(theta)
+        if dual is not None:    # the accepted point's, when certify asks
+            last = sol
         if f < f_low:
             low, low_at, f_low = sol, theta, f
         return f, grad
+
+    if dual is not None:
+        fun.certify = lambda: dual.gap(last)
 
     minimize = minimize_lbfgs if config.algorithm == "lbfgs" else minimize_gd_bb
     theta, f, _, trace = minimize(fun, theta0, config.max_iter, config.grad_tol,
@@ -382,7 +458,16 @@ def solve_varpro(problem, config=None):
     objective is the projected objective at the masked point.  The
     returned ``v`` and ``x`` are zero on the screened groups, and the
     result carries the last relative duality gap and the screened count
-    (reported only: no stop rests on the gap).  Every evaluation goes
+    (reported only: no group-lasso stop rests on the gap).
+
+    TV denoising (quadratic loss, ``A = Id``, ``L`` not the identity) is
+    certified by :class:`_ProxDual`: after an accepted step that lowered
+    ``f`` by at most ``optim.CHECK_REL`` relative, at least
+    ``optim.CHECK_EVALS`` evaluations after the last check, the descent
+    loop asks for the relative duality gap at that point, and the run ends
+    on ``certified`` once it is at most ``optim.GAP_TOL``.  A run that
+    never certifies ends as it would without the gap; the result carries
+    the gap of its answer either way.  Every evaluation goes
     through the module attribute ``eval_f_grad``.  The inner solves run
     with the default :class:`~varprox.inner.InnerConfig`; each starts from
     scratch, with nothing carried over from the previous evaluation.
@@ -391,11 +476,13 @@ def solve_varpro(problem, config=None):
     rng = np.random.default_rng(config.seed)
     gs = problem.reg_groups
     loss = problem.loss
-    screen = None
+    screen = dual = None
     if isinstance(loss, (QuadraticLoss, BasisPursuitLoss)):
         family, starts = "", {"v": gs.n_groups}
         if isinstance(loss, QuadraticLoss) and isinstance(problem.L, IdentityOperator):
             screen = _GapSafeScreen(problem)
+        elif isinstance(loss, QuadraticLoss) and isinstance(problem.A, IdentityOperator):
+            dual = _ProxDual(problem)
 
         def envelope(v):
             if screen is None:
@@ -418,9 +505,10 @@ def solve_varpro(problem, config=None):
 
     theta0, evaluate, split = _outer(config, rng, starts, envelope)
     theta, f, trace, sol = _minimize(config, theta0, evaluate,
-                                     "varpro-" + family + config.algorithm)
+                                     "varpro-" + family + config.algorithm, dual)
     if screen is None:
         return VarProResult(x=sol.x, objective=f, trace=trace, inner=sol,
+                            duality_gap=None if dual is None else dual.gap(sol),
                             **split(theta))
     # the last evaluation may have screened groups it still held
     sol.x[screen.out[gs.group_of]] = 0.0
@@ -470,7 +558,8 @@ def solve_lq_option2(problem, config=None, restarts=1):
     for k in range(restarts if draws else 1):
         starts = {"v": warm[:nv], "w": warm[nv:]} if k == 0 else {"v": nv, "w": nv}
         theta0, evaluate, split = _outer(config, rng, starts, envelope)
-        theta, f, trace, sol = _minimize(config, theta0, evaluate, "varpro-lq2")
+        theta, f, trace, sol = _minimize(config, theta0, evaluate, "varpro-lq2",
+                                         None)
         x = None if sol is None else sol.x.ravel() if sol.x.shape[1] == 1 else sol.x
         result = VarProResult(x=x, objective=f, trace=trace, inner=sol,
                               **split(theta))

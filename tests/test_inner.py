@@ -737,6 +737,31 @@ def test_grouplasso_certificate_equals_the_full_kkt(method):
         assert sol.kkt_residual == full
 
 
+@pytest.mark.parametrize("loss", ["quadratic", "robust"])
+def test_prox_certificate_equals_the_full_kkt(loss):
+    # the A = Id route reports rows 1 and 2 only: its xi = -L^T alpha zeroes
+    # row 3 exactly, so the full certificate agrees to the last bit, on
+    # tv-denoise (grayscale and 3-channel) and tv-l1 instances
+    for seed, (h, w, c) in enumerate([(5, 7, 1), (4, 6, 3), (6, 6, 3)]):
+        rng = np.random.default_rng(seed)
+        n = h * w * c
+        L, gs = grad2d(h, w, c), tv_group_structure(h, w, c)
+        v = rng.uniform(0.0, 1.5, gs.n_groups)
+        y, lam = rng.uniform(0, 1, n), float(rng.uniform(0.1, 1.0))
+        vbar = extend(v, gs)
+        if loss == "quadratic":
+            sol = solve_analysis_prox(L, v, gs, lam, y)
+            d_alpha, d_xi = -vbar ** 2, -lam
+        else:
+            gl = pixel_channel_groups(h * w, c)
+            wl = rng.uniform(0.5, 1.5, gl.n_groups)
+            sol = solve_robust(identity(n), L, v, gs, wl, gl, lam, y)
+            d_alpha, d_xi = vbar ** 2, lam * extend(wl, gl) ** 2
+        full = inner._kkt(identity(n), L, d_alpha, d_xi, y, sol.x,
+                          sol.alpha, sol.xi)
+        assert sol.kkt_residual == full > 0
+
+
 # (d_alpha, d_xi) of the one saddle system, per loss, from vbar, wbar, lam
 CONVENTIONS = {
     "quadratic": lambda vbar, wbar, lam: (-vbar ** 2, -lam),

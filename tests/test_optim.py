@@ -1,4 +1,5 @@
-"""The line search's noise-floor stop and the LAPACK Cholesky helpers."""
+"""The line search's noise-floor stop, the certificate stop and the LAPACK
+Cholesky helpers."""
 
 import numpy as np
 import pytest
@@ -105,6 +106,40 @@ def test_infinite_trials_end_on_a_failed_line_search():
     assert not x.any()
     assert trace.evals == optim.LS_MAX_HALVINGS + 1
     assert trace.backtracks == optim.LS_MAX_HALVINGS
+
+
+@pytest.mark.parametrize("minimize", [minimize_lbfgs, minimize_gd_bb])
+def test_certify_is_asked_after_small_decreases_and_ends_the_run(minimize):
+    # an ill-conditioned quadratic with minimum 1, whose certify returns the
+    # exact gap f - 1: it is asked only after an accepted step that lowered
+    # f by at most CHECK_REL relative, CHECK_EVALS or more evaluations after
+    # the last ask, and the first gap at most GAP_TOL ends the run
+    d = np.logspace(0, 3, 30)
+    x0 = np.random.default_rng(0).standard_normal(30)
+    values, asks = [], []
+
+    def fun(x):
+        values.append(1.0 + 0.5 * float(d @ (x * x)))
+        return values[-1], d * x
+
+    def certify():
+        asks.append((len(values), values[-1]))
+        return values[-1] - 1.0
+
+    fun.certify = certify
+    _, f, _, trace = minimize(fun, x0, 10000, 1e-30)
+    assert trace.stop_reason == "certified" and trace.evals == len(values)
+    assert f == asks[-1][1] and f - 1.0 <= optim.GAP_TOL < asks[-2][1] - 1.0
+    objs = trace.objectives
+    for (n0, _), (n1, _) in zip(asks, asks[1:]):
+        assert n1 - n0 >= optim.CHECK_EVALS
+    for _, value in asks:
+        k = objs.index(value)
+        assert objs[k - 1] - value <= optim.CHECK_REL * max(abs(objs[k - 1]), 1.0)
+    certified = trace.evals
+    del fun.certify
+    _, _, _, trace = minimize(fun, x0, 10000, 1e-30)
+    assert trace.stop_reason != "certified" and trace.evals > certified
 
 
 def _spd(rng, n):

@@ -5,13 +5,15 @@ import pytest
 
 from conftest import fd_gradient
 from varprox import cli, varpro
-from varprox.groups import (GroupStructure, contiguous_groups, extend,
-                            group_sq_norms, trivial_groups)
+from varprox.groups import (GroupStructure, _project_group_ball,
+                            contiguous_groups, extend, group_sq_norms,
+                            trivial_groups)
 from varprox.inner import solve_quadratic_general
 from varprox.linops import (block_extract, dense, grad2d, identity,
-                            tv_group_structure)
+                            operator_norm, tv_group_structure)
+from varprox.optim import GAP_TOL
 from varprox.problems import gen_gaussian_instance, lambda_max, pixel_channel_groups
-from varprox.baselines import lq_value, run_ista
+from varprox.baselines import lq_value, run_ista, run_primal_dual
 from varprox.varpro import (BasisPursuitLoss, MultitaskLoss, OuterConfig,
                             QuadraticLoss, RobustLoss, VarProProblem,
                             eval_f_grad, eval_f_grad_robust, eval_lq_option2,
@@ -480,11 +482,17 @@ def test_gd_bb_driver(rng):
     assert np.all(np.diff(obj) <= 1e-12)     # safeguarded: stays monotone
 
 
-def _tv_inpaint_8x8x3():
+def _image_problem(family, side, seed=0):
+    """The ``varprox run`` image problem of a side-by-side 3-channel image."""
     section = configparser.ConfigParser()
-    section.read_dict({"problem": {"family": "tv-inpaint", "height": "8",
-                                   "width": "8", "channels": "3", "seed": "0"}})
+    section.read_dict({"problem": {"family": family, "height": str(side),
+                                   "width": str(side), "channels": "3",
+                                   "seed": str(seed)}})
     return cli.build_problem(section["problem"])[0]
+
+
+def _tv_inpaint_8x8x3():
+    return _image_problem("tv-inpaint", 8)
 
 
 def test_result_is_the_solution_at_the_returned_point(monkeypatch):
@@ -656,10 +664,13 @@ def test_gap_safe_screening_keeps_a_group_active_at_rounding_level():
     assert np.abs(g - gfd).max() / np.abs(gfd).max() < 1e-5
 
 
-def test_only_the_group_lasso_reports_a_gap(rng):
+def test_only_the_group_lasso_and_tv_denoising_report_a_gap(rng):
     _, prob = _screened_group_lasso(0)
     res = solve_varpro(prob, OuterConfig(max_iter=50, seed=0))
     assert isinstance(res.duality_gap, float) and isinstance(res.screened, int)
+    res = solve_varpro(_image_problem("tv-denoise", 4),
+                       OuterConfig(max_iter=20, seed=0))
+    assert isinstance(res.duality_gap, float) and res.screened is None
     m, n = 4, 8
     A = dense(rng.standard_normal((m, n)))
     x_true = np.zeros(n)
@@ -843,3 +854,86 @@ def test_group_spectral_norms_match_the_dense_two_norm(rng):
     cols = np.sqrt((Ad * Ad).sum(axis=0))
     assert np.abs(_group_spectral_norms(dense(Ad), trivial_groups(n))
                   - cols).max() < 1e-12
+
+
+def _tv_denoise(h, w, c, seed):
+    rng = np.random.default_rng(seed)
+    n = h * w * c
+    return VarProProblem(identity(n), grad2d(h, w, c),
+                         tv_group_structure(h, w, c),
+                         QuadraticLoss(y=rng.uniform(0, 1, n), lam=0.3)), rng
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_tv_dual_is_a_lower_bound_on_the_primal(channels):
+    # weak duality: D at any point of the unit group balls is at most P at
+    # any x, and the gap at the inner solution of a random v is nonnegative
+    prob, rng = _tv_denoise(5, 6, channels, channels)
+    dual = varpro._ProxDual(prob)
+    for _ in range(10):
+        z = _project_group_ball(3 * rng.standard_normal(prob.L.rows),
+                                prob.reg_groups)
+        x = rng.uniform(-1, 2, prob.L.cols)
+        assert dual.dual(z) <= nonsmooth_objective(prob, x)
+        v = rng.uniform(0.0, 2.0, prob.reg_groups.n_groups)
+        sol = eval_f_grad(prob, v)[2]
+        gap = dual.gap(sol)
+        assert gap >= 0 and gap == dual.rel_gap and dual.at is sol
+
+
+def test_the_dual_step_bound_is_above_the_squared_norm():
+    # ||L||_1 ||L||_inf, which sets the dual step 1 / (lam ||L||_1 ||L||_inf),
+    # is at least the power-iteration ||L||_2^2: exactly 8 for a 2-D
+    # gradient, grayscale or 3-channel, and above it for a random sparse L
+    rng = np.random.default_rng(4)
+    M = rng.standard_normal((12, 9)) * (rng.random((12, 9)) < 0.3)
+    lam = 0.4
+    for L, gs, exact in [(grad2d(6, 7), tv_group_structure(6, 7), True),
+                         (grad2d(5, 5, 3), tv_group_structure(5, 5, 3), True),
+                         (dense(M), contiguous_groups(12, 2), False)]:
+        prob = VarProProblem(identity(L.cols), L, gs,
+                             QuadraticLoss(y=np.zeros(L.cols), lam=lam))
+        bound = 1.0 / (lam * varpro._ProxDual(prob).step)
+        assert bound >= operator_norm(L) ** 2
+        if exact:
+            assert bound == pytest.approx(8.0, rel=1e-14)
+
+
+def test_tv_denoising_stops_on_a_certified_gap():
+    # an 8x8x3 run ends on the certificate, and its answer is within 1e-6
+    # of a long primal-dual run
+    prob = _image_problem("tv-denoise", 8)
+    res = solve_varpro(prob, OuterConfig())
+    assert res.trace.stop_reason == "certified"
+    assert 0.0 <= res.duality_gap <= GAP_TOL
+    ref = min(run_primal_dual("quadratic", prob.A, prob.L, prob.reg_groups,
+                              prob.loss.lam, prob.loss.y,
+                              iters=30000).objectives)
+    assert abs(nonsmooth_objective(prob, res.x) - ref) <= 1e-6 * abs(ref)
+
+
+def test_a_tv_run_that_cannot_certify_ends_as_without_the_certificate(
+        monkeypatch):
+    # three steps are too few for the gap; the run still reports the gap of
+    # its answer.  With a gap that never certifies, a full run takes the
+    # stop and the evaluations it took before the certificate existed
+    prob = _image_problem("tv-denoise", 8)
+    res = solve_varpro(prob, OuterConfig(max_iter=3))
+    assert res.trace.stop_reason == "max_iter" and res.trace.n_records == 4
+    assert res.duality_gap > GAP_TOL
+    monkeypatch.setattr(varpro._ProxDual, "gap", lambda self, sol: np.inf)
+    res = solve_varpro(prob, OuterConfig())
+    assert res.trace.stop_reason == "stalled" and res.trace.evals == 93
+
+
+@pytest.mark.parametrize("name, stop, evals", [
+    ("tv-inpaint", "noise_floor", 84), ("tv-l1", "noise_floor", 22),
+    ("group-lasso", "noise_floor", 33)])
+def test_families_without_the_tv_certificate_keep_their_stops(name, stop,
+                                                              evals):
+    # no route but the quadratic A = Id one reaches the TV certificate: the
+    # stops and evaluation counts are those of the runs before it existed
+    prob = (_screened_group_lasso(0)[1] if name == "group-lasso"
+            else _image_problem(name, 8 if name == "tv-inpaint" else 6))
+    res = solve_varpro(prob, OuterConfig())
+    assert res.trace.stop_reason == stop and res.trace.evals == evals
