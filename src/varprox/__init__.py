@@ -11,10 +11,9 @@ descent) are included for benchmarking, along with a small experiment CLI.
 from .groups import (GroupStructure, contiguous_groups, extend,
                      group_norm_12, soft_threshold, trivial_groups)
 from .inner import (InnerConfig, InnerSolution, InnerSolveError,
-                    solve_analysis_prox, solve_basis_pursuit,
-                    solve_grouplasso_dual, solve_multitask_nuclear,
-                    solve_overlap_woodbury, solve_quadratic_general,
-                    solve_robust, solve_two_factor)
+                    solve_analysis_prox, solve_grouplasso_dual,
+                    solve_multitask_nuclear, solve_overlap_woodbury,
+                    solve_quadratic_general, solve_robust, solve_two_factor)
 from .linops import (BlockExtractOperator, DenseOperator, Grad2DOperator,
                      IdentityOperator, LinearOperator, MaskOperator,
                      block_extract, dense, fourier_system, grad2d, identity,

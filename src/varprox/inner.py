@@ -23,15 +23,15 @@ max norm of the system's residual (the ``A = Id`` and ``L = Id`` routes form
 only the rows their recovery does not zero exactly), after one of four
 eliminations:
 
-* none, ``_saddle_route``: the dense full system (degenerate quadratic,
-  general robust, exact interpolation);
+* none, ``_saddle_route``: the dense full system (degenerate quadratic);
 * ``A = Id``, ``_prox_route``: ``xi = -L^T alpha``, ``x = y - d_xi xi`` and
   a sparse p-by-p system in ``alpha`` (TV denoising, robust prox);
 * ``x`` first, ``_from_x_route``: ``alpha`` and ``xi`` from rows 1 and 2
   (the reduced general route, direct or CG, and Woodbury);
 * ``L = Id``, ``_from_xi_route``: ``alpha`` and ``x`` from ``xi``, which
-  solves ``(A diag(d) A^T - d_xi) xi = -y`` (the group dual, the two-factor
-  path, and multitask with the matrix ``d_xi = -W W^T / lam``).
+  solves ``(A diag(d) A^T - d_xi) xi = -y``, ``d = -d_alpha`` (the group
+  dual, the two-factor path and interpolation, the robust dual with
+  ``d_xi = lam wbar^2``, and multitask with ``d_xi = -W W^T / lam``).
 
 ``_dispatch_quadratic`` picks the quadratic route from the problem's
 structure; each route owns its value-dependent fallbacks.
@@ -43,11 +43,11 @@ requested.  Every positive definite system but a band goes through
 called directly (``cholesky_factor``/``cholesky_solve``), without the
 per-call wrapper of ``scipy.linalg.cho_factor``, which costs more than the
 factorization at m <= 32.  The m-by-m dual system
-``A diag(d) A^T + shift I`` (group lasso, overlapping groups, multitask
-and the two-factor path) has one assembler, ``_dual_matrix``, which forms
-``B B^T`` by BLAS ``syrk`` from the columns with ``d > 0`` only (the group
-lasso's screened groups have ``v_g = 0``); ``_dual_solve`` adds its
-matrix-free CG.
+``A diag(d) A^T + diag(shift)`` (group lasso, overlapping groups,
+multitask, the two-factor path and the robust dual) has one assembler,
+``_dual_matrix``, which forms ``B B^T`` by BLAS ``syrk`` from the columns
+with ``d > 0`` only (the group lasso's screened groups have ``v_g = 0``);
+``_dual_solve`` adds its matrix-free CG.
 
 The ``A = Id`` system ``diag(d) + lam L diag(s) L^T`` is a band matrix
 once its rows are renumbered in reverse Cuthill-McKee order.
@@ -82,9 +82,8 @@ from .linops import BlockExtractOperator, IdentityOperator
 __all__ = [
     "InnerConfig", "InnerSolution", "InnerSolveError",
     "solve_quadratic_general", "solve_grouplasso_dual", "solve_analysis_prox",
-    "solve_overlap_woodbury", "solve_robust", "solve_basis_pursuit",
-    "solve_multitask_nuclear", "solve_two_factor", "cholesky_factor",
-    "cholesky_solve",
+    "solve_overlap_woodbury", "solve_robust", "solve_multitask_nuclear",
+    "solve_two_factor", "cholesky_factor", "cholesky_solve",
 ]
 
 
@@ -97,7 +96,7 @@ CG_STEPS_PER_UNKNOWN = 10       # CG step budget: this many per unknown
 DIRECT_SIZE_LIMIT = 2000        # ``auto`` factors up to this many unknowns
 ZERO_THRESHOLD = 1e-8           # a ``vbar`` entry below this * max is zero
 JITTER = 1e-12                  # relative diagonal shift of a retried Cholesky
-FEAS_TOL = 1e-8                 # relative ``||A x - y||_inf`` of basis pursuit
+FEAS_TOL = 1e-8                 # relative ``||A x - y||_inf`` of interpolation
 
 
 @dataclass
@@ -291,14 +290,14 @@ def _band_to_dense(ab):
 
 
 def _dual_matrix(A, d, shift):
-    """Dense ``A diag(d) A^T + shift I`` for ``d >= 0``: ``B B^T`` with
-    ``B = A_K diag(sqrt(d_K))`` over the columns ``K`` where ``d`` is
-    nonzero (BLAS ``syrk``, half the flops of a general product, and its
-    cost scales with ``|K|``: a screened or vanished group adds nothing),
-    the shift added in place on the diagonal.  ``B`` is the one m-by-|K|
-    temporary: with a zero in ``d`` it is gathered by ``np.compress`` and
-    scaled in place, otherwise formed in one pass (a gather of every
-    column would only add a copy)."""
+    """Dense ``A diag(d) A^T + diag(shift)`` for ``d >= 0`` and a scalar or
+    length-m array ``shift``: ``B B^T`` with ``B = A_K diag(sqrt(d_K))``
+    over the columns ``K`` where ``d`` is nonzero (BLAS ``syrk``, half the
+    flops of a general product, and its cost scales with ``|K|``: a
+    screened or vanished group adds nothing), the shift added in place on
+    the diagonal.  ``B`` is the one m-by-|K| temporary: with a zero in
+    ``d`` it is gathered by ``np.compress`` and scaled in place, otherwise
+    formed in one pass (a gather of every column would only add a copy)."""
     Ad = A.to_dense()
     if np.count_nonzero(d) == d.size:
         B = Ad * np.sqrt(d)
@@ -307,7 +306,7 @@ def _dual_matrix(A, d, shift):
         B = np.compress(keep, Ad, axis=1)
         B *= np.sqrt(d[keep])
     M = B @ B.T
-    if shift:
+    if isinstance(shift, np.ndarray) or shift:     # a scalar 0 adds nothing
         M.flat[:: M.shape[0] + 1] += shift
     return M
 
@@ -382,8 +381,8 @@ def _max_norm(*rows):
     return float(max(np.abs(r).max(initial=0) for r in rows))
 
 
-def _saddle_route(A, L, d_alpha, d_xi, y, what, method):
-    """No elimination: one dense solve of the full saddle system."""
+def _saddle_route(A, L, d_alpha, d_xi, y):
+    """No elimination: the dense full saddle system of a degenerate ``vbar``."""
     p, m = L.rows, A.rows
     k = p + m
     B = np.vstack([L.to_dense(), A.to_dense()])
@@ -394,10 +393,10 @@ def _saddle_route(A, L, d_alpha, d_xi, y, what, method):
     M[np.arange(k), np.arange(k)] = np.concatenate(
         [d_alpha, np.broadcast_to(d_xi, m)])
     rhs = np.concatenate([np.zeros(p), y, np.zeros(size - k)])
-    sol = _sym_solve(M, rhs, what)
+    sol = _sym_solve(M, rhs, "extended saddle system")
     alpha, xi, x = sol[:p], sol[p:k], sol[k:]
     res = _kkt(A, L, d_alpha, d_xi, y, x, alpha, xi)
-    return InnerSolution(x, alpha, xi, res, system_size=size, method=method)
+    return InnerSolution(x, alpha, xi, res, size, "direct-extended")
 
 
 def _prox_route(L, vbar, lam, s, y, sign, what):
@@ -466,8 +465,7 @@ def solve_quadratic_general(A, L, v, gs, lam, y, cfg=DEFAULT):
     vbar = _vbar(v, gs)
     vmax = np.abs(vbar).max(initial=0.0)
     if vmax == 0.0 or np.abs(vbar).min() < ZERO_THRESHOLD * vmax:
-        return _saddle_route(A, L, -vbar ** 2, -lam, y,
-                             "extended saddle system", "direct-extended")
+        return _saddle_route(A, L, -vbar ** 2, -lam, y)
     inv_v2 = 1.0 / vbar ** 2
     aty = A.adjoint(y)
     if cfg.use_cg(A.cols):
@@ -555,45 +553,29 @@ def solve_overlap_woodbury(A, ogroups, v, lam, y, cfg=DEFAULT):
 
 def solve_robust(A, L, v, gs_reg, w, gs_loss, lam, y):
     """Inner solve with both regularizer and loss in quadratic variational
-    form (covers grouped TV with an l1-type loss and square-root lasso).
+    form, for ``A = Id`` or ``L = Id``; any other pair raises ``ValueError``.
 
-    Solves the full saddle system; for ``A = Id`` the smaller sparse
-    p-by-p elimination ``(diag(vbar^2) + lam L diag(wbar^2) L^T) alpha = -L y``
-    is used instead, factored as one 2hw-by-2hw channel block when ``L`` is a
-    multichannel gradient and both weights repeat per channel (see
-    ``_prox_solve``).
+    ``A = Id`` (grouped TV with an l1-type loss): the sparse p-by-p
+    elimination ``(diag(vbar^2) + lam L diag(wbar^2) L^T) alpha = -L y``,
+    factored as one 2hw-by-2hw channel block when ``L`` is a multichannel
+    gradient and both weights repeat per channel (see ``_prox_solve``).
+    ``L = Id`` (square-root lasso): the m-by-m dual
+    ``(A diag(vbar^2) A^T + lam diag(wbar^2)) xi = y``, then
+    ``alpha = -A^T xi`` and ``x = -vbar^2 alpha``.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
+    if not isinstance(L, IdentityOperator) and not isinstance(A, IdentityOperator):
+        raise ValueError("solve_robust needs A = Id or L = Id")
     y = np.asarray(y, dtype=float).ravel()
     vbar = _vbar(v, gs_reg)
     wbar = _vbar(w, gs_loss)
     if isinstance(A, IdentityOperator):
         return _prox_route(L, vbar, lam, wbar ** 2, y, 1.0,
                            "robust prox system")
-    return _saddle_route(A, L, vbar ** 2, lam * wbar ** 2, y,
-                         "robust saddle system", "direct")
-
-
-def solve_basis_pursuit(A, L, v, gs, y):
-    """Inner solve for exact interpolation ``A x = y``.
-
-    Maximizes ``-||v * alpha||^2 / 2 + <alpha, L x0>`` over the constraint
-    ``L^T alpha in range(A^T)`` via the equality-constrained KKT system.
-    The support condition on ``v`` is the caller's responsibility; an
-    infeasible right-hand side (``||A x - y||_inf`` above ``FEAS_TOL``
-    relative to ``1 + ||y||_inf``) is reported as an error.
-    """
-    y = np.asarray(y, dtype=float).ravel()
-    vbar = _vbar(v, gs)
-    if not np.any(vbar):
-        raise InnerSolveError("basis pursuit requires v != 0")
-    sol = _saddle_route(A, L, -vbar ** 2, 0.0, y, "basis pursuit KKT system",
-                        "direct")
-    feas = np.abs(A.apply(sol.x) - y).max(initial=0)
-    if feas > FEAS_TOL * (1.0 + np.abs(y).max(initial=0)):
-        raise InnerSolveError(f"infeasible data: ||Ax - y||_inf = {feas:.3e}")
-    return sol
+    d, shift = vbar ** 2, lam * wbar ** 2
+    xi = _psd_solve(_dual_matrix(A, d, shift), y, "robust dual system")
+    return _from_xi_route(A, -d, xi, shift * xi, y, "direct")
 
 
 def solve_multitask_nuclear(A, v, W, lam, Y):

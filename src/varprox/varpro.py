@@ -16,7 +16,7 @@ Two families carry a duality gap: the group lasso, whose Gap Safe screening
 reports it, and TV denoising, whose run stops on it (``certified``).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -132,11 +132,20 @@ class VarProResult:
     screened: int | None = None
 
 
+def _require_identity_L(problem, path):
+    """``ValueError`` unless ``problem.L``, which ``path`` never reads, is Id."""
+    if not isinstance(problem.L, IdentityOperator):
+        raise ValueError(f"{path} needs L = Id, got {type(problem.L).__name__}")
+
+
 def eval_f_grad(problem, v):
     """Outer value and gradient for the quadratic or interpolation loss.
 
     Returns ``(f, grad, inner)``.  ``f`` is reassembled from the primal
     pieces ``||v||^2/2 + ||u||^2/2 + F0(A x)`` with ``u = vbar * alpha``.
+    Interpolation ``A x = y`` needs ``L = Id`` and solves the two-factor
+    system at ``v w = v``, ``lam = 0``; ``||A x - y||_inf`` above
+    ``inner.FEAS_TOL (1 + ||y||_inf)`` raises :class:`InnerSolveError`.
     """
     v = np.asarray(v, dtype=float)
     gs = problem.reg_groups
@@ -146,7 +155,13 @@ def eval_f_grad(problem, v):
                                             loss.lam, loss.y)
         fit = float(np.sum((problem.A.apply(sol.x) - loss.y) ** 2)) / (2 * loss.lam)
     elif isinstance(loss, BasisPursuitLoss):
-        sol = inner_mod.solve_basis_pursuit(problem.A, problem.L, v, gs, loss.y)
+        _require_identity_L(problem, "the interpolation loss")
+        y = np.asarray(loss.y, dtype=float).ravel()
+        sol = inner_mod.solve_two_factor(problem.A, v, gs, 0.0, y)
+        tol = inner_mod.FEAS_TOL * (1.0 + np.abs(y).max(initial=0))
+        if not sol.kkt_residual <= tol:     # NaN from v = 0 fails too
+            raise InnerSolveError(f"infeasible data: residual {sol.kkt_residual:.3e}")
+        sol = replace(sol, x=sol.x[:, 0], alpha=sol.alpha[:, 0], xi=sol.xi[:, 0])
         fit = 0.0
     else:
         raise TypeError("eval_f_grad handles quadratic and interpolation losses")
@@ -194,6 +209,7 @@ def eval_lq_option2(problem, v, w):
     loss = problem.loss
     if not isinstance(loss, (QuadraticLoss, BasisPursuitLoss)):
         raise TypeError("two-factor path needs a quadratic or interpolation loss")
+    _require_identity_L(problem, "the two-factor path")
     lam = loss.lam if isinstance(loss, QuadraticLoss) else 0.0
     gs = problem.reg_groups
     vw = v * w
@@ -222,6 +238,7 @@ def eval_lq_option3(problem, v):
     loss = problem.loss
     if not isinstance(loss, QuadraticLoss):
         raise TypeError("single-factor path needs a quadratic loss")
+    _require_identity_L(problem, "the single-factor path")
     v = np.asarray(v, dtype=float)
     gs = problem.reg_groups
     vbar = extend(v, gs)
@@ -246,6 +263,7 @@ def eval_multitask(problem, v, W):
     loss = problem.loss
     if not isinstance(loss, MultitaskLoss):
         raise TypeError("multitask loss required")
+    _require_identity_L(problem, "the multitask path")
     v = np.asarray(v, dtype=float)
     W = np.asarray(W, dtype=float)
     sol = inner_mod.solve_multitask_nuclear(problem.A, v, W, loss.lam, loss.Y)

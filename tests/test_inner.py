@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 from varprox import inner, linops
 from varprox.groups import GroupStructure, contiguous_groups, extend, trivial_groups
 from varprox.inner import (InnerConfig, InnerSolveError, solve_analysis_prox,
-                           solve_basis_pursuit, solve_grouplasso_dual,
-                           solve_multitask_nuclear, solve_overlap_woodbury,
-                           solve_quadratic_general, solve_robust,
-                           solve_two_factor)
+                           solve_grouplasso_dual, solve_multitask_nuclear,
+                           solve_overlap_woodbury, solve_quadratic_general,
+                           solve_robust, solve_two_factor)
 from varprox.linops import (BlockExtractOperator, Grad2DOperator,
                             block_extract, dense, grad2d, identity,
                             tv_group_structure)
 from varprox.problems import pixel_channel_groups
+from varprox.varpro import BasisPursuitLoss, VarProProblem, eval_f_grad
 
 
 def test_one_dim_lasso_oracle():
@@ -129,6 +129,13 @@ def _tv_case(rng, h=5, w=4, c=3):
     return n, L, gs, gl, v, wl, rng.uniform(0, 1, n)
 
 
+def _robust_saddle(L, n, v, gs, wl, gl, lam, y):
+    """The robust inner solution on the dense full saddle system, the
+    reference of the sparse ``A = Id`` route."""
+    return inner._saddle_route(dense(np.eye(n)), L, extend(v, gs) ** 2,
+                               lam * extend(wl, gl) ** 2, y)
+
+
 def test_identity_routes_factor_sparse_without_densifying(monkeypatch, rng):
     def refuse(self):
         raise AssertionError("the A = Id routes must not densify L")
@@ -186,7 +193,7 @@ def test_identity_routes_zero_v_take_the_jitter_retry(monkeypatch, rng, zeros):
     calls.clear()
     b = solve_robust(identity(n), L, v, gs, wl, gl, 0.9, y)
     assert [ok for _, ok in calls] == [False, True]
-    ref = solve_robust(dense(np.eye(n)), L, v, gs, wl, gl, 0.9, y)
+    ref = _robust_saddle(L, n, v, gs, wl, gl, 0.9, y)
     assert np.abs(b.x - ref.x).max() < 1e-9
     assert b.kkt_residual < 1e-8
 
@@ -223,7 +230,7 @@ def test_identity_routes_factor_one_channel_block(monkeypatch, rng, zeros):
 def test_identity_routes_block_falls_back_to_the_dense_solve(monkeypatch, rng):
     n, L, gs, gl, v, wl, y = _tv_case(rng)
     full = (solve_quadratic_general(identity(n), L, v, gs, 0.3, y),
-            solve_robust(dense(np.eye(n)), L, v, gs, wl, gl, 0.9, y))
+            _robust_saddle(L, n, v, gs, wl, gl, 0.9, y))
     sizes = []
     sym_solve = inner._sym_solve
 
@@ -254,7 +261,7 @@ def test_identity_routes_per_channel_weights_factor_the_full_system(
     calls = _spy_band_factor(monkeypatch)
     b = solve_robust(identity(n), L, v, gs, wl, gl, 0.9, y)
     assert calls == [(L.rows, True)]
-    ref = solve_robust(dense(np.eye(n)), L, v, gs, wl, gl, 0.9, y)
+    ref = _robust_saddle(L, n, v, gs, wl, gl, 0.9, y)
     assert np.abs(b.x - ref.x).max() < 1e-9
     assert b.kkt_residual < 1e-10
     if differ == "v":
@@ -302,7 +309,7 @@ def test_identity_routes_past_the_band_limit_factor_by_superlu(monkeypatch, rng)
         if zeros == "some":
             v[[3, 7]] = 0.0
         ref = (solve_quadratic_general(dense(np.eye(n)), L, v, gs, 0.3, y),
-               solve_robust(dense(np.eye(n)), L, v, gs, wl, gl, 0.9, y))
+               _robust_saddle(L, n, v, gs, wl, gl, 0.9, y))
         calls.clear()
         for b, f in zip(_identity_routes(L, n, gs, gl, v, wl, y), ref):
             assert b.method == "sparse-direct"
@@ -432,17 +439,50 @@ def test_robust_identity_remark_path_matches_saddle(rng):
     w = rng.uniform(0.5, 1.5, n)
     y = rng.uniform(0, 1, n)
     fast = solve_robust(identity(n), L, v, gs, w, gl, 0.9, y)
-    # dense identity forces the general saddle assembly
-    slow = solve_robust(dense(np.eye(n)), L, v, gs, w, gl, 0.9, y)
+    slow = _robust_saddle(L, n, v, gs, w, gl, 0.9, y)
     assert np.abs(fast.x - slow.x).max() < 1e-9
     assert fast.kkt_residual < 1e-9 and slow.kkt_residual < 1e-9
+
+
+@pytest.mark.parametrize("zeros", ["none", "v", "w"])
+def test_robust_dual_matches_the_saddle_system(rng, zeros):
+    # L = Id (square-root lasso and per-row loss groups): the m-by-m dual
+    # gives the dense full saddle system's answer, also where a zero v_g or
+    # w_g leaves the dual matrix singular and the jittered retry factors it
+    for t in range(5):
+        m, n = 6, 15
+        A = dense(rng.standard_normal((m, n)) / 2)
+        gs = contiguous_groups(n, 3)
+        gl = GroupStructure([range(m)], p=m) if t % 2 else trivial_groups(m)
+        v = rng.uniform(0.5, 1.5, gs.n_groups)
+        w = rng.uniform(0.5, 1.5, gl.n_groups)
+        if zeros == "v":
+            v[[0, 3]] = 0.0
+        elif zeros == "w":
+            w[0] = 0.0
+        y = rng.standard_normal(m)
+        sol = solve_robust(A, identity(n), v, gs, w, gl, 0.7, y)
+        d_alpha, d_xi = extend(v, gs) ** 2, 0.7 * extend(w, gl) ** 2
+        ref = inner._saddle_route(A, identity(n), d_alpha, d_xi, y)
+        assert (sol.method, sol.system_size) == ("direct", m)
+        assert np.abs(sol.x - ref.x).max() < 1e-9
+        assert sol.kkt_residual < 1e-9
+        assert sol.kkt_residual == inner._kkt(A, identity(n), d_alpha, d_xi, y,
+                                              sol.x, sol.alpha, sol.xi)
+
+
+def _interpolate(A, v, y):
+    """The single-factor interpolation inner solution (``L = Id``, one
+    group per variable) at ``v``, as ``eval_f_grad`` solves it."""
+    n = A.cols
+    prob = VarProProblem(A, identity(n), trivial_groups(n), BasisPursuitLoss(y=y))
+    return eval_f_grad(prob, v)[2]
 
 
 def test_basis_pursuit_two_variable_oracle():
     # max_c (-c^2 + 2c) over the symmetric dual gives alpha = (1,1), x = (1,1)
     A = dense([[1.0, 1.0]])
-    sol = solve_basis_pursuit(A, identity(2), np.ones(2), trivial_groups(2),
-                              np.array([2.0]))
+    sol = _interpolate(A, np.ones(2), np.array([2.0]))
     assert np.allclose(sol.alpha, [1.0, 1.0], atol=1e-10)
     assert np.allclose(sol.x, [1.0, 1.0], atol=1e-10)
     psi = -0.5 * np.sum(sol.alpha ** 2) + sol.alpha @ sol.x
@@ -453,16 +493,14 @@ def test_basis_pursuit_huge_v_gives_min_norm(rng):
     m, n = 3, 7
     A = dense(rng.standard_normal((m, n)))
     y = rng.standard_normal(m)
-    sol = solve_basis_pursuit(A, identity(n), np.full(n, 1e4),
-                              trivial_groups(n), y)
+    sol = _interpolate(A, np.full(n, 1e4), y)
     x_mn, *_ = np.linalg.lstsq(A.to_dense(), y, rcond=None)
     assert np.abs(sol.x - x_mn).max() < 1e-8
 
 
 def test_basis_pursuit_zero_data(rng):
     A = dense(rng.standard_normal((3, 6)))
-    sol = solve_basis_pursuit(A, identity(6), np.ones(6), trivial_groups(6),
-                              np.zeros(3))
+    sol = _interpolate(A, np.ones(6), np.zeros(3))
     assert np.allclose(sol.x, 0.0, atol=1e-10)
     assert np.allclose(sol.alpha, 0.0, atol=1e-10)
 
@@ -470,8 +508,7 @@ def test_basis_pursuit_zero_data(rng):
 def test_basis_pursuit_infeasible_raises():
     A = dense([[1.0, 0.0], [1.0, 0.0]])      # rank 1, inconsistent y
     with pytest.raises(InnerSolveError):
-        solve_basis_pursuit(A, identity(2), np.ones(2), trivial_groups(2),
-                            np.array([1.0, 2.0]))
+        _interpolate(A, np.ones(2), np.array([1.0, 2.0]))
 
 
 def test_multitask_zero_data(rng):
@@ -537,8 +574,10 @@ def test_kkt_residuals_below_tolerance(rng):
 
 
 @pytest.mark.parametrize("route", ["quadratic", "robust", "basis-pursuit"])
-def test_saddle_routes_on_a_non_square_gradient_instance(rng, route):
-    # the three routes that assemble the full saddle system, at m != n != p
+def test_saddle_routes_on_a_non_square_gradient_instance(monkeypatch, rng, route):
+    # at m != n != p the degenerate quadratic route assembles the full saddle
+    # system; the robust and interpolation families refuse an L that is not
+    # the identity when A is not either, before any solve
     h, w, m = 3, 4, 7
     L = grad2d(h, w)
     gs = tv_group_structure(h, w)
@@ -550,15 +589,24 @@ def test_saddle_routes_on_a_non_square_gradient_instance(rng, route):
         v[[1, 5]] = 0.0
         sol = solve_quadratic_general(A, L, v, gs, 0.6, rng.standard_normal(m))
         assert sol.method == "direct-extended"
-    elif route == "robust":
-        sol = solve_robust(A, L, v, gs, rng.uniform(0.5, 1.5, m),
-                           trivial_groups(m), 0.6, rng.standard_normal(m))
+        assert sol.kkt_residual < 1e-9
+        assert sol.system_size == p + m + n
+        return
+
+    def refuse(*args):
+        raise AssertionError("a refused problem reached a solve")
+
+    for name in ("_saddle_route", "_psd_solve", "_prox_solve"):
+        monkeypatch.setattr(inner, name, refuse)
+    if route == "robust":
+        with pytest.raises(ValueError, match="A = Id or L = Id"):
+            solve_robust(A, L, v, gs, rng.uniform(0.5, 1.5, m),
+                         trivial_groups(m), 0.6, rng.standard_normal(m))
     else:
-        y = A.apply(rng.standard_normal(n))
-        sol = solve_basis_pursuit(A, L, v, gs, y)
-        assert np.abs(A.apply(sol.x) - y).max() < 1e-9
-    assert sol.kkt_residual < 1e-9
-    assert sol.system_size == p + m + n
+        prob = VarProProblem(A, L, gs, BasisPursuitLoss(
+            y=A.apply(rng.standard_normal(n))))
+        with pytest.raises(ValueError, match="L = Id"):
+            eval_f_grad(prob, v)
 
 
 @pytest.mark.parametrize("route", ["solve_quadratic_general",
@@ -784,8 +832,7 @@ def _saddle_matrix(A, L, d_alpha, d_xi):
 
 SADDLE_ROUTES = ["general-direct", "general-cg", "general-degenerate",
                  "group-dual", "analysis-prox", "woodbury", "robust-identity",
-                 "robust-general", "basis-pursuit",
-                 "two-factor-quadratic-1", "two-factor-quadratic-3",
+                 "robust-dual", "two-factor-quadratic-1", "two-factor-quadratic-3",
                  "two-factor-interpolation-1", "two-factor-interpolation-3",
                  "multitask"]
 
@@ -799,7 +846,7 @@ def test_every_route_solves_the_saddle_system_of_its_loss(rng, route):
     L, gs = dense(rng.standard_normal((6, n)) / 2), contiguous_groups(6, 2)
     y = rng.standard_normal(m)
     gl, wl = trivial_groups(m), rng.uniform(0.5, 1.5, m)
-    if route in ("group-dual", "basis-pursuit") or route.startswith("two"):
+    if route in ("group-dual", "robust-dual") or route.startswith("two"):
         L, gs = identity(n), contiguous_groups(n, 2)
     elif route == "multitask":
         L, gs = identity(n), trivial_groups(n)
@@ -807,11 +854,10 @@ def test_every_route_solves_the_saddle_system_of_its_loss(rng, route):
         ogs = _overlap_windows(n)
         L = block_extract(ogs, n)
         gs = L.lifted_partition()
-    elif route.startswith("robust") or route == "analysis-prox":
+    elif route in ("robust-identity", "analysis-prox"):
         L, gs = grad2d(2, 4), tv_group_structure(2, 4)
-        if route != "robust-general":
-            A, y = identity(n), rng.uniform(0, 1, n)
-            gl, wl = trivial_groups(n), rng.uniform(0.5, 1.5, n)
+        A, y = identity(n), rng.uniform(0, 1, n)
+        gl, wl = trivial_groups(n), rng.uniform(0.5, 1.5, n)
     v = rng.uniform(0.5, 1.5, gs.n_groups)
     if route == "general-degenerate":
         v[1] = 0.0
@@ -838,13 +884,10 @@ def test_every_route_solves_the_saddle_system_of_its_loss(rng, route):
         vbar = extend(vw, gs)
         shift = lam if loss == "quadratic" else 0.0
         sol = solve_two_factor(A, vw, gs, shift, y)
-    elif route == "multitask":
+    else:
         W = rng.standard_normal((m, m)) / 3
         y = rng.standard_normal((m, 3))
         sol = solve_multitask_nuclear(A, v, W, lam, y)
-    else:
-        loss = "interpolation"
-        sol = solve_basis_pursuit(A, L, v, gs, y)
     d_alpha, d_xi = CONVENTIONS[loss](vbar, extend(wl, gl), lam)
     if route == "multitask":
         d_xi = -W @ W.T / lam

@@ -579,8 +579,7 @@ def test_tv_inpaint_ends_on_the_noise_floor_without_a_final_evaluation(
 
 
 @pytest.mark.parametrize("route", ["solve_robust", "solve_multitask_nuclear",
-                                   "solve_grouplasso_dual",
-                                   "solve_basis_pursuit"])
+                                   "solve_grouplasso_dual", "solve_two_factor"])
 def test_inner_failure_at_every_point_raises(monkeypatch, rng, route):
     # no evaluation succeeds, so no inner solution exists to report
     from varprox import inner
@@ -937,3 +936,62 @@ def test_families_without_the_tv_certificate_keep_their_stops(name, stop,
             else _image_problem(name, 8 if name == "tv-inpaint" else 6))
     res = solve_varpro(prob, OuterConfig())
     assert res.trace.stop_reason == stop and res.trace.evals == evals
+
+
+def test_sqrt_lasso_solves_every_evaluation_on_the_m_by_m_dual(monkeypatch):
+    # the sqrt-lasso family of varprox run has L = Id: each inner solve is
+    # the m-by-m robust dual, never the dense full saddle system
+    from varprox import inner
+
+    def refuse(*args):
+        raise AssertionError("the full saddle system was assembled")
+
+    monkeypatch.setattr(inner, "_saddle_route", refuse)
+    section = configparser.ConfigParser()
+    section.read_dict({"problem": {"family": "sqrt-lasso", "m": "30",
+                                   "n": "100"}})
+    prob = cli.build_problem(section["problem"])[0]
+    sizes = []
+    solve_robust = inner.solve_robust
+
+    def spy(*args):
+        sol = solve_robust(*args)
+        sizes.append(sol.system_size)
+        return sol
+
+    monkeypatch.setattr(inner, "solve_robust", spy)
+    res = solve_varpro(prob, OuterConfig())
+    assert len(sizes) >= res.trace.evals > 1 and set(sizes) == {30}
+    assert res.inner.system_size == 30 and res.inner.method == "direct"
+    assert res.inner.kkt_residual < 1e-10
+
+
+def _scaled_identity_problem(entry, rng):
+    """An ``L = 3 I`` problem for ``entry``, and the call that evaluates it."""
+    m, n = 4, 6
+    A, L = dense(rng.standard_normal((m, n))), dense(3.0 * np.eye(n))
+    gs = trivial_groups(n)
+    v, y = rng.uniform(0.5, 1.5, n), rng.standard_normal(m)
+    if entry == "eval_multitask":
+        prob = VarProProblem(A, L, gs, MultitaskLoss(Y=y[:, None], lam=0.8))
+        return lambda: eval_multitask(prob, v, np.eye(m))
+    if entry == "eval_lq_option3":
+        prob = VarProProblem(A, L, gs, QuadraticLoss(y=y, lam=0.8))
+        return lambda: eval_lq_option3(prob, v)
+    if entry == "eval_f_grad":
+        prob = VarProProblem(A, L, gs, BasisPursuitLoss(y=y))
+        return lambda: eval_f_grad(prob, v)
+    prob = VarProProblem(A, L, gs, QuadraticLoss(y=y, lam=0.8))
+    if entry == "eval_lq_option2":
+        return lambda: eval_lq_option2(prob, v, v)
+    return lambda: solve_lq_option2(prob, OuterConfig(max_iter=5))
+
+
+@pytest.mark.parametrize("entry", ["eval_lq_option2", "solve_lq_option2",
+                                   "eval_lq_option3", "eval_multitask",
+                                   "eval_f_grad"])
+def test_paths_that_assume_l_is_the_identity_reject_another_l(rng, entry):
+    # these paths never read L, so with L = 3 I they would solve the L = Id
+    # problem and report its answer as that of the problem asked
+    with pytest.raises(ValueError, match="needs L = Id"):
+        _scaled_identity_problem(entry, rng)()
