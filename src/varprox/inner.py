@@ -23,11 +23,12 @@ max norm of the system's residual (the ``A = Id`` and ``L = Id`` routes form
 only the rows their recovery does not zero exactly), after one of four
 eliminations:
 
-* none, ``_saddle_route``: the dense full system (degenerate quadratic);
+* none, ``_saddle_route``: the full system, sparse, by SuperLU, with
+  ``|d_alpha|`` floored (the general quadratic route, TV inpainting);
 * ``A = Id``, ``_prox_route``: ``xi = -L^T alpha``, ``x = y - d_xi xi`` and
   a sparse p-by-p system in ``alpha`` (TV denoising, robust prox);
 * ``x`` first, ``_from_x_route``: ``alpha`` and ``xi`` from rows 1 and 2
-  (the reduced general route, direct or CG, and Woodbury);
+  (CG on the general route's reduced system, and Woodbury);
 * ``L = Id``, ``_from_xi_route``: ``alpha`` and ``x`` from ``xi``, which
   solves ``(A diag(d) A^T - d_xi) xi = -y``, ``d = -d_alpha`` (the group
   dual, the two-factor path and interpolation, the robust dual with
@@ -36,18 +37,18 @@ eliminations:
 ``_dispatch_quadratic`` picks the quadratic route from the problem's
 structure; each route owns its value-dependent fallbacks.
 
-Direct factorizations by default, conjugate gradients on the positive
-definite reduced forms above ``DIRECT_SIZE_LIMIT`` unknowns or when
-requested.  Every positive definite system but a band goes through
-``_psd_solve``; a dense one is factored by LAPACK ``dpotrf``/``dpotrs``
-called directly (``cholesky_factor``/``cholesky_solve``), without the
-per-call wrapper of ``scipy.linalg.cho_factor``, which costs more than the
-factorization at m <= 32.  The m-by-m dual system
-``A diag(d) A^T + diag(shift)`` (group lasso, overlapping groups,
-multitask, the two-factor path and the robust dual) has one assembler,
-``_dual_matrix``, which forms ``B B^T`` by BLAS ``syrk`` from the columns
-with ``d > 0`` only (the group lasso's screened groups have ``v_g = 0``);
-``_dual_solve`` adds its matrix-free CG.
+Direct factorizations by default, conjugate gradients on a positive
+definite reduced form when requested (and by ``auto`` on an m-by-m dual
+above ``DIRECT_SIZE_LIMIT`` unknowns).  Every positive definite system but
+a band goes through ``_psd_solve``; a dense one is factored by LAPACK
+``dpotrf``/``dpotrs`` called directly (``cholesky_factor``,
+``cholesky_solve``), without the per-call wrapper of
+``scipy.linalg.cho_factor``, which costs more than the factorization at
+m <= 32.  The m-by-m dual system ``A diag(d) A^T + diag(shift)`` (group
+lasso, overlapping groups, multitask, the two-factor path and the robust
+dual) has one assembler, ``_dual_matrix``, which forms ``B B^T`` by BLAS
+``syrk`` from the columns with ``d > 0`` only (the group lasso's screened
+groups have ``v_g = 0``); ``_dual_solve`` adds its matrix-free CG.
 
 The ``A = Id`` system ``diag(d) + lam L diag(s) L^T`` is a band matrix
 once its rows are renumbered in reverse Cuthill-McKee order.
@@ -101,28 +102,18 @@ FEAS_TOL = 1e-8                 # relative ``||A x - y||_inf`` of interpolation
 
 @dataclass
 class InnerConfig:
-    """The inner solve method: ``auto`` (direct up to ``DIRECT_SIZE_LIMIT``
-    unknowns, CG above), ``direct`` or ``cg``.
-
-    ``solve_quadratic_general``, ``solve_grouplasso_dual`` and
-    ``solve_overlap_woodbury`` take a config and have a CG path;
-    ``solve_analysis_prox`` takes one and rejects ``cg`` with
-    ``ValueError``; the other routes always factor.  A degenerate ``vbar``
-    (an entry below ``ZERO_THRESHOLD * max |vbar|``) sends
-    ``solve_quadratic_general`` to the direct saddle solve whatever the
-    method.  The ``auto`` switch is what keeps large analysis problems in
-    memory: the direct reduced solve forms the p-by-n ``L.to_dense()``.
-    """
+    """The inner solve method, ``auto``, ``direct`` or ``cg``, read by the
+    CG paths of ``solve_grouplasso_dual`` and ``solve_overlap_woodbury``
+    (``auto``: CG above ``DIRECT_SIZE_LIMIT`` unknowns) and of
+    ``solve_quadratic_general`` (``auto``: never, its sparse saddle system
+    is factored at every size).  ``solve_analysis_prox`` rejects ``cg``
+    with ``ValueError``; the other routes always factor."""
 
     method: str = "auto"
 
     def __post_init__(self):
         if self.method not in ("auto", "direct", "cg"):
             raise ValueError(f"unknown method {self.method!r}")
-
-    def use_cg(self, size):
-        return self.method == "cg" or (self.method == "auto"
-                                       and size > DIRECT_SIZE_LIMIT)
 
 
 @dataclass
@@ -315,7 +306,8 @@ def _dual_solve(A, d, shift, b, cfg, what):
     """Solve ``(A diag(d) A^T + shift I) z = b`` for one right-hand side:
     matrix-free CG when ``cfg`` asks for it at size ``m``, otherwise one
     :func:`_psd_solve` of :func:`_dual_matrix`.  Returns ``(z, method)``."""
-    if cfg.use_cg(A.rows):
+    if cfg.method == "cg" or (cfg.method == "auto"
+                              and A.rows > DIRECT_SIZE_LIMIT):
         def matvec(z):
             return A.apply(d * A.adjoint(z)) + shift * z
 
@@ -382,21 +374,29 @@ def _max_norm(*rows):
 
 
 def _saddle_route(A, L, d_alpha, d_xi, y):
-    """No elimination: the dense full saddle system of a degenerate ``vbar``."""
+    """No elimination: the full system, assembled sparse from
+    ``L.to_sparse()`` and ``A.to_sparse()`` and factored by SuperLU (by the
+    dense :func:`_sym_solve` where SuperLU finds it exactly singular).  A
+    zero in ``d_alpha`` frees ``alpha`` in the kernel of ``L^T`` on its rows
+    (a divergence-free cycle of a TV gradient), so the factored ``|d_alpha|``
+    has a symmetric quasidefinite floor, ``_jitter(d_alpha)`` on its block's
+    sign; the certificate takes the true ``d_alpha``."""
     p, m = L.rows, A.rows
-    k = p + m
-    B = np.vstack([L.to_dense(), A.to_dense()])
-    size = k + B.shape[1]
-    M = np.zeros((size, size))
-    M[:k, k:] = B
-    M[k:, :k] = B.T
-    M[np.arange(k), np.arange(k)] = np.concatenate(
-        [d_alpha, np.broadcast_to(d_xi, m)])
-    rhs = np.concatenate([np.zeros(p), y, np.zeros(size - k)])
-    sol = _sym_solve(M, rhs, "extended saddle system")
-    alpha, xi, x = sol[:p], sol[p:k], sol[k:]
+    sign = -1.0 if d_alpha.min(initial=0.0) < 0 else 1.0
+    floored = sign * np.maximum(np.abs(d_alpha), _jitter(d_alpha))
+    Ls, As = L.to_sparse(), A.to_sparse()
+    M = scipy.sparse.block_array(
+        [[scipy.sparse.diags_array(floored), None, Ls],
+         [None, scipy.sparse.diags_array(np.broadcast_to(d_xi, m)), As],
+         [Ls.T, As.T, None]], format="csc")
+    rhs = np.concatenate([np.zeros(p), y, np.zeros(A.cols)])
+    try:
+        sol = scipy.sparse.linalg.splu(M).solve(rhs)
+    except RuntimeError:            # "Factor is exactly singular"
+        sol = _sym_solve(M.toarray(), rhs, "saddle system")
+    alpha, xi, x = sol[:p], sol[p:p + m], sol[p + m:]
     res = _kkt(A, L, d_alpha, d_xi, y, x, alpha, xi)
-    return InnerSolution(x, alpha, xi, res, size, "direct-extended")
+    return InnerSolution(x, alpha, xi, res, M.shape[0], "direct-extended")
 
 
 def _prox_route(L, vbar, lam, s, y, sign, what):
@@ -452,32 +452,21 @@ def _dispatch_quadratic(A, L, v, gs, lam, y):
 
 
 def solve_quadratic_general(A, L, v, gs, lam, y, cfg=DEFAULT):
-    """Inner solve for the quadratic loss and a general analysis operator.
-
-    Away from zeros of the extension ``vbar`` this solves the reduced
-    positive definite system ``(A^T A + lam L^T diag(1/vbar^2) L) x = A^T y``;
-    with (near-)zero entries it falls back to the full saddle system, which
-    stays well posed.
-    """
+    """Inner solve for the quadratic loss and a general analysis operator:
+    :func:`_saddle_route`, at every size and for any ``vbar``.  Only
+    ``method="cg"`` runs matrix-free CG on the reduced system
+    ``(A^T A + lam L^T diag(1/vbar^2) L) x = A^T y``, where no ``vbar``
+    entry is below ``ZERO_THRESHOLD`` times the largest."""
     if lam <= 0:
         raise ValueError("lam must be positive")
     y = np.asarray(y, dtype=float).ravel()
-    vbar = _vbar(v, gs)
-    vmax = np.abs(vbar).max(initial=0.0)
-    if vmax == 0.0 or np.abs(vbar).min() < ZERO_THRESHOLD * vmax:
+    vbar = np.abs(_vbar(v, gs))
+    if cfg.method != "cg" or not vbar.min() > ZERO_THRESHOLD * vbar.max():
         return _saddle_route(A, L, -vbar ** 2, -lam, y)
     inv_v2 = 1.0 / vbar ** 2
-    aty = A.adjoint(y)
-    if cfg.use_cg(A.cols):
-        def matvec(z):
-            return A.adjoint(A.apply(z)) + lam * L.adjoint(inv_v2 * L.apply(z))
-
-        x, method = _cg(matvec, aty), "cg"
-    else:
-        C = L.to_dense() / np.abs(vbar)[:, None]
-        H = A.gram() + lam * (C.T @ C)
-        x, method = _psd_solve(H, aty, "reduced system"), "direct"
-    return _from_x_route(A, L, -vbar ** 2, -lam, y, x, A.cols, method)
+    x = _cg(lambda z: A.adjoint(A.apply(z))
+            + lam * L.adjoint(inv_v2 * L.apply(z)), A.adjoint(y))
+    return _from_x_route(A, L, -vbar ** 2, -lam, y, x, A.cols, "cg")
 
 
 def solve_grouplasso_dual(A, v, gs, lam, y, cfg=DEFAULT):
@@ -526,8 +515,9 @@ def solve_overlap_woodbury(A, ogroups, v, lam, y, cfg=DEFAULT):
     Valid when the groups span the index set and every ``v_g`` is nonzero;
     otherwise falls back to the general route on the lifted extractor.  The
     diagonal ``W_ii = sum_{g contains i} w_g^2 / v_g^2`` makes the n-by-n
-    reduced system invertible in closed form, leaving the m-by-m solve
-    ``(A W^-1 A^T + lam I) t = A W^-1 A^T y``.
+    reduced system ``(A^T A + lam W) x = A^T y`` invertible in closed form:
+    one m-by-m solve of ``(A W^-1 A^T + lam I) z = y``, then
+    ``x = W^-1 A^T z``.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -542,10 +532,8 @@ def solve_overlap_woodbury(A, ogroups, v, lam, y, cfg=DEFAULT):
     wdiag = np.zeros(A.cols)
     for g, wg, vg in zip(ogroups.groups, L.block_weights, v):
         wdiag[g] += wg ** 2 / vg ** 2
-    winv_b = A.adjoint(y) / wdiag
-    t, _ = _dual_solve(A, 1.0 / wdiag, lam, A.apply(winv_b), cfg,
-                       "woodbury system")
-    x = (winv_b - A.adjoint(t) / wdiag) / lam
+    z, _ = _dual_solve(A, 1.0 / wdiag, lam, y, cfg, "woodbury system")
+    x = A.adjoint(z) / wdiag
     # the lifted partition's blocks are the groups in order: extend is repeat
     return _from_x_route(A, L, -np.repeat(v, ogroups.sizes) ** 2, -lam, y, x,
                          A.rows, "woodbury")

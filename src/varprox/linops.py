@@ -160,6 +160,11 @@ class MaskOperator(LinearOperator):
         out[self.keep] = y
         return out
 
+    def _sparsify(self):      # row i holds a one at column keep[i]
+        return scipy.sparse.csr_array(
+            (np.ones(self.rows), self.keep, np.arange(self.rows + 1)),
+            shape=self.shape)
+
 
 class Grad2DOperator(LinearOperator):
     """Forward differences on a (channels, height, width) image.

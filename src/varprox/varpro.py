@@ -143,9 +143,10 @@ def eval_f_grad(problem, v):
 
     Returns ``(f, grad, inner)``.  ``f`` is reassembled from the primal
     pieces ``||v||^2/2 + ||u||^2/2 + F0(A x)`` with ``u = vbar * alpha``.
-    Interpolation ``A x = y`` needs ``L = Id`` and solves the two-factor
-    system at ``v w = v``, ``lam = 0``; ``||A x - y||_inf`` above
-    ``inner.FEAS_TOL (1 + ||y||_inf)`` raises :class:`InnerSolveError`.
+    Interpolation ``A x = y`` needs ``L = Id`` and one right-hand side
+    (else ``ValueError``), and solves the two-factor system at ``v w = v``,
+    ``lam = 0``; ``||A x - y||_inf`` above ``inner.FEAS_TOL (1 +
+    ||y||_inf)`` raises :class:`InnerSolveError`.
     """
     v = np.asarray(v, dtype=float)
     gs = problem.reg_groups
@@ -157,6 +158,9 @@ def eval_f_grad(problem, v):
     elif isinstance(loss, BasisPursuitLoss):
         _require_identity_L(problem, "the interpolation loss")
         y = np.asarray(loss.y, dtype=float).ravel()
+        if y.size != problem.A.rows:        # an m-by-T y with T > 1
+            raise ValueError("the interpolation loss takes one right-hand "
+                             f"side, got y of shape {np.shape(loss.y)}")
         sol = inner_mod.solve_two_factor(problem.A, v, gs, 0.0, y)
         tol = inner_mod.FEAS_TOL * (1.0 + np.abs(y).max(initial=0))
         if not sol.kkt_residual <= tol:     # NaN from v = 0 fails too
@@ -562,11 +566,13 @@ def solve_lq_option2(problem, config=None, restarts=1):
     :class:`~varprox.inner.InnerSolution` of its answer as ``inner`` and
     ``x`` read from it (1-D for one right-hand side); a start with no
     finite evaluation gives ``x=None``, ``inner=None``, objective ``inf``.
-    ``restarts`` below 1 is a ``ValueError``, raised before any solve.
+    ``restarts`` below 1 and an ``L`` that is not Id each raise
+    ``ValueError`` before any solve.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     config = config or OuterConfig()
+    _require_identity_L(problem, "the two-factor path")
     nv = problem.reg_groups.n_groups
     rng = np.random.default_rng(config.seed)
     warm = _lq_warm_factors(problem)

@@ -11,9 +11,9 @@ from varprox.inner import (InnerConfig, InnerSolveError, solve_analysis_prox,
                            solve_overlap_woodbury, solve_quadratic_general,
                            solve_robust, solve_two_factor)
 from varprox.linops import (BlockExtractOperator, Grad2DOperator,
-                            block_extract, dense, grad2d, identity,
-                            tv_group_structure)
-from varprox.problems import pixel_channel_groups
+                            LinearOperator, block_extract, dense, grad2d,
+                            identity, tv_group_structure)
+from varprox.problems import make_inpainting_mask, pixel_channel_groups
 from varprox.varpro import BasisPursuitLoss, VarProProblem, eval_f_grad
 
 
@@ -64,6 +64,65 @@ def test_extended_path_handles_zero_v(rng):
     assert sol.kkt_residual < 1e-8
     # constrained rows are annihilated
     assert np.abs(L.apply(sol.x)[2:4]).max() < 1e-8
+
+
+def _constrained_reference(A, L, vbar, lam, y, zero):
+    """``argmin ||A x - y||^2 / (2 lam) + ||(L x / vbar)_K||^2 / 2`` subject
+    to ``L x = 0`` on the rows ``zero``, ``K`` the others: the quadratic
+    inner ``x`` when ``vbar`` vanishes on ``zero``, by a dense null-space
+    solve."""
+    Ld, Ad = L.to_sparse().toarray(), A.to_sparse().toarray()
+    N = scipy.linalg.null_space(Ld[zero])
+    C = Ld[~zero] / vbar[~zero, None]
+    H = N.T @ (Ad.T @ Ad / lam + C.T @ C) @ N
+    return N @ np.linalg.solve(H, N.T @ (Ad.T @ y) / lam)
+
+
+@pytest.mark.parametrize("case", ["zero-block", "tiny-block", "all-zero"])
+def test_inpainting_with_vanishing_groups_solves_the_sparse_saddle_system(
+        monkeypatch, case):
+    # tv-inpaint with a 2x2 pixel block whose v_g are exactly 0 (then alpha
+    # can circulate around the block's four inner edges, so the unfloored
+    # saddle matrix is singular), at 1e-10 of the largest, or v = 0
+    h, w, c, lam = 8, 8, 3, 0.2
+    L, gs = grad2d(h, w, c), tv_group_structure(h, w, c)
+    A = make_inpainting_mask(h, w, 0.3, seed=2, channels=c)
+    block = [2 * w + 2, 2 * w + 3, 3 * w + 2, 3 * w + 3]   # one group per pixel
+    dense_solves = []
+    sym_solve = inner._sym_solve
+
+    def spy(M, b, what):
+        dense_solves.append(M.shape)
+        return sym_solve(M, b, what)
+
+    def refuse(self):
+        raise AssertionError("the saddle route formed a dense operator")
+
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        y = rng.uniform(0, 1, A.rows)
+        v = rng.uniform(0.5, 1.5, gs.n_groups)
+        v[block] = 1e-10 * v.max() if case == "tiny-block" else 0.0
+        if case == "all-zero":
+            v[:] = 0.0
+        vbar = extend(v, gs)
+        zero = vbar < 1e-8
+        ref = _constrained_reference(A, L, vbar, lam, y, zero)
+        if case == "zero-block" and seed == 0:
+            M = _saddle_matrix(A, L, -vbar ** 2, -lam)
+            assert np.linalg.matrix_rank(M) < M.shape[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(inner, "_sym_solve", spy)
+            patch.setattr(LinearOperator, "to_dense", refuse)
+            patch.setattr(LinearOperator, "gram", refuse)
+            sol = solve_quadratic_general(A, L, v, gs, lam, y)
+        kkt = inner._kkt(A, L, -vbar ** 2, -lam, y, sol.x, sol.alpha, sol.xi)
+        assert sol.kkt_residual == kkt <= 1e-9
+        assert np.abs(sol.x - ref).max() <= 1e-8
+        assert (sol.method, sol.system_size) == ("direct-extended",
+                                                 L.rows + A.rows + A.cols)
+    if case != "all-zero":
+        assert dense_solves == []
 
 
 def test_grouplasso_dual_one_dim():
@@ -376,7 +435,7 @@ def test_woodbury_matches_dense_and_system_size(rng):
     w = solve_overlap_woodbury(A, ogs, v, 0.5, y)
     d = solve_quadratic_general(A, L, v, L.lifted_partition(), 0.5, y)
     assert w.system_size == m          # m-by-m factorization, not n-by-n
-    assert d.system_size == n
+    assert d.system_size == L.rows + m + n
     assert np.abs(w.x - d.x).max() < 1e-8
 
 
@@ -397,7 +456,7 @@ def test_woodbury_groups_that_do_not_span_fall_back(rng):
     v, y = np.array([0.8, 1.3]), rng.standard_normal(3)
     sol = solve_overlap_woodbury(A, ogs, v, 0.5, y)
     ref = solve_quadratic_general(A, L, v, L.lifted_partition(), 0.5, y)
-    assert sol.method == ref.method == "direct"
+    assert sol.method == ref.method == "direct-extended"
     assert np.array_equal(sol.x, ref.x)
 
 
@@ -696,7 +755,7 @@ def test_dispatch_routes_match_general_direct(route, seed, lam, data):
         sol = solve_quadratic_general(A, L, v, gs, lam, y, cfg)
     ref = solve_quadratic_general(A, L, v, ref_gs, lam, y,
                                   InnerConfig(method="direct"))
-    assert ref.method == "direct"
+    assert ref.method == "direct-extended"
     family = route.split("-")[0]
     assert sol.method == {"woodbury": "woodbury",
                           "analysis": "sparse-direct"}.get(family, method)
@@ -866,7 +925,7 @@ def test_every_route_solves_the_saddle_system_of_its_loss(rng, route):
         method = route.split("-")[1]
         cfg = InnerConfig(method="auto" if method == "degenerate" else method)
         sol = solve_quadratic_general(A, L, v, gs, lam, y, cfg)
-        assert sol.method == {"degenerate": "direct-extended"}.get(method, method)
+        assert sol.method == {"cg": "cg"}.get(method, "direct-extended")
     elif route == "group-dual":
         sol = solve_grouplasso_dual(A, v, gs, lam, y)
     elif route == "analysis-prox":

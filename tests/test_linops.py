@@ -144,9 +144,13 @@ def test_adjoint_consistency_all_kinds(rng):
 def test_to_sparse_equals_to_dense(rng):
     grads = [grad2d(h, w, channels=c) for h, w in ((1, 1), (1, 4), (4, 1), (3, 5))
              for c in (1, 3)]
-    for op in _all_kinds(rng) + grads:
+    masks = [MaskOperator(keep, n) for keep, n in
+             (([], 5), (range(6), 6), ([7, 2, 2, 0], 9))]
+    for op in _all_kinds(rng) + grads + masks:
         S = op.to_sparse()
         assert S.shape == op.shape and S.format == "csr"
+        if isinstance(op, MaskOperator):    # built from keep, not densified
+            assert op._dense is None and S.has_canonical_format
         assert np.array_equal(S.toarray(), op.to_dense()), op
         assert op.to_sparse() is S                     # memoized
 

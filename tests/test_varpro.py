@@ -76,7 +76,7 @@ def test_overlapping_extractor_takes_woodbury_only_on_its_lifted_partition(
     v = rng.uniform(0.5, 1.5, gs.n_groups)
     _, _, sol = eval_f_grad(VarProProblem(A, L, gs, QuadraticLoss(y, lam)), v)
     ref = solve_quadratic_general(A, L, v, gs, lam, y)
-    assert sol.method == ("woodbury" if regroup == "lifted" else "direct")
+    assert sol.method == ("woodbury" if regroup == "lifted" else "direct-extended")
     assert np.abs(sol.x - ref.x).max() < 1e-10
 
 
@@ -926,7 +926,7 @@ def test_a_tv_run_that_cannot_certify_ends_as_without_the_certificate(
 
 
 @pytest.mark.parametrize("name, stop, evals", [
-    ("tv-inpaint", "noise_floor", 84), ("tv-l1", "noise_floor", 22),
+    ("tv-inpaint", "noise_floor", 37), ("tv-l1", "noise_floor", 22),
     ("group-lasso", "noise_floor", 33)])
 def test_families_without_the_tv_certificate_keep_their_stops(name, stop,
                                                               evals):
@@ -995,3 +995,43 @@ def test_paths_that_assume_l_is_the_identity_reject_another_l(rng, entry):
     # problem and report its answer as that of the problem asked
     with pytest.raises(ValueError, match="needs L = Id"):
         _scaled_identity_problem(entry, rng)()
+
+
+def _count_two_factor_solves(monkeypatch):
+    calls = []
+    solve_two_factor = varpro.inner_mod.solve_two_factor
+
+    def spy(*args):
+        calls.append(args)
+        return solve_two_factor(*args)
+
+    monkeypatch.setattr(varpro.inner_mod, "solve_two_factor", spy)
+    return calls
+
+
+def test_solve_lq_option2_refuses_another_l_before_any_solve(monkeypatch, rng):
+    # the warm start would otherwise solve the L = Id system first
+    calls = _count_two_factor_solves(monkeypatch)
+    with pytest.raises(ValueError, match="needs L = Id"):
+        _scaled_identity_problem("solve_lq_option2", rng)()
+    assert calls == []
+
+
+def test_interpolation_refuses_several_right_hand_sides(monkeypatch, rng):
+    # one column of y is the single-factor path's only shape: two columns
+    # are a ValueError before any solve, from eval_f_grad and solve_varpro
+    m, n = 4, 8
+    A = dense(rng.standard_normal((m, n)))
+    Y = A.to_dense() @ rng.standard_normal((n, 2))
+    prob = VarProProblem(A, identity(n), trivial_groups(n), BasisPursuitLoss(y=Y))
+    calls = _count_two_factor_solves(monkeypatch)
+    with pytest.raises(ValueError, match="one right-hand side"):
+        eval_f_grad(prob, np.ones(n))
+    with pytest.raises(ValueError, match="one right-hand side"):
+        solve_varpro(prob, OuterConfig(max_iter=5))
+    assert calls == []
+    # the column shape of one right-hand side still solves
+    one = VarProProblem(A, identity(n), trivial_groups(n),
+                        BasisPursuitLoss(y=Y[:, :1]))
+    f, _, sol = eval_f_grad(one, np.ones(n))
+    assert np.isfinite(f) and np.abs(A.apply(sol.x) - Y[:, 0]).max() < 1e-8
