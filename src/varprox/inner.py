@@ -18,10 +18,10 @@ robust (variational)             ``vbar^2``   ``lam * wbar^2``
 exact interpolation ``A x = y``  ``-vbar^2``  ``0``
 ===============================  ===========  ================
 
-Every route returns ``(x, alpha, xi)`` with one certificate, ``_kkt``, the
-max norm of the system's residual (the ``A = Id`` and ``L = Id`` routes form
-only the rows their recovery does not zero exactly), after one of four
-eliminations:
+Every route returns ``(x, alpha, xi)`` with one certificate, the max norm
+of the residual rows its recovery formulas leave open (row 1 after ``A =
+Id``, row 3 after ``x`` first, row 2 after ``L = Id``, all three, ``_kkt``,
+with no elimination), after one of four eliminations:
 
 * none, ``_saddle_route``: the full system, sparse, by SuperLU, with
   ``|d_alpha|`` floored (the general quadratic route, TV inpainting);
@@ -403,25 +403,25 @@ def _prox_route(L, vbar, lam, s, y, sign, what):
     """``A = Id`` with ``(d_alpha, d_xi) = sign * (vbar^2, lam s)``:
     ``alpha`` solves ``(diag(vbar^2) + lam L diag(s) L^T) alpha = -sign L y``
     by :func:`_prox_solve`, then ``xi = -L^T alpha`` and
-    ``x = y - d_xi xi``.  Row 3 of the certificate, ``L^T alpha + xi``, is
-    exactly zero by that choice of ``xi``, so only rows 1 and 2 are
-    formed: the same value as :func:`_kkt` without its adjoint product."""
+    ``x = y - d_xi xi``.  Those two recoveries zero rows 3 and 2, so the
+    certificate is row 1, ``d_alpha alpha + L x``."""
     d = vbar ** 2
     alpha = _prox_solve(L, d, s, lam, -sign * L.apply(y), what)
     xi = -L.adjoint(alpha)
     d_alpha, d_xi = sign * d, sign * lam * s
     x = y - d_xi * xi
-    res = _max_norm(d_alpha * alpha + L.apply(x), d_xi * xi + x - y)
+    res = _max_norm(d_alpha * alpha + L.apply(x))
     return InnerSolution(x, alpha, xi, res, system_size=L.rows,
                          method="sparse-direct")
 
 
 def _from_x_route(A, L, d_alpha, d_xi, y, x, size, method):
     """``x`` solved first: ``alpha = -L x / d_alpha`` and
-    ``xi = (y - A x) / d_xi`` from the first two rows."""
+    ``xi = (y - A x) / d_xi`` zero rows 1 and 2, so the certificate is
+    row 3, ``L^T alpha + A^T xi``."""
     alpha = -L.apply(x) / d_alpha
     xi = (y - A.apply(x)) / d_xi
-    res = _kkt(A, L, d_alpha, d_xi, y, x, alpha, xi)
+    res = _max_norm(L.adjoint(alpha) + A.adjoint(xi))
     return InnerSolution(x, alpha, xi, res, system_size=size, method=method)
 
 
@@ -512,12 +512,12 @@ def solve_analysis_prox(L, v, gs, lam, y, cfg=DEFAULT):
 def solve_overlap_woodbury(A, ogroups, v, lam, y, cfg=DEFAULT):
     """Overlapping-group solve through the m-by-m inverted system.
 
-    Valid when the groups span the index set and every ``v_g`` is nonzero;
-    otherwise falls back to the general route on the lifted extractor.  The
-    diagonal ``W_ii = sum_{g contains i} w_g^2 / v_g^2`` makes the n-by-n
-    reduced system ``(A^T A + lam W) x = A^T y`` invertible in closed form:
-    one m-by-m solve of ``(A W^-1 A^T + lam I) z = y``, then
-    ``x = W^-1 A^T z``.
+    Valid when the groups span the index set and the diagonal
+    ``W_ii = sum_{g contains i} w_g^2 / v_g^2`` is finite (a zero or tiny
+    ``v_g`` makes it infinite); otherwise falls back to the general route on
+    the lifted extractor.  ``W`` makes the n-by-n reduced system
+    ``(A^T A + lam W) x = A^T y`` invertible in closed form: one m-by-m
+    solve of ``(A W^-1 A^T + lam I) z = y``, then ``x = W^-1 A^T z``.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -525,13 +525,14 @@ def solve_overlap_woodbury(A, ogroups, v, lam, y, cfg=DEFAULT):
         raise ValueError("overlapping group structure required")
     v = np.asarray(v, dtype=float)
     L = BlockExtractOperator(ogroups, A.cols)
-    if np.any(v == 0.0) or not ogroups.spans():
+    wdiag = np.zeros(A.cols)
+    with np.errstate(all="ignore"):     # a non-finite W falls back below
+        for g, wg, vg in zip(ogroups.groups, L.block_weights, v):
+            wdiag[g] += wg ** 2 / vg ** 2
+    if not (np.isfinite(wdiag).all() and ogroups.spans()):
         return solve_quadratic_general(A, L, v, L.lifted_partition(), lam, y,
                                        cfg)
     y = np.asarray(y, dtype=float).ravel()
-    wdiag = np.zeros(A.cols)
-    for g, wg, vg in zip(ogroups.groups, L.block_weights, v):
-        wdiag[g] += wg ** 2 / vg ** 2
     z, _ = _dual_solve(A, 1.0 / wdiag, lam, y, cfg, "woodbury system")
     x = A.adjoint(z) / wdiag
     # the lifted partition's blocks are the groups in order: extend is repeat

@@ -116,11 +116,11 @@ class OuterConfig:
 
 @dataclass
 class VarProResult:
-    """``duality_gap`` is set for the group lasso, the relative duality gap
-    of the last finite evaluation, and for TV denoising (quadratic loss,
-    ``A = Id``), that of the returned ``x``; ``screened``, the number of
-    groups screened out, for the group lasso only (see
-    :func:`solve_varpro`).  Only TV denoising stops on its gap."""
+    """One run's answer (see :func:`_minimize`).  ``x`` is 1-D for one
+    right-hand side.  The family objects add ``duality_gap``, the relative
+    gap of the group lasso's last finite evaluation and of TV denoising's
+    returned ``x`` (quadratic loss, ``A = Id``), and the group lasso's
+    ``screened`` count.  Only TV denoising stops on its gap."""
     v: np.ndarray
     x: np.ndarray
     objective: float
@@ -288,6 +288,10 @@ class _GapSafeScreen:
     penalties", JMLR 2017).
 
     ``out`` marks the groups certified zero at the optimum; it only grows.
+    Every evaluation, line search trials included, sets their ``v_g = 0``.
+    That zeroes their envelope terms and gradient, drops their columns from
+    the m-by-m dual assembly, and leaves the L-BFGS memory as it is; each
+    recorded objective is the projected objective at the masked point.
     After a finite evaluation at the masked ``v``, the inner dual ``xi``
     divided by ``s = max(1, max_g ||alpha_g||)`` (``alpha = -A^T xi``) is
     dual feasible, with value ``D = -lam ||xi/s||^2 / 2 - <xi/s, y>``.  The
@@ -302,7 +306,10 @@ class _GapSafeScreen:
     would screen an active group whose ``||alpha_g||`` rounds below one.
     """
 
+    gap = None          # the gap is reported, never a stop
+
     def __init__(self, problem):
+        self.problem = problem
         self.gs = problem.reg_groups
         self.lam = problem.loss.lam
         self.y = np.asarray(problem.loss.y, dtype=float).ravel()
@@ -313,7 +320,13 @@ class _GapSafeScreen:
     def mask(self, v):
         return np.where(self.out, 0.0, v)
 
-    def update(self, v, f, sol):
+    def eval_f_grad(self, v):
+        """:func:`eval_f_grad` at the masked ``v``; a finite value updates
+        the gap and the screened groups."""
+        v = self.mask(v)
+        f, grad, sol = eval_f_grad(self.problem, v)
+        if not np.isfinite(f):
+            return f, grad, sol
         a = np.sqrt(group_sq_norms(sol.alpha, self.gs))
         s = max(1.0, float(a.max(initial=0.0)))
         primal = f - 0.5 * float(np.sum(v * v * (1.0 - a) ** 2))
@@ -323,6 +336,15 @@ class _GapSafeScreen:
         gap = max(primal - dual, 16 * np.finfo(float).eps * scale)
         self.rel_gap = gap / scale
         self.out |= a / s + self.norms * np.sqrt(2 * gap / self.lam) < 1.0
+        return f, grad, sol
+
+    def result(self, fields):
+        """``v`` and ``x`` zero on the screened groups (the last evaluation
+        may have screened groups it still held), the last gap and the
+        screened count."""
+        fields["x"][self.out[self.gs.group_of]] = 0.0
+        return {"v": self.mask(fields["v"]), "duality_gap": self.rel_gap,
+                "screened": int(self.out.sum())}
 
 
 # accelerated projected-gradient steps of each TV duality-gap check: with
@@ -348,7 +370,9 @@ class _ProxDual:
     are those of one block, so they are read off the memoized sparse form
     of the channel block, which the inner solves build anyway.
     ``rel_gap`` is the last ``(P - D) / max(|P|, |D|, 1)``, with ``P`` at
-    the inner solution's ``x``.
+    the inner solution's ``x``.  The descent loop asks for it as
+    :mod:`varprox.optim` says; a run that never certifies ends as it would
+    without the gap, and the result carries the gap of its answer either way.
     """
 
     def __init__(self, problem):
@@ -358,6 +382,13 @@ class _ProxDual:
         bound = S.sum(axis=0).max(initial=0.0) * S.sum(axis=1).max(initial=0.0)
         self.step = 1.0 / (problem.loss.lam * max(float(bound), 1e-300))
         self.rel_gap = self.at = None
+
+    def eval_f_grad(self, v):
+        return eval_f_grad(self.problem, v)
+
+    def result(self, fields):
+        """The gap of the returned ``inner`` solution."""
+        return {"duality_gap": self.gap(fields["inner"])}
 
     def dual(self, alpha):
         """``D(alpha)``; a lower bound on every ``P(x)`` when each
@@ -421,20 +452,25 @@ def _outer(config, rng, starts, envelope):
         a: theta[:cut], b: theta[cut:].reshape(shape)}
 
 
-def _minimize(config, theta0, evaluate, name, dual):
-    """The one outer driver: minimize ``evaluate`` from ``theta0``.
+def _minimize(config, rng, starts, envelope, name, family):
+    """The one outer driver: minimize ``envelope`` over the blocks of
+    ``starts`` as :func:`_outer` lays them out, and return the one
+    :class:`VarProResult`.  An :class:`InnerSolveError` or a non-finite
+    value scores ``+inf``.
 
-    ``evaluate(theta) -> (f, grad, sol)``; an :class:`InnerSolveError` or a
-    non-finite value scores ``+inf``.  With a ``dual`` (a :class:`_ProxDual`,
-    else None) the objective's ``certify`` is ``dual.gap`` at the last
-    finite evaluation, which is the accepted point when the descent loop
-    asks, so the run can end on ``certified``.  Returns ``(theta, f, trace,
-    sol)`` with ``sol`` the solution at the returned ``theta``: that of the
-    lowest finite value, which is the accepted point unless a rejected trial
-    of the line search scored lower.  When that is not at ``theta``, or
-    there was no finite evaluation, the final point is evaluated once more,
-    so an inner failure there raises.
+    ``family`` is None or a family object (:class:`_GapSafeScreen`,
+    :class:`_ProxDual`).  A ``family.gap`` that is not None is the
+    objective's ``certify``, asked at the last finite evaluation, which is
+    the accepted point when the descent loop asks.  The result holds the
+    blocks of the returned ``theta`` and the inner solution of the lowest
+    finite value, which is the accepted point unless a rejected trial of
+    the line search scored lower; when that is not at ``theta``, or there
+    was no finite evaluation, ``theta`` is evaluated once more, so an inner
+    failure there raises.  ``x`` is that solution's (1-D for one right-hand
+    side, None without one), and ``family.result`` adds its fields.
     """
+    theta0, evaluate, split = _outer(config, rng, starts, envelope)
+    gap = None if family is None else family.gap
     low = low_at = last = None
     f_low = np.inf
 
@@ -446,21 +482,25 @@ def _minimize(config, theta0, evaluate, name, dual):
             return np.inf, np.zeros_like(theta)
         if not np.isfinite(f):
             return np.inf, np.zeros_like(theta)
-        if dual is not None:    # the accepted point's, when certify asks
+        if gap is not None:     # the accepted point's, when certify asks
             last = sol
         if f < f_low:
             low, low_at, f_low = sol, theta, f
         return f, grad
 
-    if dual is not None:
-        fun.certify = lambda: dual.gap(last)
+    if gap is not None:
+        fun.certify = lambda: gap(last)
 
     minimize = minimize_lbfgs if config.algorithm == "lbfgs" else minimize_gd_bb
     theta, f, _, trace = minimize(fun, theta0, config.max_iter, config.grad_tol,
                                   method_name=name)
-    if low_at is not None and np.array_equal(low_at, theta):
-        return theta, f, trace, low
-    return theta, f, trace, evaluate(theta)[2]
+    if low_at is None or not np.array_equal(low_at, theta):
+        low = evaluate(theta)[2]
+    x = None if low is None else low.x[:, 0] if low.x.shape[1:] == (1,) else low.x
+    fields = {"x": x, "inner": low, **split(theta)}
+    if family is not None:
+        fields.update(family.result(fields))
+    return VarProResult(objective=f, trace=trace, **fields)
 
 
 def solve_varpro(problem, config=None):
@@ -469,75 +509,38 @@ def solve_varpro(problem, config=None):
     Dispatches on the loss type: a single grouped factor for quadratic and
     interpolation losses, ``(v, w)`` for robust losses, ``(v, W)`` for the
     multitask problem.  Returns a :class:`VarProResult` whose trace records
-    every accepted iterate.
-
-    The group lasso (quadratic loss, ``L = Id``) is screened: after every
-    finite evaluation the Gap Safe rule (:class:`_GapSafeScreen`) marks the
-    groups that are zero at the optimum, and every later evaluation, line
-    search trials included, sets their ``v_g = 0``.  That zeroes their
-    envelope terms and gradient, drops their columns from the m-by-m dual
-    assembly, and leaves the L-BFGS memory as it is; each recorded
-    objective is the projected objective at the masked point.  The
-    returned ``v`` and ``x`` are zero on the screened groups, and the
-    result carries the last relative duality gap and the screened count
-    (reported only: no group-lasso stop rests on the gap).
-
-    TV denoising (quadratic loss, ``A = Id``, ``L`` not the identity) is
-    certified by :class:`_ProxDual`: after an accepted step that lowered
-    ``f`` by at most ``optim.CHECK_REL`` relative, at least
-    ``optim.CHECK_EVALS`` evaluations after the last check, the descent
-    loop asks for the relative duality gap at that point, and the run ends
-    on ``certified`` once it is at most ``optim.GAP_TOL``.  A run that
-    never certifies ends as it would without the gap; the result carries
-    the gap of its answer either way.  Every evaluation goes
-    through the module attribute ``eval_f_grad``.  The inner solves run
+    every accepted iterate.  Two quadratic families evaluate through their
+    family object: the group lasso (``L = Id``) is screened by
+    :class:`_GapSafeScreen`, whose gap is only reported, and TV denoising
+    (``A = Id``) ends on ``certified`` once the gap of :class:`_ProxDual`
+    is at most ``optim.GAP_TOL``.  Every evaluation goes through the module
+    attribute of its family's envelope (``eval_f_grad``,
+    ``eval_f_grad_robust``, ``eval_multitask``).  The inner solves run
     with the default :class:`~varprox.inner.InnerConfig`; each starts from
     scratch, with nothing carried over from the previous evaluation.
     """
     config = config or OuterConfig()
-    rng = np.random.default_rng(config.seed)
-    gs = problem.reg_groups
-    loss = problem.loss
-    screen = dual = None
-    if isinstance(loss, (QuadraticLoss, BasisPursuitLoss)):
-        family, starts = "", {"v": gs.n_groups}
-        if isinstance(loss, QuadraticLoss) and isinstance(problem.L, IdentityOperator):
-            screen = _GapSafeScreen(problem)
-        elif isinstance(loss, QuadraticLoss) and isinstance(problem.A, IdentityOperator):
-            dual = _ProxDual(problem)
-
-        def envelope(v):
-            if screen is None:
-                return eval_f_grad(problem, v)
-            v = screen.mask(v)
-            f, grad, sol = eval_f_grad(problem, v)
-            if np.isfinite(f):
-                screen.update(v, f, sol)
-            return f, grad, sol
+    gs, loss = problem.reg_groups, problem.loss
+    quadratic, family = isinstance(loss, QuadraticLoss), None
+    if quadratic or isinstance(loss, BasisPursuitLoss):
+        prefix, starts = "", {"v": gs.n_groups}
+        if quadratic and isinstance(problem.L, IdentityOperator):
+            family = _GapSafeScreen(problem)
+        elif quadratic and isinstance(problem.A, IdentityOperator):
+            family = _ProxDual(problem)
+        envelope = family.eval_f_grad if family else partial(eval_f_grad, problem)
     elif isinstance(loss, RobustLoss):
-        family = "robust-"
+        prefix = "robust-"
         starts = {"v": gs.n_groups, "w": loss.loss_groups.n_groups}
         envelope = partial(eval_f_grad_robust, problem)
     elif isinstance(loss, MultitaskLoss):
-        family, starts = "multitask-", {"v": problem.A.cols,
+        prefix, starts = "multitask-", {"v": problem.A.cols,
                                         "W": np.eye(problem.A.rows)}
         envelope = partial(eval_multitask, problem)
     else:
         raise TypeError(f"unsupported loss {type(loss).__name__}")
-
-    theta0, evaluate, split = _outer(config, rng, starts, envelope)
-    theta, f, trace, sol = _minimize(config, theta0, evaluate,
-                                     "varpro-" + family + config.algorithm, dual)
-    if screen is None:
-        return VarProResult(x=sol.x, objective=f, trace=trace, inner=sol,
-                            duality_gap=None if dual is None else dual.gap(sol),
-                            **split(theta))
-    # the last evaluation may have screened groups it still held
-    sol.x[screen.out[gs.group_of]] = 0.0
-    return VarProResult(v=screen.mask(theta), x=sol.x,
-                        objective=f, trace=trace, inner=sol,
-                        duality_gap=screen.rel_gap,
-                        screened=int(screen.out.sum()))
+    return _minimize(config, np.random.default_rng(config.seed), starts,
+                     envelope, "varpro-" + prefix + config.algorithm, family)
 
 
 def _lq_warm_factors(problem):
@@ -581,12 +584,7 @@ def solve_lq_option2(problem, config=None, restarts=1):
     draws = isinstance(config.init, str) and config.init == "random"
     for k in range(restarts if draws else 1):
         starts = {"v": warm[:nv], "w": warm[nv:]} if k == 0 else {"v": nv, "w": nv}
-        theta0, evaluate, split = _outer(config, rng, starts, envelope)
-        theta, f, trace, sol = _minimize(config, theta0, evaluate, "varpro-lq2",
-                                         None)
-        x = None if sol is None else sol.x.ravel() if sol.x.shape[1] == 1 else sol.x
-        result = VarProResult(x=x, objective=f, trace=trace, inner=sol,
-                              **split(theta))
+        result = _minimize(config, rng, starts, envelope, "varpro-lq2", None)
         if best is None or result.objective < best.objective:
             best = result
     return best

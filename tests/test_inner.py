@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -448,6 +450,23 @@ def test_woodbury_zero_v_falls_back(rng):
     assert sol.kkt_residual < 1e-8
 
 
+@pytest.mark.parametrize("tiny", [1e-170, 1e-160])
+def test_woodbury_tiny_v_falls_back(rng, tiny):
+    # v_g^2 underflows to zero (1e-170) or w_g^2 / v_g^2 overflows (1e-160):
+    # W is not finite, and the Woodbury solve would return a NaN certificate
+    ogs = _overlap_windows(12)
+    A = dense(rng.standard_normal((5, 12)))
+    L = block_extract(ogs, 12)
+    v, y = rng.uniform(0.5, 1.5, ogs.n_groups), rng.standard_normal(5)
+    v[2] = tiny
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = solve_overlap_woodbury(A, ogs, v, 0.5, y)
+    ref = solve_quadratic_general(A, L, v, L.lifted_partition(), 0.5, y)
+    assert sol.method == ref.method == "direct-extended"
+    assert np.array_equal(sol.x, ref.x) and sol.kkt_residual < 1e-10
+
+
 def test_woodbury_groups_that_do_not_span_fall_back(rng):
     # index 3 is in no group, so W has a zero diagonal entry
     ogs = GroupStructure([[0, 1], [1, 2]], p=4, mode="overlapping")
@@ -707,6 +726,39 @@ def _overlap_windows(n, size=3, stride=2):
         starts.append(n - size)
     return GroupStructure([list(range(k, k + size)) for k in starts], p=n,
                           mode="overlapping")
+
+
+@pytest.mark.parametrize("route", ["prox", "woodbury", "general-cg"])
+def test_each_certificate_sees_an_inexact_solve(monkeypatch, rng, route):
+    # each elimination forms only the rows its recovery leaves open: row 1
+    # after the A = Id prox solve, row 3 after an x-first solve.  A solve
+    # off by a factor 1 + 1e-6 must show in the certificate
+    if route == "prox":
+        L, gs = grad2d(3, 4), tv_group_structure(3, 4)
+        v, y = rng.uniform(0.5, 1.5, gs.n_groups), rng.uniform(0, 1, 12)
+        name, solve = "_prox_solve", lambda: solve_analysis_prox(L, v, gs, 0.5, y)
+    else:
+        ogs = _overlap_windows(12)
+        A = dense(rng.standard_normal((5, 12)))
+        v, y = rng.uniform(0.5, 1.5, ogs.n_groups), rng.standard_normal(5)
+        if route == "woodbury":
+            name, solve = "_dual_solve", lambda: solve_overlap_woodbury(
+                A, ogs, v, 0.5, y)
+        else:
+            L = block_extract(ogs, 12)
+            name, solve = "_cg", lambda: solve_quadratic_general(
+                A, L, v, L.lifted_partition(), 0.5, y, InnerConfig(method="cg"))
+    assert solve().kkt_residual < 1e-9       # CG stops at a relative 1e-10
+    exact = getattr(inner, name)
+
+    def perturbed(*args):
+        out = exact(*args)
+        if isinstance(out, tuple):          # _dual_solve: (solution, method)
+            return (out[0] * (1 + 1e-6), *out[1:])
+        return out * (1 + 1e-6)
+
+    monkeypatch.setattr(inner, name, perturbed)
+    assert solve().kkt_residual > 1e-8
 
 
 ROUTES = ["grouplasso-direct", "grouplasso-cg", "woodbury-direct",

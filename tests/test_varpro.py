@@ -927,14 +927,28 @@ def test_a_tv_run_that_cannot_certify_ends_as_without_the_certificate(
 
 @pytest.mark.parametrize("name, stop, evals", [
     ("tv-inpaint", "noise_floor", 37), ("tv-l1", "noise_floor", 22),
-    ("group-lasso", "noise_floor", 33)])
+    ("group-lasso", "noise_floor", 33), ("sqrt-lasso", "noise_floor", 105),
+    ("eval_multitask", "max_iter", 611),
+    ("overlap-group-lasso", "noise_floor", 90),
+    ("eval_lq_option2", "noise_floor", 23)])
 def test_families_without_the_tv_certificate_keep_their_stops(name, stop,
                                                               evals):
     # no route but the quadratic A = Id one reaches the TV certificate: the
-    # stops and evaluation counts are those of the runs before it existed
-    prob = (_screened_group_lasso(0)[1] if name == "group-lasso"
-            else _image_problem(name, 8 if name == "tv-inpaint" else 6))
-    res = solve_varpro(prob, OuterConfig())
+    # stops and evaluation counts are those of the runs before it existed,
+    # and of the outer layout before the family objects (seed 0, L-BFGS;
+    # one solve_lq_option2 start)
+    solve = solve_varpro
+    if name.startswith("eval"):
+        prob, solve = _family_problems()[name]
+    elif name == "group-lasso":
+        prob = _screened_group_lasso(0)[1]
+    elif name.startswith("tv"):
+        prob = _image_problem(name, 8 if name == "tv-inpaint" else 6)
+    else:                   # varprox run's defaults: 30x100 and 30x300
+        section = configparser.ConfigParser()
+        section.read_dict({"problem": {"family": name}})
+        prob = cli.build_problem(section["problem"])[0]
+    res = solve(prob, OuterConfig())
     assert res.trace.stop_reason == stop and res.trace.evals == evals
 
 
