@@ -206,12 +206,12 @@ def run_primal_dual(variant, A, L, gs, lam, y, loss_groups=None, iters=1000):
     return trace
 
 
-def lq_value(x, gs, q):
-    """``sum_g ||x_g||^q / q``."""
-    if not 0.0 < q < 2.0:
-        raise ValueError("q must lie in (0, 2)")
-    norms = np.sqrt(group_sq_norms(x, gs))
-    return float(np.sum(norms ** q)) / q
+def lq_value(sq, q):
+    """``sum_g ||x_g||^q / q`` from the squared group norms ``sq =
+    group_sq_norms(x, gs)``."""
+    if not 0.0 < q <= 2.0:
+        raise ValueError("q must lie in (0, 2]")
+    return float(np.sum(np.sqrt(sq) ** q)) / q
 
 
 # IRLS smoothing: eps starts at IRLS_EPS0 and is divided by IRLS_EPS_DECAY,
@@ -254,8 +254,8 @@ def run_irls(A, Y, gs, q, mode="equality", iters=200):
     eps = IRLS_EPS0
     trace = SolverTrace(method="irls")
     t0 = time.perf_counter()
+    sq = group_sq_norms(X, gs)
     for k in range(iters):
-        sq = group_sq_norms(X, gs)
         wg = (sq + eps) ** (q / 2.0 - 1.0)
         AW = Ad / wg[gs.group_of][None, :]
         S = AW @ Ad.T
@@ -267,7 +267,8 @@ def run_irls(A, Y, gs, q, mode="equality", iters=200):
         else:
             T = cholesky_solve(fac, Y)
         X_new = AW.T @ T
-        obj = lq_value(X_new, gs, q) * q   # sum ||x_g||^q
+        sq = group_sq_norms(X_new, gs)    # the next step's weights reuse it
+        obj = lq_value(sq, q) * q          # sum ||x_g||^q
         delta = float(np.linalg.norm(X_new - X))
         X = X_new
         trace.record(k, obj, delta, time.perf_counter() - t0)

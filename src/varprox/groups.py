@@ -7,6 +7,8 @@ by the square root of their size, in
 :class:`~varprox.linops.BlockExtractOperator`.
 """
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -17,36 +19,47 @@ __all__ = [
 
 
 class GroupStructure:
-    """Index blocks over ``{0, ..., p-1}``."""
+    """Index blocks over ``{0, ..., p-1}``, each sorted, none empty and none
+    holding an index twice.  ``groups`` is the list of blocks, built on
+    first use from ``sizes`` and the blocks' concatenated indices."""
 
     def __init__(self, groups, p=None, mode="partition"):
-        self.groups = [np.asarray(np.sort(np.asarray(g, dtype=int)), dtype=int)
-                       for g in groups]
-        if any(g.size == 0 for g in self.groups):
+        groups = list(groups)
+        sizes = np.fromiter(map(len, groups), dtype=int, count=len(groups))
+        if not sizes.all():
             raise ValueError("empty group")
-        top = max(int(g[-1]) for g in self.groups) + 1
+        owner = np.repeat(np.arange(sizes.size), sizes)
+        flat = np.concatenate(groups).astype(int)
+        top = int(flat.max()) + 1
         self.p = top if p is None else int(p)
         if top > self.p:
             raise ValueError("group index out of range")
-        if min(int(g[0]) for g in self.groups) < 0:
+        if flat.min() < 0:
             raise ValueError("negative group index")
         if mode not in ("partition", "overlapping"):
             raise ValueError(f"unknown mode {mode!r}")
+        flat = flat[np.lexsort((flat, owner))]      # each block sorted
+        if ((flat[1:] == flat[:-1]) & (owner[1:] == owner[:-1])).any():
+            raise ValueError("repeated index in a group")
         self.mode = mode
-        self.sizes = np.array([g.size for g in self.groups])
-        self.n_groups = len(self.groups)
+        self.sizes = sizes
+        self.n_groups = sizes.size
+        self._indices = flat
 
         if mode == "partition":
-            table = np.full(self.p, -1, dtype=int)
-            for gi, g in enumerate(self.groups):
-                if (table[g] != -1).any():
-                    raise ValueError("groups overlap in partition mode")
-                table[g] = gi
-            if (table == -1).any():
+            counts = np.bincount(flat, minlength=self.p)
+            if counts.max() > 1:
+                raise ValueError("groups overlap in partition mode")
+            if not counts.all():
                 raise ValueError("partition does not cover the index set")
-            self.group_of = table
+            self.group_of = np.empty(self.p, dtype=int)
+            self.group_of[flat] = owner
         else:
             self.group_of = None
+
+    @functools.cached_property
+    def groups(self):
+        return np.split(self._indices, np.cumsum(self.sizes)[:-1])
 
     @property
     def is_trivial(self):
@@ -55,10 +68,7 @@ class GroupStructure:
 
     def spans(self):
         """True when the union of the groups covers the full index set."""
-        seen = np.zeros(self.p, dtype=bool)
-        for g in self.groups:
-            seen[g] = True
-        return bool(seen.all())
+        return np.unique(self._indices).size == self.p
 
     def __len__(self):
         return self.n_groups
@@ -69,13 +79,13 @@ class GroupStructure:
 
 
 def trivial_groups(p):
-    return GroupStructure([[i] for i in range(p)], p=p)
+    return GroupStructure(np.arange(p)[:, None], p=p)
 
 
 def contiguous_groups(p, size):
     if p % size:
         raise ValueError("size must divide p")
-    return GroupStructure([range(i, i + size) for i in range(0, p, size)], p=p)
+    return GroupStructure(np.arange(p).reshape(-1, size), p=p)
 
 
 def _require_partition(gs):

@@ -23,8 +23,8 @@ rule, the certificate checks and the L-BFGS memory are fixed by the module
 constants below.
 """
 
+import math
 import time
-from collections import deque
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .trace import SolverTrace
 __all__ = ["minimize_lbfgs", "minimize_gd_bb"]
 
 MEMORY = 10                     # L-BFGS curvature pairs
+EPS = np.finfo(float).eps
 LS_MAX_HALVINGS = 50
 LS_SUFFICIENT_DECREASE = 1e-4   # Armijo constant
 LS_BACKTRACK = 0.5
@@ -51,22 +52,86 @@ CHECK_REL = 1e-6
 CHECK_EVALS = 3
 
 
-def _two_loop(g, memory):
-    """L-BFGS two-loop recursion over ``memory``, pairs ``(s, y, rho)``
-    oldest first."""
-    q = g.copy()
-    alphas = []
-    for s, y, rho in reversed(memory):
-        a = rho * np.dot(s, q)
-        alphas.append(a)
-        q -= a * y
-    if memory:
-        s, y, _ = memory[-1]
-        q *= np.dot(s, y) / np.dot(y, y)
-    for (s, y, rho), a in zip(memory, reversed(alphas)):
-        b = rho * np.dot(y, q)
-        q += (a - b) * s
-    return q
+class _Memory:
+    """The L-BFGS curvature pairs ``(s_i, y_i)``, oldest first, in the
+    compact form of Byrd, Nocedal and Schnabel ("Representations of
+    quasi-Newton matrices and their use in limited memory methods", Math.
+    Program. 1994).
+
+    Pair ``i`` is row ``i`` of ``pairs`` (shape ``(rows, 2, n)``), which
+    grows by doubling as pairs arrive, to at most ``MEMORY`` rows.  With
+    ``S`` and ``Y`` the stacked ``s_i`` and ``y_i``, three small matrices
+    are kept current: ``yy = Y Yᵀ``, ``sy = diag(S Yᵀ)`` and ``rinv``,
+    the inverse of ``R = triu(S Yᵀ)``.  The inverse Hessian approximation
+    is ``H = γ I + Sᵀ (R⁻ᵀ (D + γ Y Yᵀ) R⁻¹) S - γ Sᵀ R⁻ᵀ Y - γ Yᵀ R⁻¹ S``
+    with ``D = diag(sy)`` and ``γ = s·y / y·y`` of the newest pair, the
+    matrix the two-loop recursion applies."""
+
+    def __init__(self):
+        # R⁻¹ is upper triangular: its lower triangle stays zero, and every
+        # other entry of the leading k-by-k blocks is written before it is read
+        self.rinv = np.zeros((MEMORY, MEMORY))
+        self.yy = np.empty((MEMORY, MEMORY))
+        self.sy = np.empty(MEMORY)
+        self.clear()
+
+    def clear(self):
+        self.k = 0
+        self.pairs = None
+
+    def direction(self, g, gnorm):
+        """``-H g``, or ``-g`` after a clear when ``-H g`` is not a descent
+        direction; ``gnorm`` is ``||g||``."""
+        k = self.k
+        if not k:
+            return -g
+        pairs = self.pairs[:k]
+        ab = pairs @ g                          # (s_i·g, y_i·g)
+        rinv = self.rinv[:k, :k]
+        sy = self.sy[:k]
+        gamma = sy[-1] / self.yy[k - 1, k - 1]
+        c = rinv @ ab[:, 0]
+        coef = np.empty((k, 2))     # -H g = coef · (s_i, y_i) - γ g
+        coef[:, 0] = rinv.T @ (gamma * (ab[:, 1] - self.yy[:k, :k] @ c) - sy * c)
+        coef[:, 1] = gamma * c
+        d = coef.ravel() @ pairs.reshape(2 * k, -1)
+        d -= gamma * g
+        if d.dot(g) > -1e-14 * math.sqrt(d.dot(d)) * gnorm:
+            self.clear()
+            return -g
+        return d
+
+    def update(self, s, y):
+        """Stores ``(s, y)`` unless its curvature ``s·y`` is at most
+        ``1e-12 ||s|| ||y||``; the oldest pair leaves a full memory."""
+        sy = s.dot(y)
+        yy = y.dot(y)
+        if not sy > 1e-12 * math.sqrt(s.dot(s) * yy):
+            return
+        k = self.k
+        if k == MEMORY:
+            # the trailing block of R⁻¹ is the inverse of R's trailing block
+            k -= 1
+            self.pairs[:k] = self.pairs[1:]
+            self.rinv[:k, :k] = self.rinv[1:, 1:]
+            self.yy[:k, :k] = self.yy[1:, 1:]
+            self.sy[:k] = self.sy[1:]
+        elif self.pairs is None:
+            self.pairs = np.empty((1, 2, s.size))
+        elif k == len(self.pairs):
+            grown = np.empty((min(2 * k, MEMORY), 2, s.size))
+            grown[:k] = self.pairs
+            self.pairs = grown
+        cross = self.pairs[:k] @ y              # (s_i·y, y_i·y)
+        # bordering R by the column (s_i·y) and the corner s·y
+        self.rinv[:k, k] = self.rinv[:k, :k] @ cross[:, 0] / -sy
+        self.rinv[k, k] = 1.0 / sy
+        self.yy[:k, k] = self.yy[k, :k] = cross[:, 1]
+        self.yy[k, k] = yy
+        self.sy[k] = sy
+        self.pairs[k, 0] = s
+        self.pairs[k, 1] = y
+        self.k = k + 1
 
 
 def _backtrack(fun, x, f, g, d):
@@ -75,8 +140,8 @@ def _backtrack(fun, x, f, g, d):
     for an accepted step, else ``noise_floor`` (the next trial's predicted
     decrease is below the rounding error of ``f``, so it is not evaluated)
     or ``line_search_failed`` (``LS_MAX_HALVINGS`` trials all rejected)."""
-    slope = np.dot(g, d)
-    floor = NOISE_FLOOR_ULPS * np.finfo(float).eps * max(abs(f), 1.0)
+    slope = g.dot(d)
+    floor = NOISE_FLOOR_ULPS * EPS * max(abs(f), 1.0)
     t = 1.0
     for trial in range(LS_MAX_HALVINGS):
         if -t * slope < floor:
@@ -90,9 +155,10 @@ def _backtrack(fun, x, f, g, d):
 
 
 def _descend(fun, x0, max_iter, grad_tol, method_name, direction, update):
-    """The one descent loop: ``direction(g)`` gives the search direction,
-    the line search accepts a step, ``update(s, y)`` sees the step and the
-    gradient change.  Returns ``(x, f, g, trace)``.
+    """The one descent loop: ``direction(g, ||g||)`` gives the search
+    direction, the line search accepts a step, ``update(s, y)`` sees the
+    step and the gradient change.  Each gradient norm is computed once.
+    Returns ``(x, f, g, trace)``.
 
     ``trace.stop_reason`` says why the run ended: ``converged`` (gradient
     norm at most ``grad_tol``), ``certified`` (``fun.certify()``, asked
@@ -107,15 +173,17 @@ def _descend(fun, x0, max_iter, grad_tol, method_name, direction, update):
     x = np.asarray(x0, dtype=float).copy()
     t0 = time.perf_counter()
     f, g = fun(x)
+    gnorm = math.sqrt(g.dot(g))
     trace = SolverTrace(method=method_name, evals=1)
-    trace.record(0, f, np.linalg.norm(g), time.perf_counter() - t0)
+    trace.record(0, f, gnorm, time.perf_counter() - t0)
     certify = getattr(fun, "certify", None)
     stalled = checked = 0
     for k in range(1, max_iter + 1):
-        if np.linalg.norm(g) <= grad_tol:
+        if gnorm <= grad_tol:
             trace.stop_reason = "converged"
             break
-        xn, fn, gn, trials, stop = _backtrack(fun, x, f, g, direction(g))
+        xn, fn, gn, trials, stop = _backtrack(fun, x, f, g,
+                                              direction(g, gnorm))
         trace.evals += trials
         trace.backtracks += trials if stop else trials - 1
         if stop:
@@ -126,7 +194,8 @@ def _descend(fun, x0, max_iter, grad_tol, method_name, direction, update):
                  and f - fn <= CHECK_REL * max(abs(f), 1.0))
         update(xn - x, gn - g)
         x, f, g = xn, fn, gn
-        trace.record(k, f, np.linalg.norm(g), time.perf_counter() - t0)
+        gnorm = math.sqrt(g.dot(g))
+        trace.record(k, f, gnorm, time.perf_counter() - t0)
         if check:
             checked = trace.evals
             if certify() <= GAP_TOL:
@@ -136,8 +205,7 @@ def _descend(fun, x0, max_iter, grad_tol, method_name, direction, update):
             trace.stop_reason = "stalled"
             break
     else:
-        trace.stop_reason = ("converged" if np.linalg.norm(g) <= grad_tol
-                             else "max_iter")
+        trace.stop_reason = "converged" if gnorm <= grad_tol else "max_iter"
     trace.x = x
     return x, f, g, trace
 
@@ -145,21 +213,9 @@ def _descend(fun, x0, max_iter, grad_tol, method_name, direction, update):
 def minimize_lbfgs(fun, x0, max_iter, grad_tol, method_name="lbfgs"):
     """Limited-memory BFGS with Armijo backtracking; returns
     ``(x, f, g, trace)`` with a nonincreasing trace objective column."""
-    memory = deque(maxlen=MEMORY)
-
-    def direction(g):
-        d = -_two_loop(g, memory)
-        if np.dot(d, g) > -1e-14 * np.linalg.norm(d) * np.linalg.norm(g):
-            memory.clear()
-            return -g
-        return d
-
-    def update(s, y):
-        sy = np.dot(s, y)
-        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
-            memory.append((s, y, 1.0 / sy))
-
-    return _descend(fun, x0, max_iter, grad_tol, method_name, direction, update)
+    memory = _Memory()
+    return _descend(fun, x0, max_iter, grad_tol, method_name,
+                    memory.direction, memory.update)
 
 
 def minimize_gd_bb(fun, x0, max_iter, grad_tol, method_name="gd-bb"):
@@ -170,16 +226,16 @@ def minimize_gd_bb(fun, x0, max_iter, grad_tol, method_name="gd-bb"):
     """
     step = None
 
-    def direction(g):
+    def direction(g, gnorm):
         nonlocal step
         if step is None:
-            step = 1.0 / max(np.linalg.norm(g), 1.0)
+            step = 1.0 / max(gnorm, 1.0)
         return -step * g
 
     def update(s, y):
         nonlocal step
-        sy = np.dot(s, y)
+        sy = s.dot(y)
         if sy > 0 and np.isfinite(sy):
-            step = float(np.clip(np.dot(s, s) / sy, 1e-12, 1e12))
+            step = float(np.clip(s.dot(s) / sy, 1e-12, 1e12))
 
     return _descend(fun, x0, max_iter, grad_tol, method_name, direction, update)

@@ -3,7 +3,7 @@ import pytest
 
 from varprox.baselines import (lq_value, run_admm, run_irls, run_ista,
                                run_primal_dual, run_scaled_lasso)
-from varprox.groups import GroupStructure, trivial_groups
+from varprox.groups import GroupStructure, group_sq_norms, trivial_groups
 from varprox.linops import dense, grad2d, identity, tv_group_structure
 from varprox.problems import (gen_gaussian_instance, lambda_max,
                               pixel_channel_groups)
@@ -118,22 +118,30 @@ def test_irls_noiseless_recovery(rng):
 
 
 def test_lq_value_examples():
-    gs2 = trivial_groups(2)
-    assert lq_value(np.array([1.0, -2.0]), gs2, 1.0) == pytest.approx(3.0)
-    gs1 = trivial_groups(1)
-    assert lq_value(np.array([8.0]), gs1, 2 / 3) == pytest.approx(6.0)
-    gsg = GroupStructure([[0, 1]], p=2)
-    assert lq_value(np.array([3.0, 4.0]), gsg, 2 / 3) == pytest.approx(
-        1.5 * 5.0 ** (2 / 3))
+    def value(x, gs, q):
+        return lq_value(group_sq_norms(np.array(x), gs), q)
+
+    assert value([1.0, -2.0], trivial_groups(2), 1.0) == pytest.approx(3.0)
+    assert value([8.0], trivial_groups(1), 2 / 3) == pytest.approx(6.0)
+    assert value([3.0, 4.0], GroupStructure([[0, 1]], p=2),
+                 2 / 3) == pytest.approx(1.5 * 5.0 ** (2 / 3))
 
 
 def test_irls_weights_constant_for_q2(rng):
     # q = 2: weights (||x||^2 + eps)^0 = 1 regardless of the iterate
     x = rng.standard_normal(12)
     gs = trivial_groups(12)
-    from varprox.groups import group_sq_norms
     w = (group_sq_norms(x, gs) + 0.3) ** (2.0 / 2.0 - 1.0)
     assert np.allclose(w, 1.0)
+
+
+def test_irls_at_q2_is_the_minimum_norm_solution(rng):
+    # constant weights: the first step is already A^+ y, and the run ends
+    A = rng.standard_normal((4, 8))
+    y = rng.standard_normal(4)
+    tr = run_irls(dense(A), y, trivial_groups(8), 2.0)
+    assert np.allclose(tr.x, np.linalg.pinv(A) @ y, atol=1e-12)
+    assert tr.objectives[-1] == pytest.approx(float(tr.x @ tr.x))
 
 
 def test_scaled_lasso_zero_above_lambda_max(rng):

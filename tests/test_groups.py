@@ -38,6 +38,22 @@ def test_partition_validation():
         GroupStructure([[0, 5]], p=3)                    # out of range
 
 
+@pytest.mark.parametrize("mode", ["partition", "overlapping"])
+def test_a_repeated_index_in_a_group_is_rejected(mode):
+    # [0, 0, 1] would count index 0 twice in the group's size and norm
+    with pytest.raises(ValueError, match="repeated index"):
+        GroupStructure([[0, 0, 1], [2]], p=3, mode=mode)
+
+
+def test_groups_are_sorted_blocks_in_order():
+    gs = GroupStructure([[3, 1], [0, 2]], p=4)
+    assert [g.tolist() for g in gs.groups] == [[1, 3], [0, 2]]
+    assert gs.group_of.tolist() == [1, 0, 1, 0] and gs.sizes.tolist() == [2, 2]
+    assert trivial_groups(3).is_trivial and contiguous_groups(6, 3).spans()
+    ogs = GroupStructure([[0, 1], [1, 2]], p=4, mode="overlapping")
+    assert not ogs.spans() and ogs.group_of is None
+
+
 def test_hadamard_factorization_identity(rng):
     # the closed-form split u = z_g / sqrt(||z_g||), v = sqrt(||z_g||)
     # reproduces z and attains the variational value

@@ -1,5 +1,5 @@
-"""The line search's noise-floor stop, the certificate stop and the LAPACK
-Cholesky helpers."""
+"""The compact L-BFGS memory, the line search's noise-floor stop, the
+certificate stop and the LAPACK Cholesky helpers."""
 
 import numpy as np
 import pytest
@@ -16,6 +16,59 @@ EPS = np.finfo(float).eps
 
 def _floor(f):
     return optim.NOISE_FLOOR_ULPS * EPS * max(abs(f), 1.0)
+
+
+def _two_loop(g, memory):
+    """The L-BFGS two-loop recursion over pairs ``(s, y)``, oldest first:
+    the reference for the compact memory's ``H g``."""
+    q = g.copy()
+    alphas = []
+    for s, y in reversed(memory):
+        a = np.dot(s, q) / np.dot(s, y)
+        alphas.append(a)
+        q -= a * y
+    if memory:
+        s, y = memory[-1]
+        q *= np.dot(s, y) / np.dot(y, y)
+    for (s, y), a in zip(memory, reversed(alphas)):
+        q += (a - np.dot(y, q) / np.dot(s, y)) * s
+    return q
+
+
+def _check_direction(memory, pairs, rng):
+    g = rng.standard_normal(7)
+    d = memory.direction(g, np.linalg.norm(g))
+    ref = -_two_loop(g, pairs)
+    assert np.abs(d - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert memory.k == len(pairs)
+    # storage grows with the pairs: never more rows than twice the pairs
+    assert memory.pairs is None or len(memory.pairs) <= 2 * memory.k
+
+
+def test_compact_direction_matches_the_two_loop_recursion(rng):
+    # curvature pairs of an SPD quadratic, enough to wrap the memory
+    # around three times; one pair in between has s.y < 0 and is refused
+    n = 7                                       # as in _check_direction
+    B = rng.standard_normal((n, n))
+    hess = B @ B.T + np.eye(n)
+    memory, pairs = optim._Memory(), []
+    _check_direction(memory, pairs, rng)        # empty: -g
+    for k in range(3 * optim.MEMORY + 2):
+        s = rng.standard_normal(n)
+        memory.update(s, hess @ s)
+        pairs = (pairs + [(s, hess @ s)])[-optim.MEMORY:]
+        _check_direction(memory, pairs, rng)    # k = 1 first
+        if k == optim.MEMORY + 3:
+            memory.update(s, -hess @ s)
+            _check_direction(memory, pairs, rng)
+    memory.clear()
+    assert memory.k == 0 and memory.pairs is None
+    pairs = []
+    for _ in range(optim.MEMORY + 1):           # refilled past a wrap
+        s = rng.standard_normal(n)
+        memory.update(s, hess @ s)
+        pairs = (pairs + [(s, hess @ s)])[-optim.MEMORY:]
+        _check_direction(memory, pairs, rng)
 
 
 @pytest.mark.parametrize("minimize", [minimize_lbfgs, minimize_gd_bb])
