@@ -52,21 +52,20 @@ groups have ``v_g = 0``); ``_dual_solve`` adds its matrix-free CG.
 
 The ``A = Id`` system ``diag(d) + lam L diag(s) L^T`` is a band matrix
 once its rows are renumbered in reverse Cuthill-McKee order.
-``_prox_solve`` assembles it on the layout memoized on ``L``
-(:class:`~varprox.linops.CogramPattern`).  While the band holds at most
-``linops.BAND_ENTRIES`` entries, that layout is LAPACK's band and
-``_band_solve`` factors it by ``dpbtrf``/``dpbtrs``, whose per-call cost
-at these sizes is a small fraction of a general sparse factorization's
-ordering and symbolic analysis.  A wider band (a square image block from
-128 by 128) grows faster in time and memory than SuperLU's fill, so it is
-assembled as a CSC matrix and ``_psd_solve`` factors it by SuperLU
-(``_spd_factor``).  The order is generic, so every ``L`` takes one of
-these two.  A multichannel gradient is block diagonal over the channels
-and the TV groups tie every pixel's channels together, so ``d`` and ``s``
-repeat per channel: then one channel's 2hw-by-2hw block is factored and
-solved for ``C`` right-hand sides.  Any other ``L``, or weights that
-differ by channel, factor the whole system, whose band is as narrow as
-one block's.
+``_prox_solve`` assembles it on the band layout memoized on ``L``
+(:class:`~varprox.linops.CogramPattern`), which ``_band_solve`` factors by
+LAPACK ``dpbtrf``/``dpbtrs``, whose per-call cost at these sizes is a small
+fraction of a general sparse factorization's ordering and symbolic
+analysis.  A band wider than ``linops.BAND_ENTRIES`` entries (a square
+image block from 128 by 128) grows faster in time and memory than
+SuperLU's fill, so that system, like a band that fails to factor even
+after the jitter, is formed from ``L.to_sparse()`` and solved by
+``_psd_solve`` on SuperLU (``_spd_factor``).  A multichannel gradient is
+block diagonal over the channels and the TV groups tie every pixel's
+channels together, so ``d`` and ``s`` repeat per channel: then one
+channel's 2hw-by-2hw block is factored and solved for ``C`` right-hand
+sides.  Any other ``L``, or weights that differ by channel, factor the
+whole system, whose band is as narrow as one block's.
 """
 
 import warnings
@@ -216,8 +215,8 @@ def _psd_solve(M, b, what):
     These systems lose rank exactly on the kernel of the adjoint factor,
     where the recovered primal is insensitive to the dual component, so the
     jittered factorization returns a valid maximizer.  The stationarity
-    residual is always re-checked by the caller.  :func:`_band_solve` keeps
-    the same three steps for the band systems of the ``A = Id`` routes.
+    residual is always re-checked by the caller.  :func:`_band_solve` makes
+    the first two steps on the band systems of the ``A = Id`` routes.
     """
     dense = isinstance(M, np.ndarray)   # issparse's ABC check would grow caches
     fac = cholesky_factor(M) if dense else _spd_factor(M)
@@ -241,14 +240,14 @@ def _jitter(diagonal):
     return JITTER * max(float(np.abs(diagonal).max(initial=0.0)), 1e-300)
 
 
-def _band_solve(pattern, s, d, lam, b, what):
+def _band_solve(pattern, s, d, lam, b):
     """Solve ``(diag(d) + lam A diag(s) A^T) z = b``, ``b`` 1-D or one column
     per right-hand side, on the band layout of
     :class:`~varprox.linops.CogramPattern` ``pattern`` of ``A``: LAPACK
-    ``dpbtrf``, then the same after a relative diagonal ``JITTER``, then the
-    dense :func:`_sym_solve`, as in :func:`_psd_solve`; one ``dpbtrs`` solves
-    every right-hand side in the order ``pattern.perm``.  Each factorization
-    overwrites its band, so the retry assembles it again.
+    ``dpbtrf``, then the same after a relative diagonal ``JITTER``, as in
+    :func:`_psd_solve`; one ``dpbtrs`` solves every right-hand side in the
+    order ``pattern.perm``.  Each factorization overwrites its band, so the
+    retry assembles it again.  Returns ``None`` when both fail.
     """
     lapack = scipy.linalg.lapack     # looked up at call time, to be wrapped
     fac, info = lapack.dpbtrf(pattern.band(s, d, lam), overwrite_ab=1)
@@ -258,26 +257,14 @@ def _band_solve(pattern, s, d, lam, b, what):
         fac, info = lapack.dpbtrf(ab, overwrite_ab=1)
     if info < 0:
         raise ValueError(f"dpbtrf: illegal value in argument {-info}")
-    bp = b[pattern.perm]
     if info > 0:
-        zp = _sym_solve(_band_to_dense(pattern.band(s, d, lam)), bp, what)
-    else:
-        zp, info = lapack.dpbtrs(fac, bp, overwrite_b=1)
-        if info != 0:
-            raise ValueError(f"dpbtrs: illegal value in argument {-info}")
+        return None
+    zp, info = lapack.dpbtrs(fac, b[pattern.perm], overwrite_b=1)
+    if info != 0:
+        raise ValueError(f"dpbtrs: illegal value in argument {-info}")
     z = np.empty_like(zp)
     z[pattern.perm] = zp
     return z
-
-
-def _band_to_dense(ab):
-    """The dense symmetric matrix of the LAPACK upper band ``ab``."""
-    kd, p = ab.shape[0] - 1, ab.shape[1]
-    M = np.zeros((p, p))
-    for k in range(kd + 1):     # superdiagonal k is row kd - k, from column k
-        i = np.arange(p - k)
-        M[i, i + k] = M[i + k, i] = ab[kd - k, k:]
-    return M
 
 
 def _dual_matrix(A, d, shift):
@@ -316,22 +303,24 @@ def _dual_solve(A, d, shift, b, cfg, what):
 
 
 def _prox_solve(L, d, s, lam, b, what):
-    """Solve ``(diag(d) + lam L diag(s) L^T) z = b`` on the memoized layout
-    of ``L``: :func:`_band_solve` when it is ``banded``, otherwise
-    :func:`_psd_solve` of the assembled CSC matrix.  When ``L`` is ``C``
-    equal diagonal blocks and ``d``, ``s`` repeat across them, the system is
-    ``C`` copies of one block: factor that block once and solve for the
-    ``C`` slices of ``b`` as right-hand sides."""
+    """Solve ``(diag(d) + lam L diag(s) L^T) z = b``: :func:`_band_solve` on
+    the memoized layout of ``L`` when it is ``banded``; a band too wide or
+    that fails to factor is formed from ``L.to_sparse()`` and solved by
+    :func:`_psd_solve`.  When ``L`` is ``C`` equal diagonal blocks and
+    ``d``, ``s`` repeat across them, the system is ``C`` copies of one
+    block: factor that block once and solve for the ``C`` slices of ``b`` as
+    right-hand sides."""
     C, B = L.channel_blocks()
     dc, sc = d.reshape(C, -1), s.reshape(C, -1)
     block = C > 1 and (dc == dc[0]).all() and (sc == sc[0]).all()
     if block:
         L, d, s, b = B, dc[0], sc[0], b.reshape(C, -1).T
     pattern = L.cogram_pattern()
-    if pattern.banded:
-        z = _band_solve(pattern, s, d, lam, b, what)
-    else:
-        z = _psd_solve(pattern.assemble(s, d, lam), b, what)
+    z = _band_solve(pattern, s, d, lam, b) if pattern.banded else None
+    if z is None:
+        S = L.to_sparse()
+        M = lam * (S * s) @ S.T + scipy.sparse.diags_array(d)
+        z = _psd_solve(M.T, b, what)    # symmetric: the CSC of its CSR
     return z.T.ravel() if block else z
 
 

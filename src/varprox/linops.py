@@ -263,60 +263,45 @@ class BlockExtractOperator(LinearOperator):
 
 
 # Largest band, in entries (kd + 1) * p, that CogramPattern lays out for
-# LAPACK's banded Cholesky (2**23 entries, a 64 MB band); a wider system
-# gets the CSC layout and SuperLU.  On an h-by-w gradient kd is about
-# 2 min(h, w), so the band's memory grows as p kd and its factorization as
-# p kd^2, faster than SuperLU's fill-reducing order: on one square channel
-# block the band is the faster of the two up to 128 by 128 and the slower
-# from 160 by 160, and it holds more memory from 64 by 64 on.  The limit
-# keeps square blocks up to 127 by 127 on the band.
+# LAPACK's banded Cholesky (2**23 entries, a 64 MB band); a system with a
+# wider band is formed from the sparse operator and factored by SuperLU.
+# On an h-by-w gradient kd is about 2 min(h, w), so the band's memory grows
+# as p kd and its factorization as p kd^2, faster than SuperLU's
+# fill-reducing order: on one square channel block the band is the faster
+# of the two up to 128 by 128 and the slower from 160 by 160, and it holds
+# more memory from 64 by 64 on.  The limit keeps square blocks up to 127 by
+# 127 on the band.
 BAND_ENTRIES = 2 ** 23
 
 
 class CogramPattern:
-    """Fixed layout of ``diag(d) + lam * A diag(s) A^T`` for a direct
-    Cholesky factorization.
+    """Fixed band layout of ``diag(d) + lam * A diag(s) A^T`` for LAPACK's
+    banded Cholesky.
 
-    The layout depends only on the sparse ``A`` (p-by-n).  Its values are
-    ``lam * (coef @ s)``, with ``coef[q, k] = A_ik A_jk`` for the entry
-    ``(i, j)`` stored at ``q``, plus ``d`` at the positions ``diag``, so one
-    assembly costs a sparse matvec and two scatters.  The rows are first
-    renumbered in reverse Cuthill-McKee order ``perm``
+    The layout depends only on the sparse ``A`` (p-by-n).  Its pattern is
+    that of ``|A| |A|^T``, whose rows are renumbered in reverse
+    Cuthill-McKee order ``perm``
     (``scipy.sparse.csgraph.reverse_cuthill_mckee``), which keeps every
     entry within ``kd`` of the diagonal: on a 2-D gradient ``kd`` is about
     twice the shorter image side.  When the band holds at most
     ``BAND_ENTRIES`` entries (``banded``), ``band`` lays the permuted
-    system out for LAPACK ``dpbtrf``; otherwise ``assemble`` returns it as
-    a CSC matrix in the original order.
+    system out for LAPACK ``dpbtrf``: its upper entries are
+    ``lam * (coef @ s)``, with row ``q`` of ``coef`` the elementwise
+    product ``A_i * A_j`` of the rows of the entry ``(i, j)`` stored at
+    ``pos[q]``, plus ``d`` at the positions ``diag``, so one assembly costs
+    a sparse matvec and two scatters.  A pattern that is not ``banded``
+    stores only ``kd``.
     """
 
     def __init__(self, S):
-        S = scipy.sparse.csc_array(S)
-        S.sum_duplicates()
-        p, n = S.shape
-        # each pair (a, b) of stored entries in one column k, at rows i and
-        # j, adds A_ik A_jk to entry (i, j): entry a pairs with every entry
-        # of its column, b running from the column's first entry on
-        counts = np.diff(S.indptr)
-        col = np.repeat(np.arange(n), counts)
-        reps = counts[col]
-        a = np.repeat(np.arange(S.nnz), reps)
-        within = np.arange(a.size) - np.repeat(np.cumsum(reps) - reps, reps)
-        b = np.repeat(S.indptr[col], reps) + within
-        del reps, within
-        keys = S.indices[a].astype(np.int64) * p + S.indices[b]
-        diag = np.arange(p, dtype=np.int64) * (p + 1)
-        uniq, entry = np.unique(np.concatenate([keys, diag]),
-                                return_inverse=True)
-        values, col, pair = S.data[a] * S.data[b], col[a], entry[:keys.size]
-        del a, b, keys
-        # the entries in row order; symmetric, so these CSR arrays of the
-        # pattern are also its CSC arrays
-        i, j = uniq // p, uniq % p
-        indptr = np.searchsorted(i, np.arange(p + 1))
-        graph = scipy.sparse.csr_array(
-            (np.ones(uniq.size, dtype=np.int8), j, indptr), shape=(p, p))
+        S = scipy.sparse.csr_array(S)
+        p = S.shape[0]
+        graph = abs(S)
+        graph = graph @ graph.T
+        graph.sort_indices()        # the order breaks ties by index
         perm = csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)
+        i = np.repeat(np.arange(p), np.diff(graph.indptr))
+        j = graph.indices
         del graph
         order = np.empty(p, dtype=np.int64)
         order[perm] = np.arange(p)
@@ -327,19 +312,11 @@ class CogramPattern:
             # band entry (oi, oj), oi <= oj, is element (kd + oi - oj, oj)
             # of the Fortran-ordered (kd + 1)-by-p array
             upper = oi <= oj
-            keep = upper[pair]
-            row = np.cumsum(upper) - 1
-            self.coef = scipy.sparse.csr_array(
-                (values[keep], (row[pair[keep]], col[keep])),
-                shape=(row[-1] + 1, n))
             self.pos = (kd + oi - oj + (kd + 1) * oj)[upper]
             self.diag = kd + (kd + 1) * order
             self.perm = perm
-        else:
-            self.coef = scipy.sparse.csr_array((values, (pair, col)),
-                                               shape=(uniq.size, n))
-            self.indptr, self.indices = indptr, j
-            self.diag = entry[pair.size:]
+            del oi, oj, order       # the row products below set the peak
+            self.coef = S[i[upper]].multiply(S[j[upper]])
 
     def band(self, s, d, lam):
         """``diag(d) + lam * A diag(s) A^T`` permuted by ``perm``: the
@@ -351,15 +328,6 @@ class CogramPattern:
         flat[self.pos] = lam * (self.coef @ s)
         flat[self.diag] += d
         return ab.T
-
-    def assemble(self, s, d, lam):
-        """``diag(d) + lam * A diag(s) A^T`` as a CSC matrix, for a pattern
-        that is not ``banded``."""
-        data = lam * (self.coef @ s)
-        data[self.diag] += d
-        p = self.indptr.size - 1
-        return scipy.sparse.csc_array((data, self.indices, self.indptr),
-                                      shape=(p, p))
 
 
 def fourier_system(cutoff, grid):

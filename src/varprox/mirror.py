@@ -74,30 +74,24 @@ def run_bpgd(grad_F, F_val, entropy, tau, iters, x0):
     def objective(z):
         return float(np.abs(z).sum()) + F_val(z)
 
-    if entropy.kind == "quadratic":
-        # primal form of the mirror update; bitwise identical to proximal
-        # gradient at stepsize tau/param
-        step = tau / entropy.param
-        thr = tau / entropy.param
-        for k in range(iters + 1):
-            g = grad_F(x)
-            trace.record(k, objective(x), float(np.linalg.norm(g)),
-                         time.perf_counter() - t0)
-            if k == iters:
-                break
-            x = soft_threshold(x - step * g, thr)
-    else:
-        m = entropy_grad(entropy, x)
-        for k in range(iters + 1):
-            g = grad_F(x)
-            trace.record(k, objective(x), float(np.linalg.norm(g)),
-                         time.perf_counter() - t0)
-            if k == iters:
-                break
-            m = soft_threshold(m - tau * g, tau)
-            if np.abs(m).max(initial=0.0) > _MIRROR_CLAMP:
-                m = np.clip(m, -_MIRROR_CLAMP, _MIRROR_CLAMP)
-                trace.flags["mirror_clamped"] = True
-            x = entropy_grad_inverse(entropy, m)
+    # the quadratic entropy steps in primal form, bitwise identical to
+    # proximal gradient at stepsize tau/param
+    quadratic = entropy.kind == "quadratic"
+    step = tau / entropy.param
+    m = None if quadratic else entropy_grad(entropy, x)
+    for k in range(iters + 1):
+        g = grad_F(x)
+        trace.record(k, objective(x), float(np.linalg.norm(g)),
+                     time.perf_counter() - t0)
+        if k == iters:
+            break
+        if quadratic:
+            x = soft_threshold(x - step * g, step)
+            continue
+        m = soft_threshold(m - tau * g, tau)
+        if np.abs(m).max(initial=0.0) > _MIRROR_CLAMP:
+            m = np.clip(m, -_MIRROR_CLAMP, _MIRROR_CLAMP)
+            trace.flags["mirror_clamped"] = True
+        x = entropy_grad_inverse(entropy, m)
     trace.x = x
     return trace

@@ -218,7 +218,7 @@ def eval_lq_option2(problem, v, w):
     gs = problem.reg_groups
     vw = v * w
     sol = inner_mod.solve_two_factor(problem.A, vw, gs, lam, loss.y)
-    if sol.kkt_residual > 1e-6 * (1 + np.abs(loss.y).max()):
+    if not sol.kkt_residual <= 1e-6 * (1 + np.abs(loss.y).max()):  # NaN too
         bad = np.full_like(v, np.nan)
         return np.inf, bad, bad, None
     s = group_sq_norms(sol.alpha, gs)

@@ -288,25 +288,28 @@ def test_identity_routes_factor_one_channel_block(monkeypatch, rng, zeros):
             assert np.abs(b.alpha - f.alpha).max() < 1e-10
 
 
-def test_identity_routes_block_falls_back_to_the_dense_solve(monkeypatch, rng):
+def test_identity_routes_band_that_fails_twice_is_solved_by_superlu(
+        monkeypatch, rng):
     n, L, gs, gl, v, wl, y = _tv_case(rng)
     full = (solve_quadratic_general(identity(n), L, v, gs, 0.3, y),
             _robust_saddle(L, n, v, gs, wl, gl, 0.9, y))
-    sizes = []
-    sym_solve = inner._sym_solve
+    calls = []
+    spd_factor = inner._spd_factor
 
-    def spy(M, b, what):
-        sizes.append(M.shape)
-        return sym_solve(M, b, what)
+    def spy(M):
+        lu = spd_factor(M)
+        calls.append((M.shape[0], lu is not None))
+        return lu
 
     # every band Cholesky reports a leading minor that is not positive
     monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", lambda ab, **kw: (ab, 1))
-    monkeypatch.setattr(inner, "_sym_solve", spy)
+    monkeypatch.setattr(inner, "_spd_factor", spy)
     for b, f in zip(_identity_routes(L, n, gs, gl, v, wl, y), full):
+        assert b.method == "sparse-direct"
         assert np.abs(b.x - f.x).max() < 1e-10
         assert b.kkt_residual < 1e-10
     block = L.rows // L.channels
-    assert sizes == [(block, block)] * 2
+    assert calls == [(block, True)] * 2
 
 
 @pytest.mark.parametrize("differ", ["v", "w"])
@@ -340,9 +343,9 @@ def test_identity_routes_single_channel_take_the_full_pattern(monkeypatch, rng):
     rhs = []
     band_solve = inner._band_solve
 
-    def spy(pattern, s, d, lam, b, what):
+    def spy(pattern, s, d, lam, b):
         rhs.append(b.shape)
-        return band_solve(pattern, s, d, lam, b, what)
+        return band_solve(pattern, s, d, lam, b)
 
     monkeypatch.setattr(inner, "_band_solve", spy)
     a, b = _identity_routes(L, n, gs, gl, v, wl, y)
@@ -351,8 +354,8 @@ def test_identity_routes_single_channel_take_the_full_pattern(monkeypatch, rng):
 
 
 def test_identity_routes_past_the_band_limit_factor_by_superlu(monkeypatch, rng):
-    # no band is small enough, so every pattern takes the CSC layout and
-    # SuperLU, with the band route's ladder and channel blocks
+    # no band is small enough, so every system is formed from the sparse
+    # operator and factored by SuperLU, on the same channel blocks
     monkeypatch.setattr(linops, "BAND_ENTRIES", 0)
     calls = []
     spd_factor = inner._spd_factor

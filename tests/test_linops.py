@@ -169,36 +169,38 @@ def _unband(pattern, ab):
 
 
 def test_cogram_pattern_assembles_weighted_cogram(rng):
+    import scipy.sparse
+    # a CSR that holds a duplicate entry and an explicitly stored zero
+    raw = scipy.sparse.csr_array(
+        ([1.0, 2.0, 0.0, 3.0, -1.0, 0.5], [0, 0, 1, 2, 1, 0], [0, 3, 5, 6]),
+        shape=(3, 3))
     for op in (grad2d(4, 3, channels=3), grad2d(1, 1), MaskOperator([0, 2], 4),
-               dense(rng.standard_normal((5, 3)))):
-        D = op.to_dense()
-        s = rng.uniform(0.5, 1.5, op.cols)
-        d = rng.uniform(0.0, 1.0, op.rows)
-        P = op.cogram_pattern()
+               dense(rng.standard_normal((5, 3))), raw):
+        if op is raw:
+            D, P = raw.toarray(), linops.CogramPattern(raw)
+        else:
+            D, P = op.to_dense(), op.cogram_pattern()
+            assert op.cogram_pattern() is P
+        s = rng.uniform(0.5, 1.5, D.shape[1])
+        d = rng.uniform(0.0, 1.0, D.shape[0])
         ab = P.band(s, d, 0.7)
-        assert ab.shape == (P.kd + 1, op.rows) and ab.flags.f_contiguous
+        assert ab.shape == (P.kd + 1, D.shape[0]) and ab.flags.f_contiguous
         assert np.allclose(_unband(P, ab), np.diag(d) + 0.7 * (D * s) @ D.T,
                            rtol=0, atol=1e-14)
-        assert op.cogram_pattern() is P
 
 
-def test_cogram_pattern_past_the_band_limit_assembles_csc(monkeypatch, rng):
+def test_cogram_pattern_band_limit_is_inclusive(monkeypatch, rng):
     for op in (grad2d(4, 3, channels=3), grad2d(1, 1), MaskOperator([0, 2], 4),
                dense(rng.standard_normal((5, 3)))):
-        D = op.to_dense()
-        s = rng.uniform(0.5, 1.5, op.cols)
-        d = rng.uniform(0.0, 1.0, op.rows)
-        entries = (op.cogram_pattern().kd + 1) * op.rows
-        # the limit is inclusive: a band of exactly BAND_ENTRIES stays
+        kd = op.cogram_pattern().kd
+        entries = (kd + 1) * op.rows
+        # a band of exactly BAND_ENTRIES stays
         monkeypatch.setattr(linops, "BAND_ENTRIES", entries)
         assert linops.CogramPattern(op.to_sparse()).banded
+        # one entry fewer, and the pattern keeps only its width
         monkeypatch.setattr(linops, "BAND_ENTRIES", entries - 1)
         P = linops.CogramPattern(op.to_sparse())
-        assert not P.banded
-        M = P.assemble(s, d, 0.7)
-        assert M.format == "csc" and M.shape == (op.rows, op.rows)
-        assert np.allclose(M.toarray(), np.diag(d) + 0.7 * (D * s) @ D.T,
-                           rtol=0, atol=1e-14)
+        assert vars(P) == {"kd": kd, "banded": False}
 
 
 @pytest.mark.parametrize("h, w", [(5, 9), (9, 5), (1, 1), (12, 12)])

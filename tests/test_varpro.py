@@ -155,6 +155,19 @@ def test_option2_fd_and_symmetry(rng):
     assert eval_lq_option2(prob, v, -w)[0] == pytest.approx(f, abs=1e-12)
 
 
+def test_option2_interpolation_at_zero_v_is_infinite(rng):
+    # A diag(0) A^T is the zero matrix: its jittered solve leaves a NaN
+    # residual, which is outside the dual domain, not a value
+    m, n = 6, 8
+    prob = VarProProblem(dense(rng.standard_normal((m, n))), identity(n),
+                         trivial_groups(n),
+                         BasisPursuitLoss(y=rng.standard_normal(m)))
+    with np.errstate(all="ignore"):
+        f, gv, gw, sol = eval_lq_option2(prob, np.zeros(n), np.ones(n))
+    assert f == np.inf and sol is None
+    assert np.isnan(gv).all() and np.isnan(gw).all()
+
+
 def test_option2_is_the_group_dual_at_the_product_factor(rng):
     # with L = Id the two-factor inner problem is the single-factor one at
     # u = v w, so only the outer penalty terms differ
