@@ -344,9 +344,13 @@ def cmd_run(config, out_dir, seed=None):
     for name, trace in traces.items():
         trace.to_csv(os.path.join(out_dir, f"{name}.csv"))
         if trace.stop_reason:
+            checks = trace.aux.get("gap_checks")
+            detail = "" if checks is None else (
+                f"; {len(checks)} gap checks, "
+                f"{sum(steps for steps, _, _ in checks)} dual steps")
             print(f"{name}: stopped on {trace.stop_reason} after "
                   f"{trace.evals} evaluations ({trace.backtracks} rejected "
-                  "line-search trials)")
+                  f"line-search trials{detail})")
         else:
             print(f"{name}: ran {trace.n_records} records, no stop reason "
                   "recorded")

@@ -473,11 +473,17 @@ def solve_grouplasso_dual(A, v, gs, lam, y, cfg=DEFAULT):
 def solve_two_factor(A, vw, gs, lam, Y):
     """The group dual at ``vbar = extend(v w)`` for every column of ``Y`` (the
     ``x = u (v w)`` path): one factored solve of ``(A diag(vwbar^2) A^T +
-    lam I) xi = -Y``, ``lam = 0`` for exact interpolation; 2-D results."""
+    lam I) xi = -Y``, ``lam = 0`` for exact interpolation; 2-D results.
+    At ``lam = 0`` with every ``vw`` zero the matrix is zero, so a nonzero
+    ``Y`` has no solution and raises :class:`InnerSolveError` unfactored
+    (a jittered Cholesky of the zero matrix would return NaN)."""
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     Y = np.asarray(Y, dtype=float).reshape(len(Y), -1)
     d = _vbar(vw, gs) ** 2
+    if not lam and not np.count_nonzero(d) and Y.any():
+        raise InnerSolveError("two-factor inner system: the zero matrix at "
+                              "vw = 0 and lam = 0, with a nonzero right-hand side")
     xi = _psd_solve(_dual_matrix(A, d, lam), -Y, "two-factor inner system")
     return _from_xi_route(A, d[:, None], xi, -lam * xi, Y, "direct")
 

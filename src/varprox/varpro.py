@@ -18,6 +18,7 @@ reports it, and TV denoising, whose run stops on it (``certified``).
 
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .groups import (GroupStructure, _group_spectral_norms,
                      group_sq_norms)
 from .inner import InnerSolution, InnerSolveError
 from .linops import DenseOperator, IdentityOperator, LinearOperator
-from .optim import minimize_gd_bb, minimize_lbfgs
+from .optim import GAP_TOL, minimize_gd_bb, minimize_lbfgs
 
 __all__ = [
     "QuadraticLoss", "RobustLoss", "BasisPursuitLoss", "MultitaskLoss",
@@ -163,7 +164,7 @@ def eval_f_grad(problem, v):
                              f"side, got y of shape {np.shape(loss.y)}")
         sol = inner_mod.solve_two_factor(problem.A, v, gs, 0.0, y)
         tol = inner_mod.FEAS_TOL * (1.0 + np.abs(y).max(initial=0))
-        if not sol.kkt_residual <= tol:     # NaN from v = 0 fails too
+        if not sol.kkt_residual <= tol:     # NaN fails too
             raise InnerSolveError(f"infeasible data: residual {sol.kkt_residual:.3e}")
         sol = replace(sol, x=sol.x[:, 0], alpha=sol.alpha[:, 0], xi=sol.xi[:, 0])
         fit = 0.0
@@ -205,8 +206,9 @@ def eval_lq_option2(problem, v, w):
     :class:`~varprox.inner.InnerSolution` of
     :func:`~varprox.inner.solve_two_factor`, whose n-by-T ``x`` is the
     recovered point.  Outside the dual domain (interpolation loss with a
-    too-degenerate factor: an inner residual above ``1e-6 (1 + max |Y|)``)
-    it is ``+inf`` with ``sol = None``.
+    too-degenerate factor: an inner residual above ``1e-6 (1 + max |Y|)``,
+    or an inner system with no solution, :class:`InnerSolveError`) it is
+    ``+inf`` with ``sol = None``.
     """
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -217,8 +219,11 @@ def eval_lq_option2(problem, v, w):
     lam = loss.lam if isinstance(loss, QuadraticLoss) else 0.0
     gs = problem.reg_groups
     vw = v * w
-    sol = inner_mod.solve_two_factor(problem.A, vw, gs, lam, loss.y)
-    if not sol.kkt_residual <= 1e-6 * (1 + np.abs(loss.y).max()):  # NaN too
+    try:
+        sol = inner_mod.solve_two_factor(problem.A, vw, gs, lam, loss.y)
+    except InnerSolveError:
+        sol = None
+    if sol is None or not sol.kkt_residual <= 1e-6 * (1 + np.abs(loss.y).max()):
         bad = np.full_like(v, np.nan)
         return np.inf, bad, bad, None
     s = group_sq_norms(sol.alpha, gs)
@@ -347,10 +352,17 @@ class _GapSafeScreen:
                 "screened": int(self.out.sum())}
 
 
-# accelerated projected-gradient steps of each TV duality-gap check: with
-# 30, the gap of some 12x12x3 runs stays above optim.GAP_TOL long after the
-# primal has converged, and their checks cost more than the saved steps
+# the most accelerated projected-gradient steps of one TV duality-gap check:
+# with 30, the gap of some 12x12x3 runs stays above optim.GAP_TOL long after
+# the primal has converged, and their checks cost more than the saved steps.
+# A check ends sooner at its first step with a gap at most GAP_TOL
 DUAL_STEPS = 80
+# a check also ends once its gap, falling at the rate of its last
+# DUAL_WINDOW steps, would still be above GAP_TOL after DUAL_STEPS (a gap
+# that rose over the window ends it too): on 12x12x3 a failing check has
+# stopped falling by step 30 to 40, and a passing one certifies after a
+# median of about 25 steps
+DUAL_WINDOW = 10
 
 
 class _ProxDual:
@@ -362,15 +374,23 @@ class _ProxDual:
     The inner ``alpha`` is a poor dual point: it is defined only up to
     ``ker L^T``, and a group with ``v_g`` near zero can hold
     ``||alpha_g|| > 1``.  So :meth:`gap` projects it group-wise onto the
-    unit balls and runs ``DUAL_STEPS`` FISTA steps on ``D`` (projected
-    gradient on the dual, Chambolle, JMIV 2004; accelerated as in Beck and
-    Teboulle, IEEE TIP 2009).  ``grad D = L (y - lam L^T alpha)`` is
+    unit balls and runs FISTA steps on ``D`` (projected gradient on the
+    dual, Chambolle, JMIV 2004; accelerated as in Beck and Teboulle, IEEE
+    TIP 2009).  ``grad D = L (y - lam L^T alpha)`` is
     ``lam ||L||^2``-Lipschitz, and ``||L||^2 <= ||L||_1 ||L||_inf`` (8 for
     a 2-D gradient) sets the step.  Both norms of a block-diagonal ``L``
     are those of one block, so they are read off the memoized sparse form
     of the channel block, which the inner solves build anyway.
-    ``rel_gap`` is the last ``(P - D) / max(|P|, |D|, 1)``, with ``P`` at
-    the inner solution's ``x``.  The descent loop asks for it as
+
+    Every step's projected point is a dual point, and its ``D`` costs two
+    dot products, since its ``L^T`` image is the one the next step needs
+    (:meth:`_steps`).  So a check takes the gap at each step and ends at
+    the first step whose gap is at most ``optim.GAP_TOL`` (``certified``),
+    once the gap cannot get there within ``DUAL_STEPS`` (``stalled``, see
+    ``DUAL_WINDOW``), or after ``DUAL_STEPS`` (``budget``).  ``rel_gap``
+    is the smallest ``(P - D) / max(|P|, |D|, 1)`` of its steps, with ``P``
+    at the inner solution's ``x``, and ``checks`` holds ``(steps, rel_gap,
+    ending)`` for each check made.  The descent loop asks for the gap as
     :mod:`varprox.optim` says; a run that never certifies ends as it would
     without the gap, and the result carries the gap of its answer either way.
     """
@@ -382,6 +402,7 @@ class _ProxDual:
         bound = S.sum(axis=0).max(initial=0.0) * S.sum(axis=1).max(initial=0.0)
         self.step = 1.0 / (problem.loss.lam * max(float(bound), 1e-300))
         self.rel_gap = self.at = None
+        self.checks = []
 
     def eval_f_grad(self, v):
         return eval_f_grad(self.problem, v)
@@ -390,30 +411,58 @@ class _ProxDual:
         """The gap of the returned ``inner`` solution."""
         return {"duality_gap": self.gap(fields["inner"])}
 
+    def _value(self, u):
+        """``D`` at the dual point whose ``L^T`` image is ``u``."""
+        return float(u @ self.y) - 0.5 * self.problem.loss.lam * float(u @ u)
+
     def dual(self, alpha):
         """``D(alpha)``; a lower bound on every ``P(x)`` when each
         ``||alpha_g|| <= 1``."""
-        u = self.problem.L.adjoint(alpha)
-        return float(u @ self.y) - 0.5 * self.problem.loss.lam * float(u @ u)
+        return self._value(self.problem.L.adjoint(alpha))
+
+    def _steps(self, alpha):
+        """FISTA on ``D`` from ``alpha`` projected onto the unit balls:
+        yields ``(nxt, D(nxt))`` at each step, ``nxt`` the step's projected
+        point.  A step makes one ``L.apply`` and one ``L.adjoint``: the
+        extrapolated point's image ``L^T z`` is formed by linearity from the
+        images of the last two points, while ``D`` is always taken at the
+        ``L^T`` image of a projected point."""
+        prob, y = self.problem, self.y
+        L, gs, lam = prob.L, prob.reg_groups, prob.loss.lam
+        alpha = z = _project_group_ball(alpha, gs)
+        u = uz = L.adjoint(alpha)
+        t = 1.0
+        while True:
+            nxt = _project_group_ball(z + self.step * L.apply(y - lam * uz), gs)
+            un = L.adjoint(nxt)
+            yield nxt, self._value(un)
+            t_nxt = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            beta = (t - 1.0) / t_nxt
+            z = nxt + beta * (nxt - alpha)
+            uz = un + beta * (un - u)
+            alpha, u, t = nxt, un, t_nxt
 
     def gap(self, sol):
         """The relative gap at the inner solution ``sol``; kept for the last
         ``sol`` asked about, so asking again costs nothing."""
         if sol is self.at:
             return self.rel_gap
-        prob, y = self.problem, self.y
-        L, gs, lam = prob.L, prob.reg_groups, prob.loss.lam
-        alpha = z = _project_group_ball(sol.alpha, gs)
-        t = 1.0
-        for _ in range(DUAL_STEPS):
-            grad = L.apply(y - lam * L.adjoint(z))
-            nxt = _project_group_ball(z + self.step * grad, gs)
-            t_nxt = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            z = nxt + ((t - 1.0) / t_nxt) * (nxt - alpha)
-            alpha, t = nxt, t_nxt
-        primal = nonsmooth_objective(prob, sol.x)
-        dual = self.dual(alpha)
-        self.rel_gap = (primal - dual) / max(abs(primal), abs(dual), 1.0)
+        primal = nonsmooth_objective(self.problem, sol.x)
+        gaps, ending = [], "budget"
+        steps = islice(self._steps(sol.alpha), DUAL_STEPS)
+        for k, (_, dual) in enumerate(steps):
+            gap = (primal - dual) / max(abs(primal), abs(dual), 1.0)
+            gaps.append(gap)
+            if gap <= GAP_TOL:
+                ending = "certified"
+                break
+            if DUAL_WINDOW <= k < DUAL_STEPS - 1 and gap - GAP_TOL > (
+                    (DUAL_STEPS - 1 - k) / DUAL_WINDOW
+                    * (gaps[k - DUAL_WINDOW] - gap)):
+                ending = "stalled"
+                break
+        self.rel_gap = min(gaps)
+        self.checks.append((len(gaps), self.rel_gap, ending))
         self.at = sol
         return self.rel_gap
 
@@ -467,7 +516,8 @@ def _minimize(config, rng, starts, envelope, name, family):
     the line search scored lower; when that is not at ``theta``, or there
     was no finite evaluation, ``theta`` is evaluated once more, so an inner
     failure there raises.  ``x`` is that solution's (1-D for one right-hand
-    side, None without one), and ``family.result`` adds its fields.
+    side, None without one), and ``family.result`` adds its fields.  A
+    family with a gap lists its checks in ``trace.aux["gap_checks"]``.
     """
     theta0, evaluate, split = _outer(config, rng, starts, envelope)
     gap = None if family is None else family.gap
@@ -500,6 +550,8 @@ def _minimize(config, rng, starts, envelope, name, family):
     fields = {"x": x, "inner": low, **split(theta)}
     if family is not None:
         fields.update(family.result(fields))
+    if gap is not None:
+        trace.aux["gap_checks"] = family.checks
     return VarProResult(objective=f, trace=trace, **fields)
 
 

@@ -1,4 +1,5 @@
 import csv
+import re
 import xml.etree.ElementTree as ET
 from types import SimpleNamespace
 
@@ -7,6 +8,7 @@ import pytest
 
 from varprox import cli
 from varprox.problems import load_pgm, load_ppm, save_ppm
+from varprox.varpro import DUAL_STEPS
 
 
 def _write(path, text):
@@ -275,6 +277,25 @@ iters = 5
     assert lines[0].startswith("varpro: stopped on max_iter after ")
     assert " evaluations (" in lines[0]
     assert lines[1] == "fista: ran 6 records, no stop reason recorded"
+
+
+def test_run_reports_the_gap_checks_of_a_certified_stop(tmp_path, capsys):
+    # a TV denoising run keeps the stop line's prefix and appends its gap
+    # checks and their dual steps, as listed in the trace
+    cfg = _write(tmp_path / "run.cfg", """
+[problem]
+family = tv-denoise
+
+[solver:varpro]
+method = varpro-lbfgs
+""")
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    [line] = capsys.readouterr().out.splitlines()
+    assert line.startswith("varpro: stopped on certified after ")
+    found = re.fullmatch(r".* evaluations \(\d+ rejected line-search trials; "
+                         r"(\d+) gap checks, (\d+) dual steps\)", line)
+    checks, steps = int(found[1]), int(found[2])
+    assert 1 <= checks <= steps <= checks * DUAL_STEPS
 
 
 def test_reconstruct_small_lambda_returns_input(tmp_path):

@@ -1,4 +1,5 @@
 import configparser
+import warnings
 
 import numpy as np
 import pytest
@@ -156,13 +157,27 @@ def test_option2_fd_and_symmetry(rng):
 
 
 def test_option2_interpolation_at_zero_v_is_infinite(rng):
-    # A diag(0) A^T is the zero matrix: its jittered solve leaves a NaN
-    # residual, which is outside the dual domain, not a value
+    # A diag(0) A^T is the zero matrix: a nonzero y has no inner solution,
+    # which is outside the dual domain, not a value
     m, n = 6, 8
     prob = VarProProblem(dense(rng.standard_normal((m, n))), identity(n),
                          trivial_groups(n),
                          BasisPursuitLoss(y=rng.standard_normal(m)))
     with np.errstate(all="ignore"):
+        f, gv, gw, sol = eval_lq_option2(prob, np.zeros(n), np.ones(n))
+    assert f == np.inf and sol is None
+    assert np.isnan(gv).all() and np.isnan(gw).all()
+
+
+def test_option2_refuses_the_zero_system_before_factoring_it(rng):
+    # the zero matrix is refused unfactored, so no NaN is computed and no
+    # floating-point warning is raised on the way to +inf
+    m, n = 6, 8
+    prob = VarProProblem(dense(rng.standard_normal((m, n))), identity(n),
+                         trivial_groups(n),
+                         BasisPursuitLoss(y=rng.standard_normal(m)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         f, gv, gw, sol = eval_lq_option2(prob, np.zeros(n), np.ones(n))
     assert f == np.inf and sol is None
     assert np.isnan(gv).all() and np.isnan(gw).all()
@@ -941,6 +956,91 @@ def test_a_tv_run_that_cannot_certify_ends_as_without_the_certificate(
     monkeypatch.setattr(varpro._ProxDual, "gap", lambda self, sol: np.inf)
     res = solve_varpro(prob, OuterConfig())
     assert res.trace.stop_reason == "stalled" and res.trace.evals == 93
+
+
+def _check_gaps(dual, sol, steps=varpro.DUAL_STEPS):
+    """The relative gap of each of the first ``steps`` dual steps from
+    ``sol``."""
+    primal = nonsmooth_objective(dual.problem, sol.x)
+    return [(primal - value) / max(abs(primal), abs(value), 1.0)
+            for _, (_, value) in zip(range(steps), dual._steps(sol.alpha))]
+
+
+def test_each_dual_step_value_is_the_dual_at_its_projected_point():
+    # the value taken at each step is D of that step's projected point, not
+    # of the extrapolated point whose L^T image is tracked by linearity
+    prob, rng = _tv_denoise(5, 6, 3, 0)
+    dual = varpro._ProxDual(prob)
+    v = rng.uniform(0.0, 2.0, prob.reg_groups.n_groups)
+    alpha = eval_f_grad(prob, v)[2].alpha
+    steps = zip(range(varpro.DUAL_STEPS), dual._steps(alpha))
+    for _, (nxt, value) in steps:
+        assert group_sq_norms(nxt, prob.reg_groups).max() <= 1.0 + 1e-12
+        assert value == pytest.approx(dual.dual(nxt), rel=1e-12)
+
+
+def test_a_gap_check_ends_at_its_first_certifying_step(monkeypatch):
+    # near the optimum the check returns the gap of the first step at most
+    # GAP_TOL, after one L^T per step and one for the start
+    prob, _ = _tv_denoise(5, 6, 3, 3)
+    sol = solve_varpro(prob, OuterConfig()).inner
+    dual = varpro._ProxDual(prob)
+    gaps = _check_gaps(dual, sol)
+    first = next(k for k, gap in enumerate(gaps) if gap <= GAP_TOL)
+    assert first > 0
+    adjoint, calls = prob.L.adjoint, []
+    monkeypatch.setattr(prob.L, "adjoint",
+                        lambda z: calls.append(1) or adjoint(z))
+    assert dual.gap(sol) == gaps[first]
+    assert len(calls) == first + 2
+    assert dual.checks == [(first + 1, gaps[first], "certified")]
+
+
+def test_a_gap_check_far_from_the_optimum_ends_on_a_stall():
+    # at a random v the gap cannot reach GAP_TOL: the check ends before
+    # DUAL_STEPS, once the rate of its last DUAL_WINDOW steps is too slow,
+    # and reports the smallest gap of its steps
+    prob, rng = _tv_denoise(5, 6, 3, 1)
+    dual = varpro._ProxDual(prob)
+    v = rng.uniform(0.0, 2.0, prob.reg_groups.n_groups)
+    sol = eval_f_grad(prob, v)[2]
+    gap = dual.gap(sol)
+    [(steps, reported, ending)] = dual.checks
+    assert ending == "stalled" and varpro.DUAL_WINDOW < steps < varpro.DUAL_STEPS
+    gaps = _check_gaps(dual, sol, steps)
+    assert gap == reported == min(gaps) >= 0.0
+    k = steps - 1
+    assert gaps[k] - GAP_TOL > ((varpro.DUAL_STEPS - 1 - k) / varpro.DUAL_WINDOW
+                                * (gaps[k - varpro.DUAL_WINDOW] - gaps[k]))
+
+
+def test_a_gap_check_whose_gap_rose_over_the_window_ends(monkeypatch):
+    # a gap that falls for five steps and then rises back to its start by
+    # step DUAL_WINDOW ends the check there, which reports the smallest gap
+    # of its steps, not the last one
+    prob, rng = _tv_denoise(5, 6, 3, 2)
+    dual = varpro._ProxDual(prob)
+    sol = eval_f_grad(prob, rng.uniform(0.0, 2.0, prob.reg_groups.n_groups))[2]
+    primal = nonsmooth_objective(prob, sol.x)
+    assert primal > 1.0     # so each gap below is relative to the primal
+    gaps = [1e-3 * (1.0 + 0.01 * (k - 5) ** 2) for k in range(varpro.DUAL_STEPS)]
+    monkeypatch.setattr(dual, "_steps", lambda alpha: (
+        (None, primal * (1.0 - gap)) for gap in gaps))
+    assert dual.gap(sol) == pytest.approx(1e-3, rel=1e-9)
+    assert dual.checks == [(varpro.DUAL_WINDOW + 1, dual.rel_gap, "stalled")]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_tv_denoising_at_12x12x3_certifies(seed):
+    # the early exits of the gap checks keep every benchmark-sized run
+    # certified; the trace lists each check
+    res = solve_varpro(_image_problem("tv-denoise", 12, seed),
+                       OuterConfig(max_iter=500, grad_tol=1e-9, seed=seed))
+    assert res.trace.stop_reason == "certified"
+    assert 0.0 <= res.duality_gap <= GAP_TOL
+    checks = res.trace.aux["gap_checks"]
+    assert checks[-1][1:] == (res.duality_gap, "certified")
+    assert all(1 <= steps <= varpro.DUAL_STEPS for steps, _, _ in checks)
 
 
 @pytest.mark.parametrize("name, stop, evals", [
