@@ -348,6 +348,11 @@ def cmd_run(config, out_dir, seed=None):
             detail = "" if checks is None else (
                 f"; {len(checks)} gap checks, "
                 f"{sum(steps for steps, _, _ in checks)} dual steps")
+            newton = trace.aux.get("cg_steps")
+            if newton is not None:
+                detail += (f"; {len(newton)} Newton-CG steps, "
+                           f"{sum(steps for steps, _ in newton)} Hessian "
+                           "products")
             print(f"{name}: stopped on {trace.stop_reason} after "
                   f"{trace.evals} evaluations ({trace.backtracks} rejected "
                   f"line-search trials{detail})")

@@ -24,7 +24,9 @@ Id``, row 3 after ``x`` first, row 2 after ``L = Id``, all three, ``_kkt``,
 with no elimination), after one of four eliminations:
 
 * none, ``_saddle_route``: the full system, sparse, by SuperLU, with
-  ``|d_alpha|`` floored (the general quadratic route, TV inpainting);
+  ``|d_alpha|`` floored (the general quadratic route, TV inpainting), on a
+  layout assembled once per ``(A, L)`` whose two diagonal blocks each
+  solve refills;
 * ``A = Id``, ``_prox_route``: ``xi = -L^T alpha``, ``x = y - d_xi xi`` and
   a sparse p-by-p system in ``alpha`` (TV denoising, robust prox);
 * ``x`` first, ``_from_x_route``: ``alpha`` and ``xi`` from rows 1 and 2
@@ -48,7 +50,11 @@ m <= 32.  The m-by-m dual system ``A diag(d) A^T + diag(shift)`` (group
 lasso, overlapping groups, multitask, the two-factor path and the robust
 dual) has one assembler, ``_dual_matrix``, which forms ``B B^T`` by BLAS
 ``syrk`` from the columns with ``d > 0`` only (the group lasso's screened
-groups have ``v_g = 0``); ``_dual_solve`` adds its matrix-free CG.
+groups have ``v_g = 0``); ``_dual_solve`` adds its matrix-free CG.  A
+factor is used once and dropped, but for one: inside a ``keep_factor``
+block, ``solve_grouplasso_dual`` hands back the solve on the upper
+Cholesky factor of its dense system, which the group lasso's exact
+Hessian-vector products reuse until its next evaluation starts.
 
 The ``A = Id`` system ``diag(d) + lam L diag(s) L^T`` is a band matrix
 once its rows are renumbered in reverse Cuthill-McKee order.
@@ -68,8 +74,11 @@ sides.  Any other ``L``, or weights that differ by channel, factor the
 whole system, whose band is as narrow as one block's.
 """
 
+import contextlib
+import contextvars
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -83,7 +92,7 @@ __all__ = [
     "InnerConfig", "InnerSolution", "InnerSolveError",
     "solve_quadratic_general", "solve_grouplasso_dual", "solve_analysis_prox",
     "solve_overlap_woodbury", "solve_robust", "solve_multitask_nuclear",
-    "solve_two_factor", "cholesky_factor", "cholesky_solve",
+    "solve_two_factor", "cholesky_factor", "cholesky_solve", "keep_factor",
 ]
 
 
@@ -97,6 +106,8 @@ DIRECT_SIZE_LIMIT = 2000        # ``auto`` factors up to this many unknowns
 ZERO_THRESHOLD = 1e-8           # a ``vbar`` entry below this * max is zero
 JITTER = 1e-12                  # relative diagonal shift of a retried Cholesky
 FEAS_TOL = 1e-8                 # relative ``||A x - y||_inf`` of interpolation
+# the list of the innermost open keep_factor block, None outside one
+_KEPT = contextvars.ContextVar("kept_factors", default=None)
 
 
 @dataclass
@@ -210,7 +221,9 @@ def _psd_solve(M, b, what):
     """The one solve of a positive (semi)definite ``M z = b``, with ``M`` a
     dense array or a symmetric CSC matrix: Cholesky (:func:`_spd_factor`
     for sparse ``M``), then the same after a relative diagonal ``JITTER``,
-    then the dense :func:`_sym_solve`.
+    then the dense :func:`_sym_solve`.  Returns ``(z, fac)``: ``fac`` is
+    the upper Cholesky factor of a dense ``M`` that ``z`` came from (the
+    jittered one after a retry), None for a sparse ``M`` or the fallback.
 
     These systems lose rank exactly on the kernel of the adjoint factor,
     where the recovered primal is insensitive to the dual component, so the
@@ -228,10 +241,25 @@ def _psd_solve(M, b, what):
         else:
             fac = _spd_factor(M + eps * scipy.sparse.eye_array(p, format="csc"))
     if fac is None:
-        return _sym_solve(M if dense else M.toarray(), b, what)
+        return _sym_solve(M if dense else M.toarray(), b, what), None
     if dense:
-        return cholesky_solve(fac, b)
-    return fac.solve(b)
+        return cholesky_solve(fac, b), fac
+    return fac.solve(b), None
+
+
+@contextlib.contextmanager
+def keep_factor():
+    """A block inside which every :func:`solve_grouplasso_dual` hands back
+    ``solve``, with ``solve(b)`` the solve of ``M z = b`` on the upper
+    Cholesky factor of the ``M`` it solved with (the jittered one after a
+    retry), appended to the yielded list; a CG or ``_sym_solve`` solve
+    appends None.  Outside a block no factor outlives its solve."""
+    kept = []
+    token = _KEPT.set(kept)
+    try:
+        yield kept
+    finally:
+        _KEPT.reset(token)
 
 
 def _jitter(diagonal):
@@ -292,14 +320,16 @@ def _dual_matrix(A, d, shift):
 def _dual_solve(A, d, shift, b, cfg, what):
     """Solve ``(A diag(d) A^T + shift I) z = b`` for one right-hand side:
     matrix-free CG when ``cfg`` asks for it at size ``m``, otherwise one
-    :func:`_psd_solve` of :func:`_dual_matrix`.  Returns ``(z, method)``."""
+    :func:`_psd_solve` of :func:`_dual_matrix`.  Returns ``(z, method,
+    fac)``, ``fac`` the dense factor of :func:`_psd_solve` (None after CG)."""
     if cfg.method == "cg" or (cfg.method == "auto"
                               and A.rows > DIRECT_SIZE_LIMIT):
         def matvec(z):
             return A.apply(d * A.adjoint(z)) + shift * z
 
-        return _cg(matvec, b), "cg"
-    return _psd_solve(_dual_matrix(A, d, shift), b, what), "direct"
+        return _cg(matvec, b), "cg", None
+    z, fac = _psd_solve(_dual_matrix(A, d, shift), b, what)
+    return z, "direct", fac
 
 
 def _prox_solve(L, d, s, lam, b, what):
@@ -320,7 +350,7 @@ def _prox_solve(L, d, s, lam, b, what):
     if z is None:
         S = L.to_sparse()
         M = lam * (S * s) @ S.T + scipy.sparse.diags_array(d)
-        z = _psd_solve(M.T, b, what)    # symmetric: the CSC of its CSR
+        z = _psd_solve(M.T, b, what)[0]     # symmetric: the CSC of its CSR
     return z.T.ravel() if block else z
 
 
@@ -362,22 +392,40 @@ def _max_norm(*rows):
     return float(max(np.abs(r).max(initial=0) for r in rows))
 
 
+def _saddle_layout(A, L):
+    """The CSC saddle matrix of ``A`` and ``L`` with identity diagonal
+    blocks, and the positions in its ``data`` of those two diagonals, in
+    row order.  Only the diagonals change between solves, so the layout is
+    memoized on ``L`` for the last ``A`` it met; a diagonal entry keeps its
+    position where a solve's value is 0."""
+    memo = getattr(L, "_saddle_layout", None)
+    if memo is None or memo[0] is not A:
+        p, m = L.rows, A.rows
+        Ls, As = L.to_sparse(), A.to_sparse()
+        M = scipy.sparse.block_array(
+            [[scipy.sparse.eye_array(p), None, Ls],
+             [None, scipy.sparse.eye_array(m), As],
+             [Ls.T, As.T, None]], format="csc")
+        col = np.repeat(np.arange(M.shape[1]), np.diff(M.indptr))
+        diag = np.flatnonzero((M.indices == col) & (col < p + m))
+        memo = L._saddle_layout = (A, M, diag)
+    return memo[1], memo[2]
+
+
 def _saddle_route(A, L, d_alpha, d_xi, y):
-    """No elimination: the full system, assembled sparse from
-    ``L.to_sparse()`` and ``A.to_sparse()`` and factored by SuperLU (by the
-    dense :func:`_sym_solve` where SuperLU finds it exactly singular).  A
-    zero in ``d_alpha`` frees ``alpha`` in the kernel of ``L^T`` on its rows
-    (a divergence-free cycle of a TV gradient), so the factored ``|d_alpha|``
-    has a symmetric quasidefinite floor, ``_jitter(d_alpha)`` on its block's
-    sign; the certificate takes the true ``d_alpha``."""
+    """No elimination: the full system on the memoized layout of
+    :func:`_saddle_layout`, its two diagonal blocks refilled, factored by
+    SuperLU (by the dense :func:`_sym_solve` where SuperLU finds it exactly
+    singular).  A zero in ``d_alpha`` frees ``alpha`` in the kernel of
+    ``L^T`` on its rows (a divergence-free cycle of a TV gradient), so the
+    factored ``|d_alpha|`` has a symmetric quasidefinite floor,
+    ``_jitter(d_alpha)`` on its block's sign; the certificate takes the
+    true ``d_alpha``."""
     p, m = L.rows, A.rows
     sign = -1.0 if d_alpha.min(initial=0.0) < 0 else 1.0
-    floored = sign * np.maximum(np.abs(d_alpha), _jitter(d_alpha))
-    Ls, As = L.to_sparse(), A.to_sparse()
-    M = scipy.sparse.block_array(
-        [[scipy.sparse.diags_array(floored), None, Ls],
-         [None, scipy.sparse.diags_array(np.broadcast_to(d_xi, m)), As],
-         [Ls.T, As.T, None]], format="csc")
+    M, diag = _saddle_layout(A, L)
+    M.data[diag[:p]] = sign * np.maximum(np.abs(d_alpha), _jitter(d_alpha))
+    M.data[diag[p:]] = d_xi
     rhs = np.concatenate([np.zeros(p), y, np.zeros(A.cols)])
     try:
         sol = scipy.sparse.linalg.splu(M).solve(rhs)
@@ -460,13 +508,18 @@ def solve_quadratic_general(A, L, v, gs, lam, y, cfg=DEFAULT):
 
 def solve_grouplasso_dual(A, v, gs, lam, y, cfg=DEFAULT):
     """Group-lasso specialization (``L = Id``): one m-by-m SPD solve of
-    ``(A diag(vbar^2) A^T + lam I) xi = -y``."""
+    ``M xi = -y``, ``M = A diag(vbar^2) A^T + lam I``.  Inside a
+    :func:`keep_factor` block it hands back the solve on the factor of
+    ``M`` it solved with."""
     if lam <= 0:
         raise ValueError("lam must be positive")
     y = np.asarray(y, dtype=float).ravel()
     vbar = _vbar(v, gs)
     d = vbar ** 2
-    g, method = _dual_solve(A, d, lam, -y, cfg, "group dual system")
+    g, method, fac = _dual_solve(A, d, lam, -y, cfg, "group dual system")
+    kept = _KEPT.get()
+    if kept is not None:
+        kept.append(None if fac is None else partial(cholesky_solve, fac))
     return _from_xi_route(A, d, g, -lam * g, y, method)
 
 
@@ -484,7 +537,7 @@ def solve_two_factor(A, vw, gs, lam, Y):
     if not lam and not np.count_nonzero(d) and Y.any():
         raise InnerSolveError("two-factor inner system: the zero matrix at "
                               "vw = 0 and lam = 0, with a nonzero right-hand side")
-    xi = _psd_solve(_dual_matrix(A, d, lam), -Y, "two-factor inner system")
+    xi, _ = _psd_solve(_dual_matrix(A, d, lam), -Y, "two-factor inner system")
     return _from_xi_route(A, d[:, None], xi, -lam * xi, Y, "direct")
 
 
@@ -528,7 +581,7 @@ def solve_overlap_woodbury(A, ogroups, v, lam, y, cfg=DEFAULT):
         return solve_quadratic_general(A, L, v, L.lifted_partition(), lam, y,
                                        cfg)
     y = np.asarray(y, dtype=float).ravel()
-    z, _ = _dual_solve(A, 1.0 / wdiag, lam, y, cfg, "woodbury system")
+    z, _, _ = _dual_solve(A, 1.0 / wdiag, lam, y, cfg, "woodbury system")
     x = A.adjoint(z) / wdiag
     # the lifted partition's blocks are the groups in order: extend is repeat
     return _from_x_route(A, L, -np.repeat(v, ogroups.sizes) ** 2, -lam, y, x,
@@ -558,7 +611,7 @@ def solve_robust(A, L, v, gs_reg, w, gs_loss, lam, y):
         return _prox_route(L, vbar, lam, wbar ** 2, y, 1.0,
                            "robust prox system")
     d, shift = vbar ** 2, lam * wbar ** 2
-    xi = _psd_solve(_dual_matrix(A, d, shift), y, "robust dual system")
+    xi, _ = _psd_solve(_dual_matrix(A, d, shift), y, "robust dual system")
     return _from_xi_route(A, -d, xi, shift * xi, y, "direct")
 
 
@@ -577,5 +630,5 @@ def solve_multitask_nuclear(A, v, W, lam, Y):
     Y = np.asarray(Y, dtype=float).reshape(len(Y), -1)
     d = v ** 2
     S = (W @ W.T) / lam
-    xi = _psd_solve(_dual_matrix(A, d, 0.0) + S, -Y, "multitask system")
+    xi, _ = _psd_solve(_dual_matrix(A, d, 0.0) + S, -Y, "multitask system")
     return _from_xi_route(A, d[:, None], xi, -S @ xi, Y, "direct")

@@ -15,11 +15,17 @@ attribute can also end the run on a certificate: ``fun.certify()`` returns
 the relative duality gap at the point of the last call of ``fun``, and the
 loop asks for it only after an accepted step that lowered ``f`` by at most
 ``CHECK_REL`` relative, at least ``CHECK_EVALS`` evaluations after the
-previous check; a gap at or below ``GAP_TOL`` ends the run.  Every run ends
-with one ``trace.stop_reason`` (``converged``, ``certified``,
-``noise_floor``, ``stalled``, ``line_search_failed`` or ``max_iter``) and
-counts its evaluations and rejected trials.  The line search, the stall
-rule, the certificate checks and the L-BFGS memory are fixed by the module
+previous check; a gap at or below ``GAP_TOL`` ends the run.  An objective
+that carries a ``hessp`` attribute takes Newton-CG steps instead:
+``fun.hessp(p)`` returns the exact Hessian times ``p`` at the point of the
+last call of ``fun`` (or None, where it has none), and each direction is
+Steihaug's truncated CG on it with an Eisenstat-Walker forcing term and at
+most ``CG_STEPS`` products (:func:`_newton_cg`); the line search and the
+stop rules stay the same.  Every run ends with one ``trace.stop_reason``
+(``converged``, ``certified``, ``noise_floor``, ``stalled``,
+``line_search_failed`` or ``max_iter``) and counts its evaluations and
+rejected trials.  The line search, the stall rule, the certificate checks,
+the Newton-CG budget and the L-BFGS memory are fixed by the module
 constants below.
 """
 
@@ -50,6 +56,10 @@ NOISE_FLOOR_ULPS = 8
 GAP_TOL = 1e-6
 CHECK_REL = 1e-6
 CHECK_EVALS = 3
+# the most Hessian products of one Newton-CG direction: 30 group-lasso
+# 200x2000 solves took 7.0 s at 20, 4.6-4.8 s at 50 and 4.4 s at 100,
+# against 14.5 s with L-BFGS directions (one BLAS thread)
+CG_STEPS = 50
 
 
 class _Memory:
@@ -96,7 +106,7 @@ class _Memory:
         coef[:, 1] = gamma * c
         d = coef.ravel() @ pairs.reshape(2 * k, -1)
         d -= gamma * g
-        if d.dot(g) > -1e-14 * math.sqrt(d.dot(d)) * gnorm:
+        if not _descends(d, g, gnorm):
             self.clear()
             return -g
         return d
@@ -134,6 +144,45 @@ class _Memory:
         self.k = k + 1
 
 
+def _descends(d, g, gnorm):
+    """Whether ``d`` descends at gradient ``g`` (``gnorm = ||g||``) by more
+    than rounding, ``d·g < -1e-14 ||d|| ||g||``; a NaN in ``d`` does not."""
+    return d.dot(g) < -1e-14 * math.sqrt(d.dot(d)) * gnorm
+
+
+def _newton_cg(hessp, g, gnorm):
+    """Steihaug's truncated conjugate gradients on ``H d = -g`` from
+    ``d = 0`` ("The conjugate gradient method and trust regions in large
+    scale optimization", SIAM J. Numer. Anal. 1983), ``hessp(p) = H p``.
+    CG ends at the Eisenstat-Walker forcing term ("Choosing the forcing
+    terms in an inexact Newton method", SIAM J. Sci. Comput. 1996)
+    ``||H d + g|| <= min(0.5, sqrt(||g||)) ||g||`` (``forcing``), at a
+    direction ``p`` with ``p·H p <= 0`` (``negative_curvature``: ``-g`` at
+    the first step, else the iterate so far) or after ``CG_STEPS`` products
+    (``budget``).  Returns ``(d, products, ending)``, or None when
+    ``hessp`` has no product at this point."""
+    tol = min(0.5, math.sqrt(gnorm)) * gnorm
+    d = np.zeros_like(g)
+    r = g.copy()                # H d + g
+    p = -g
+    rr = gnorm * gnorm
+    for k in range(1, CG_STEPS + 1):
+        hp = hessp(p)
+        if hp is None:
+            return None
+        curvature = p.dot(hp)
+        if curvature <= 0:
+            return (-g if k == 1 else d), k, "negative_curvature"
+        step = rr / curvature
+        d += step * p
+        r += step * hp
+        rr, rr_old = r.dot(r), rr
+        if math.sqrt(rr) <= tol:
+            return d, k, "forcing"
+        p = (rr / rr_old) * p - r
+    return d, CG_STEPS, "budget"
+
+
 def _backtrack(fun, x, f, g, d):
     """Armijo backtracking from ``t = 1``.  Returns ``(x_new, f_new, g_new,
     trials, stop)``: ``trials`` evaluations of ``fun``, and ``stop`` None
@@ -160,6 +209,13 @@ def _descend(fun, x0, max_iter, grad_tol, method_name, direction, update):
     step and the gradient change.  Each gradient norm is computed once.
     Returns ``(x, f, g, trace)``.
 
+    Where ``fun`` carries ``hessp``, the direction is :func:`_newton_cg`'s
+    at every point where ``hessp`` has a product (``-g`` in its place when
+    it does not descend), and ``direction(g, ||g||)`` elsewhere;
+    ``update`` sees every step either way.  Each Newton step appends
+    ``(products, ending)`` to ``trace.aux["cg_steps"]``, which such a run
+    always has and no other run has.
+
     ``trace.stop_reason`` says why the run ended: ``converged`` (gradient
     norm at most ``grad_tol``), ``certified`` (``fun.certify()``, asked
     after an accepted step as the module docstring says, returned a
@@ -177,13 +233,23 @@ def _descend(fun, x0, max_iter, grad_tol, method_name, direction, update):
     trace = SolverTrace(method=method_name, evals=1)
     trace.record(0, f, gnorm, time.perf_counter() - t0)
     certify = getattr(fun, "certify", None)
+    hessp = getattr(fun, "hessp", None)
+    if hessp is not None:
+        trace.aux["cg_steps"] = newton = []
     stalled = checked = 0
     for k in range(1, max_iter + 1):
         if gnorm <= grad_tol:
             trace.stop_reason = "converged"
             break
-        xn, fn, gn, trials, stop = _backtrack(fun, x, f, g,
-                                              direction(g, gnorm))
+        step = None if hessp is None else _newton_cg(hessp, g, gnorm)
+        if step is None:
+            d = direction(g, gnorm)
+        else:
+            d, products, ending = step
+            newton.append((products, ending))
+            if not _descends(d, g, gnorm):
+                d = -g
+        xn, fn, gn, trials, stop = _backtrack(fun, x, f, g, d)
         trace.evals += trials
         trace.backtracks += trials if stop else trials - 1
         if stop:

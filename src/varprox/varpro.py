@@ -13,7 +13,10 @@ from the envelope formulas:
 * nuclear-norm multitask:          ``v - v s``, ``lam W - xi xi^T W / lam``
 
 Two families carry a duality gap: the group lasso, whose Gap Safe screening
-reports it, and TV denoising, whose run stops on it (``certified``).
+reports it, and TV denoising, whose run stops on it (``certified``).  The
+group lasso also carries its exact Hessian-vector product, one more solve
+on the factor of its inner system, on which ``lbfgs`` takes Newton-CG
+steps.
 """
 
 from dataclasses import dataclass, replace
@@ -95,7 +98,14 @@ class OuterConfig:
     ``INIT_RANGE`` with ``seed``; an array is the whole stacked outer
     variable, ``v`` then ``w`` or row-major ``W``, in place of every start,
     and another length raises ``ValueError`` before any evaluation).  The
-    inner solves use the default :class:`~varprox.inner.InnerConfig`."""
+    inner solves use the default :class:`~varprox.inner.InnerConfig`.
+
+    ``lbfgs`` runs the descent loop of :mod:`varprox.optim` with Newton-CG
+    directions on the exact Hessian for the screened group lasso (the
+    quadratic loss with ``L = Id``: lasso, group lasso, Fourier), and
+    L-BFGS directions for every other family and wherever that Hessian has
+    no factor (a CG inner solve); ``gradient-descent-bb`` runs
+    Barzilai-Borwein steps for every family."""
     algorithm: str = "lbfgs"        # lbfgs | gradient-descent-bb
     max_iter: int = 500
     grad_tol: float = 1e-9
@@ -309,6 +319,13 @@ class _GapSafeScreen:
     The gap is floored at the rounding level of ``P`` and ``D``, never at 0:
     near the optimum ``P - D`` rounds to zero or below, and a zero radius
     would screen an active group whose ``||alpha_g||`` rounds below one.
+
+    The screen also gives the exact Hessian (:meth:`hessp`).  It holds the
+    point of its last finite evaluation, the masked ``v``, ``alpha``, the
+    mask and the solve on the Cholesky factor of the inner system that the
+    evaluation handed back (:func:`~varprox.inner.keep_factor`), and it
+    drops that point, with the columns :meth:`hessp` gathered, when any
+    evaluation starts: no factor outlives the next evaluation's start.
     """
 
     gap = None          # the gap is reported, never a stop
@@ -321,18 +338,25 @@ class _GapSafeScreen:
         self.norms = _group_spectral_norms(problem.A, self.gs)
         self.out = np.zeros(self.gs.n_groups, dtype=bool)
         self.rel_gap = None
+        self.point = self.gathered = None
 
     def mask(self, v):
         return np.where(self.out, 0.0, v)
 
     def eval_f_grad(self, v):
         """:func:`eval_f_grad` at the masked ``v``; a finite value updates
-        the gap and the screened groups."""
+        the gap and the screened groups, and one whose inner solve handed
+        back its factor is the point of :meth:`hessp`."""
+        self.point = self.gathered = None
+        live = ~self.out
         v = self.mask(v)
-        f, grad, sol = eval_f_grad(self.problem, v)
+        with inner_mod.keep_factor() as kept:
+            f, grad, sol = eval_f_grad(self.problem, v)
         if not np.isfinite(f):
             return f, grad, sol
         a = np.sqrt(group_sq_norms(sol.alpha, self.gs))
+        if kept and kept[-1] is not None:
+            self.point = (v, sol.alpha, 1.0 - a * a, live, kept[-1])
         s = max(1.0, float(a.max(initial=0.0)))
         primal = f - 0.5 * float(np.sum(v * v * (1.0 - a) ** 2))
         xi = sol.xi / s
@@ -342,6 +366,36 @@ class _GapSafeScreen:
         self.rel_gap = gap / scale
         self.out |= a / s + self.norms * np.sqrt(2 * gap / self.lam) < 1.0
         return f, grad, sol
+
+    def hessp(self, dv):
+        """``H dv``, the Hessian of the objective at the point of the last
+        finite evaluation, or None when that evaluation kept no factor.
+
+        With ``M = A diag(vbar^2) A^T + lam I`` factored by that
+        evaluation, ``d alpha = -A_K^T M^-1 A_K (2 vbar_K dvbar_K alpha_K)``
+        over the columns ``K`` where ``vbar`` is nonzero (the others add
+        nothing: their ``vbar`` is 0, and so is their ``v`` below), and
+        ``H dv = dv (1 - s) - 2 v group_dots(alpha, d alpha)``, zero on the
+        groups the evaluation masked.  ``A_K`` is gathered at the first
+        product after an evaluation (a copy unless ``K`` holds every
+        column) and dropped at the next evaluation, so no copy lives
+        through a line search."""
+        if self.point is None:
+            return None
+        v, alpha, one_minus_s, live, solve = self.point
+        gs = self.gs
+        if self.gathered is None:
+            vbar = extend(v, gs)
+            keep = vbar != 0
+            Ad = self.problem.A.to_dense()      # every column: no copy
+            self.gathered = (keep, 2.0 * vbar[keep] * alpha[keep],
+                             Ad if keep.all() else np.compress(keep, Ad, axis=1))
+        keep, scale, AK = self.gathered
+        dalpha = np.zeros_like(alpha)
+        dalpha[keep] = -(solve(AK @ (scale * extend(dv, gs)[keep])) @ AK)
+        hdv = dv * one_minus_s - 2.0 * v * group_dots(alpha, dalpha, gs)
+        hdv[~live] = 0.0
+        return hdv
 
     def result(self, fields):
         """``v`` and ``x`` zero on the screened groups (the last evaluation
@@ -394,6 +448,8 @@ class _ProxDual:
     :mod:`varprox.optim` says; a run that never certifies ends as it would
     without the gap, and the result carries the gap of its answer either way.
     """
+
+    hessp = None        # the descent keeps its L-BFGS direction
 
     def __init__(self, problem):
         self.problem = problem
@@ -510,7 +566,8 @@ def _minimize(config, rng, starts, envelope, name, family):
     ``family`` is None or a family object (:class:`_GapSafeScreen`,
     :class:`_ProxDual`).  A ``family.gap`` that is not None is the
     objective's ``certify``, asked at the last finite evaluation, which is
-    the accepted point when the descent loop asks.  The result holds the
+    the accepted point when the descent loop asks; a ``family.hessp`` that
+    is not None is its ``hessp`` under ``lbfgs``, at that same point.  The result holds the
     blocks of the returned ``theta`` and the inner solution of the lowest
     finite value, which is the accepted point unless a rejected trial of
     the line search scored lower; when that is not at ``theta``, or there
@@ -540,6 +597,8 @@ def _minimize(config, rng, starts, envelope, name, family):
 
     if gap is not None:
         fun.certify = lambda: gap(last)
+    if family is not None and family.hessp and config.algorithm == "lbfgs":
+        fun.hessp = family.hessp
 
     minimize = minimize_lbfgs if config.algorithm == "lbfgs" else minimize_gd_bb
     theta, f, _, trace = minimize(fun, theta0, config.max_iter, config.grad_tol,
@@ -563,7 +622,8 @@ def solve_varpro(problem, config=None):
     multitask problem.  Returns a :class:`VarProResult` whose trace records
     every accepted iterate.  Two quadratic families evaluate through their
     family object: the group lasso (``L = Id``) is screened by
-    :class:`_GapSafeScreen`, whose gap is only reported, and TV denoising
+    :class:`_GapSafeScreen`, whose gap is only reported and whose exact
+    Hessian gives ``lbfgs`` its Newton-CG steps, and TV denoising
     (``A = Id``) ends on ``certified`` once the gap of :class:`_ProxDual`
     is at most ``optim.GAP_TOL``.  Every evaluation goes through the module
     attribute of its family's envelope (``eval_f_grad``,

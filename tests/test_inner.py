@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +17,8 @@ from varprox.linops import (BlockExtractOperator, Grad2DOperator,
                             LinearOperator, block_extract, dense, grad2d,
                             identity, tv_group_structure)
 from varprox.problems import make_inpainting_mask, pixel_channel_groups
-from varprox.varpro import BasisPursuitLoss, VarProProblem, eval_f_grad
+from varprox.varpro import (BasisPursuitLoss, OuterConfig, QuadraticLoss,
+                            VarProProblem, eval_f_grad, solve_varpro)
 
 
 def test_one_dim_lasso_oracle():
@@ -1043,3 +1045,35 @@ def test_routes_reject_a_lam_without_a_concave_dual(rng, route, lam):
     }
     with pytest.raises(ValueError, match="lam must be"):
         calls[route]()
+
+
+def test_saddle_layout_is_assembled_once_per_operator_pair(monkeypatch):
+    # tv-inpaint refills the two diagonal blocks of one memoized layout at
+    # every evaluation, and SuperLU gets the matrix a fresh assembly gives:
+    # the answers are bitwise those of operators that never solved before
+    h, w, c, lam = 6, 6, 3, 0.2
+    assemblies = []
+    block_array = scipy.sparse.block_array
+
+    def spy(*args, **kwargs):
+        assemblies.append(args)
+        return block_array(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse, "block_array", spy)
+    L, gs = grad2d(h, w, c), tv_group_structure(h, w, c)
+    A = make_inpainting_mask(h, w, 0.3, seed=2, channels=c)
+    rng = np.random.default_rng(0)
+    for k in range(4):
+        v, y = rng.uniform(0.5, 1.5, gs.n_groups), rng.uniform(0, 1, A.rows)
+        v[:k] = 0.0
+        sol = solve_quadratic_general(A, L, v, gs, lam, y)
+        fresh = solve_quadratic_general(
+            make_inpainting_mask(h, w, 0.3, seed=2, channels=c),
+            grad2d(h, w, c), v, gs, lam, y)
+        for name in ("x", "alpha", "xi", "kkt_residual"):
+            assert np.array_equal(getattr(sol, name), getattr(fresh, name))
+    assert len(assemblies) == 1 + 4
+    assemblies.clear()
+    res = solve_varpro(VarProProblem(A, L, gs, QuadraticLoss(y=y, lam=lam)),
+                       OuterConfig(max_iter=20))
+    assert res.trace.evals > 1 and assemblies == []

@@ -195,6 +195,102 @@ def test_certify_is_asked_after_small_decreases_and_ends_the_run(minimize):
     assert trace.stop_reason != "certified" and trace.evals > certified
 
 
+def _quartic(x):
+    """``sum (x_i^2 - 1)^2 / 4 + sum x_i / 10``: Hessian ``3 x^2 - 1``,
+    negative near 0, positive near the minimizers close to +-1."""
+    return (float(np.sum((x * x - 1.0) ** 2) / 4 + x.sum() / 10),
+            x ** 3 - x + 0.1)
+
+
+def test_newton_cg_solves_an_spd_quadratic_to_its_forcing_term(monkeypatch,
+                                                               rng):
+    # on 1 + x^T H x / 2 - b^T x with the exact product, each CG run ends on
+    # the Eisenstat-Walker residual and the full steps reach the minimizer
+    H, b = _spd(rng, 8), rng.standard_normal(8)
+
+    def fun(x):
+        return 1.0 + 0.5 * float(x @ H @ x) - float(b @ x), H @ x - b
+
+    fun.hessp = lambda p: H @ p
+    x, _, _, trace = minimize_lbfgs(fun, np.zeros(8), 50, 1e-10)
+    steps = trace.aux["cg_steps"]
+    assert trace.stop_reason in ("converged", "noise_floor")
+    assert np.abs(x - np.linalg.solve(H, b)).max() < 1e-8
+    # a CG iterate d has d^T H d = -g^T d: every full step is accepted
+    assert steps and trace.backtracks == 0
+    assert all(ending == "forcing" and 1 <= k <= 8 for k, ending in steps)
+    # a small gradient's direction meets its tight forcing term after
+    # several products; one product fewer is the budget, and does not
+    g0 = 1e-6 * b
+    gnorm = np.linalg.norm(g0)
+    tol = min(0.5, np.sqrt(gnorm)) * gnorm
+    d, k, ending = optim._newton_cg(fun.hessp, g0, gnorm)
+    assert ending == "forcing" and np.linalg.norm(H @ d + g0) <= tol
+    assert k > 1
+    monkeypatch.setattr(optim, "CG_STEPS", k - 1)
+    d, k_budget, ending = optim._newton_cg(fun.hessp, g0, gnorm)
+    assert (k_budget, ending) == (k - 1, "budget")
+    assert np.linalg.norm(H @ d + g0) > tol
+
+
+def test_newton_cg_exits_on_negative_curvature():
+    # at x = 0.1 every curvature is negative: the first CG step gives -g;
+    # near the minimizer by -1 the Hessian is positive and CG ends on its
+    # forcing term
+    point = {}
+
+    def fun(x):
+        point["x"] = x
+        return _quartic(x)
+
+    fun.hessp = lambda p: (3 * point["x"] ** 2 - 1) * p
+    x, _, g, trace = minimize_lbfgs(fun, np.full(3, 0.1), 100, 1e-10)
+    steps = trace.aux["cg_steps"]
+    assert steps[0] == (1, "negative_curvature")
+    assert steps[-1][1] == "forcing"
+    assert np.abs(x + 1).max() < 0.1 and np.abs(g).max() < 1e-8
+    H, g = np.diag([1.0, -1.0]), np.array([1.0, 0.5])
+    d, k, ending = optim._newton_cg(lambda p: -p, g, np.linalg.norm(g))
+    assert (k, ending) == (1, "negative_curvature") and np.array_equal(d, -g)
+    # positive curvature along -g, negative along the next CG direction:
+    # the iterate so far, one step along -g
+    d, k, ending = optim._newton_cg(lambda p: H @ p, g, np.linalg.norm(g))
+    assert (k, ending) == (2, "negative_curvature")
+    assert np.allclose(d, -(g @ g) / (g @ H @ g) * g, rtol=1e-15, atol=0)
+
+
+def test_newton_cg_without_a_product_keeps_the_lbfgs_direction(monkeypatch):
+    # a hessp that has no product at any point leaves the run bit for bit
+    # that of L-BFGS, with no Newton step recorded; a NaN product ends CG on
+    # its budget, and the direction that is no descent becomes -g
+    x0 = np.linspace(-0.4, 0.3, 6)
+    x, f, _, trace = minimize_lbfgs(_quartic, x0, 100, 1e-10)
+    assert "cg_steps" not in trace.aux
+
+    def without(x):
+        return _quartic(x)
+
+    without.hessp = lambda p: None
+    xw, fw, _, tw = minimize_lbfgs(without, x0, 100, 1e-10)
+    assert tw.aux["cg_steps"] == []
+    assert np.array_equal(xw, x) and fw == f and tw.objectives == trace.objectives
+    directions = []
+    backtrack = optim._backtrack
+
+    def spy(fun, x, f, g, d):
+        directions.append((g.copy(), d.copy()))
+        return backtrack(fun, x, f, g, d)
+
+    def broken(x):
+        return _quartic(x)
+
+    broken.hessp = lambda p: np.full_like(p, np.nan)
+    monkeypatch.setattr(optim, "_backtrack", spy)
+    _, _, _, tb = minimize_lbfgs(broken, x0, 3, 1e-10)
+    assert tb.aux["cg_steps"] == [(optim.CG_STEPS, "budget")] * len(directions)
+    assert all(np.array_equal(d, -g) for g, d in directions)
+
+
 def _spd(rng, n):
     B = rng.standard_normal((n, n + 3))
     return B @ B.T + 0.1 * np.eye(n)
@@ -236,8 +332,13 @@ def test_psd_solve_falls_back_on_a_singular_dense_matrix(rng):
     B = rng.standard_normal((5, 3))
     M = B @ B.T
     b = M @ rng.standard_normal(5)
-    z = inner._psd_solve(M, b, "test system")
+    z, fac = inner._psd_solve(M, b, "test system")
     assert np.abs(M @ z - b).max() < 1e-8 * np.abs(b).max()
+    # the factor handed back is the jittered one that solved
+    jittered = M + inner._jitter(M.diagonal()) * np.eye(5)
+    upper = np.triu(fac)
+    assert np.abs(upper.T @ upper - jittered).max() < 1e-12 * np.abs(M).max()
+    assert np.array_equal(inner.cholesky_solve(fac, b), z)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

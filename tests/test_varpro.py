@@ -1,11 +1,12 @@
 import configparser
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import fd_gradient
-from varprox import cli, varpro
+from varprox import cli, inner, optim, varpro
 from varprox.groups import (GroupStructure, _project_group_ball,
                             contiguous_groups, extend, group_sq_norms,
                             trivial_groups)
@@ -1045,7 +1046,7 @@ def test_tv_denoising_at_12x12x3_certifies(seed):
 
 @pytest.mark.parametrize("name, stop, evals", [
     ("tv-inpaint", "stalled", 44), ("tv-l1", "noise_floor", 22),
-    ("group-lasso", "noise_floor", 33), ("sqrt-lasso", "noise_floor", 104),
+    ("group-lasso", "noise_floor", 10), ("sqrt-lasso", "noise_floor", 104),
     ("eval_multitask", "max_iter", 595),
     ("overlap-group-lasso", "noise_floor", 89),
     ("eval_lq_option2", "noise_floor", 23)])
@@ -1055,7 +1056,8 @@ def test_families_without_the_tv_certificate_keep_their_stops(name, stop,
     # stops and evaluation counts are those of the runs before it existed,
     # and of the outer layout before the family objects, as the rounding of
     # the compact L-BFGS direction left them (seed 0, L-BFGS; one
-    # solve_lq_option2 start)
+    # solve_lq_option2 start).  The group lasso takes Newton-CG steps on
+    # its exact Hessian since, and its count fell from 33 to 10
     solve = solve_varpro
     if name.startswith("eval"):
         prob, solve = _family_problems()[name]
@@ -1168,3 +1170,127 @@ def test_interpolation_refuses_several_right_hand_sides(monkeypatch, rng):
                         BasisPursuitLoss(y=Y[:, :1]))
     f, _, sol = eval_f_grad(one, np.ones(n))
     assert np.isfinite(f) and np.abs(A.apply(sol.x) - Y[:, 0]).max() < 1e-8
+
+
+def _run_problem(family, **values):
+    section = configparser.ConfigParser()
+    section.read_dict({"problem": {"family": family, **values}})
+    return cli.build_problem(section["problem"])[0]
+
+
+def test_group_lasso_hessp_matches_central_differences(rng):
+    # criterion 2's 20x60 group lasso at random v, first unscreened, then
+    # once screening at the optimum has removed groups: H dv against
+    # central differences of the gradient with the evaluation's mask held
+    # fixed, and zero rows and columns on the masked groups
+    _, prob = _screened_group_lasso(0)
+    n = prob.reg_groups.n_groups
+    answer = solve_varpro(prob, OuterConfig())
+    screen = varpro._GapSafeScreen(prob)
+    h = 1e-6
+    for k in range(20):
+        if k == 10:
+            screen.eval_f_grad(answer.v)    # the gap screens groups here
+            assert screen.out.sum() >= n // 2
+        live = ~screen.out
+        v = rng.uniform(0.5, 1.5, n)
+        screen.eval_f_grad(v)
+        dv = rng.standard_normal(n)
+        hdv = screen.hessp(dv)
+
+        def grad(u):
+            return np.where(live, eval_f_grad(prob, np.where(live, u, 0.0))[1],
+                            0.0)
+
+        fd = (grad(v + h * dv) - grad(v - h * dv)) / (2 * h)
+        assert np.linalg.norm(hdv - fd) <= 1e-8 * np.linalg.norm(fd)
+        assert not hdv[~live].any()
+        assert not screen.hessp(np.where(live, 0.0, dv)).any()
+
+
+def test_no_factor_or_gather_outlives_the_next_evaluation(monkeypatch):
+    # each evaluation's Cholesky factor and the hessp gather A_K are dead
+    # when the next evaluation starts, so none lives through a line search,
+    # and the result holds none (no gc.collect: reference counts alone)
+    _, prob = _screened_group_lasso(0)
+    refs, gathers, alive = [], [], []
+    factor, hessp = inner.cholesky_factor, varpro._GapSafeScreen.hessp
+
+    def recorded_factor(*args, **kwargs):
+        fac = factor(*args, **kwargs)
+        if fac is not None:
+            refs.append(weakref.ref(fac))
+        return fac
+
+    def recorded_hessp(self, dv):
+        out = hessp(self, dv)
+        if self.gathered[2] is not prob.A.to_dense():   # a gathered copy
+            gathers.append(weakref.ref(self.gathered[2]))
+        return out
+
+    def spy(problem, v):
+        alive.append(sum(ref() is not None for ref in refs + gathers))
+        return eval_f_grad(problem, v)
+
+    monkeypatch.setattr(inner, "cholesky_factor", recorded_factor)
+    monkeypatch.setattr(varpro._GapSafeScreen, "hessp", recorded_hessp)
+    monkeypatch.setattr(varpro, "eval_f_grad", spy)
+    res = solve_varpro(prob, OuterConfig())
+    assert res.trace.aux["cg_steps"] and gathers and len(refs) >= res.trace.evals
+    assert alive == [0] * len(alive) and len(alive) >= res.trace.evals
+    assert all(ref() is None for ref in refs + gathers)
+
+
+def test_a_cg_inner_solve_keeps_the_lbfgs_direction(monkeypatch):
+    # past DIRECT_SIZE_LIMIT the group dual is solved by CG, which hands
+    # back no factor: no Newton step, and the run is that of L-BFGS
+    _, prob = _screened_group_lasso(0)
+    monkeypatch.setattr(inner, "DIRECT_SIZE_LIMIT", 0)
+    res = solve_varpro(prob, OuterConfig())
+    assert res.trace.aux["cg_steps"] == [] and res.inner.method == "cg"
+    monkeypatch.setattr(varpro._GapSafeScreen, "hessp", None)
+    lbfgs = solve_varpro(prob, OuterConfig())
+    assert "cg_steps" not in lbfgs.trace.aux
+    assert lbfgs.trace.objectives == res.trace.objectives
+
+
+@pytest.mark.parametrize("family", ["lasso", "group-lasso"])
+def test_screened_families_take_newton_cg_steps_to_the_reference(family):
+    # under lbfgs the screened quadratic L = Id families take Newton-CG
+    # steps, each recorded with its Hessian products and ending, and reach
+    # a long FISTA run's objective; gradient-descent-bb takes none
+    for seed in range(3):
+        prob = _run_problem(family, seed=str(seed))
+        res = solve_varpro(prob, OuterConfig(seed=seed))
+        steps = res.trace.aux["cg_steps"]
+        # one per accepted step, and one whose line search ended the run
+        assert 0 < len(steps) <= res.trace.n_records
+        assert all(1 <= k <= optim.CG_STEPS and ending in (
+            "forcing", "negative_curvature", "budget") for k, ending in steps)
+        ref = run_ista(prob.A, prob.reg_groups, prob.loss.lam, prob.loss.y,
+                       accel="fista", iters=20000)
+        p_ref = nonsmooth_objective(prob, ref.x)
+        assert nonsmooth_objective(prob, res.x) - p_ref <= 1e-9 * p_ref
+        bb = solve_varpro(prob, OuterConfig(algorithm="gradient-descent-bb",
+                                            max_iter=20, seed=seed))
+        assert "cg_steps" not in bb.trace.aux
+
+
+@pytest.mark.parametrize("family", ["tv-denoise", "tv-l1", "tv-inpaint",
+                                    "sqrt-lasso", "overlap-group-lasso",
+                                    "eval_f_grad_robust", "eval_multitask",
+                                    "eval_lq_option2", "interpolation"])
+def test_other_families_take_no_newton_cg_steps(family, rng):
+    # only the screened group lasso carries a Hessian product
+    solve = solve_varpro
+    if family.startswith("eval"):
+        prob, solve = _family_problems()[family]
+    elif family == "interpolation":
+        A = dense(rng.standard_normal((4, 8)))
+        prob = VarProProblem(A, identity(8), trivial_groups(8),
+                             BasisPursuitLoss(y=A.apply(rng.standard_normal(8))))
+    else:
+        prob = _run_problem(family, **({"height": "4", "width": "4"}
+                                       if family.startswith("tv") else {}))
+    res = solve(prob, OuterConfig(max_iter=5))
+    assert "cg_steps" not in res.trace.aux
