@@ -407,11 +407,13 @@ def cmd_phase(config, out_dir, seed=None, threads=1):
         raise ConfigError("missing [phase] section")
     with _config_values(config["phase"]) as get:
         n = get("n", 64, int)
-        s = get("s", 8, int)
+        s = get("s", 8, _steps)
         T = get("t", 1, int)
         if T < 1:
             raise ValueError(f"t >= 1 required, got {T}")
         q = get("q", 2 / 3, _fraction)
+        if not 0 < q <= 2:
+            raise ValueError(f"0 < q <= 2 required, got {q:g}")
         trials = get("trials", 20, _steps)
         threshold = get("threshold", 0.01, float)
         restarts = get("restarts", 3, int)

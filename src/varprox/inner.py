@@ -51,10 +51,10 @@ lasso, overlapping groups, multitask, the two-factor path and the robust
 dual) has one assembler, ``_dual_matrix``, which forms ``B B^T`` by BLAS
 ``syrk`` from the columns with ``d > 0`` only (the group lasso's screened
 groups have ``v_g = 0``); ``_dual_solve`` adds its matrix-free CG.  A
-factor is used once and dropped, but for one: inside a ``keep_factor``
-block, ``solve_grouplasso_dual`` hands back the solve on the upper
-Cholesky factor of its dense system, which the group lasso's exact
-Hessian-vector products reuse until its next evaluation starts.
+factor is used once and dropped, but for one: ``solve_grouplasso_dual``
+returns the solve on the upper Cholesky factor of its dense system as
+``InnerSolution.solve``, which the group lasso's exact Hessian-vector
+products reuse until its next evaluation starts.
 
 The ``A = Id`` system ``diag(d) + lam L diag(s) L^T`` is a band matrix
 once its rows are renumbered in reverse Cuthill-McKee order.
@@ -74,8 +74,6 @@ sides.  Any other ``L``, or weights that differ by channel, factor the
 whole system, whose band is as narrow as one block's.
 """
 
-import contextlib
-import contextvars
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -92,7 +90,7 @@ __all__ = [
     "InnerConfig", "InnerSolution", "InnerSolveError",
     "solve_quadratic_general", "solve_grouplasso_dual", "solve_analysis_prox",
     "solve_overlap_woodbury", "solve_robust", "solve_multitask_nuclear",
-    "solve_two_factor", "cholesky_factor", "cholesky_solve", "keep_factor",
+    "solve_two_factor", "cholesky_factor", "cholesky_solve",
 ]
 
 
@@ -106,8 +104,6 @@ DIRECT_SIZE_LIMIT = 2000        # ``auto`` factors up to this many unknowns
 ZERO_THRESHOLD = 1e-8           # a ``vbar`` entry below this * max is zero
 JITTER = 1e-12                  # relative diagonal shift of a retried Cholesky
 FEAS_TOL = 1e-8                 # relative ``||A x - y||_inf`` of interpolation
-# the list of the innermost open keep_factor block, None outside one
-_KEPT = contextvars.ContextVar("kept_factors", default=None)
 
 
 @dataclass
@@ -132,6 +128,9 @@ class InnerSolution:
 
     ``kkt_residual`` is the max norm over the stationarity equations;
     ``system_size`` records the dimension of the linear system solved.
+    ``solve(b)`` solves ``M z = b`` on the upper Cholesky factor of the
+    group dual's ``M`` (the jittered one after a retry); it is None after
+    CG, the ``_sym_solve`` fallback and on every other route.
     """
 
     x: np.ndarray
@@ -140,6 +139,7 @@ class InnerSolution:
     kkt_residual: float
     system_size: int
     method: str
+    solve: object
 
 
 DEFAULT = InnerConfig()
@@ -245,21 +245,6 @@ def _psd_solve(M, b, what):
     if dense:
         return cholesky_solve(fac, b), fac
     return fac.solve(b), None
-
-
-@contextlib.contextmanager
-def keep_factor():
-    """A block inside which every :func:`solve_grouplasso_dual` hands back
-    ``solve``, with ``solve(b)`` the solve of ``M z = b`` on the upper
-    Cholesky factor of the ``M`` it solved with (the jittered one after a
-    retry), appended to the yielded list; a CG or ``_sym_solve`` solve
-    appends None.  Outside a block no factor outlives its solve."""
-    kept = []
-    token = _KEPT.set(kept)
-    try:
-        yield kept
-    finally:
-        _KEPT.reset(token)
 
 
 def _jitter(diagonal):
@@ -433,7 +418,7 @@ def _saddle_route(A, L, d_alpha, d_xi, y):
         sol = _sym_solve(M.toarray(), rhs, "saddle system")
     alpha, xi, x = sol[:p], sol[p:p + m], sol[p + m:]
     res = _kkt(A, L, d_alpha, d_xi, y, x, alpha, xi)
-    return InnerSolution(x, alpha, xi, res, M.shape[0], "direct-extended")
+    return InnerSolution(x, alpha, xi, res, M.shape[0], "direct-extended", None)
 
 
 def _prox_route(L, vbar, lam, s, y, sign, what):
@@ -449,7 +434,7 @@ def _prox_route(L, vbar, lam, s, y, sign, what):
     x = y - d_xi * xi
     res = _max_norm(d_alpha * alpha + L.apply(x))
     return InnerSolution(x, alpha, xi, res, system_size=L.rows,
-                         method="sparse-direct")
+                         method="sparse-direct", solve=None)
 
 
 def _from_x_route(A, L, d_alpha, d_xi, y, x, size, method):
@@ -459,7 +444,7 @@ def _from_x_route(A, L, d_alpha, d_xi, y, x, size, method):
     alpha = -L.apply(x) / d_alpha
     xi = (y - A.apply(x)) / d_xi
     res = _max_norm(L.adjoint(alpha) + A.adjoint(xi))
-    return InnerSolution(x, alpha, xi, res, system_size=size, method=method)
+    return InnerSolution(x, alpha, xi, res, size, method, None)
 
 
 def _from_xi_route(A, d, xi, d_xi_xi, y, method):
@@ -469,7 +454,7 @@ def _from_xi_route(A, d, xi, d_xi_xi, y, method):
     alpha = -A.adjoint(xi)
     x = d * alpha
     res = float(np.abs(d_xi_xi + A.apply(x) - y).max(initial=0))
-    return InnerSolution(x, alpha, xi, res, system_size=A.rows, method=method)
+    return InnerSolution(x, alpha, xi, res, A.rows, method, None)
 
 
 def _dispatch_quadratic(A, L, v, gs, lam, y):
@@ -508,19 +493,17 @@ def solve_quadratic_general(A, L, v, gs, lam, y, cfg=DEFAULT):
 
 def solve_grouplasso_dual(A, v, gs, lam, y, cfg=DEFAULT):
     """Group-lasso specialization (``L = Id``): one m-by-m SPD solve of
-    ``M xi = -y``, ``M = A diag(vbar^2) A^T + lam I``.  Inside a
-    :func:`keep_factor` block it hands back the solve on the factor of
-    ``M`` it solved with."""
+    ``M xi = -y``, ``M = A diag(vbar^2) A^T + lam I``.  Its ``solve`` is
+    the solve on the factor of ``M`` it solved with."""
     if lam <= 0:
         raise ValueError("lam must be positive")
     y = np.asarray(y, dtype=float).ravel()
     vbar = _vbar(v, gs)
     d = vbar ** 2
     g, method, fac = _dual_solve(A, d, lam, -y, cfg, "group dual system")
-    kept = _KEPT.get()
-    if kept is not None:
-        kept.append(None if fac is None else partial(cholesky_solve, fac))
-    return _from_xi_route(A, d, g, -lam * g, y, method)
+    sol = _from_xi_route(A, d, g, -lam * g, y, method)
+    sol.solve = None if fac is None else partial(cholesky_solve, fac)
+    return sol
 
 
 def solve_two_factor(A, vw, gs, lam, Y):

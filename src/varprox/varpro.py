@@ -322,10 +322,11 @@ class _GapSafeScreen:
 
     The screen also gives the exact Hessian (:meth:`hessp`).  It holds the
     point of its last finite evaluation, the masked ``v``, ``alpha``, the
-    mask and the solve on the Cholesky factor of the inner system that the
-    evaluation handed back (:func:`~varprox.inner.keep_factor`), and it
-    drops that point, with the columns :meth:`hessp` gathered, when any
-    evaluation starts: no factor outlives the next evaluation's start.
+    mask and the solve on the Cholesky factor of the inner system, which it
+    takes off the evaluation's ``InnerSolution.solve``, so no recorded
+    solution holds a factor.  It drops that point, with the columns
+    :meth:`hessp` gathered, when any evaluation starts: no factor outlives
+    the next evaluation's start.
     """
 
     gap = None          # the gap is reported, never a stop
@@ -345,18 +346,18 @@ class _GapSafeScreen:
 
     def eval_f_grad(self, v):
         """:func:`eval_f_grad` at the masked ``v``; a finite value updates
-        the gap and the screened groups, and one whose inner solve handed
-        back its factor is the point of :meth:`hessp`."""
+        the gap and the screened groups, and one whose inner solution has a
+        ``solve`` is the point of :meth:`hessp`."""
         self.point = self.gathered = None
         live = ~self.out
         v = self.mask(v)
-        with inner_mod.keep_factor() as kept:
-            f, grad, sol = eval_f_grad(self.problem, v)
+        f, grad, sol = eval_f_grad(self.problem, v)
+        solve, sol.solve = sol.solve, None
         if not np.isfinite(f):
             return f, grad, sol
         a = np.sqrt(group_sq_norms(sol.alpha, self.gs))
-        if kept and kept[-1] is not None:
-            self.point = (v, sol.alpha, 1.0 - a * a, live, kept[-1])
+        if solve is not None:
+            self.point = (v, sol.alpha, 1.0 - a * a, live, solve)
         s = max(1.0, float(a.max(initial=0.0)))
         primal = f - 0.5 * float(np.sum(v * v * (1.0 - a) ** 2))
         xi = sol.xi / s
@@ -470,11 +471,6 @@ class _ProxDual:
     def _value(self, u):
         """``D`` at the dual point whose ``L^T`` image is ``u``."""
         return float(u @ self.y) - 0.5 * self.problem.loss.lam * float(u @ u)
-
-    def dual(self, alpha):
-        """``D(alpha)``; a lower bound on every ``P(x)`` when each
-        ``||alpha_g|| <= 1``."""
-        return self._value(self.problem.L.adjoint(alpha))
 
     def _steps(self, alpha):
         """FISTA on ``D`` from ``alpha`` projected onto the unit balls:

@@ -645,13 +645,17 @@ LASSO_RUN = "[problem]\nfamily = lasso\n[solver:a]\nmethod = fista\n"
      "[phase] m_grid and methods name at least one entry each"),
     ("phase", "[phase]\nn = 10\ns = 2\nm_grid = 6\nt = 0\n",
      "[phase] t >= 1 required, got 0"),
+    ("phase", "[phase]\nn = 10\ns = -1\nm_grid = 6\n",
+     "[phase] a step budget is >= 0, got -1"),
+    ("phase", "[phase]\nn = 10\ns = 2\nm_grid = 6\nq = 3\nmethods = irls\n",
+     "[phase] 0 < q <= 2 required, got 3"),
 ], ids=["solver-iters", "problem-m", "problem-s", "phase-n", "phase-s",
         "reconstruct-height", "solver-grad_tol", "solver-max_iter",
         "solver-negative-iters", "problem-key", "fourier-key", "tv-l1-key",
         "image-and-height", "image-missing", "budget-key", "phase-key",
         "reconstruct-key", "run-section", "phase-section", "reconstruct-section",
         "phase-trials", "phase-m_grid", "phase-restarts", "phase-empty-m_grid",
-        "phase-empty-methods", "phase-t"])
+        "phase-empty-methods", "phase-t", "phase-negative-s", "phase-q"])
 def test_a_value_that_does_not_parse_is_a_config_error_before_any_work(
         tmp_path, monkeypatch, capsys, command, text, message):
     calls = _stub_solves(monkeypatch)

@@ -156,10 +156,12 @@ def unreachable(modules, root_names, root_defs=()):
     A definition is a top-level function or class, a method, or a
     module-level assignment (walked, never reported).  Reaching a name
     reaches every definition of that name; a reached definition reaches the
-    names its body reads.  A class body counts without its methods.
+    names its body reads.  A method is reached only by an attribute lookup
+    (``obj.name``) or a root name, never by a bare name, which is a local
+    or a module-level one.  A class body counts without its methods.
     ``root_defs`` holds ``module.qualname`` roots; dunder methods are roots.
     """
-    by_name = defaultdict(list)
+    by_name, by_attr = defaultdict(list), defaultdict(list)
     roots = []
     for module, source in modules.items():
         for node in ast.parse(source).body:
@@ -172,7 +174,7 @@ def unreachable(modules, root_names, root_defs=()):
                         s for s in node.body if not isinstance(s, DEFS)]
                     for meth in methods:
                         entry = (f"{key}.{meth.name}", [meth], True)
-                        by_name[meth.name].append(entry)
+                        by_attr[meth.name].append(entry)
                         if meth.name.startswith("__") and meth.name.endswith("__"):
                             roots.append(entry)
                 entry = (key, body, True)
@@ -185,16 +187,20 @@ def unreachable(modules, root_names, root_defs=()):
                 for t in targets:
                     if isinstance(t, ast.Name) and t.id != "__all__":
                         by_name[t.id].append((f"{module}.{t.id}", [node], False))
-    stack = roots + [e for name in root_names for e in by_name.get(name, ())]
+    stack = roots + [e for name in root_names
+                     for e in by_name.get(name, []) + by_attr.get(name, [])]
     seen = set()
     while stack:
         key, body, _ = stack.pop()
         if key in seen:
             continue
         seen.add(key)
-        for name in identifiers(body):
-            stack.extend(by_name.get(name, ()))
-    return sorted(key for entries in by_name.values()
+        for sub in (s for node in body for s in ast.walk(node)):
+            if isinstance(sub, ast.Name):
+                stack.extend(by_name.get(sub.id, ()))
+            elif isinstance(sub, ast.Attribute):
+                stack.extend(by_name.get(sub.attr, []) + by_attr.get(sub.attr, []))
+    return sorted(key for entries in [*by_name.values(), *by_attr.values()]
                   for key, _, reported in entries
                   if reported and key not in seen)
 
@@ -305,7 +311,9 @@ def test_reachability_walk_follows_names_not_exports():
     source = (
         "__all__ = ['orphan', 'Box']\n"
         "TABLE = {'k': helper}\n"
-        "def root(): return Box().size + TABLE\n"
+        "def root():\n"
+        "    unused = 0\n"
+        "    return Box().size + TABLE + unused\n"
         "def helper(): return 1\n"
         "def orphan(): return helper()\n"
         "class Box:\n"

@@ -157,6 +157,29 @@ def test_grouplasso_dual_matches_general(rng):
     assert np.abs(a.alpha - b.alpha).max() < 1e-9
 
 
+def test_group_dual_solution_carries_the_solve_on_its_factor(monkeypatch, rng):
+    # solve(b) solves M = A diag(vbar^2) A^T + lam I for one or several
+    # right-hand sides; CG and the symmetric-indefinite fallback factor
+    # nothing and carry no solve
+    m, n, lam = 10, 40, 0.4
+    Ad = rng.standard_normal((m, n)) / 3
+    gs = contiguous_groups(n, 4)
+    v = rng.uniform(0.5, 1.5, gs.n_groups)
+    v[2] = 0.0
+    y, b = rng.standard_normal(m), rng.standard_normal((m, 3))
+    sol = solve_grouplasso_dual(dense(Ad), v, gs, lam, y)
+    M = (Ad * extend(v, gs) ** 2) @ Ad.T + lam * np.eye(m)
+    for rhs in (b[:, 0], b):
+        ref = np.linalg.solve(M, rhs)
+        assert np.linalg.norm(sol.solve(rhs) - ref) <= 1e-10 * np.linalg.norm(ref)
+    cg = solve_grouplasso_dual(dense(Ad), v, gs, lam, y, InnerConfig(method="cg"))
+    assert cg.method == "cg" and cg.solve is None
+    monkeypatch.setattr(inner, "cholesky_factor", lambda M, overwrite=False: None)
+    fallback = solve_grouplasso_dual(dense(Ad), v, gs, lam, y)
+    assert fallback.solve is None
+    assert np.abs(fallback.x - sol.x).max() < 1e-9
+
+
 def test_analysis_prox_one_dim():
     sol = solve_analysis_prox(identity(1), np.array([1.0]), trivial_groups(1),
                               1.0, np.array([2.0]))
@@ -1014,6 +1037,8 @@ def test_every_route_solves_the_saddle_system_of_its_loss(rng, route):
     res = np.abs(M @ z - rhs).max()
     assert res <= 1e-9
     assert abs(res - sol.kkt_residual) <= 1e-12
+    # only the group dual's solution carries the solve on its factor
+    assert (sol.solve is None) == (route != "group-dual")
 
 
 LAM_ROUTES = ["solve_quadratic_general", "solve_grouplasso_dual",

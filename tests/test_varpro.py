@@ -907,7 +907,7 @@ def test_tv_dual_is_a_lower_bound_on_the_primal(channels):
         z = _project_group_ball(3 * rng.standard_normal(prob.L.rows),
                                 prob.reg_groups)
         x = rng.uniform(-1, 2, prob.L.cols)
-        assert dual.dual(z) <= nonsmooth_objective(prob, x)
+        assert dual._value(prob.L.adjoint(z)) <= nonsmooth_objective(prob, x)
         v = rng.uniform(0.0, 2.0, prob.reg_groups.n_groups)
         sol = eval_f_grad(prob, v)[2]
         gap = dual.gap(sol)
@@ -977,7 +977,8 @@ def test_each_dual_step_value_is_the_dual_at_its_projected_point():
     steps = zip(range(varpro.DUAL_STEPS), dual._steps(alpha))
     for _, (nxt, value) in steps:
         assert group_sq_norms(nxt, prob.reg_groups).max() <= 1.0 + 1e-12
-        assert value == pytest.approx(dual.dual(nxt), rel=1e-12)
+        assert value == pytest.approx(dual._value(prob.L.adjoint(nxt)),
+                                      rel=1e-12)
 
 
 def test_a_gap_check_ends_at_its_first_certifying_step(monkeypatch):
@@ -1239,6 +1240,16 @@ def test_no_factor_or_gather_outlives_the_next_evaluation(monkeypatch):
     assert res.trace.aux["cg_steps"] and gathers and len(refs) >= res.trace.evals
     assert alive == [0] * len(alive) and len(alive) >= res.trace.evals
     assert all(ref() is None for ref in refs + gathers)
+
+
+def test_a_screened_result_holds_no_factor():
+    # the screen takes the solve off each evaluation's inner solution, so
+    # the result's, from the group dual's factored route, carries none
+    _, prob = _screened_group_lasso(0)
+    res = solve_varpro(prob, OuterConfig())
+    assert res.trace.aux["cg_steps"] and res.inner.method == "direct"
+    assert res.inner.solve is None
+    assert eval_f_grad(prob, res.v)[2].solve is not None
 
 
 def test_a_cg_inner_solve_keeps_the_lbfgs_direction(monkeypatch):
