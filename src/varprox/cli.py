@@ -407,6 +407,8 @@ def cmd_phase(config, out_dir, seed=None, threads=1):
         raise ConfigError("missing [phase] section")
     with _config_values(config["phase"]) as get:
         n = get("n", 64, int)
+        if n < 1:
+            raise ValueError(f"n >= 1 required, got {n}")
         s = get("s", 8, _steps)
         T = get("t", 1, int)
         if T < 1:
@@ -416,6 +418,9 @@ def cmd_phase(config, out_dir, seed=None, threads=1):
             raise ValueError(f"0 < q <= 2 required, got {q:g}")
         trials = get("trials", 20, _steps)
         threshold = get("threshold", 0.01, float)
+        if not 0 < threshold < np.inf:      # NaN fails too
+            raise ValueError(f"a positive finite threshold is required, "
+                             f"got {threshold:g}")
         restarts = get("restarts", 3, int)
         if restarts < 1:
             raise ValueError(f"restarts >= 1 required, got {restarts}")

@@ -125,6 +125,20 @@ def extend(v, gs):
     return v[gs.group_of]
 
 
+def _size_blocks(gs):
+    """``(ids, cols, first)`` for each group size ``k``: the groups of that
+    size, their indices as a G_k-by-k array, and its first index when it
+    holds consecutive indices in group order, else None."""
+    start = np.cumsum(gs.sizes) - gs.sizes
+    for k in np.unique(gs.sizes):
+        ids = np.flatnonzero(gs.sizes == k)
+        cols = gs._indices[start[ids, None] + np.arange(k)]
+        first = int(cols[0, 0])
+        in_order = np.array_equal(cols.ravel(),
+                                  np.arange(first, first + cols.size))
+        yield ids, cols, first if in_order else None
+
+
 def _group_spectral_norms(A, gs):
     """``||A_g||_2`` for every column block of the operator ``A``: the
     square root of the largest eigenvalue of each small ``A_g^T A_g``,
@@ -132,13 +146,41 @@ def _group_spectral_norms(A, gs):
     stay small."""
     Ad = A.to_dense()
     out = np.empty(gs.n_groups)
-    for k in np.unique(gs.sizes):
-        ids = np.flatnonzero(gs.sizes == k)
-        for part in np.array_split(ids, -(-ids.size // 64)):
-            B = Ad[:, np.concatenate([gs.groups[i] for i in part])]
-            B = B.reshape(Ad.shape[0], part.size, k)
+    for ids, cols, _ in _size_blocks(gs):
+        for part in np.array_split(np.arange(ids.size), -(-ids.size // 64)):
+            B = Ad[:, cols[part].ravel()].reshape(-1, part.size, cols.shape[1])
             top = np.linalg.eigvalsh(np.einsum("mgi,mgj->gij", B, B))[:, -1]
-            out[part] = np.sqrt(np.maximum(top, 0.0))
+            out[ids[part]] = np.sqrt(np.maximum(top, 0.0))
+    return out
+
+
+def _group_images(Ad, z, gs, keep):
+    """The matrix ``[A_g z_g]`` of the group images of ``z`` under the
+    columns of the dense ``Ad``, one column for each group that ``keep``
+    marks, in group order.  One ``einsum`` per group size: over a view of
+    ``Ad`` when the groups of that size hold consecutive columns in group
+    order, its result then compressed to the kept groups, and over the
+    gathered columns of the kept groups alone when those are not in order
+    or take less room than the view's result, the images of every group
+    of that size."""
+    n_kept = int(np.count_nonzero(keep))
+    rank = np.cumsum(keep) - 1              # each kept group's column
+    out = None
+    for ids, cols, first in _size_blocks(gs):
+        kept = keep[ids]
+        if first is None or np.count_nonzero(kept) * cols.shape[1] < ids.size:
+            ids, cols, kept = ids[kept], cols[kept], kept[kept]
+            block = np.take(Ad, cols, axis=1)
+        else:
+            block = Ad[:, first:first + cols.size].reshape(-1, *cols.shape)
+        images = np.einsum("mgk,gk->mg", block, z[cols])
+        if not kept.all():
+            images, ids = np.compress(kept, images, axis=1), ids[kept]
+        if ids.size == n_kept:
+            return images
+        if out is None:
+            out = np.empty((Ad.shape[0], n_kept))
+        out[:, rank[ids]] = images
     return out
 
 

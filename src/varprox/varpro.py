@@ -16,7 +16,11 @@ Two families carry a duality gap: the group lasso, whose Gap Safe screening
 reports it, and TV denoising, whose run stops on it (``certified``).  The
 group lasso also carries its exact Hessian-vector product, one more solve
 on the factor of its inner system, on which ``lbfgs`` takes Newton-CG
-steps.
+steps.  The product reads ``alpha`` only through the group images
+``b_g = A_g alpha_g``: with ``B = [b_g]`` (at most m-by-G, formed once per
+outer step) and ``M`` the factored inner matrix it is
+``dv (1 - s) + 4 v B^T M^-1 B (v dv)``, two passes over a matrix the group
+size times narrower than ``A``.
 """
 
 from dataclasses import dataclass, replace
@@ -26,7 +30,7 @@ from itertools import islice
 import numpy as np
 
 from . import inner as inner_mod
-from .groups import (GroupStructure, _group_spectral_norms,
+from .groups import (GroupStructure, _group_images, _group_spectral_norms,
                      _project_group_ball, extend, group_dots, group_norm_12,
                      group_sq_norms)
 from .inner import InnerSolution, InnerSolveError
@@ -324,9 +328,13 @@ class _GapSafeScreen:
     point of its last finite evaluation, the masked ``v``, ``alpha``, the
     mask and the solve on the Cholesky factor of the inner system, which it
     takes off the evaluation's ``InnerSolution.solve``, so no recorded
-    solution holds a factor.  It drops that point, with the columns
-    :meth:`hessp` gathered, when any evaluation starts: no factor outlives
-    the next evaluation's start.
+    solution holds a factor.  A product needs ``alpha`` only through its
+    group images ``A_g alpha_g``, so the first product after an evaluation
+    forms their matrix once for the groups with ``v_g != 0``, one
+    ``einsum`` per group size over ``A``'s columns, and every product of
+    that outer step is two passes over it.  The screen drops the point,
+    with that matrix, when any evaluation starts: no factor outlives the
+    next evaluation's start.
     """
 
     gap = None          # the gap is reported, never a stop
@@ -339,7 +347,7 @@ class _GapSafeScreen:
         self.norms = _group_spectral_norms(problem.A, self.gs)
         self.out = np.zeros(self.gs.n_groups, dtype=bool)
         self.rel_gap = None
-        self.point = self.gathered = None
+        self.point = self.images = None
 
     def mask(self, v):
         return np.where(self.out, 0.0, v)
@@ -348,7 +356,7 @@ class _GapSafeScreen:
         """:func:`eval_f_grad` at the masked ``v``; a finite value updates
         the gap and the screened groups, and one whose inner solution has a
         ``solve`` is the point of :meth:`hessp`."""
-        self.point = self.gathered = None
+        self.point = self.images = None
         live = ~self.out
         v = self.mask(v)
         f, grad, sol = eval_f_grad(self.problem, v)
@@ -373,28 +381,25 @@ class _GapSafeScreen:
         finite evaluation, or None when that evaluation kept no factor.
 
         With ``M = A diag(vbar^2) A^T + lam I`` factored by that
-        evaluation, ``d alpha = -A_K^T M^-1 A_K (2 vbar_K dvbar_K alpha_K)``
-        over the columns ``K`` where ``vbar`` is nonzero (the others add
-        nothing: their ``vbar`` is 0, and so is their ``v`` below), and
-        ``H dv = dv (1 - s) - 2 v group_dots(alpha, d alpha)``, zero on the
-        groups the evaluation masked.  ``A_K`` is gathered at the first
-        product after an evaluation (a copy unless ``K`` holds every
-        column) and dropped at the next evaluation, so no copy lives
-        through a line search."""
+        evaluation, ``alpha`` enters the Hessian only through the group
+        images ``b_g = A_g alpha_g``: with ``B = [b_g]`` over the groups
+        ``K`` where ``v`` is nonzero (the others add nothing),
+        ``H = diag(1 - s) + 4 diag(v) B^T M^-1 B diag(v)``, so
+        ``H dv = dv (1 - s) + 4 v B^T M^-1 B (v dv)``, zero on the groups
+        the evaluation masked.  ``B`` (m-by-``|K|``, the group size times
+        narrower than the columns ``A_K``) is formed at the first product
+        after an evaluation and dropped at the next evaluation, so none
+        lives through a line search."""
         if self.point is None:
             return None
         v, alpha, one_minus_s, live, solve = self.point
-        gs = self.gs
-        if self.gathered is None:
-            vbar = extend(v, gs)
-            keep = vbar != 0
-            Ad = self.problem.A.to_dense()      # every column: no copy
-            self.gathered = (keep, 2.0 * vbar[keep] * alpha[keep],
-                             Ad if keep.all() else np.compress(keep, Ad, axis=1))
-        keep, scale, AK = self.gathered
-        dalpha = np.zeros_like(alpha)
-        dalpha[keep] = -(solve(AK @ (scale * extend(dv, gs)[keep])) @ AK)
-        hdv = dv * one_minus_s - 2.0 * v * group_dots(alpha, dalpha, gs)
+        if self.images is None:
+            keep = v != 0
+            self.images = (keep, v[keep], _group_images(
+                self.problem.A.to_dense(), alpha, self.gs, keep))
+        keep, vk, B = self.images
+        hdv = dv * one_minus_s
+        hdv[keep] += 4.0 * vk * (solve(B @ (vk * dv[keep])) @ B)
         hdv[~live] = 0.0
         return hdv
 

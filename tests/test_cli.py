@@ -649,13 +649,23 @@ LASSO_RUN = "[problem]\nfamily = lasso\n[solver:a]\nmethod = fista\n"
      "[phase] a step budget is >= 0, got -1"),
     ("phase", "[phase]\nn = 10\ns = 2\nm_grid = 6\nq = 3\nmethods = irls\n",
      "[phase] 0 < q <= 2 required, got 3"),
+    ("phase", "[phase]\nn = 0\ns = 0\nm_grid = 4\ntrials = 1\n",
+     "[phase] n >= 1 required, got 0"),
+    ("phase", "[phase]\nn = 8\ns = 2\nm_grid = 4\ntrials = 1\nthreshold = -1\n",
+     "[phase] a positive finite threshold is required, got -1"),
+    ("phase", "[phase]\nn = 8\ns = 2\nm_grid = 4\ntrials = 1\nthreshold = nan\n",
+     "[phase] a positive finite threshold is required, got nan"),
+    ("phase", "[phase]\nn = 8\ns = 2\nm_grid = 4\ntrials = 1\nthreshold = inf\n",
+     "[phase] a positive finite threshold is required, got inf"),
 ], ids=["solver-iters", "problem-m", "problem-s", "phase-n", "phase-s",
         "reconstruct-height", "solver-grad_tol", "solver-max_iter",
         "solver-negative-iters", "problem-key", "fourier-key", "tv-l1-key",
         "image-and-height", "image-missing", "budget-key", "phase-key",
         "reconstruct-key", "run-section", "phase-section", "reconstruct-section",
         "phase-trials", "phase-m_grid", "phase-restarts", "phase-empty-m_grid",
-        "phase-empty-methods", "phase-t", "phase-negative-s", "phase-q"])
+        "phase-empty-methods", "phase-t", "phase-negative-s", "phase-q",
+        "phase-n-zero", "phase-negative-threshold", "phase-nan-threshold",
+        "phase-inf-threshold"])
 def test_a_value_that_does_not_parse_is_a_config_error_before_any_work(
         tmp_path, monkeypatch, capsys, command, text, message):
     calls = _stub_solves(monkeypatch)

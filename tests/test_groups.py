@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varprox.groups import (GroupStructure, contiguous_groups, extend,
-                            group_norm_12, group_soft_threshold, soft_threshold,
-                            trivial_groups)
+from varprox.groups import (GroupStructure, _group_images, contiguous_groups,
+                            extend, group_norm_12, group_soft_threshold,
+                            soft_threshold, trivial_groups)
 
 
 def test_group_norm_12_single_group():
@@ -129,3 +129,22 @@ def test_overlapping_span_check():
     assert not ogs.spans()
     ogs2 = GroupStructure([[0, 1], [1, 2], [3]], p=4, mode="overlapping")
     assert ogs2.spans()
+
+
+@pytest.mark.parametrize("gs", [
+    contiguous_groups(9, 3), trivial_groups(9),
+    GroupStructure([[0], [1], [2, 3], [4, 5], [6, 7, 8]]),  # sizes in order
+    GroupStructure([[4], [0, 8], [1, 5, 2], [3], [6, 7]]),  # none in order
+], ids=["contiguous", "singletons", "sizes-in-order", "shuffled"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_group_images_are_the_blockwise_products(rng, gs, order):
+    # [A_g z_g] over the kept groups, whether a size's columns are read in
+    # place and compressed or the kept ones gathered: every group, most of
+    # them, one in five, and none
+    Ad = np.asarray(rng.standard_normal((4, 9)), order=order)
+    z = rng.standard_normal(9)
+    every = np.stack([Ad[:, g] @ z[g] for g in gs.groups], 1)
+    for share in (1.0, 0.8, 0.2, 0.0):
+        keep = rng.random(gs.n_groups) < share
+        np.testing.assert_allclose(_group_images(Ad, z, gs, keep),
+                                   every[:, keep], rtol=1e-13, atol=1e-13)

@@ -1179,24 +1179,24 @@ def _run_problem(family, **values):
     return cli.build_problem(section["problem"])[0]
 
 
-def test_group_lasso_hessp_matches_central_differences(rng):
-    # criterion 2's 20x60 group lasso at random v, first unscreened, then
-    # once screening at the optimum has removed groups: H dv against
-    # central differences of the gradient with the evaluation's mask held
-    # fixed, and zero rows and columns on the masked groups
-    _, prob = _screened_group_lasso(0)
-    n = prob.reg_groups.n_groups
-    answer = solve_varpro(prob, OuterConfig())
+def _check_hessp(prob, screen_at, rng, trials=10):
+    # H dv at random v against central differences of the gradient with the
+    # evaluation's mask held fixed, zero rows and columns on the masked
+    # groups, and the product's group images B = [A_g alpha_g] over the
+    # groups with v_g != 0 (every other trial zeroes one live v_g); first
+    # screened at screen_at unless it is None
+    gs, Ad, h = prob.reg_groups, prob.A.to_dense(), 1e-6
     screen = varpro._GapSafeScreen(prob)
-    h = 1e-6
-    for k in range(20):
-        if k == 10:
-            screen.eval_f_grad(answer.v)    # the gap screens groups here
-            assert screen.out.sum() >= n // 2
+    if screen_at is not None:
+        screen.eval_f_grad(screen_at)       # the gap screens groups here
+        assert 0 < screen.out.sum() < gs.n_groups
+    for k in range(trials):
         live = ~screen.out
-        v = rng.uniform(0.5, 1.5, n)
+        v = rng.uniform(0.5, 1.5, gs.n_groups)
+        if k % 2:
+            v[rng.choice(np.flatnonzero(live))] = 0.0
         screen.eval_f_grad(v)
-        dv = rng.standard_normal(n)
+        dv = rng.standard_normal(gs.n_groups)
         hdv = screen.hessp(dv)
 
         def grad(u):
@@ -1207,12 +1207,53 @@ def test_group_lasso_hessp_matches_central_differences(rng):
         assert np.linalg.norm(hdv - fd) <= 1e-8 * np.linalg.norm(fd)
         assert not hdv[~live].any()
         assert not screen.hessp(np.where(live, 0.0, dv)).any()
+        alpha = screen.point[1]
+        images = np.stack([Ad[:, g] @ alpha[g] for g in gs.groups], 1)
+        keep = (v != 0) & live
+        assert np.array_equal(screen.images[0], keep)
+        np.testing.assert_allclose(screen.images[2], images[:, keep],
+                                   rtol=1e-12, atol=1e-12)
+    return screen
+
+
+def test_group_lasso_hessp_matches_central_differences(rng):
+    # criterion 2's 20x60 group lasso at random v, first unscreened, then
+    # once screening at the optimum has removed groups
+    _, prob = _screened_group_lasso(0)
+    answer = solve_varpro(prob, OuterConfig())
+    _check_hessp(prob, None, rng)
+    screen = _check_hessp(prob, answer.v, rng)
+    assert screen.out.sum() >= prob.reg_groups.n_groups // 2
+
+
+@pytest.mark.parametrize("partition", ["mixed", "singletons"])
+def test_group_image_hessp_matches_central_differences(rng, partition):
+    # group sizes 1, 2, 3 and 5 over shuffled indices, so no size's columns
+    # are in group order, or singleton groups, where B is as wide as A_K;
+    # unscreened, then screened at the optimum
+    m, n = 20, 44
+    if partition == "mixed":
+        sizes = np.tile([1, 2, 3, 5], 4)
+        gs = GroupStructure(np.split(rng.permutation(n), np.cumsum(sizes)[:-1]))
+    else:
+        gs = trivial_groups(n)
+    A = dense(rng.standard_normal((m, n)))
+    x = np.zeros(n)
+    for g in gs.groups[1:4]:
+        x[g] = rng.standard_normal(g.size)
+    y = A.apply(x) + 0.05 * rng.standard_normal(m)
+    lam = 0.1 * lambda_max(A, y, "group-lasso", gs)
+    prob = VarProProblem(A, identity(n), gs, QuadraticLoss(y=y, lam=lam))
+    answer = solve_varpro(prob, OuterConfig())
+    _check_hessp(prob, None, rng)
+    _check_hessp(prob, answer.v, rng)
 
 
 def test_no_factor_or_gather_outlives_the_next_evaluation(monkeypatch):
-    # each evaluation's Cholesky factor and the hessp gather A_K are dead
-    # when the next evaluation starts, so none lives through a line search,
-    # and the result holds none (no gc.collect: reference counts alone)
+    # each evaluation's Cholesky factor and the group images B of hessp
+    # are dead when the next evaluation starts, so none lives through a
+    # line search, and the result holds none (no gc.collect: reference
+    # counts alone)
     _, prob = _screened_group_lasso(0)
     refs, gathers, alive = [], [], []
     factor, hessp = inner.cholesky_factor, varpro._GapSafeScreen.hessp
@@ -1225,8 +1266,7 @@ def test_no_factor_or_gather_outlives_the_next_evaluation(monkeypatch):
 
     def recorded_hessp(self, dv):
         out = hessp(self, dv)
-        if self.gathered[2] is not prob.A.to_dense():   # a gathered copy
-            gathers.append(weakref.ref(self.gathered[2]))
+        gathers.append(weakref.ref(self.images[2]))
         return out
 
     def spy(problem, v):
