@@ -85,6 +85,27 @@ def _fraction(text):
     return float(text)
 
 
+def _positive(key):
+    """The parser of ``key``: a number or a fraction ``a/b``, positive and
+    finite."""
+    def parse(text):
+        value = _fraction(text)
+        if not 0 < value < np.inf:      # NaN fails too
+            raise ValueError(f"{key} > 0 required (a finite value), got "
+                             f"{value:g}")
+        return value
+    return parse
+
+
+def _noise_std(text):
+    """A noise level: a number, at least 0 and finite."""
+    value = float(text)
+    if not 0 <= value < np.inf:         # NaN fails too
+        raise ValueError(f"noise_std >= 0 required (a finite value), got "
+                         f"{value:g}")
+    return value
+
+
 def _parse_config(path):
     parser = configparser.ConfigParser(delimiters=("=",),
                                        inline_comment_prefixes=("#",))
@@ -127,10 +148,10 @@ def _image_problem(get, family):
     n = clean.size
     L = grad2d(height, width, channels)
     gs = tv_group_structure(height, width, channels)
-    lam = get("lambda", 0.2, float)
+    lam = get("lambda", 0.2, _positive("lambda"))
     rng = np.random.default_rng(seed + 1)
     if family == "tv-denoise":
-        y = clean + get("noise_std", 0.1, float) * rng.standard_normal(n)
+        y = clean + get("noise_std", 0.1, _noise_std) * rng.standard_normal(n)
         prob = VarProProblem(IdentityOperator(n), L, gs, QuadraticLoss(y=y, lam=lam))
     elif family == "tv-inpaint":
         keep = get("keep_fraction", 0.3, float)
@@ -168,30 +189,32 @@ def build_problem(section):
             gsize = get("group_size", 1 if family == "lasso" else 3, int)
             inst = problems.gen_gaussian_instance(
                 m, n, s=get("s", max(gsize, n // 8 // gsize * gsize), int),
-                group_size=gsize, noise_std=get("noise_std", 0.05, float),
+                group_size=gsize, noise_std=get("noise_std", 0.05, _noise_std),
                 seed=seed)
             lam_max = problems.lambda_max(inst.A, inst.y, "group-lasso", inst.groups)
-            lam = get("lambda", get("lambda_frac", 0.1, _fraction) * lam_max, float)
+            frac = get("lambda_frac", 0.1, _positive("lambda_frac"))
+            lam = get("lambda", frac * lam_max, _positive("lambda"))
         elif family == "overlap-group-lasso":
             m, n = get("m", 30, int), get("n", 300, int)
             inst = problems.gen_overlap_instance(
                 m, n, overlap=get("overlap", 5, int),
-                noise_std=get("noise_std", 0.05, float), seed=seed)
+                noise_std=get("noise_std", 0.05, _noise_std), seed=seed)
             lam_max = problems.lambda_max(inst.A, inst.y, "lasso")
-            lam = get("lambda", 0.1 * lam_max, float)
+            lam = get("lambda", 0.1 * lam_max, _positive("lambda"))
         elif family == "fourier":
             inst = problems.gen_fourier_instance(
                 cutoff=get("cutoff", 2, int), grid=get("n", 300, int),
                 spikes=get("spikes", 1, int),
-                lam_frac=get("lambda_frac", 0.1, _fraction), seed=seed)
+                lam_frac=get("lambda_frac", 0.1, _positive("lambda_frac")),
+                seed=seed)
             lam = inst.lam
         elif family == "sqrt-lasso":
             m, n = get("m", 30, int), get("n", 100, int)
             inst = problems.gen_gaussian_instance(
                 m, n, s=get("s", 5, int),
-                noise_std=get("noise_std", 0.1, float), seed=seed)
+                noise_std=get("noise_std", 0.1, _noise_std), seed=seed)
             lam_max = problems.lambda_max(inst.A, inst.y, "sqrt-lasso")
-            lam = get("lambda", 0.25 * lam_max, float)
+            lam = get("lambda", 0.25 * lam_max, _positive("lambda"))
             loss_groups = GroupStructure([range(m)], p=m)
             prob = VarProProblem(inst.A, inst.L, trivial_groups(n),
                                  RobustLoss(y=inst.y, lam=lam * np.sqrt(m),
@@ -321,9 +344,7 @@ def cmd_run(config, out_dir, seed=None):
     max_seconds = None
     if "budget" in config:
         with _config_values(config["budget"]) as get:
-            max_seconds = get("max_seconds", None, float)
-            if max_seconds is not None and max_seconds <= 0:
-                raise ValueError("max_seconds > 0 required")
+            max_seconds = get("max_seconds", None, _positive("max_seconds"))
     runs = {sec.split(":", 1)[1]: _solver_run(config[sec], config["problem"]["family"],
                                               prob, extras)
             for sec in solver_sections}

@@ -5,7 +5,11 @@ finite-difference gradients (single- and multi-channel, Neumann boundary),
 block extractors for overlapping groups, and real-stacked 1-D partial
 Fourier systems.  Operators are immutable after construction;
 ``apply``/``adjoint`` are reentrant and densification, the sparse form and
-the band layout of ``diag(d) + lam A diag(s) A^T`` are memoized.
+the band layout of ``diag(d) + lam A diag(s) A^T`` are memoized.  The
+gradient's sparse form and the band layout are built by index arithmetic
+on the arrays of a CSR form, with no sparse product: the gradient writes
+its CSR arrays directly, and the layout lists the pairs of rows that share
+a column.
 """
 
 import numpy as np
@@ -170,11 +174,16 @@ class Grad2DOperator(LinearOperator):
     """Forward differences on a (channels, height, width) image.
 
     Neumann boundary: the difference with an out-of-range neighbor is zero,
-    so constant images map exactly to zero.  Output layout is channel-major,
-    horizontal block then vertical block per channel, and channels never mix:
-    the operator is block diagonal, ``channels`` copies of the memoized
-    one-channel gradient (:meth:`channel_blocks`), which lets the ``A = Id``
-    inner solves factor one 2hw-by-2hw channel block.
+    so constant images map exactly to zero.  Output layout is channel-major:
+    per channel, the differences down the columns (pixel ``(i, j)`` minus
+    ``(i + 1, j)``), then along the rows (``(i, j)`` minus ``(i, j + 1)``),
+    each in row-major pixel order.  Channels never mix: the operator is
+    block diagonal, ``channels`` copies of the memoized one-channel gradient
+    (:meth:`channel_blocks`), which lets the ``A = Id`` inner solves factor
+    one 2hw-by-2hw channel block.  The sparse form is written directly from
+    this layout: two entries, ``+1`` then ``-1``, in each row of a pixel
+    with a neighbor below (or to the right), and an empty row on the last
+    image row (or column).
     """
 
     def __init__(self, height, width, channels=1):
@@ -210,18 +219,24 @@ class Grad2DOperator(LinearOperator):
         return self.channels, self._channel
 
     def _sparsify(self):
-        def diff(k):
-            # row i < k - 1 holds x_i - x_{i+1}; the last row is zero
-            i = np.arange(k - 1)
-            vals = np.r_[np.ones(k - 1), -np.ones(k - 1)]
-            return scipy.sparse.csr_array((vals, (np.r_[i, i], np.r_[i, i + 1])),
-                                          shape=(k, k))
-
-        h, w = self.height, self.width
-        channel = scipy.sparse.vstack([
-            scipy.sparse.kron(diff(h), scipy.sparse.eye_array(w)),
-            scipy.sparse.kron(scipy.sparse.eye_array(h), diff(w))])
-        return scipy.sparse.block_diag([channel] * self.channels, format="csr")
+        # pixel k's rows: +1 at k, -1 at k + w (below) and at k + 1 (right)
+        c, h, w = self.channels, self.height, self.width
+        hw = h * w
+        itype = (np.int32 if 2 * self.rows <= np.iinfo(np.int32).max
+                 else np.int64)
+        k = np.arange(hw, dtype=itype)
+        vert, horiz = k[:hw - w], k[k % w != w - 1]
+        counts = np.zeros(2 * hw, dtype=itype)
+        counts[vert] = counts[hw + horiz] = 2
+        indptr = np.zeros(2 * c * hw + 1, dtype=itype)
+        np.cumsum(np.tile(counts, c), out=indptr[1:])
+        cols = np.empty((c, vert.size + horiz.size, 2), dtype=itype)
+        cols[:, :, 0] = np.concatenate([vert, horiz])
+        cols[:, :, 1] = np.concatenate([vert + w, horiz + 1])
+        cols += hw * np.arange(c, dtype=itype)[:, None, None]
+        data = np.tile([1.0, -1.0], cols.size // 2)
+        return scipy.sparse.csr_array((data, cols.reshape(-1), indptr),
+                                      shape=self.shape)
 
 
 class BlockExtractOperator(LinearOperator):
@@ -279,44 +294,74 @@ class CogramPattern:
     banded Cholesky.
 
     The layout depends only on the sparse ``A`` (p-by-n).  Its pattern is
-    that of ``|A| |A|^T``, whose rows are renumbered in reverse
-    Cuthill-McKee order ``perm``
+    that of ``|A| |A|^T``: the pairs of rows that share a column, listed
+    from the CSR and CSC index arrays of ``A`` with no sparse product.  Its
+    rows are renumbered in reverse Cuthill-McKee order ``perm``
     (``scipy.sparse.csgraph.reverse_cuthill_mckee``), which keeps every
     entry within ``kd`` of the diagonal: on a 2-D gradient ``kd`` is about
     twice the shorter image side.  When the band holds at most
     ``BAND_ENTRIES`` entries (``banded``), ``band`` lays the permuted
     system out for LAPACK ``dpbtrf``: its upper entries are
     ``lam * (coef @ s)``, with row ``q`` of ``coef`` the elementwise
-    product ``A_i * A_j`` of the rows of the entry ``(i, j)`` stored at
-    ``pos[q]``, plus ``d`` at the positions ``diag``, so one assembly costs
-    a sparse matvec and two scatters.  A pattern that is not ``banded``
-    stores only ``kd``.
+    product ``A_i * A_j`` of the rows of the pair ``i <= j`` stored at
+    ``pos[q]``, its columns ascending, plus ``d`` at the positions
+    ``diag``, so one assembly costs a sparse matvec and two scatters.  A
+    pattern that is not ``banded`` stores only ``kd`` and builds no band
+    array.
     """
 
     def __init__(self, S):
-        S = scipy.sparse.csr_array(S)
-        p = S.shape[0]
-        graph = abs(S)
-        graph = graph @ graph.T
-        graph.sort_indices()        # the order breaks ties by index
+        R = scipy.sparse.csr_array(S, copy=True)
+        R.sum_duplicates()
+        R.eliminate_zeros()
+        (p, n), cols, nnz = R.shape, R.indices, R.nnz
+        # the CSC form, whose data is the CSR entry at each position
+        csc = scipy.sparse.csr_array(
+            (np.arange(nnz, dtype=cols.dtype), cols, R.indptr),
+            shape=(p, n)).tocsc()
+        rows, colptr = csc.indices, csc.indptr
+        # the pattern of |A| |A|^T: row i lists the rows of each column of
+        # row i, sorted and without repeats (the order breaks ties by index)
+        counts = np.diff(colptr)[cols]
+        idx, ends = _ranges(colptr[cols], counts)
+        graph = scipy.sparse.csr_array(
+            (np.ones(idx.size, dtype=bool), rows[idx], ends[R.indptr]),
+            shape=(p, p))
+        del counts, idx, ends   # the list with repeats: the largest array
+        graph.sum_duplicates()
         perm = csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)
-        i = np.repeat(np.arange(p), np.diff(graph.indptr))
-        j = graph.indices
-        del graph
-        order = np.empty(p, dtype=np.int64)
+        order = np.empty_like(graph.indices, shape=p)
         order[perm] = np.arange(p)
-        oi, oj = order[i], order[j]
-        self.kd = kd = int(np.abs(oi - oj).max(initial=0))
+        gap = np.repeat(order, np.diff(graph.indptr))
+        gap -= order[graph.indices]
+        self.kd = kd = int(np.abs(gap).max(initial=0))
+        del graph, gap
         self.banded = (kd + 1) * p <= BAND_ENTRIES
-        if self.banded:
-            # band entry (oi, oj), oi <= oj, is element (kd + oi - oj, oj)
-            # of the Fortran-ordered (kd + 1)-by-p array
-            upper = oi <= oj
-            self.pos = (kd + oi - oj + (kd + 1) * oj)[upper]
-            self.diag = kd + (kd + 1) * order
-            self.perm = perm
-            del oi, oj, order       # the row products below set the peak
-            self.coef = S[i[upper]].multiply(S[j[upper]])
+        if not self.banded:
+            return
+        # each entry (i, k) with the rows j >= i of column k, row by row:
+        # the stable sort by (i, j) keeps the columns k of a pair ascending,
+        # the order in which its row product A_i * A_j is summed
+        at = np.empty_like(csc.data)
+        at[csc.data] = np.arange(nnz, dtype=at.dtype)
+        counts = colptr[cols + 1] - at
+        second, ends = _ranges(at, counts)
+        first = np.repeat(np.arange(nnz, dtype=ends.dtype), counts)
+        key = np.repeat(np.arange(p, dtype=np.int64) * p,
+                        np.diff(ends[R.indptr]))
+        key += rows[second]
+        srt = np.argsort(key, kind="stable")
+        first, second, key = first[srt], second[srt], key[srt]
+        start = np.flatnonzero(np.diff(key, prepend=-1))
+        self.coef = scipy.sparse.csr_array(
+            (R.data[first] * R.data[csc.data[second]], cols[first],
+             np.append(start, key.size)), shape=(start.size, n))
+        # band entry (lo, hi), lo <= hi, is element (kd + lo - hi, hi) of
+        # the Fortran-ordered (kd + 1)-by-p array: flat kd (hi + 1) + lo
+        oi, oj = order[key[start] // p], order[key[start] % p]
+        self.pos = kd * (np.maximum(oi, oj) + 1) + np.minimum(oi, oj)
+        self.diag = kd * (order + 1) + order
+        self.perm = perm
 
     def band(self, s, d, lam):
         """``diag(d) + lam * A diag(s) A^T`` permuted by ``perm``: the
@@ -328,6 +373,19 @@ class CogramPattern:
         flat[self.pos] = lam * (self.coef @ s)
         flat[self.diag] += d
         return ab.T
+
+
+def _ranges(starts, counts):
+    """``(idx, ends)``: ``idx`` the ranges ``starts[e], ...,
+    starts[e] + counts[e] - 1`` end to end, range ``e`` at
+    ``idx[ends[e]:ends[e + 1]]``; 32-bit indices where they fit."""
+    ends = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=ends[1:])
+    if ends[-1] <= np.iinfo(np.int32).max:
+        ends = ends.astype(np.int32)
+    idx = np.repeat(starts - ends[:-1], counts)
+    idx += np.arange(ends[-1], dtype=ends.dtype)
+    return idx, ends
 
 
 def fourier_system(cutoff, grid):

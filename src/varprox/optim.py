@@ -23,10 +23,11 @@ Steihaug's truncated CG on it with an Eisenstat-Walker forcing term and at
 most ``CG_STEPS`` products (:func:`_newton_cg`); the line search and the
 stop rules stay the same.  Every run ends with one ``trace.stop_reason``
 (``converged``, ``certified``, ``noise_floor``, ``stalled``,
-``line_search_failed`` or ``max_iter``) and counts its evaluations and
-rejected trials.  The line search, the stall rule, the certificate checks,
-the Newton-CG budget and the L-BFGS memory are fixed by the module
-constants below.
+``line_search_failed``, ``max_iter`` or ``non_finite_start``, for a start
+whose value is not finite, so that no step can be compared with it) and
+counts its evaluations and rejected trials.  The line search, the stall
+rule, the certificate checks, the Newton-CG budget and the L-BFGS memory
+are fixed by the module constants below.
 """
 
 import math
@@ -223,9 +224,11 @@ def _descend(fun, x0, max_iter, grad_tol, method_name, direction, update):
     search reached a trial whose predicted decrease is below the rounding
     error of ``f`` before accepting one), ``line_search_failed`` (every
     trial above that floor rejected), ``stalled`` (``STALL_PATIENCE``
-    accepted steps in a row at the noise floor) or ``max_iter`` (the steps
-    ran out above ``grad_tol``).  ``trace.evals`` counts the calls of
-    ``fun`` and ``trace.backtracks`` the rejected trials."""
+    accepted steps in a row at the noise floor), ``max_iter`` (the steps
+    ran out above ``grad_tol``) or ``non_finite_start`` (the value at
+    ``x0`` is not finite: the run ends there, whatever its gradient).
+    ``trace.evals`` counts the calls of ``fun`` and ``trace.backtracks``
+    the rejected trials."""
     x = np.asarray(x0, dtype=float).copy()
     t0 = time.perf_counter()
     f, g = fun(x)
@@ -236,6 +239,10 @@ def _descend(fun, x0, max_iter, grad_tol, method_name, direction, update):
     hessp = getattr(fun, "hessp", None)
     if hessp is not None:
         trace.aux["cg_steps"] = newton = []
+    if not math.isfinite(f):
+        trace.stop_reason = "non_finite_start"
+        trace.x = x
+        return x, f, g, trace
     stalled = checked = 0
     for k in range(1, max_iter + 1):
         if gnorm <= grad_tol:

@@ -18,10 +18,11 @@ class SolverTrace:
     for the method (gradient norm for smooth solvers, a fixed-point or
     primal residual for splitting methods).  The descent loop of
     :mod:`varprox.optim` also sets ``stop_reason`` (``converged``,
-    ``certified``, ``noise_floor``, ``stalled``, ``line_search_failed`` or
-    ``max_iter``), ``evals`` (objective calls) and ``backtracks`` (rejected
-    line-search trials); the other solvers leave them empty.  ``flags``
-    marks solver-specific events (``mirror_clamped``, ``interpolated``).
+    ``certified``, ``noise_floor``, ``stalled``, ``line_search_failed``,
+    ``max_iter`` or ``non_finite_start``), ``evals`` (objective calls) and
+    ``backtracks`` (rejected line-search trials); the other solvers leave
+    them empty.  ``flags`` marks solver-specific events (``mirror_clamped``,
+    ``interpolated``).
     """
 
     method: str = ""

@@ -117,8 +117,9 @@ class OuterConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol > 0 required")
+        if not 0 < self.grad_tol < np.inf:     # NaN fails too
+            raise ValueError(f"grad_tol > 0 required (a finite value), got "
+                             f"{self.grad_tol:g}")
         if self.max_iter < 0:
             raise ValueError("max_iter >= 0 required")
         if self.algorithm not in ("lbfgs", "gradient-descent-bb"):
@@ -439,8 +440,9 @@ class _ProxDual:
     TIP 2009).  ``grad D = L (y - lam L^T alpha)`` is
     ``lam ||L||^2``-Lipschitz, and ``||L||^2 <= ||L||_1 ||L||_inf`` (8 for
     a 2-D gradient) sets the step.  Both norms of a block-diagonal ``L``
-    are those of one block, so they are read off the memoized sparse form
-    of the channel block, which the inner solves build anyway.
+    are those of one block, so they are read off the CSR arrays of the
+    memoized sparse form of the channel block, which the inner solves
+    build anyway: the largest column and row sums of ``|L|``.
 
     Every step's projected point is a dual point, and its ``D`` costs two
     dot products, since its ``L^T`` image is the one the next step needs
@@ -460,8 +462,11 @@ class _ProxDual:
     def __init__(self, problem):
         self.problem = problem
         self.y = np.asarray(problem.loss.y, dtype=float).ravel()
-        S = abs(problem.L.channel_blocks()[1].to_sparse())
-        bound = S.sum(axis=0).max(initial=0.0) * S.sum(axis=1).max(initial=0.0)
+        S = problem.L.channel_blocks()[1].to_sparse()
+        mag = np.abs(S.data)
+        rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+        bound = (np.bincount(S.indices, mag, S.shape[1]).max(initial=0.0)
+                 * np.bincount(rows, mag, S.shape[0]).max(initial=0.0))
         self.step = 1.0 / (problem.loss.lam * max(float(bound), 1e-300))
         self.rel_gap = self.at = None
         self.checks = []

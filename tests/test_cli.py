@@ -657,6 +657,30 @@ LASSO_RUN = "[problem]\nfamily = lasso\n[solver:a]\nmethod = fista\n"
      "[phase] a positive finite threshold is required, got nan"),
     ("phase", "[phase]\nn = 8\ns = 2\nm_grid = 4\ntrials = 1\nthreshold = inf\n",
      "[phase] a positive finite threshold is required, got inf"),
+    ("run", LASSO_RUN.replace("fista", "varpro\ngrad_tol = inf"),
+     "[solver:a] grad_tol > 0 required (a finite value), got inf"),
+    ("run", LASSO_RUN.replace("fista", "varpro\ngrad_tol = nan"),
+     "[solver:a] grad_tol > 0 required (a finite value), got nan"),
+    ("run", LASSO_RUN.replace("lasso", "lasso\nlambda = nan"),
+     "[problem] lambda > 0 required (a finite value), got nan"),
+    ("run", LASSO_RUN.replace("lasso", "lasso\nlambda = inf"),
+     "[problem] lambda > 0 required (a finite value), got inf"),
+    ("run", LASSO_RUN.replace("lasso", "lasso\nlambda = 0"),
+     "[problem] lambda > 0 required (a finite value), got 0"),
+    ("run", LASSO_RUN.replace("lasso", "lasso\nlambda = -1"),
+     "[problem] lambda > 0 required (a finite value), got -1"),
+    ("run", LASSO_RUN.replace("lasso", "lasso\nlambda_frac = nan"),
+     "[problem] lambda_frac > 0 required (a finite value), got nan"),
+    ("run", LASSO_RUN.replace("lasso", "lasso\nnoise_std = nan"),
+     "[problem] noise_std >= 0 required (a finite value), got nan"),
+    ("run", LASSO_RUN + "[budget]\nmax_seconds = nan\n",
+     "[budget] max_seconds > 0 required (a finite value), got nan"),
+    ("reconstruct", "[reconstruct]\nheight = 4\nwidth = 4\nlambda = -0.5\n",
+     "[reconstruct] lambda > 0 required (a finite value), got -0.5"),
+    ("reconstruct", "[reconstruct]\nheight = 4\nwidth = 4\nnoise_std = nan\n",
+     "[reconstruct] noise_std >= 0 required (a finite value), got nan"),
+    ("reconstruct", "[reconstruct]\nheight = 4\nwidth = 4\ngrad_tol = inf\n",
+     "[reconstruct] grad_tol > 0 required (a finite value), got inf"),
 ], ids=["solver-iters", "problem-m", "problem-s", "phase-n", "phase-s",
         "reconstruct-height", "solver-grad_tol", "solver-max_iter",
         "solver-negative-iters", "problem-key", "fourier-key", "tv-l1-key",
@@ -665,7 +689,12 @@ LASSO_RUN = "[problem]\nfamily = lasso\n[solver:a]\nmethod = fista\n"
         "phase-trials", "phase-m_grid", "phase-restarts", "phase-empty-m_grid",
         "phase-empty-methods", "phase-t", "phase-negative-s", "phase-q",
         "phase-n-zero", "phase-negative-threshold", "phase-nan-threshold",
-        "phase-inf-threshold"])
+        "phase-inf-threshold", "solver-inf-grad_tol", "solver-nan-grad_tol",
+        "problem-nan-lambda", "problem-inf-lambda", "problem-zero-lambda",
+        "problem-negative-lambda", "problem-nan-lambda_frac",
+        "problem-nan-noise_std", "budget-nan-max_seconds",
+        "reconstruct-negative-lambda", "reconstruct-nan-noise_std",
+        "reconstruct-inf-grad_tol"])
 def test_a_value_that_does_not_parse_is_a_config_error_before_any_work(
         tmp_path, monkeypatch, capsys, command, text, message):
     calls = _stub_solves(monkeypatch)

@@ -141,16 +141,23 @@ def test_adjoint_consistency_all_kinds(rng):
         _adjoint_check(op, rng)
 
 
+# image shapes (height, width) whose index arithmetic has edge cases: one
+# pixel, one row, one column, and interior pixels
+GRAD_SHAPES = [(1, 1), (1, 9), (9, 1), (7, 5), (12, 12), (16, 16)]
+
+
 def test_to_sparse_equals_to_dense(rng):
-    grads = [grad2d(h, w, channels=c) for h, w in ((1, 1), (1, 4), (4, 1), (3, 5))
-             for c in (1, 3)]
+    grads = [grad2d(h, w, channels=c) for h, w in
+             GRAD_SHAPES + [(1, 4), (4, 1), (3, 5), (3, 2)] for c in (1, 3)]
     masks = [MaskOperator(keep, n) for keep, n in
              (([], 5), (range(6), 6), ([7, 2, 2, 0], 9))]
     for op in _all_kinds(rng) + grads + masks:
         S = op.to_sparse()
         assert S.shape == op.shape and S.format == "csr"
-        if isinstance(op, MaskOperator):    # built from keep, not densified
+        if isinstance(op, (MaskOperator, linops.Grad2DOperator)):
+            # built from indices, not densified, and storing no zero
             assert op._dense is None and S.has_canonical_format
+            assert S.data.all()
         assert np.array_equal(S.toarray(), op.to_dense()), op
         assert op.to_sparse() is S                     # memoized
 
@@ -187,6 +194,85 @@ def test_cogram_pattern_assembles_weighted_cogram(rng):
         assert ab.shape == (P.kd + 1, D.shape[0]) and ab.flags.f_contiguous
         assert np.allclose(_unband(P, ab), np.diag(d) + 0.7 * (D * s) @ D.T,
                            rtol=0, atol=1e-14)
+
+
+def _product_layout(S):
+    """The band layout as the sparse products build it: the pattern of
+    ``|S| |S|^T`` in reverse Cuthill-McKee order, and the row products
+    ``S_i * S_j`` of its entries on and above the diagonal of that order.
+    Returns ``(kd, banded, perm, band)``, ``band(s, d, lam)`` laid out as
+    ``CogramPattern.band`` lays it out, or None past ``BAND_ENTRIES``."""
+    import scipy.sparse
+    from scipy.sparse import csgraph
+    S = scipy.sparse.csr_array(S)
+    p = S.shape[0]
+    graph = abs(S)
+    graph = graph @ graph.T
+    graph.sort_indices()
+    perm = csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)
+    i = np.repeat(np.arange(p), np.diff(graph.indptr))
+    j = graph.indices
+    order = np.empty(p, dtype=np.int64)
+    order[perm] = np.arange(p)
+    oi, oj = order[i], order[j]
+    kd = int(np.abs(oi - oj).max(initial=0))
+    banded = (kd + 1) * p <= linops.BAND_ENTRIES
+    if not banded:
+        return kd, banded, perm, None
+    upper = oi <= oj
+    pos = (kd + oi - oj + (kd + 1) * oj)[upper]
+    coef = S[i[upper]].multiply(S[j[upper]])
+
+    def band(s, d, lam):
+        ab = np.zeros((p, kd + 1))
+        flat = ab.reshape(-1)
+        flat[pos] = lam * (coef @ s)
+        flat[kd + (kd + 1) * order] += d
+        return ab.T
+    return kd, banded, perm, band
+
+
+def _layout_operators():
+    import scipy.sparse
+    rng = np.random.default_rng(7)
+    grads = [pytest.param(grad2d(h, w, channels=c).to_sparse(),
+                          id=f"grad-{h}x{w}x{c}")
+             for h, w in GRAD_SHAPES for c in (1, 3)]
+    return grads + [
+        pytest.param(MaskOperator([7, 2, 2, 0, 4], 9).to_sparse(), id="mask"),
+        pytest.param(scipy.sparse.random_array(
+            (40, 25), density=0.1, rng=rng, data_sampler=rng.standard_normal,
+            format="csr"), id="random"),
+        pytest.param(dense(rng.standard_normal((6, 4))).to_sparse(),
+                     id="dense"),
+    ]
+
+
+@pytest.mark.parametrize("S", _layout_operators())
+def test_cogram_pattern_matches_the_product_construction(S, rng):
+    # the same order, width and band, to the last bit, as the layout built
+    # from the sparse product and the row gathers
+    kd, banded, perm, band = _product_layout(S)
+    P = linops.CogramPattern(S)
+    assert (P.kd, P.banded) == (kd, banded) and banded
+    np.testing.assert_array_equal(P.perm, perm)
+    for lam in (0.7, 3.0):
+        s = rng.uniform(0.0, 2.0, S.shape[1])
+        d = rng.uniform(0.0, 1.0, S.shape[0])
+        np.testing.assert_array_equal(P.band(s, d, lam), band(s, d, lam))
+
+
+@pytest.mark.parametrize("S", _layout_operators())
+def test_cogram_pattern_past_the_band_limit_matches_the_product_width(
+        S, monkeypatch):
+    # past the limit the width is the product construction's, and no band
+    # array is built
+    monkeypatch.setattr(linops, "BAND_ENTRIES", 0)
+    kd, banded, _, _ = _product_layout(S)
+    P = linops.CogramPattern(S)
+    assert (P.kd, P.banded) == (kd, banded) == (kd, False)
+    assert not any(hasattr(P, name)
+                   for name in ("pos", "diag", "coef", "perm"))
 
 
 def test_cogram_pattern_band_limit_is_inclusive(monkeypatch, rng):

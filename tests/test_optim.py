@@ -162,6 +162,26 @@ def test_infinite_trials_end_on_a_failed_line_search():
 
 
 @pytest.mark.parametrize("minimize", [minimize_lbfgs, minimize_gd_bb])
+@pytest.mark.parametrize("start", [np.inf, np.nan])
+def test_a_non_finite_start_is_not_converged(minimize, start):
+    # the value an objective returns outside its domain, with a zero
+    # gradient that the gradient test alone would accept: the run ends at
+    # the start, on its own reason, and evaluates nothing else
+    calls = 0
+
+    def fun(x):
+        nonlocal calls
+        calls += 1
+        return start, np.zeros_like(x)
+
+    x, f, _, trace = minimize(fun, np.ones(3), 10, 1e-9)
+    assert trace.stop_reason == "non_finite_start"
+    assert calls == trace.evals == 1 and trace.backtracks == 0
+    assert trace.n_records == 1 and np.array_equal(x, np.ones(3))
+    assert f is start and trace.x is x
+
+
+@pytest.mark.parametrize("minimize", [minimize_lbfgs, minimize_gd_bb])
 def test_certify_is_asked_after_small_decreases_and_ends_the_run(minimize):
     # an ill-conditioned quadratic with minimum 1, whose certify returns the
     # exact gap f - 1: it is asked only after an accepted step that lowered
